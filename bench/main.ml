@@ -556,24 +556,22 @@ let write_traces path =
       (fun acc s -> Float.min acc s.Simcore.Pool.Span.posted_s)
       infinity spans
   in
-  output_string oc "{\"traceEvents\":[\n";
   output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-     \"args\":{\"name\":\"domain pool (wall clock)\"}}";
-  List.iter
-    (fun s ->
-      Printf.fprintf oc
-        ",\n\
-         {\"name\":\"task\",\"cat\":\"pool\",\"ph\":\"X\",\"pid\":0,\
-         \"tid\":%d,\"ts\":%.0f,\"dur\":%.0f,\"args\":{\"batch\":%d,\
-         \"task\":%d,\"wait_ms\":%.3f}}"
-        s.Simcore.Pool.Span.domain
-        ((s.Simcore.Pool.Span.start_s -. t0) *. 1e6)
-        (Simcore.Pool.Span.busy_s s *. 1e6)
-        s.Simcore.Pool.Span.batch s.Simcore.Pool.Span.task
-        (Simcore.Pool.Span.wait_s s *. 1e3))
-    spans;
-  output_string oc "\n]}\n";
+    (Sim.Decision_log.chrome_document
+       ("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+         \"args\":{\"name\":\"domain pool (wall clock)\"}}"
+       :: List.map
+            (fun s ->
+              Printf.sprintf
+                "{\"name\":\"task\",\"cat\":\"pool\",\"ph\":\"X\",\"pid\":0,\
+                 \"tid\":%d,\"ts\":%.0f,\"dur\":%.0f,\"args\":{\"batch\":%d,\
+                 \"task\":%d,\"wait_ms\":%.3f}}"
+                s.Simcore.Pool.Span.domain
+                ((s.Simcore.Pool.Span.start_s -. t0) *. 1e6)
+                (Simcore.Pool.Span.busy_s s *. 1e6)
+                s.Simcore.Pool.Span.batch s.Simcore.Pool.Span.task
+                (Simcore.Pool.Span.wait_s s *. 1e3))
+            spans));
   close_out oc;
   let traced = List.length (Experiments.Common.traced_runs ()) in
   Printf.printf "wrote %s (%d traced runs), %s, %s (%d pool spans)\n" path

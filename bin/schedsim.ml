@@ -248,14 +248,9 @@ let trace_cmd =
               ^ ".chrome.json"
         in
         let oc = open_out chrome_path in
-        output_string oc "{\"traceEvents\":[\n";
-        let events = Sim.Decision_log.chrome_events log in
-        List.iteri
-          (fun i ev ->
-            if i > 0 then output_string oc ",\n";
-            output_string oc ev)
-          events;
-        output_string oc "\n]}\n";
+        output_string oc
+          (Sim.Decision_log.chrome_document
+             (Sim.Decision_log.chrome_events log));
         close_out oc;
         let searched =
           List.filter
@@ -325,10 +320,7 @@ let report_cmd =
         let series =
           Sim.Series.create ~threshold ~policy:policy.Sched.Policy.name ()
         in
-        let metrics = Simcore.Metrics.create ~enabled:true () in
-        Option.iter
-          (fun m -> Simcore.Metrics.set_enabled m true)
-          policy.Sched.Policy.metrics;
+        let metrics = Simcore.Metrics.create () in
         let run =
           Sim.Run.simulate ~series ~metrics ~r_star:rstar ~policy trace
         in
@@ -359,12 +351,7 @@ let report_cmd =
         write jsonl_path (Buffer.contents buf);
         let om_path = base ^ ".om" in
         Buffer.clear buf;
-        let registries =
-          metrics
-          :: Option.to_list
-               (Option.map Fun.id policy.Sched.Policy.metrics)
-        in
-        Simcore.Metrics.pp_openmetrics bfmt registries;
+        Simcore.Metrics.pp_openmetrics bfmt metrics;
         Format.pp_print_flush bfmt ();
         write om_path (Buffer.contents buf);
         Format.fprintf fmt "policy:    %s@." label;

@@ -71,8 +71,18 @@ let search ?probe config state =
   let result = Search.run ~prune:config.prune ?probe config.algorithm
       ~budget:config.budget state
   in
-  if config.local_search then
-    Local_search.improve ~budget:(config.budget / 4) state result
+  if config.local_search then begin
+    let result =
+      Local_search.improve ~budget:(config.budget / 4) state result
+    in
+    (* an improving swap pass adds its own nodes to the result: keep
+       the probe in step with it *)
+    Option.iter
+      (fun (p : Simcore.Telemetry.Probe.t) ->
+        p.nodes <- result.Search.nodes_visited)
+      probe;
+    result
+  end
   else result
 
 let decide_detailed config ctx =
@@ -86,36 +96,9 @@ let policy config =
   let total_leaves = ref 0 in
   let max_queue = ref 0 in
   (* One preallocated probe per policy instance, overwritten at every
-     decision; the engine's decision log snapshots it after [decide]. *)
+     decision; the engine reads it after [decide] for the decision log
+     and the [schedsim_search_*] metrics. *)
   let probe = Simcore.Telemetry.Probe.create () in
-  (* Policy-owned metric registry (the Sched.Policy metric hook).
-     Created disabled, so recording below is a load+branch until a
-     reporting surface enables it. *)
-  let metrics = Simcore.Metrics.create () in
-  let m_decisions =
-    Simcore.Metrics.counter metrics "schedsim_search_decisions"
-      ~help:"decision points at which the tree search ran"
-  in
-  let m_nodes =
-    Simcore.Metrics.counter metrics "schedsim_search_nodes"
-      ~help:"search nodes visited across all decisions"
-  in
-  let m_leaves =
-    Simcore.Metrics.counter metrics "schedsim_search_leaves"
-      ~help:"complete schedules evaluated across all decisions"
-  in
-  let m_exhausted =
-    Simcore.Metrics.counter metrics "schedsim_search_exhausted"
-      ~help:"decisions whose whole tree fit in the node budget"
-  in
-  let m_improvements =
-    Simcore.Metrics.counter metrics "schedsim_search_improvements"
-      ~help:"incumbent improvements across all decisions"
-  in
-  let m_nodes_per_decision =
-    Simcore.Metrics.histogram metrics "schedsim_search_nodes_per_decision"
-      ~help:"search nodes visited per decision point"
-  in
   let usage =
     match config.fairshare with
     | None -> None
@@ -124,7 +107,7 @@ let policy config =
   let decide (ctx : Sched.Policy.context) =
     match ctx.waiting with
     | [] ->
-        (* leave no stale effort behind for the decision log *)
+        (* leave no stale effort behind for the engine to read *)
         Simcore.Telemetry.Probe.reset probe;
         []
     | _ :: _ ->
@@ -134,13 +117,6 @@ let policy config =
         total_nodes := !total_nodes + result.Search.nodes_visited;
         total_leaves := !total_leaves + result.Search.leaves_evaluated;
         max_queue := Stdlib.max !max_queue (Search_state.job_count state);
-        Simcore.Metrics.incr m_decisions;
-        Simcore.Metrics.add m_nodes result.Search.nodes_visited;
-        Simcore.Metrics.add m_leaves result.Search.leaves_evaluated;
-        if result.Search.exhausted then Simcore.Metrics.incr m_exhausted;
-        Simcore.Metrics.add m_improvements probe.Simcore.Telemetry.Probe.improvements;
-        Simcore.Metrics.observe m_nodes_per_decision
-          result.Search.nodes_visited;
         let started =
           Search_state.start_now_set state ~order:result.Search.best_order
             ~starts:result.Search.best_starts
@@ -163,8 +139,6 @@ let policy config =
       max_queue = !max_queue;
     }
   in
-  ( Sched.Policy.with_metrics
-      (Sched.Policy.with_probe (Sched.Policy.make ~name:(name config) ~decide)
-         probe)
-      metrics,
+  ( Sched.Policy.with_probe (Sched.Policy.make ~name:(name config) ~decide)
+      probe,
     stats )

@@ -52,10 +52,10 @@ type stats = {
 val policy : config -> Sched.Policy.t * (unit -> stats)
 (** The scheduling policy plus an accessor for cumulative search
     statistics (used by the overhead experiment).  The policy carries
-    a per-instance search-effort probe and a (disabled) run-health
-    metric registry of search counters — enable it via
-    [Sched.Policy.metrics] to include search effort in an OpenMetrics
-    exposition. *)
+    a per-instance search-effort probe ([Sched.Policy.probe]) holding
+    the last decision's effort, local-search nodes included; the
+    engine turns it into the decision log and the [schedsim_search_*]
+    run metrics. *)
 
 val decide_detailed :
   config -> Sched.Policy.context -> Search.result option

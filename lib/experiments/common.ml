@@ -177,23 +177,16 @@ let simulate ~policy_key ~policy ~r_star profile load =
       Sim.Run.simulate ?log ?series ?validate ~r_star ~policy
         (trace profile load))
 
-let traced_runs () =
+(* Cache entries carrying the optional artifact [field], sorted by key. *)
+let cached field =
   Simcore.Memo.bindings run_cache
   |> List.filter_map (fun (key, run) ->
-         Option.map (fun log -> (key, log)) run.Sim.Run.log)
+         Option.map (fun x -> (key, x)) (field run))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let validation_reports () =
-  Simcore.Memo.bindings run_cache
-  |> List.filter_map (fun (key, run) ->
-         Option.map (fun report -> (key, report)) run.Sim.Run.validation)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let series_runs () =
-  Simcore.Memo.bindings run_cache
-  |> List.filter_map (fun (key, run) ->
-         Option.map (fun s -> (key, s)) run.Sim.Run.series)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let traced_runs () = cached (fun run -> run.Sim.Run.log)
+let validation_reports () = cached (fun run -> run.Sim.Run.validation)
+let series_runs () = cached (fun run -> run.Sim.Run.series)
 
 let pp_series fmt =
   List.iter (fun (key, s) -> Sim.Series.pp_jsonl ~run:key fmt s)
@@ -204,19 +197,12 @@ let pp_traces fmt =
     (traced_runs ())
 
 let chrome_trace_document () =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  let first = ref true in
-  List.iteri
-    (fun i (key, log) ->
-      List.iter
-        (fun ev ->
-          if !first then first := false else Buffer.add_string buf ",\n";
-          Buffer.add_string buf ev)
-        (Sim.Decision_log.chrome_events ~run:key ~pid:(i + 1) log))
-    (traced_runs ());
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Sim.Decision_log.chrome_document
+    (List.concat
+       (List.mapi
+          (fun i (key, log) ->
+            Sim.Decision_log.chrome_events ~run:key ~pid:(i + 1) log)
+          (traced_runs ())))
 
 let reset_caches () =
   Simcore.Memo.clear trace_cache;

@@ -9,12 +9,10 @@ type t = {
   name : string;
   decide : context -> Workload.Job.t list;
   probe : Simcore.Telemetry.Probe.t option;
-  metrics : Simcore.Metrics.t option;
 }
 
-let make ~name ~decide = { name; decide; probe = None; metrics = None }
+let make ~name ~decide = { name; decide; probe = None }
 let with_probe t probe = { t with probe = Some probe }
-let with_metrics t metrics = { t with metrics = Some metrics }
 
 let profile_of ctx =
   let machine = Cluster.Running_set.machine ctx.running in

@@ -23,24 +23,17 @@ type t = {
   decide : context -> Workload.Job.t list;
   probe : Simcore.Telemetry.Probe.t option;
       (** search-effort record the policy overwrites on every [decide]
-          ([None] for policies that do not search).  The engine
-          snapshots it into the decision log right after each
-          decision. *)
-  metrics : Simcore.Metrics.t option;
-      (** policy-owned run-health metric registry ([None] for plain
-          policies).  Created disabled; a reporting surface enables it
-          before the run and exposes it alongside the engine's own
-          registry ([Simcore.Metrics.pp_openmetrics] takes a list). *)
+          ([None] for policies that do not search).  After each
+          decision the engine snapshots it into the decision log and,
+          when the run has a metric registry, adds it to the
+          [schedsim_search_*] instruments. *)
 }
 
 val make : name:string -> decide:(context -> Workload.Job.t list) -> t
-(** A policy without a probe or metrics ([probe = metrics = None]). *)
+(** A policy without a probe ([probe = None]). *)
 
 val with_probe : t -> Simcore.Telemetry.Probe.t -> t
 (** Attach the search-effort record the policy's [decide] fills. *)
-
-val with_metrics : t -> Simcore.Metrics.t -> t
-(** Attach the metric registry the policy's [decide] records into. *)
 
 val profile_of : context -> Cluster.Profile.t
 (** Availability profile implied by the running set at [ctx.now]. *)

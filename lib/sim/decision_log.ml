@@ -138,3 +138,6 @@ let chrome_events ?(run = "") ?(pid = 1) t =
       (decisions t)
   in
   meta :: events
+
+let chrome_document events =
+  "{\"traceEvents\":[\n" ^ String.concat ",\n" events ^ "\n]}\n"

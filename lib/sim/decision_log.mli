@@ -18,9 +18,9 @@
     - {!chrome_events}: Chrome [trace_event] objects (one complete
       "X" span per decision on the *simulated* time axis, 1 trace
       microsecond = 1 simulated microsecond, span duration = nodes
-      visited, plus a "queue" counter track), to be wrapped in a
-      [{"traceEvents": [...]}] document and opened in
-      [chrome://tracing] / [ui.perfetto.dev]. *)
+      visited, plus a "queue" counter track), to be wrapped by
+      {!chrome_document} and opened in [chrome://tracing] /
+      [ui.perfetto.dev]. *)
 
 type decision = {
   seq : int;  (** 0-based decision index within the run *)
@@ -79,3 +79,8 @@ val chrome_events : ?run:string -> ?pid:int -> t -> string list
     event order: thread metadata, one "X" decision span and one
     "queue" counter sample per retained event.  [pid] separates runs
     in the viewer (default 1). *)
+
+val chrome_document : string list -> string
+(** [{"traceEvents":[...]}] document around Chrome [trace_event]
+    objects, one per line, newline-terminated.  The one writer of
+    every Chrome trace file the repository produces. *)

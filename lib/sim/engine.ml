@@ -58,6 +58,47 @@ let instruments_of reg =
         ~help:"waiting jobs per decision point";
   }
 
+(* Search-effort instruments, registered after the engine's own when
+   the policy carries a probe.  Sequential lets, not record fields
+   (whose evaluation order is unspecified), keep the exposition in
+   registration order.  The returned recorder reads the probe after a
+   decision and counts it when it searched. *)
+let search_recorder reg =
+  let counter = Simcore.Metrics.counter reg in
+  let decisions =
+    counter "schedsim_search_decisions"
+      ~help:"decision points at which the tree search ran"
+  in
+  let nodes =
+    counter "schedsim_search_nodes"
+      ~help:"search nodes visited across all decisions"
+  in
+  let leaves =
+    counter "schedsim_search_leaves"
+      ~help:"complete schedules evaluated across all decisions"
+  in
+  let exhausted =
+    counter "schedsim_search_exhausted"
+      ~help:"decisions whose whole tree fit in the node budget"
+  in
+  let improvements =
+    counter "schedsim_search_improvements"
+      ~help:"incumbent improvements across all decisions"
+  in
+  let nodes_per_decision =
+    Simcore.Metrics.histogram reg "schedsim_search_nodes_per_decision"
+      ~help:"search nodes visited per decision point"
+  in
+  fun (p : Simcore.Telemetry.Probe.t) ->
+    if p.budget > 0 then begin
+      Simcore.Metrics.incr decisions;
+      Simcore.Metrics.add nodes p.nodes;
+      Simcore.Metrics.add leaves p.leaves;
+      if p.exhausted then Simcore.Metrics.incr exhausted;
+      Simcore.Metrics.add improvements p.improvements;
+      Simcore.Metrics.observe nodes_per_decision p.nodes
+    end
+
 let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     ~r_star ~policy trace =
   (* On-line predictor state (Predicted mode): running mean of the
@@ -93,6 +134,11 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     (Workload.Trace.jobs trace);
   let running = Cluster.Running_set.create ~machine in
   let inst = Option.map instruments_of metrics in
+  let search_effort =
+    match (metrics, policy.Sched.Policy.probe) with
+    | Some reg, Some probe -> Some (search_recorder reg, probe)
+    | _ -> None
+  in
   (* Waiting queue in submit order: appends at the back. *)
   let waiting : Workload.Job.t list ref = ref [] in
   let outcomes = ref [] in
@@ -188,6 +234,7 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
               ~queue:(List.length ctx.Sched.Policy.waiting)
               ~started:(List.length to_start)
               ~probe:policy.Sched.Policy.probe);
+        Option.iter (fun (record, probe) -> record probe) search_effort;
         List.iter (start_job now) to_start;
         if series <> None || inst <> None then health_sample now;
         queue_samples :=

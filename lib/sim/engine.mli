@@ -61,7 +61,11 @@ val run :
     registers its run-health instruments on it (decision/start/finish
     counters, queue/busy/backlog gauges, wait and queue-depth
     histograms, names prefixed [schedsim_]) and records into them as
-    the run progresses — honoring the registry's own switch.  Both
+    the run progresses.  When the policy carries a probe it also
+    registers, after those, the search-effort instruments
+    [schedsim_search_{decisions,nodes,leaves,exhausted,improvements}]
+    and the [schedsim_search_nodes_per_decision] histogram, fed from
+    the probe after every decision that searched ([budget > 0]).  Both
     hooks are entirely off the simulation path when unset.
 
     [validate], when given, runs {!Schedcheck.Validator.validate} over

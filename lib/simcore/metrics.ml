@@ -1,35 +1,48 @@
-(* Every instrument holds the bool ref it shares with its registry, so
-   a record call is one load and a branch whatever the instrument kind.
-   Gauges keep their level in a one-element float array: a mutable
+(* Gauges keep their level in a one-element float array: a mutable
    float field in a mixed record would box on every store, a float
    array store stays unboxed. *)
 
-type counter = {
-  c_name : string;
-  c_help : string;
-  c_switch : bool ref;
-  mutable c_value : int;
-}
-
-type gauge = { g_name : string; g_help : string; g_switch : bool ref;
-               g_cell : float array }
+type counter = { c_name : string; c_help : string; mutable c_value : int }
+type gauge = { g_name : string; g_help : string; g_cell : float array }
 
 type histogram = {
   h_name : string;
   h_help : string;
-  h_switch : bool ref;
-  h_counts : int array;  (* length [Telemetry.Histogram.buckets] *)
+  h_counts : int array;  (* length [buckets] *)
   mutable h_count : int;
   mutable h_total : int;
 }
 
 type item = Counter of counter | Gauge of gauge | Histogram of histogram
 
-type t = { switch : bool ref; mutable items : item list (* newest first *) }
+type t = { mutable items : item list (* newest first *) }
 
-let create ?(enabled = false) () = { switch = ref enabled; items = [] }
-let enabled t = !(t.switch)
-let set_enabled t v = t.switch := v
+let create () = { items = [] }
+
+(* Bucket 0 (v <= 0) plus one bucket per magnitude bit: max_int has
+   [Sys.int_size - 1 = 62] significant bits, so 63 buckets cover
+   every OCaml int and every index is reachable — a 64th would have
+   an unrepresentable lower bound (1 lsl 62 overflows). *)
+let buckets = 63
+
+(* floor(log2 v) + 1 for v >= 1; 0 for v <= 0.  The shift walk beats
+   a float log and cannot disagree with the bucket bounds below. *)
+let bucket_of v =
+  if v <= 0 then 0
+  else begin
+    let b = ref 0 in
+    let v = ref v in
+    while !v > 0 do
+      Stdlib.incr b;
+      v := !v lsr 1
+    done;
+    if !b > buckets - 1 then buckets - 1 else !b
+  end
+
+let bucket_lo b = if b <= 0 then min_int else 1 lsl (b - 1)
+
+let bucket_hi b =
+  if b <= 0 then 0 else if b >= buckets - 1 then max_int else (1 lsl b) - 1
 
 let item_name = function
   | Counter c -> c.c_name
@@ -55,15 +68,12 @@ let register t name item =
   t.items <- item :: t.items
 
 let counter t ?(help = "") name =
-  let c = { c_name = name; c_help = help; c_switch = t.switch; c_value = 0 } in
+  let c = { c_name = name; c_help = help; c_value = 0 } in
   register t name (Counter c);
   c
 
 let gauge t ?(help = "") name =
-  let g =
-    { g_name = name; g_help = help; g_switch = t.switch;
-      g_cell = Array.make 1 0.0 }
-  in
+  let g = { g_name = name; g_help = help; g_cell = Array.make 1 0.0 } in
   register t name (Gauge g);
   g
 
@@ -72,8 +82,7 @@ let histogram t ?(help = "") name =
     {
       h_name = name;
       h_help = help;
-      h_switch = t.switch;
-      h_counts = Array.make Telemetry.Histogram.buckets 0;
+      h_counts = Array.make buckets 0;
       h_count = 0;
       h_total = 0;
     }
@@ -81,27 +90,23 @@ let histogram t ?(help = "") name =
   register t name (Histogram h);
   h
 
-let incr c = if !(c.c_switch) then c.c_value <- c.c_value + 1
-let add c n = if !(c.c_switch) then c.c_value <- c.c_value + n
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 
-let set g v = if !(g.g_switch) then g.g_cell.(0) <- v
+let set g v = g.g_cell.(0) <- v
 let gauge_value g = g.g_cell.(0)
 
 let observe h v =
-  if !(h.h_switch) then begin
-    let b = Telemetry.Histogram.bucket_of v in
-    h.h_counts.(b) <- h.h_counts.(b) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_total <- h.h_total + v
-  end
+  let b = bucket_of v in
+  h.h_counts.(b) <- h.h_counts.(b) + 1;
+  h.h_count <- h.h_count + 1;
+  h.h_total <- h.h_total + v
 
 let histogram_count h = h.h_count
 let histogram_total h = h.h_total
 
 let histogram_percentile h p =
-  (* same estimator as Telemetry.Histogram.percentile, over our own
-     storage: linear interpolation inside the crossing bucket *)
   if p < 0.0 || p > 100.0 then
     invalid_arg "Metrics.histogram_percentile: p out of [0, 100]";
   if h.h_count = 0 then 0.0
@@ -110,7 +115,7 @@ let histogram_percentile h p =
     let cum = ref 0 in
     let result = ref 0.0 in
     (try
-       for b = 0 to Telemetry.Histogram.buckets - 1 do
+       for b = 0 to buckets - 1 do
          let c = h.h_counts.(b) in
          if c > 0 then begin
            let below = float_of_int !cum in
@@ -118,11 +123,8 @@ let histogram_percentile h p =
            if float_of_int !cum >= rank then begin
              let inside = Float.max 0.0 (rank -. below) in
              let frac = inside /. float_of_int c in
-             let lo =
-               if b = 0 then 0.0
-               else float_of_int (Telemetry.Histogram.bucket_lo b)
-             in
-             let hi = float_of_int (Telemetry.Histogram.bucket_hi b) in
+             let lo = if b = 0 then 0.0 else float_of_int (bucket_lo b) in
+             let hi = float_of_int (bucket_hi b) in
              result := lo +. (frac *. (hi -. lo));
              raise Exit
            end
@@ -167,18 +169,17 @@ let pp_item fmt = function
   | Histogram h ->
       pp_header fmt ~name:h.h_name ~kind:"histogram" ~help:h.h_help;
       let cum = ref 0 in
-      for b = 0 to Telemetry.Histogram.buckets - 1 do
+      for b = 0 to buckets - 1 do
         if h.h_counts.(b) > 0 then begin
           cum := !cum + h.h_counts.(b);
           Format.fprintf fmt "%s_bucket{le=\"%d\"} %d@." h.h_name
-            (Telemetry.Histogram.bucket_hi b)
-            !cum
+            (bucket_hi b) !cum
         end
       done;
       Format.fprintf fmt "%s_bucket{le=\"+Inf\"} %d@." h.h_name h.h_count;
       Format.fprintf fmt "%s_count %d@." h.h_name h.h_count;
       Format.fprintf fmt "%s_sum %d@." h.h_name h.h_total
 
-let pp_openmetrics fmt regs =
-  List.iter (fun t -> List.iter (pp_item fmt) (List.rev t.items)) regs;
+let pp_openmetrics fmt t =
+  List.iter (pp_item fmt) (List.rev t.items);
   Format.fprintf fmt "# EOF@."

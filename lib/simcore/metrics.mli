@@ -1,31 +1,41 @@
 (** Run-health metric registry.
 
     A named-metric registry for one simulation run: counters, gauges
-    and histograms (the histograms reuse {!Telemetry.Histogram}'s
-    63-bucket log2 geometry), plus an OpenMetrics/Prometheus text
-    exposition writer.  Unlike {!Telemetry}, whose single process-wide
-    switch guards globally shared instruments, a registry is a
-    per-run instance with its own switch — runs executing in parallel
-    on the domain pool each own their registry and never contend.
+    and fixed 63-bucket log2 histograms, plus an OpenMetrics/Prometheus
+    text exposition writer.  A registry is a per-run instance — runs
+    executing in parallel on the domain pool each own theirs and never
+    contend.
 
-    The section-7 observability contract applies: with the registry's
-    switch off every [incr]/[set]/[observe] is a single load plus a
-    predictable branch; with it on, recording writes into preallocated
-    storage and never allocates per observation (registration
-    allocates, observation does not — tested).
+    There is no switch: "off" is not passing a registry (the engine's
+    [?metrics] is optional, like its [?log] and [?series]).  Recording
+    writes into storage preallocated at registration and never
+    allocates per observation (tested).
 
-    Instruments are single-writer, like {!Telemetry}'s: record only
-    from the domain that owns the run. *)
+    Instruments are single-writer: record only from the domain that
+    owns the run. *)
 
 type t
-(** A registry: an ordered collection of named instruments sharing one
-    on/off switch. *)
+(** A registry: an ordered collection of named instruments. *)
 
-val create : ?enabled:bool -> unit -> t
-(** Fresh empty registry (default [enabled = false]). *)
+val create : unit -> t
+(** Fresh empty registry. *)
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
+(** {2 Histogram bucket geometry}
+
+    Bucket 0 holds values [<= 0]; bucket [b >= 1] holds values in
+    [2^(b-1) .. 2^b - 1], with the top bucket extending to [max_int]. *)
+
+val buckets : int
+(** Number of buckets (63: one per magnitude bit of an OCaml int,
+    plus bucket 0 for non-positive values). *)
+
+val bucket_of : int -> int
+(** [bucket_of v] is the bucket index [v] falls into (total map:
+    negatives also land in bucket 0). *)
+
+val bucket_lo : int -> int
+val bucket_hi : int -> int
+(** Inclusive value range covered by a bucket index. *)
 
 (** {2 Instruments}
 
@@ -46,22 +56,16 @@ val gauge : t -> ?help:string -> string -> gauge
 (** Last-write-wins float level (queue depth, busy nodes, ...). *)
 
 val histogram : t -> ?help:string -> string -> histogram
-(** Distribution of non-negative ints over
-    {!Telemetry.Histogram.buckets} log2 buckets. *)
+(** Distribution of ints over the {!buckets} log2 buckets. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-(** No-ops while the registry's switch is off. *)
-
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-(** No-op while the registry's switch is off. *)
-
 val gauge_value : gauge -> float
 
 val observe : histogram -> int -> unit
-(** No-op while the registry's switch is off. *)
 
 val histogram_count : histogram -> int
 (** Observations recorded. *)
@@ -70,16 +74,17 @@ val histogram_total : histogram -> int
 (** Sum of observed values. *)
 
 val histogram_percentile : histogram -> float -> float
-(** Same estimator as {!Telemetry.Histogram.percentile}.
-    @raise Invalid_argument if the percentile is out of [0, 100]. *)
+(** [histogram_percentile h p] ([0 <= p <= 100]) estimates the p-th
+    percentile by linear interpolation inside the bucket where the
+    cumulative count crosses the rank; 0.0 when empty.  Accurate to
+    within one bucket width by construction.
+    @raise Invalid_argument if [p] is out of range. *)
 
 (** {2 Exposition} *)
 
-val pp_openmetrics : Format.formatter -> t list -> unit
-(** OpenMetrics text exposition of every instrument of every registry,
-    in registration order, terminated by [# EOF].  Counters expose
-    [name_total]; histograms expose cumulative [name_bucket{le="..."}]
-    series over the occupied buckets plus [le="+Inf"], [name_count]
-    and [name_sum].  Registries are emitted in list order; callers
-    keep metric names distinct across the registries they expose
-    together. *)
+val pp_openmetrics : Format.formatter -> t -> unit
+(** OpenMetrics text exposition of every instrument, in registration
+    order, terminated by [# EOF].  Counters expose [name_total];
+    histograms expose cumulative [name_bucket{le="..."}] series over
+    the occupied buckets plus [le="+Inf"], [name_count] and
+    [name_sum]. *)

@@ -1,108 +1,3 @@
-(* The switch is read on every record call, so it is a bare bool ref:
-   one load and a branch the predictor learns immediately.  Records are
-   writes into preallocated int storage — nothing below allocates after
-   [create]. *)
-
-let switch = ref false
-let enabled () = !switch
-let set_enabled v = switch := v
-
-module Counter = struct
-  type t = { name : string; mutable value : int }
-
-  let create name = { name; value = 0 }
-  let name t = t.name
-  let incr t = if !switch then t.value <- t.value + 1
-  let add t n = if !switch then t.value <- t.value + n
-  let value t = t.value
-  let reset t = t.value <- 0
-end
-
-module Histogram = struct
-  (* Bucket 0 (v <= 0) plus one bucket per magnitude bit: max_int has
-     [Sys.int_size - 1 = 62] significant bits, so 63 buckets cover
-     every OCaml int and every index is reachable — a 64th would have
-     an unrepresentable lower bound (1 lsl 62 overflows). *)
-  let buckets = 63
-
-  type t = {
-    name : string;
-    counts : int array;  (* length [buckets] *)
-    mutable count : int;
-    mutable total : int;
-  }
-
-  (* floor(log2 v) + 1 for v >= 1; 0 for v <= 0.  The shift walk beats
-     a float log and cannot disagree with the bucket bounds below. *)
-  let bucket_of v =
-    if v <= 0 then 0
-    else begin
-      let b = ref 0 in
-      let v = ref v in
-      while !v > 0 do
-        incr b;
-        v := !v lsr 1
-      done;
-      if !b > buckets - 1 then buckets - 1 else !b
-    end
-
-  let bucket_lo b =
-    if b <= 0 then min_int else 1 lsl (b - 1)
-
-  let bucket_hi b =
-    if b <= 0 then 0
-    else if b >= buckets - 1 then max_int
-    else (1 lsl b) - 1
-
-  let create name = { name; counts = Array.make buckets 0; count = 0; total = 0 }
-  let name t = t.name
-
-  let observe t v =
-    if !switch then begin
-      let b = bucket_of v in
-      t.counts.(b) <- t.counts.(b) + 1;
-      t.count <- t.count + 1;
-      t.total <- t.total + v
-    end
-
-  let count t = t.count
-  let total t = t.total
-  let bucket_count t b = t.counts.(b)
-
-  let percentile t p =
-    if p < 0.0 || p > 100.0 then
-      invalid_arg "Telemetry.Histogram.percentile: p out of [0, 100]";
-    if t.count = 0 then 0.0
-    else begin
-      let rank = p /. 100.0 *. float_of_int t.count in
-      let cum = ref 0 in
-      let result = ref 0.0 in
-      (try
-         for b = 0 to buckets - 1 do
-           let c = t.counts.(b) in
-           if c > 0 then begin
-             let below = float_of_int !cum in
-             cum := !cum + c;
-             if float_of_int !cum >= rank then begin
-               let inside = Float.max 0.0 (rank -. below) in
-               let frac = inside /. float_of_int c in
-               let lo = if b = 0 then 0.0 else float_of_int (bucket_lo b) in
-               let hi = float_of_int (bucket_hi b) in
-               result := lo +. (frac *. (hi -. lo));
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      !result
-    end
-
-  let reset t =
-    Array.fill t.counts 0 buckets 0;
-    t.count <- 0;
-    t.total <- 0
-end
-
 module Probe = struct
   type t = {
     mutable nodes : int;

@@ -1,93 +1,20 @@
-(** Decision-level telemetry primitives.
+(** Decision-level search telemetry.
 
-    Preallocated, allocation-free counters and fixed-bucket log2
-    histograms behind one process-wide on/off switch.  When the switch
-    is off every [incr]/[add]/[observe] is a single load plus a
-    predictable branch — cheap enough to leave compiled into hot code
-    (the perf-smoke budget is measured with telemetry compiled in).
-    When it is on, recording writes into preallocated int storage and
-    still never allocates.
-
-    The switch is a plain (non-atomic) boolean: flip it from one domain
-    before parallel work starts.  Counters and histograms themselves
-    are single-writer — give each domain its own, or record only from
-    the domain that owns the instrument (all current users do).
-
-    {!Probe} is a separate, always-on instrument: a caller-owned
-    mutable record that a search fills at iteration/leaf boundaries
-    (see [Core.Search.run ?probe]).  "Off" for a probe is simply not
-    passing one. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-(** Process-wide switch, initially off. *)
-
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val name : t -> string
-
-  val incr : t -> unit
-  (** No-op while the telemetry switch is off. *)
-
-  val add : t -> int -> unit
-  (** No-op while the telemetry switch is off. *)
-
-  val value : t -> int
-  val reset : t -> unit
-end
-
-module Histogram : sig
-  type t
-  (** Fixed 63-bucket log2 histogram of non-negative ints.  Bucket 0
-      holds values [<= 0]; bucket [b >= 1] holds values in
-      [2^(b-1) .. 2^b - 1], with the top bucket extending to
-      [max_int].  Observation is O(1) and allocation-free; storage is
-      one preallocated int array. *)
-
-  val buckets : int
-  (** Number of buckets (63: one per magnitude bit of an OCaml int,
-      plus bucket 0 for non-positive values). *)
-
-  val bucket_of : int -> int
-  (** [bucket_of v] is the bucket index [v] falls into (total map:
-      negatives also land in bucket 0). *)
-
-  val bucket_lo : int -> int
-  val bucket_hi : int -> int
-  (** Inclusive value range covered by a bucket index. *)
-
-  val create : string -> t
-  val name : t -> string
-
-  val observe : t -> int -> unit
-  (** No-op while the telemetry switch is off. *)
-
-  val count : t -> int
-  (** Observations recorded. *)
-
-  val total : t -> int
-  (** Sum of observed values. *)
-
-  val bucket_count : t -> int -> int
-
-  val percentile : t -> float -> float
-  (** [percentile h p] ([0 <= p <= 100]) estimates the p-th percentile
-      by linear interpolation inside the bucket where the cumulative
-      count crosses the rank; 0.0 when empty.  Accurate to within one
-      bucket width by construction.
-      @raise Invalid_argument if [p] is out of range. *)
-
-  val reset : t -> unit
-end
+    {!Probe} is a caller-owned mutable record that a search fills at
+    incumbent improvements and once at the end of its run (see
+    [Core.Search.run ?probe]).  "Off" for a probe is simply not
+    passing one; filling it never allocates.  Named run-health
+    counters, gauges and histograms live in {!Metrics}. *)
 
 module Probe : sig
   type t = {
     mutable nodes : int;  (** nodes visited by the last search *)
     mutable leaves : int;  (** complete schedules evaluated *)
     mutable iterations : int;  (** completed discrepancy iterations *)
-    mutable budget : int;  (** the node budget L the search ran under *)
+    mutable budget : int;
+        (** the node budget L the search ran under; 0 after {!reset},
+            so [budget > 0] tells a decision that searched from one
+            that did not *)
     mutable exhausted : bool;  (** whole tree explored within budget *)
     mutable improvements : int;
         (** number of incumbent improvements (>= 1: the heuristic path

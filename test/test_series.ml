@@ -1,5 +1,6 @@
-(* Run-health observability: the Simcore.Metrics registry (switch
-   semantics, zero allocation per observation, OpenMetrics exposition),
+(* Run-health observability: the Simcore.Metrics registry (zero
+   allocation per observation, OpenMetrics exposition, the engine's
+   search-effort instruments),
    the Sim.Series bounded sampler (deterministic halving invariants,
    engine integration, pool-width independence of exports) and the
    Timeline min/max accessors they report through. *)
@@ -45,7 +46,7 @@ let test_timeline_same_instant () =
 (* --- Metrics registry --- *)
 
 let test_metrics_basics () =
-  let reg = M.create ~enabled:true () in
+  let reg = M.create () in
   let c = M.counter reg "nodes" ~help:"nodes visited" in
   let g = M.gauge reg "queue" in
   let h = M.histogram reg "latency" in
@@ -60,25 +61,6 @@ let test_metrics_basics () =
   Alcotest.(check int) "histogram total" 1007 (M.histogram_total h);
   Alcotest.(check bool) "p50 sane" true (M.histogram_percentile h 50.0 >= 1.0)
 
-let test_metrics_switch () =
-  let reg = M.create () in
-  Alcotest.(check bool) "off by default" false (M.enabled reg);
-  let c = M.counter reg "c" in
-  let g = M.gauge reg "g" in
-  let h = M.histogram reg "h" in
-  M.incr c;
-  M.set g 9.0;
-  M.observe h 5;
-  Alcotest.(check int) "counter off = no-op" 0 (M.counter_value c);
-  Alcotest.(check (float 0.0)) "gauge off = no-op" 0.0 (M.gauge_value g);
-  Alcotest.(check int) "histogram off = no-op" 0 (M.histogram_count h);
-  M.set_enabled reg true;
-  M.incr c;
-  Alcotest.(check int) "on after flip" 1 (M.counter_value c);
-  M.set_enabled reg false;
-  M.incr c;
-  Alcotest.(check int) "frozen, not cleared" 1 (M.counter_value c)
-
 let test_metrics_names () =
   let reg = M.create () in
   let _ = M.counter reg "ok_name:x" in
@@ -92,12 +74,11 @@ let test_metrics_names () =
     (Invalid_argument "Metrics: invalid metric name \"1bad\"")
     (fun () -> ignore (M.histogram reg "1bad"))
 
-(* The section-7 contract, both halves: a disabled registry's
-   recording calls allocate nothing (pure load+branch), and an enabled
-   registry records into preallocated storage — also zero words per
-   observation. *)
-let metrics_alloc_words ~enabled =
-  let reg = M.create ~enabled () in
+(* The section-7 contract: a registry records into preallocated
+   storage — zero words per observation.  (Off is not passing a
+   registry at all.) *)
+let test_metrics_on_zero_alloc () =
+  let reg = M.create () in
   let c = M.counter reg "c" in
   let g = M.gauge reg "g" in
   let h = M.histogram reg "h" in
@@ -113,15 +94,8 @@ let metrics_alloc_words ~enabled =
   (* warm-up *)
   let before = Gc.minor_words () in
   burn ();
-  Gc.minor_words () -. before
-
-let test_metrics_off_zero_alloc () =
-  Alcotest.(check (float 0.0)) "off adds 0 minor words" 0.0
-    (metrics_alloc_words ~enabled:false)
-
-let test_metrics_on_zero_alloc () =
   Alcotest.(check (float 0.0)) "on adds 0 minor words per observation" 0.0
-    (metrics_alloc_words ~enabled:true)
+    (Gc.minor_words () -. before)
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in
@@ -129,19 +103,18 @@ let contains hay needle =
   go 0
 
 let test_openmetrics_exposition () =
-  let reg = M.create ~enabled:true () in
+  let reg = M.create () in
   let c = M.counter reg "jobs" ~help:"jobs started" in
   let g = M.gauge reg "queue" in
   let h = M.histogram reg "wait" in
   M.add c 3;
   M.set g 17.0;
   List.iter (M.observe h) [ 1; 2; 1000 ];
-  let reg2 = M.create ~enabled:true () in
-  let c2 = M.counter reg2 "search_nodes" in
+  let c2 = M.counter reg "search_nodes" in
   M.add c2 5;
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
-  M.pp_openmetrics fmt [ reg; reg2 ];
+  M.pp_openmetrics fmt reg;
   Format.pp_print_flush fmt ();
   let s = Buffer.contents buf in
   List.iter
@@ -308,7 +281,7 @@ let test_engine_feeds_series_and_metrics () =
   let policy = Sched.Backfill.fcfs in
   let plain = Sim.Engine.run ~r_star:Sim.Engine.Actual ~policy trace in
   let series = Sim.Series.create ~policy:"fcfs" () in
-  let metrics = M.create ~enabled:true () in
+  let metrics = M.create () in
   let sampled =
     Sim.Engine.run ~series ~metrics ~r_star:Sim.Engine.Actual ~policy trace
   in
@@ -330,7 +303,7 @@ let test_engine_feeds_series_and_metrics () =
   in
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in
-  M.pp_openmetrics fmt [ metrics ];
+  M.pp_openmetrics fmt metrics;
   Format.pp_print_flush fmt ();
   let om = Buffer.contents buf in
   Alcotest.(check bool) "decisions counter" true
@@ -345,26 +318,28 @@ let test_engine_feeds_series_and_metrics () =
   Alcotest.(check bool) "queue drains to 0" true
     (find_line "schedsim_queue_jobs 0" om)
 
+(* The engine feeds the search-effort instruments from the policy's
+   probe; they agree with the policy's own statistics. *)
 let test_search_policy_metrics () =
   let trace = small_trace () in
   let policy, stats =
     Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:200)
   in
-  let reg = Option.get policy.Sched.Policy.metrics in
-  M.set_enabled reg true;
-  let _ = Sim.Engine.run ~r_star:Sim.Engine.Actual ~policy trace in
+  let metrics = M.create () in
+  let _ = Sim.Engine.run ~metrics ~r_star:Sim.Engine.Actual ~policy trace in
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in
-  M.pp_openmetrics fmt [ reg ];
+  M.pp_openmetrics fmt metrics;
   Format.pp_print_flush fmt ();
-  let om = Buffer.contents buf in
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
   let s = stats () in
-  Alcotest.(check bool) "search decisions exposed" true
-    (contains om
-       (Printf.sprintf "schedsim_search_decisions_total %d" s.decisions));
-  Alcotest.(check bool) "search nodes exposed" true
-    (contains om
-       (Printf.sprintf "schedsim_search_nodes_total %d" s.total_nodes))
+  Alcotest.(check bool) "searched" true (s.decisions > 0);
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (List.mem line lines))
+    [
+      Printf.sprintf "schedsim_search_decisions_total %d" s.decisions;
+      Printf.sprintf "schedsim_search_nodes_total %d" s.total_nodes;
+    ]
 
 (* --- report rendering --- *)
 
@@ -460,24 +435,21 @@ let suite =
       test_timeline_same_instant;
     Alcotest.test_case "metrics counter/gauge/histogram" `Quick
       test_metrics_basics;
-    Alcotest.test_case "metrics registry switch" `Quick test_metrics_switch;
     Alcotest.test_case "metric name validation" `Quick test_metrics_names;
-    Alcotest.test_case "metrics off adds zero allocation" `Quick
-      test_metrics_off_zero_alloc;
     Alcotest.test_case "metrics on adds zero allocation" `Quick
       test_metrics_on_zero_alloc;
     Alcotest.test_case "openmetrics exposition format" `Quick
       test_openmetrics_exposition;
-    QCheck_alcotest.to_alcotest downsampling_qcheck;
-    Alcotest.test_case "halving to stride 8 matches the model" `Quick
-      test_series_halving_exact;
     Alcotest.test_case "observe rejects backwards time" `Quick
       test_series_time_backwards;
     Alcotest.test_case "excess threshold and summaries" `Quick
       test_series_excess_and_summary;
+    QCheck_alcotest.to_alcotest downsampling_qcheck;
+    Alcotest.test_case "halving to stride 8 matches the model" `Quick
+      test_series_halving_exact;
     Alcotest.test_case "engine feeds series and instruments" `Quick
       test_engine_feeds_series_and_metrics;
-    Alcotest.test_case "search policy exposes its registry" `Quick
+    Alcotest.test_case "search policy exposes its run-registry counters" `Quick
       test_search_policy_metrics;
     Alcotest.test_case "report page structure (no JS, 6 charts)" `Quick
       test_report_page_structure;

@@ -1,106 +1,58 @@
-(* Telemetry primitives (Simcore.Telemetry), the Search probe, and the
-   decision-trace export: counters/histograms honour the global switch,
-   the probe agrees with Search.result, probe recording allocates
+(* Search telemetry and the decision-trace export: the log2 histogram
+   geometry and percentile estimator of Simcore.Metrics, the Search
+   probe agrees with Search.result (and with the policy's statistics
+   and run metrics under local search), probe recording allocates
    nothing on the hot path, and trace export is independent of the
    domain-pool width. *)
 
 module T = Simcore.Telemetry
-
-(* Every test restores the process-wide switch it flips. *)
-let with_enabled v f =
-  let saved = T.enabled () in
-  T.set_enabled v;
-  Fun.protect f ~finally:(fun () -> T.set_enabled saved)
-
-(* --- counters --- *)
-
-let test_counter_basics () =
-  with_enabled true (fun () ->
-      let c = T.Counter.create "nodes" in
-      Alcotest.(check string) "name" "nodes" (T.Counter.name c);
-      Alcotest.(check int) "fresh" 0 (T.Counter.value c);
-      T.Counter.incr c;
-      T.Counter.incr c;
-      T.Counter.add c 40;
-      Alcotest.(check int) "incr+add" 42 (T.Counter.value c);
-      T.Counter.reset c;
-      Alcotest.(check int) "reset" 0 (T.Counter.value c))
-
-let test_counter_switch_off () =
-  with_enabled false (fun () ->
-      let c = T.Counter.create "off" in
-      T.Counter.incr c;
-      T.Counter.add c 99;
-      Alcotest.(check int) "off = no-op" 0 (T.Counter.value c));
-  (* flipping the switch off mid-flight freezes, not clears *)
-  with_enabled true (fun () ->
-      let c = T.Counter.create "freeze" in
-      T.Counter.add c 7;
-      T.set_enabled false;
-      T.Counter.add c 100;
-      Alcotest.(check int) "frozen at 7" 7 (T.Counter.value c))
+module M = Simcore.Metrics
 
 (* --- histogram bucket geometry --- *)
 
 let bucket_boundaries_qcheck =
   QCheck.Test.make ~count:1000 ~name:"histogram bucket_of within [lo, hi]"
     QCheck.int (fun v ->
-      let b = T.Histogram.bucket_of v in
-      b >= 0
-      && b < T.Histogram.buckets
-      && T.Histogram.bucket_lo b <= v
-      && v <= T.Histogram.bucket_hi b)
+      let b = M.bucket_of v in
+      b >= 0 && b < M.buckets && M.bucket_lo b <= v && v <= M.bucket_hi b)
 
 let test_bucket_edges () =
   (* every bucket's own endpoints map back to it *)
-  for b = 0 to T.Histogram.buckets - 1 do
+  for b = 0 to M.buckets - 1 do
     Alcotest.(check int)
       (Printf.sprintf "bucket_of (lo %d)" b)
-      b
-      (T.Histogram.bucket_of (T.Histogram.bucket_lo b));
+      b (M.bucket_of (M.bucket_lo b));
     Alcotest.(check int)
       (Printf.sprintf "bucket_of (hi %d)" b)
-      b
-      (T.Histogram.bucket_of (T.Histogram.bucket_hi b))
+      b (M.bucket_of (M.bucket_hi b))
   done;
   (* the log2 spine: powers of two open a fresh bucket *)
-  Alcotest.(check int) "0" 0 (T.Histogram.bucket_of 0);
-  Alcotest.(check int) "1" 1 (T.Histogram.bucket_of 1);
-  Alcotest.(check int) "2" 2 (T.Histogram.bucket_of 2);
-  Alcotest.(check int) "3" 2 (T.Histogram.bucket_of 3);
-  Alcotest.(check int) "4" 3 (T.Histogram.bucket_of 4);
-  Alcotest.(check int) "1024" 11 (T.Histogram.bucket_of 1024);
-  Alcotest.(check int) "max_int" (T.Histogram.buckets - 1)
-    (T.Histogram.bucket_of max_int);
-  Alcotest.(check int) "negative -> 0" 0 (T.Histogram.bucket_of (-5))
+  Alcotest.(check int) "0" 0 (M.bucket_of 0);
+  Alcotest.(check int) "1" 1 (M.bucket_of 1);
+  Alcotest.(check int) "2" 2 (M.bucket_of 2);
+  Alcotest.(check int) "3" 2 (M.bucket_of 3);
+  Alcotest.(check int) "4" 3 (M.bucket_of 4);
+  Alcotest.(check int) "1024" 11 (M.bucket_of 1024);
+  Alcotest.(check int) "max_int" (M.buckets - 1) (M.bucket_of max_int);
+  Alcotest.(check int) "negative -> 0" 0 (M.bucket_of (-5))
 
 let test_histogram_observe_percentile () =
-  with_enabled true (fun () ->
-      let h = T.Histogram.create "latency" in
-      Alcotest.(check (float 0.0)) "empty percentile" 0.0
-        (T.Histogram.percentile h 50.0);
-      List.iter (T.Histogram.observe h) [ 1; 2; 4; 8; 1000; 1000 ];
-      Alcotest.(check int) "count" 6 (T.Histogram.count h);
-      Alcotest.(check int) "total" 2015 (T.Histogram.total h);
-      Alcotest.(check int) "bucket_count 1000s" 2
-        (T.Histogram.bucket_count h (T.Histogram.bucket_of 1000));
-      (* p100 lands in the top occupied bucket; interpolation keeps it
-         within that bucket's range *)
-      let p100 = T.Histogram.percentile h 100.0 in
-      Alcotest.(check bool) "p100 in 1000's bucket" true
-        (T.Histogram.bucket_of (int_of_float p100)
-        = T.Histogram.bucket_of 1000);
-      let p50 = T.Histogram.percentile h 50.0 in
-      Alcotest.(check bool) "p50 below p100" true (p50 <= p100);
-      Alcotest.check_raises "p out of range"
-        (Invalid_argument "Telemetry.Histogram.percentile: p out of [0, 100]")
-        (fun () -> ignore (T.Histogram.percentile h 101.0));
-      T.Histogram.reset h;
-      Alcotest.(check int) "reset count" 0 (T.Histogram.count h));
-  with_enabled false (fun () ->
-      let h = T.Histogram.create "off" in
-      T.Histogram.observe h 5;
-      Alcotest.(check int) "off = no-op" 0 (T.Histogram.count h))
+  let h = M.histogram (M.create ()) "latency" in
+  Alcotest.(check (float 0.0)) "empty percentile" 0.0
+    (M.histogram_percentile h 50.0);
+  List.iter (M.observe h) [ 1; 2; 4; 8; 1000; 1000 ];
+  Alcotest.(check int) "count" 6 (M.histogram_count h);
+  Alcotest.(check int) "total" 2015 (M.histogram_total h);
+  (* p100 lands in the top occupied bucket; interpolation keeps it
+     within that bucket's range *)
+  let p100 = M.histogram_percentile h 100.0 in
+  Alcotest.(check bool) "p100 in 1000's bucket" true
+    (M.bucket_of (int_of_float p100) = M.bucket_of 1000);
+  let p50 = M.histogram_percentile h 50.0 in
+  Alcotest.(check bool) "p50 below p100" true (p50 <= p100);
+  Alcotest.check_raises "p out of range"
+    (Invalid_argument "Metrics.histogram_percentile: p out of [0, 100]")
+    (fun () -> ignore (M.histogram_percentile h 101.0))
 
 (* --- the Search probe --- *)
 
@@ -140,6 +92,42 @@ let test_probe_exhaustive_and_reuse () =
   Alcotest.(check int) "reset nodes" 0 probe.T.Probe.nodes;
   Alcotest.(check int) "reset improvements" 0 probe.T.Probe.improvements;
   Alcotest.(check int) "reset winner_depth" (-1) probe.T.Probe.winner_depth
+
+(* Under +ls the policy acts on the local-search result, whose node
+   count includes the swap pass: the probe, hence the decision log and
+   the run metrics, must report that same count. *)
+let test_probe_counts_local_search () =
+  let trace =
+    Workload.Generator.month
+      ~config:{ Workload.Generator.default_config with scale = 0.1; seed = 7 }
+      (Workload.Month_profile.find "7/03")
+  in
+  let budget = 1000 in
+  let policy, stats =
+    Core.Search_policy.policy
+      (Core.Search_policy.v ~local_search:true ~algorithm:Core.Search.Dds
+         ~heuristic:Core.Branching.Lxf ~bound:Core.Bound.dynamic ~budget ())
+  in
+  let log = Sim.Decision_log.create ~policy:policy.Sched.Policy.name () in
+  let metrics = M.create () in
+  let _ = Sim.Engine.run ~log ~metrics ~r_star:Sim.Engine.Actual ~policy trace in
+  let ds = Sim.Decision_log.decisions log in
+  (* queues here are far shorter than L, so only an improving swap
+     pass can take a decision past its budget *)
+  Alcotest.(check bool) "local search improved at least once" true
+    (List.exists (fun d -> d.Sim.Decision_log.nodes > budget) ds);
+  let logged =
+    List.fold_left (fun acc d -> acc + d.Sim.Decision_log.nodes) 0 ds
+  in
+  let total = (stats ()).Core.Search_policy.total_nodes in
+  Alcotest.(check int) "decision log = stats" total logged;
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  M.pp_openmetrics fmt metrics;
+  Format.pp_print_flush fmt ();
+  let line = Printf.sprintf "schedsim_search_nodes_total %d" total in
+  Alcotest.(check bool) line true
+    (List.mem line (String.split_on_char '\n' (Buffer.contents buf)))
 
 (* --- allocation: the probe must not touch the per-node budget --- *)
 
@@ -283,17 +271,16 @@ let test_trace_export_jobs_invariant () =
 
 let suite =
   [
-    Alcotest.test_case "counter incr/add/reset" `Quick test_counter_basics;
-    Alcotest.test_case "counter ignores writes while off" `Quick
-      test_counter_switch_off;
     QCheck_alcotest.to_alcotest bucket_boundaries_qcheck;
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
-    Alcotest.test_case "histogram observe/percentile/reset" `Quick
+    Alcotest.test_case "histogram observe/percentile estimate" `Quick
       test_histogram_observe_percentile;
     Alcotest.test_case "probe agrees with Search.result" `Quick
       test_probe_matches_result;
     Alcotest.test_case "probe exhaustion + reuse + reset" `Quick
       test_probe_exhaustive_and_reuse;
+    Alcotest.test_case "probe counts local-search nodes" `Quick
+      test_probe_counts_local_search;
     Alcotest.test_case "node visit allocation bounded" `Quick
       test_node_visit_allocation_bounded;
     Alcotest.test_case "probe adds zero allocation" `Quick

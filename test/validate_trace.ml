@@ -9,8 +9,9 @@
    {"traceEvents":[...]} document; an HTML report (Sim.Report) must be
    a self-contained zero-JS page; an OpenMetrics file
    (Simcore.Metrics) must expose well-formed families ending in
-   "# EOF".  Exit 0 on success, 1 with a message on the first
-   violation. *)
+   "# EOF" and, after [--search], every schedsim_search_* family a
+   search policy's run registers.  Exit 0 on success, 1 with a message
+   on the first violation. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -314,8 +315,29 @@ let validate_html file =
 
 (* --- OpenMetrics exposition --- *)
 
-let validate_openmetrics file =
+(* The engine's search-effort families and the sample line each must
+   carry, present whenever the policy searches. *)
+let search_families =
+  [
+    ("schedsim_search_decisions", "counter", "_total");
+    ("schedsim_search_nodes", "counter", "_total");
+    ("schedsim_search_leaves", "counter", "_total");
+    ("schedsim_search_exhausted", "counter", "_total");
+    ("schedsim_search_improvements", "counter", "_total");
+    ("schedsim_search_nodes_per_decision", "histogram", "_count");
+  ]
+
+let validate_openmetrics ~search file =
   let lines = read_lines file in
+  if search then
+    List.iter
+      (fun (name, kind, suffix) ->
+        if not (List.mem (Printf.sprintf "# TYPE %s %s" name kind) lines) then
+          fail "%s: missing %s family %s" file kind name;
+        let sample = name ^ suffix ^ " " in
+        if not (List.exists (starts_with sample) lines) then
+          fail "%s: missing sample %s" file (name ^ suffix))
+      search_families;
   (match List.rev lines with
   | "# EOF" :: _ -> ()
   | _ -> fail "%s: exposition must end with # EOF" file);
@@ -353,8 +375,12 @@ let validate_openmetrics file =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let search = List.mem "--search" args in
+  let args = List.filter (( <> ) "--search") args in
   if args = [] then
-    fail "usage: validate_trace.exe FILE.jsonl|FILE.json|FILE.html|FILE.om ...";
+    fail
+      "usage: validate_trace.exe [--search] \
+       FILE.jsonl|FILE.json|FILE.html|FILE.om ...";
   List.iter
     (fun file ->
       let head =
@@ -366,7 +392,7 @@ let () =
       in
       if starts_with "{\"traceEvents\"" head then validate_chrome file
       else if starts_with "<!doctype" head then validate_html file
-      else if starts_with "#" head then validate_openmetrics file
+      else if starts_with "#" head then validate_openmetrics ~search file
       else if contains head "\"schema\":\"run_series/" then
         validate_series_jsonl file
       else validate_jsonl file)
