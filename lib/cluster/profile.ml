@@ -32,12 +32,14 @@ let capacity t = t.capacity
 let segment_count t = t.len
 let start_time t = t.times.(0)
 
-let create ~now ~capacity =
+(* A fully-free profile with room for [room] segments before its
+   buffers first grow. *)
+let make ~now ~capacity ~room =
   if capacity < 1 then invalid_arg "Profile.create: capacity < 1";
   {
     capacity;
-    times = Array.make 16 now;
-    free = Array.make 16 capacity;
+    times = Array.make room now;
+    free = Array.make room capacity;
     len = 1;
     trailing = false;
     t_op = [||];
@@ -47,6 +49,8 @@ let create ~now ~capacity =
     scratch = Array.make 3 0.0;
     scan_stop = 0;
   }
+
+let create ~now ~capacity = make ~now ~capacity ~room:16
 
 let ensure_capacity t needed =
   let cap = Array.length t.times in
@@ -172,8 +176,8 @@ let undo_to t m =
   t.t_len <- m
 
 (* Merge adjacent segments with equal free counts (in place, O(n)).
-   Only used off the hot path ([of_running]); [reserve] merges locally
-   and records its merges on the trail. *)
+   Only used off the hot path ([of_sorted_releases]); [reserve] merges
+   locally and records its merges on the trail. *)
 let normalize t =
   let w = ref 0 in
   for r = 1 to t.len - 1 do
@@ -185,85 +189,64 @@ let normalize t =
   done;
   t.len <- !w + 1
 
-let of_running ~now ~capacity releases =
-  let t = create ~now ~capacity in
-  let live =
-    List.filter (fun (end_time, _) -> end_time > now) releases
-    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-  in
-  let busy = List.fold_left (fun acc (_, n) -> acc + n) 0 live in
-  if busy > capacity then
+(* The one segment builder.  Each end is raised to [not_before] by an
+   explicit comparison rather than [Float.max], whose out-of-line call
+   would box its result once per release.  Raising to a floor is
+   monotone, so the raised ends stay ascending and the releases at or
+   before [now] (which free their nodes already) form a prefix. *)
+let of_sorted_releases ~now ~capacity ~not_before ends nodes n =
+  let first = ref 0 in
+  while !first < n && ends.(!first) <= now && not_before <= now do
+    incr first
+  done;
+  let busy = ref 0 in
+  for k = !first to n - 1 do
+    busy := !busy + nodes.(k)
+  done;
+  if !busy > capacity then
     invalid_arg "Profile.of_running: running jobs exceed capacity";
+  let t = make ~now ~capacity ~room:(max 16 (n - !first + 8)) in
   (* Build segments left to right: free grows at each release. *)
-  let current = ref (capacity - busy) in
+  let current = ref (capacity - !busy) in
   t.free.(0) <- !current;
-  List.iter
-    (fun (end_time, nodes) ->
-      current := !current + nodes;
-      if t.times.(t.len - 1) = end_time then t.free.(t.len - 1) <- !current
-      else begin
-        ensure_capacity t (t.len + 1);
-        t.times.(t.len) <- end_time;
-        t.free.(t.len) <- !current;
-        t.len <- t.len + 1
-      end)
-    live;
+  for k = !first to n - 1 do
+    let e = if ends.(k) >= not_before then ends.(k) else not_before in
+    current := !current + nodes.(k);
+    if t.times.(t.len - 1) = e then t.free.(t.len - 1) <- !current
+    else begin
+      t.times.(t.len) <- e;
+      t.free.(t.len) <- !current;
+      t.len <- t.len + 1
+    end
+  done;
   normalize t;
   t
+
+let of_running ~now ~capacity releases =
+  let sorted = Array.of_list releases in
+  Array.stable_sort (fun (a, _) (b, _) -> Float.compare a b) sorted;
+  of_sorted_releases ~now ~capacity ~not_before:neg_infinity
+    (Array.map fst sorted) (Array.map snd sorted) (Array.length sorted)
 
 let segments t =
   List.init t.len (fun i -> (t.times.(i), t.free.(i)))
 
-(* Index of the segment containing [time]. *)
+(* Index of the segment containing [time]: a top-level binary search,
+   so locating allocates no closure.
+   Invariant: times.(lo) <= time and (hi = len or times.(hi) > time). *)
+let rec search t time lo hi =
+  if hi - lo <= 1 then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if t.times.(mid) <= time then search t time mid hi
+    else search t time lo mid
+
 let locate t time =
   if time < t.times.(0) then
     invalid_arg "Profile.locate: time before profile start";
-  let rec search lo hi =
-    (* invariant: times.(lo) <= time and (hi = len or times.(hi) > time) *)
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.times.(mid) <= time then search mid hi else search lo mid
-  in
-  search 0 t.len
+  search t time 0 t.len
 
 let free_at t time = t.free.(locate t time)
-
-let fits_at t ~at ~nodes ~duration =
-  let finish = at +. duration in
-  let rec check k =
-    if k >= t.len || t.times.(k) >= finish then true
-    else t.free.(k) >= nodes && check (k + 1)
-  in
-  let i = locate t at in
-  t.free.(i) >= nodes && check (i + 1)
-
-let earliest_start t ~nodes ~duration =
-  if nodes > t.capacity then
-    invalid_arg "Profile.earliest_start: job wider than machine";
-  if duration <= 0.0 then
-    invalid_arg "Profile.earliest_start: duration must be positive";
-  (* Candidate starts are segment boundaries where enough nodes are
-     free; on failure inside the window, resume from the segment that
-     failed. *)
-  (* [check] returns the window's end segment (>= 0) on success or
-     [-k - 1] when segment [k] blocks — an int either way, so the scan
-     allocates nothing. *)
-  let rec from i =
-    if i >= t.len then t.times.(t.len - 1)
-    else if Array.unsafe_get t.free i < nodes then from (i + 1)
-    else begin
-      let finish = Array.unsafe_get t.times i +. duration in
-      let rec check k =
-        if k >= t.len || Array.unsafe_get t.times k >= finish then k
-        else if Array.unsafe_get t.free k >= nodes then check (k + 1)
-        else -k - 1
-      in
-      let r = check (i + 1) in
-      if r >= 0 then t.times.(i) else from (-r)
-    end
-  in
-  from 0
 
 (* Carve [nodes] out of segments [i, stop) whose run has already been
    validated (every free count >= nodes), ensuring a boundary at the
@@ -349,6 +332,19 @@ let rec scan_from t nodes i =
     end
     else scan_from t nodes (-r)
   end
+
+let fits_at t ~at ~nodes ~duration =
+  let i = locate t at in
+  Array.unsafe_set t.scratch 1 (at +. duration);
+  t.free.(i) >= nodes && scan_check t nodes (i + 1) >= 0
+
+let earliest_start t ~nodes ~duration =
+  if nodes > t.capacity then
+    invalid_arg "Profile.earliest_start: job wider than machine";
+  if duration <= 0.0 then
+    invalid_arg "Profile.earliest_start: duration must be positive";
+  Array.unsafe_set t.scratch 0 duration;
+  t.times.(scan_from t nodes 0)
 
 (* The staged accessors are one expression each so the compiler
    inlines them at cross-module call sites, letting the duration in

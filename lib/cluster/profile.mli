@@ -28,6 +28,23 @@ val of_running :
     immediately.  @raise Invalid_argument if running jobs oversubscribe
     the machine. *)
 
+val of_sorted_releases :
+  now:float ->
+  capacity:int ->
+  not_before:float ->
+  float array ->
+  int array ->
+  int ->
+  t
+(** [of_sorted_releases ~now ~capacity ~not_before ends nodes n] is
+    {!of_running} over the [n] releases [(max ends.(k) not_before,
+    nodes.(k))], for [ends] already in ascending order: one pass, no
+    sort, no list.  Raising every end to a floor keeps them ascending,
+    so {!Running_set.profile} passes its maintained release order with
+    the overdue clamp as [not_before]; {!of_running} sorts its list
+    into arrays and passes [neg_infinity].
+    @raise Invalid_argument as {!of_running}. *)
+
 val capacity : t -> int
 val segment_count : t -> int
 

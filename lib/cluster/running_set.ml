@@ -9,14 +9,45 @@ type t = {
   machine : Machine.t;
   table : (int, entry) Hashtbl.t;
   mutable busy : int;
+  (* The running jobs' estimated releases in ascending [est_finish]
+     order, as parallel arrays ([ends], [widths], [ids]) over the
+     first [len] slots: [add] inserts by shifting, [remove] closes the
+     gap with a blit, and [profile] reads them in one pass.  Ties keep
+     insertion order. *)
+  mutable ends : float array;
+  mutable widths : int array;
+  mutable ids : int array;
+  mutable len : int;
 }
 
-let create ~machine = { machine; table = Hashtbl.create 64; busy = 0 }
+let create ~machine =
+  {
+    machine;
+    table = Hashtbl.create 64;
+    busy = 0;
+    ends = Array.make 32 0.0;
+    widths = Array.make 32 0;
+    ids = Array.make 32 0;
+    len = 0;
+  }
+
 let machine t = t.machine
 let busy_nodes t = t.busy
 let free_nodes t = t.machine.Machine.nodes - t.busy
 let count t = Hashtbl.length t.table
 let is_empty t = count t = 0
+
+let grow t =
+  let cap = 2 * Array.length t.ends in
+  let ends = Array.make cap 0.0 in
+  let widths = Array.make cap 0 in
+  let ids = Array.make cap 0 in
+  Array.blit t.ends 0 ends 0 t.len;
+  Array.blit t.widths 0 widths 0 t.len;
+  Array.blit t.ids 0 ids 0 t.len;
+  t.ends <- ends;
+  t.widths <- widths;
+  t.ids <- ids
 
 let add t entry =
   let id = entry.job.Workload.Job.id in
@@ -26,7 +57,20 @@ let add t entry =
     invalid_arg
       (Printf.sprintf "Running_set.add: job %d oversubscribes machine" id);
   Hashtbl.add t.table id entry;
-  t.busy <- t.busy + entry.job.Workload.Job.nodes
+  t.busy <- t.busy + entry.job.Workload.Job.nodes;
+  if t.len = Array.length t.ends then grow t;
+  (* one insertion-sort step: shift later releases right *)
+  let k = ref t.len in
+  while !k > 0 && t.ends.(!k - 1) > entry.est_finish do
+    t.ends.(!k) <- t.ends.(!k - 1);
+    t.widths.(!k) <- t.widths.(!k - 1);
+    t.ids.(!k) <- t.ids.(!k - 1);
+    decr k
+  done;
+  t.ends.(!k) <- entry.est_finish;
+  t.widths.(!k) <- entry.job.Workload.Job.nodes;
+  t.ids.(!k) <- id;
+  t.len <- t.len + 1
 
 let remove t ~id =
   match Hashtbl.find_opt t.table id with
@@ -34,9 +78,16 @@ let remove t ~id =
   | Some entry ->
       Hashtbl.remove t.table id;
       t.busy <- t.busy - entry.job.Workload.Job.nodes;
+      let k = ref 0 in
+      while t.ids.(!k) <> id do
+        incr k
+      done;
+      let k = !k and rest = t.len - !k - 1 in
+      Array.blit t.ends (k + 1) t.ends k rest;
+      Array.blit t.widths (k + 1) t.widths k rest;
+      Array.blit t.ids (k + 1) t.ids k rest;
+      t.len <- t.len - 1;
       entry
-
-let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
 
 (* A job that outlives its estimate (possible only with an
    undershooting predictor, R*=pred) still holds its nodes: report its
@@ -54,10 +105,6 @@ let releases t ~now =
       (finish, e.job.Workload.Job.nodes) :: acc)
     t.table []
 
-let next_finish t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      match acc with
-      | None -> Some e.finish
-      | Some best -> Some (Float.min best e.finish))
-    t.table None
+let profile t ~now =
+  Profile.of_sorted_releases ~now ~capacity:t.machine.Machine.nodes
+    ~not_before:(now +. overdue_grace) t.ends t.widths t.len

@@ -3,8 +3,9 @@
     Tracks, for every running job, its start time, its true completion
     time (known to the simulator) and its *estimated* completion time
     (known to the scheduler: start + R*, where R* is the runtime the
-    policy was configured to trust).  Provides the release list from
-    which schedulers build an availability {!Profile}. *)
+    policy was configured to trust).  Keeps the estimated releases
+    sorted as jobs start and finish, so a scheduler's availability
+    {!Profile} is built in one pass with no sort ({!profile}). *)
 
 type entry = {
   job : Workload.Job.t;
@@ -30,16 +31,17 @@ val add : t -> entry -> unit
 val remove : t -> id:int -> entry
 (** Remove a job at departure.  @raise Not_found if absent. *)
 
-val entries : t -> entry list
-(** All running entries, unspecified order. *)
-
 val releases : t -> now:float -> (float * int) list
 (** [(estimated end, nodes)] pairs for profile construction; estimated
     ends already in the past are reported as a 1 ms grace after [now]
     (a job that outlives its estimate still holds its nodes).  The
     grace is strictly wider than every policy's start-now tolerance,
     so no policy can be tricked into starting a job on nodes an
-    overdue job still occupies. *)
+    overdue job still occupies.  Unspecified order; it is read from
+    the job table, independently of the sorted releases behind
+    {!profile}, and serves as their reference. *)
 
-val next_finish : t -> float option
-(** Earliest true completion time among running jobs. *)
+val profile : t -> now:float -> Profile.t
+(** The availability profile at [now]: exactly
+    [Profile.of_running ~now ~capacity (releases t ~now)], built from
+    the maintained release order without a sort or a list. *)

@@ -14,11 +14,7 @@ type t = {
 let make ~name ~decide = { name; decide; probe = None }
 let with_probe t probe = { t with probe = Some probe }
 
-let profile_of ctx =
-  let machine = Cluster.Running_set.machine ctx.running in
-  Cluster.Profile.of_running ~now:ctx.now
-    ~capacity:machine.Cluster.Machine.nodes
-    (Cluster.Running_set.releases ctx.running ~now:ctx.now)
+let profile_of ctx = Cluster.Running_set.profile ctx.running ~now:ctx.now
 
 let run_now =
   make ~name:"run-now" ~decide:(fun ctx ->

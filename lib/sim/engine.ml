@@ -139,8 +139,10 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     | Some reg, Some probe -> Some (search_recorder reg, probe)
     | _ -> None
   in
-  (* Waiting queue in submit order: appends at the back. *)
+  (* Waiting queue in submit order: appends at the back.  [n_waiting]
+     is its length, kept so no decision has to count the list. *)
   let waiting : Workload.Job.t list ref = ref [] in
+  let n_waiting = ref 0 in
   let outcomes = ref [] in
   let queue_samples = ref [] in
   let decisions = ref 0 in
@@ -155,6 +157,7 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
       { job = j; start = now; finish; est_finish = now +. estimator j };
     Simcore.Event_queue.schedule events ~time:finish (Finish j.id);
     waiting := List.filter (fun w -> not (Workload.Job.equal w j)) !waiting;
+    decr n_waiting;
     let wait = now -. j.submit in
     (match series with
     | None -> ()
@@ -167,7 +170,9 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     outcomes := Metrics.Outcome.v ~job:j ~start:now ~finish :: !outcomes
   in
   let apply now = function
-    | Arrival j -> waiting := !waiting @ [ j ]
+    | Arrival j ->
+        waiting := !waiting @ [ j ];
+        incr n_waiting
     | Finish id ->
         let entry = Cluster.Running_set.remove running ~id in
         learn entry.Cluster.Running_set.job;
@@ -231,14 +236,14 @@ let run ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
         | None -> ()
         | Some l ->
             Decision_log.record l ~time:now
-              ~queue:(List.length ctx.Sched.Policy.waiting)
+              ~queue:!n_waiting
               ~started:(List.length to_start)
               ~probe:policy.Sched.Policy.probe);
         Option.iter (fun (record, probe) -> record probe) search_effort;
         List.iter (start_job now) to_start;
         if series <> None || inst <> None then health_sample now;
         queue_samples :=
-          { time = now; length = List.length !waiting } :: !queue_samples;
+          { time = now; length = !n_waiting } :: !queue_samples;
         loop ()
   in
   loop ();

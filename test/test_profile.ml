@@ -318,6 +318,54 @@ let prop_place_earliest_equals_two_step =
           s = s' && Profile.segments p = Profile.segments q)
         plan)
 
+(* Allocation guard: the window scans behind [fits_at] and
+   [earliest_start] are top-level functions over ints and [t], so with
+   constant float arguments [fits_at] allocates nothing and
+   [earliest_start] allocates only the box of its float result (an
+   out-of-line call boxes a float result; test builds are opaque, so
+   nothing inlines across modules).  A local closure capturing the
+   window end would cost words on every call. *)
+let test_window_scans_allocate_nothing () =
+  let p =
+    Profile.of_running ~now:0.0 ~capacity:128
+      [ (100.0, 64); (250.0, 32); (400.0, 16) ]
+  in
+  Profile.reserve p ~at:500.0 ~nodes:100 ~duration:100.0;
+  Alcotest.(check bool) "too few free now" false
+    (Profile.fits_at p ~at:0.0 ~nodes:40 ~duration:300.0);
+  Alcotest.(check bool) "fits later" true
+    (Profile.fits_at p ~at:150.0 ~nodes:8 ~duration:1000.0);
+  Alcotest.(check (float 0.0)) "after the reservation" 600.0
+    (Profile.earliest_start p ~nodes:120 ~duration:120.0);
+  let calls = 1000 in
+  let words_of burn =
+    burn ();
+    (* warm-up *)
+    let before = Gc.minor_words () in
+    burn ();
+    Gc.minor_words () -. before
+  in
+  let fits_words =
+    words_of (fun () ->
+        for _ = 1 to calls do
+          ignore (Profile.fits_at p ~at:0.0 ~nodes:40 ~duration:300.0);
+          ignore (Profile.fits_at p ~at:150.0 ~nodes:8 ~duration:1000.0)
+        done)
+  in
+  let start_words =
+    words_of (fun () ->
+        for _ = 1 to calls do
+          ignore (Profile.earliest_start p ~nodes:120 ~duration:120.0)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "fits_at: 0 minor words per call" 0.0
+    fits_words;
+  let boxed_float_words = 1 + (64 / Sys.word_size) in
+  Alcotest.(check (float 0.0))
+    "earliest_start: only its boxed result per call"
+    (float_of_int (calls * boxed_float_words))
+    start_words
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -358,4 +406,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_free_never_negative;
     QCheck_alcotest.to_alcotest prop_trail_matches_copy_oracle;
     QCheck_alcotest.to_alcotest prop_place_earliest_equals_two_step;
+    Alcotest.test_case "window scans allocate nothing" `Quick
+      test_window_scans_allocate_nothing;
   ]

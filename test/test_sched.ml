@@ -176,6 +176,106 @@ let prop_backfill_preserves_reservation =
       | [], _ -> true (* head started immediately: nothing to preserve *)
       | _ -> true)
 
+(* Property: [plan] checks whether the queue is already in priority
+   order and sorts only if it is not.  The reference stable-sorts the
+   queue up front, as [plan] once always did; the two must agree on
+   submit-ordered and shuffled queues under every priority. *)
+let prop_sort_skip_matches_sort =
+  QCheck.Test.make ~name:"plan with sort skip = plan after stable_sort"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Simcore.Rng.create ~seed in
+      let capacity = 16 + Simcore.Rng.int rng 113 in
+      let now = 5000.0 in
+      let running =
+        List.init (Simcore.Rng.int rng 8) (fun i ->
+            ( 1000 + i,
+              1 + Simcore.Rng.int rng (capacity / 8),
+              Simcore.Rng.float rng now,
+              60.0 +. Simcore.Rng.float rng 7200.0 ))
+      in
+      (* submits on a coarse grid, so FCFS falls back on its id tie-break *)
+      let waiting =
+        List.init (Simcore.Rng.int rng 31) (fun id ->
+            Helpers.job ~id
+              ~submit:(100.0 *. Float.of_int (Simcore.Rng.int rng 40))
+              ~nodes:(1 + Simcore.Rng.int rng capacity)
+              ~runtime:(60.0 +. Simcore.Rng.float rng 7200.0)
+              ())
+      in
+      let submit_ordered = List.sort Workload.Job.compare_submit waiting in
+      let shuffled =
+        let a = Array.of_list waiting in
+        for i = Array.length a - 1 downto 1 do
+          let k = Simcore.Rng.int rng (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(k);
+          a.(k) <- x
+        done;
+        Array.to_list a
+      in
+      let ctx = context ~now ~capacity ~waiting:[] ~running () in
+      let reservations = 1 + Simcore.Rng.int rng 3 in
+      let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
+      let same (a : Backfill.plan) (b : Backfill.plan) =
+        ids a.start_now = ids b.start_now
+        && List.map (fun ((j : Workload.Job.t), s) -> (j.id, s)) a.reserved
+           = List.map (fun ((j : Workload.Job.t), s) -> (j.id, s)) b.reserved
+      in
+      List.for_all
+        (fun priority ->
+          let cmp = priority.Priority.compare ~now ~r_star in
+          List.for_all
+            (fun queue ->
+              same
+                (Backfill.plan ~reservations ~priority
+                   { ctx with Policy.waiting = queue })
+                (Backfill.plan ~reservations ~priority
+                   { ctx with Policy.waiting = List.stable_sort cmp queue }))
+            [ submit_ordered; shuffled ])
+        [
+          Priority.fcfs;
+          Priority.lxf;
+          Priority.sjf;
+          Priority.lxf_w ~weight_per_hour:0.5;
+        ])
+
+(* Allocation guard: one FCFS-backfill decision over a fixed 30-job
+   submit-ordered queue and 20 running jobs.  The profile is built from
+   the running set's maintained release order, the queue is not
+   re-sorted and the window scans allocate no closures: about 220
+   minor words per decision, against 1,821 when the release list, the
+   sort and the scan closures were rebuilt every time.  The bound of
+   400 is under a quarter of that, and each of the three rebuilds
+   coming back alone lifts a decision above 460 words. *)
+let test_fcfs_decide_allocation () =
+  let running =
+    List.init 20 (fun i ->
+        (100 + i, 1 + (i mod 5), -.Float.of_int (37 * i),
+         600.0 +. Float.of_int (311 * i)))
+  in
+  let waiting =
+    List.init 30 (fun id ->
+        Helpers.job ~id
+          ~submit:(Float.of_int (10 * id))
+          ~nodes:(1 + (id * 17 mod 48))
+          ~runtime:(300.0 +. Float.of_int (97 * id))
+          ())
+  in
+  let ctx = context ~now:1000.0 ~capacity:128 ~waiting ~running () in
+  let decide () = ignore (Backfill.fcfs.Policy.decide ctx) in
+  for _ = 1 to 10 do
+    decide ()
+  done;
+  let decisions = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to decisions do
+    decide ()
+  done;
+  let per_decision = (Gc.minor_words () -. before) /. Float.of_int decisions in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per decision < 400" per_decision)
+    true (per_decision < 400.0)
+
 let suite =
   [
     Alcotest.test_case "fcfs priority" `Quick test_fcfs_priority;
@@ -196,4 +296,7 @@ let suite =
     Alcotest.test_case "policy names" `Quick test_policy_names;
     Alcotest.test_case "run-now policy" `Quick test_run_now_policy;
     QCheck_alcotest.to_alcotest prop_backfill_preserves_reservation;
+    QCheck_alcotest.to_alcotest prop_sort_skip_matches_sort;
+    Alcotest.test_case "FCFS decide allocation bound" `Quick
+      test_fcfs_decide_allocation;
   ]
