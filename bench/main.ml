@@ -240,8 +240,18 @@ let micro_series_observe =
   Test.make ~name:"series_observe"
     (Staged.stage (fun () ->
          clock := !clock +. 30.0;
-         Sim.Series.observe s ~now:!clock ~busy:64 ~queue:12 ~demand:200
-           ~running:9 ~max_wait:3600.0))
+         Sim.Series.observe s
+           {
+             now = !clock;
+             seen = 12;
+             started = [];
+             queue = 12;
+             demand = 200;
+             max_wait = 3600.0;
+             busy = 64;
+             running = 9;
+             probe = None;
+           }))
 
 let perf_budgets = [ 1000; 8000; 100000 ]
 let perf_queue_depths = [ 10; 30; 60 ]
@@ -320,7 +330,7 @@ let telemetry_entries () =
   Experiments.Common.set_series true;
   Experiments.Common.reset_caches ();
   let month = List.hd (Experiments.Common.months ()) in
-  let run =
+  let _ : Sim.Run.t =
     Experiments.Common.simulate ~policy_key:"DDS/lxf/dynB(L=1K)"
       ~policy:(Experiments.Common.dds_lxf_dynb ~budget:1000)
       ~r_star:Sim.Engine.Actual month Experiments.Common.Original
@@ -328,9 +338,9 @@ let telemetry_entries () =
   Experiments.Common.set_tracing false;
   Experiments.Common.set_series false;
   let series_entries =
-    match run.Sim.Run.series with
-    | None -> []
-    | Some s ->
+    match Experiments.Common.series_runs () with
+    | [] -> []
+    | (_, s) :: _ ->
         [ ("series_observed", float_of_int (Sim.Series.observed s));
           ("series_samples", float_of_int (Sim.Series.length s));
           ("series_stride", float_of_int (Sim.Series.stride s));
@@ -338,9 +348,9 @@ let telemetry_entries () =
   in
   series_entries
   @
-  match run.Sim.Run.log with
-  | None -> []
-  | Some log ->
+  match Experiments.Common.traced_runs () with
+  | [] -> []
+  | (_, log) :: _ ->
       let searched =
         List.filter
           (fun d -> d.Sim.Decision_log.budget > 0)

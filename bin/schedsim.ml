@@ -100,6 +100,28 @@ let load_trace ~month ~swf ~scale ~seed ~rho =
             ~capacity:Workload.Month_profile.capacity ~target)
     base
 
+(* The commands that simulate one policy share one prologue: the
+   workload and policy arguments become [setup], which loads the trace
+   and parses the policy when called — or prints an [error:] line and
+   exits 1.  Calling it from the command body keeps every argument
+   parsed first. *)
+let setup_term =
+  let setup month swf scale seed rho spec budget rstar () =
+    let result =
+      let ( let* ) = Result.bind in
+      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
+      let* policy = Experiments.Policy_spec.parse ~budget spec in
+      Ok (trace, policy)
+    in
+    match result with
+    | Error e ->
+        Format.eprintf "error: %s@." e;
+        exit 1
+    | Ok (trace, policy) -> (trace, policy, rstar)
+  in
+  Term.(const setup $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
+        $ policy_opt $ budget_opt $ rstar_opt)
+
 (* --- months --- *)
 
 let months_cmd =
@@ -164,42 +186,31 @@ let simulate_cmd =
          & info [ "export" ] ~docv:"FILE"
              ~doc:"Write per-job outcomes of the measured window to a CSV file.")
   in
-  let run month swf scale seed rho spec budget rstar export =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
-    in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let run = Sim.Run.simulate ~r_star:rstar ~policy trace in
-        Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
-        Format.fprintf fmt "workload:  %s@." (Workload.Trace.concat_stats trace);
-        Format.fprintf fmt "measures:  %a@." Metrics.Aggregate.pp
-          run.Sim.Run.aggregate;
-        Format.fprintf fmt "decisions: %d (%.2fs wall clock)@."
-          run.Sim.Run.decisions run.Sim.Run.wall_clock;
-        Format.fprintf fmt "utilization: %.1f%% of node-time in window@."
-          (100.0 *. run.Sim.Run.utilization);
-        Format.fprintf fmt "@.per-class average wait (hours):@.%a"
-          Metrics.Class_matrix.pp run.Sim.Run.class_matrix;
-        match export with
-        | None -> ()
-        | Some path ->
-            Metrics.Export.to_csv path run.Sim.Run.measured;
-            Format.fprintf fmt "@.wrote %d outcome rows to %s@."
-              (List.length run.Sim.Run.measured)
-              path
+  let run setup export =
+    let trace, policy, rstar = setup () in
+    let run = Sim.Run.simulate ~r_star:rstar ~policy trace in
+    Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
+    Format.fprintf fmt "workload:  %s@." (Workload.Trace.concat_stats trace);
+    Format.fprintf fmt "measures:  %a@." Metrics.Aggregate.pp
+      run.Sim.Run.aggregate;
+    Format.fprintf fmt "decisions: %d (%.2fs wall clock)@."
+      run.Sim.Run.decisions run.Sim.Run.wall_clock;
+    Format.fprintf fmt "utilization: %.1f%% of node-time in window@."
+      (100.0 *. run.Sim.Run.utilization);
+    Format.fprintf fmt "@.per-class average wait (hours):@.%a"
+      Metrics.Class_matrix.pp run.Sim.Run.class_matrix;
+    match export with
+    | None -> ()
+    | Some path ->
+        Metrics.Export.to_csv path run.Sim.Run.measured;
+        Format.fprintf fmt "@.wrote %d outcome rows to %s@."
+          (List.length run.Sim.Run.measured)
+          path
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Simulate one policy over a month or SWF trace and report measures.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt $ export_opt)
+    Term.(const run $ setup_term $ export_opt)
 
 (* --- trace --- *)
 
@@ -217,65 +228,56 @@ let trace_cmd =
                    the JSONL path; open in chrome://tracing or \
                    ui.perfetto.dev).")
   in
-  let run month swf scale seed rho spec budget rstar output chrome =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
+  let run setup output chrome =
+    let trace, policy, rstar = setup () in
+    let log = Sim.Decision_log.create ~policy:policy.Sched.Policy.name () in
+    let run =
+      Sim.Run.simulate ~observe:(Sim.Decision_log.observe log) ~r_star:rstar
+        ~policy trace
     in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let log =
-          Sim.Decision_log.create ~policy:policy.Sched.Policy.name ()
-        in
-        let run = Sim.Run.simulate ~log ~r_star:rstar ~policy trace in
-        let oc = open_out output in
-        let ofmt = Format.formatter_of_out_channel oc in
-        Sim.Decision_log.pp_jsonl ofmt log;
-        Format.pp_print_flush ofmt ();
-        close_out oc;
-        let chrome_path =
-          match chrome with
-          | Some p -> p
-          | None ->
-              (match Filename.chop_suffix_opt ~suffix:".jsonl" output with
-              | Some base -> base
-              | None -> output)
-              ^ ".chrome.json"
-        in
-        let oc = open_out chrome_path in
-        output_string oc
-          (Sim.Decision_log.chrome_document
-             (Sim.Decision_log.chrome_events log));
-        close_out oc;
-        let searched =
-          List.filter
-            (fun d ->
-              d.Sim.Decision_log.searched && d.Sim.Decision_log.budget > 0)
-            (Sim.Decision_log.decisions log)
-        in
-        Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
-        Format.fprintf fmt "decisions: %d recorded, %d dropped@."
-          (Sim.Decision_log.recorded log)
-          (Sim.Decision_log.dropped log);
-        (match
-           Array.of_list
-             (List.map
-                (fun d -> float_of_int d.Sim.Decision_log.nodes)
-                searched)
-         with
-        | [||] -> ()
-        | nodes ->
-            Format.fprintf fmt
-              "search:    nodes/decision p50 %.0f, p99 %.0f, max %.0f@."
-              (Simcore.Stats.percentile nodes 50.0)
-              (Simcore.Stats.percentile nodes 99.0)
-              (Simcore.Stats.max nodes));
-        Format.fprintf fmt "wrote %s and %s@." output chrome_path
+    let oc = open_out output in
+    let ofmt = Format.formatter_of_out_channel oc in
+    Sim.Decision_log.pp_jsonl ofmt log;
+    Format.pp_print_flush ofmt ();
+    close_out oc;
+    let chrome_path =
+      match chrome with
+      | Some p -> p
+      | None ->
+          (match Filename.chop_suffix_opt ~suffix:".jsonl" output with
+          | Some base -> base
+          | None -> output)
+          ^ ".chrome.json"
+    in
+    let oc = open_out chrome_path in
+    output_string oc
+      (Sim.Decision_log.chrome_document
+         (Sim.Decision_log.chrome_events log));
+    close_out oc;
+    let searched =
+      List.filter
+        (fun d ->
+          d.Sim.Decision_log.searched && d.Sim.Decision_log.budget > 0)
+        (Sim.Decision_log.decisions log)
+    in
+    Format.fprintf fmt "policy:    %s@." run.Sim.Run.policy_name;
+    Format.fprintf fmt "decisions: %d recorded, %d dropped@."
+      (Sim.Decision_log.recorded log)
+      (Sim.Decision_log.dropped log);
+    (match
+       Array.of_list
+         (List.map
+            (fun d -> float_of_int d.Sim.Decision_log.nodes)
+            searched)
+     with
+    | [||] -> ()
+    | nodes ->
+        Format.fprintf fmt
+          "search:    nodes/decision p50 %.0f, p99 %.0f, max %.0f@."
+          (Simcore.Stats.percentile nodes 50.0)
+          (Simcore.Stats.percentile nodes 99.0)
+          (Simcore.Stats.max nodes));
+    Format.fprintf fmt "wrote %s and %s@." output chrome_path
   in
   Cmd.v
     (Cmd.info "trace"
@@ -284,8 +286,7 @@ let trace_cmd =
              JSONL plus a Chrome trace_event view on the simulated-time \
              axis.  Output is deterministic: byte-identical for any \
              REPRO_JOBS setting.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt $ output $ chrome)
+    Term.(const run $ setup_term $ output $ chrome)
 
 (* --- report --- *)
 
@@ -305,67 +306,60 @@ let report_cmd =
                    the cumulative excess signal (default 0: all wait \
                    accumulates).")
   in
-  let run month swf scale seed rho spec budget rstar output threshold =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
+  let run setup output threshold =
+    let trace, policy, rstar = setup () in
+    let series =
+      Sim.Series.create ~threshold ~policy:policy.Sched.Policy.name ()
     in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let series =
-          Sim.Series.create ~threshold ~policy:policy.Sched.Policy.name ()
-        in
-        let metrics = Simcore.Metrics.create () in
-        let run =
-          Sim.Run.simulate ~series ~metrics ~r_star:rstar ~policy trace
-        in
-        let base =
-          match Filename.chop_suffix_opt ~suffix:".html" output with
-          | Some base -> base
-          | None -> output
-        in
-        let label = run.Sim.Run.policy_name in
-        let write path content =
-          let oc = open_out path in
-          output_string oc content;
-          close_out oc
-        in
-        write output
-          (Sim.Report.page
-             ~title:(Printf.sprintf "Run health: %s" label)
-             ~subtitle:
-               (Printf.sprintf "%s, %s"
-                  (Workload.Trace.concat_stats trace)
-                  (Sim.Engine.r_star_name rstar))
-             [ (label, series) ]);
-        let jsonl_path = base ^ ".series.jsonl" in
-        let buf = Buffer.create (1 lsl 14) in
-        let bfmt = Format.formatter_of_buffer buf in
-        Sim.Series.pp_jsonl bfmt series;
-        Format.pp_print_flush bfmt ();
-        write jsonl_path (Buffer.contents buf);
-        let om_path = base ^ ".om" in
-        Buffer.clear buf;
-        Simcore.Metrics.pp_openmetrics bfmt metrics;
-        Format.pp_print_flush bfmt ();
-        write om_path (Buffer.contents buf);
-        Format.fprintf fmt "policy:    %s@." label;
-        Format.fprintf fmt "series:    %d observations, %d samples (stride %d)@."
-          (Sim.Series.observed series)
-          (Sim.Series.length series)
-          (Sim.Series.stride series);
-        List.iter
-          (fun r ->
-            Format.fprintf fmt "%-14s last %.1f, avg %.1f, range [%.1f, %.1f]@."
-              r.Sim.Series.label r.Sim.Series.last r.Sim.Series.avg
-              r.Sim.Series.lo r.Sim.Series.hi)
-          (Sim.Series.summary series);
-        Format.fprintf fmt "wrote %s, %s and %s@." output jsonl_path om_path
+    let metrics = Simcore.Metrics.create () in
+    let record = Sim.Run_metrics.observer metrics policy in
+    let observe d =
+      Sim.Series.observe series d;
+      record d
+    in
+    let run = Sim.Run.simulate ~observe ~r_star:rstar ~policy trace in
+    let base =
+      match Filename.chop_suffix_opt ~suffix:".html" output with
+      | Some base -> base
+      | None -> output
+    in
+    let label = run.Sim.Run.policy_name in
+    let write path content =
+      let oc = open_out path in
+      output_string oc content;
+      close_out oc
+    in
+    write output
+      (Sim.Report.page
+         ~title:(Printf.sprintf "Run health: %s" label)
+         ~subtitle:
+           (Printf.sprintf "%s, %s"
+              (Workload.Trace.concat_stats trace)
+              (Sim.Engine.r_star_name rstar))
+         [ (label, series) ]);
+    let jsonl_path = base ^ ".series.jsonl" in
+    let buf = Buffer.create (1 lsl 14) in
+    let bfmt = Format.formatter_of_buffer buf in
+    Sim.Series.pp_jsonl bfmt series;
+    Format.pp_print_flush bfmt ();
+    write jsonl_path (Buffer.contents buf);
+    let om_path = base ^ ".om" in
+    Buffer.clear buf;
+    Simcore.Metrics.pp_openmetrics bfmt metrics;
+    Format.pp_print_flush bfmt ();
+    write om_path (Buffer.contents buf);
+    Format.fprintf fmt "policy:    %s@." label;
+    Format.fprintf fmt "series:    %d observations, %d samples (stride %d)@."
+      (Sim.Series.observed series)
+      (Sim.Series.length series)
+      (Sim.Series.stride series);
+    List.iter
+      (fun r ->
+        Format.fprintf fmt "%-14s last %.1f, avg %.1f, range [%.1f, %.1f]@."
+          r.Sim.Series.label r.Sim.Series.last r.Sim.Series.avg
+          r.Sim.Series.lo r.Sim.Series.hi)
+      (Sim.Series.summary series);
+    Format.fprintf fmt "wrote %s, %s and %s@." output jsonl_path om_path
   in
   Cmd.v
     (Cmd.info "report"
@@ -376,65 +370,41 @@ let report_cmd =
              OpenMetrics text exposition of the engine and search \
              instruments.  Output is deterministic: byte-identical for any \
              REPRO_JOBS setting.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt $ output $ threshold)
+    Term.(const run $ setup_term $ output $ threshold)
 
 (* --- gantt --- *)
 
 let gantt_cmd =
-  let run month swf scale seed rho spec budget rstar =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
-    in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        if Workload.Trace.length trace > 300 then
-          Format.eprintf
-            "note: %d jobs; only the first 40 rows are drawn — consider --scale@."
-            (Workload.Trace.length trace);
-        let result = Sim.Engine.run ~r_star:rstar ~policy trace in
-        Format.fprintf fmt "=== %s ===@." policy.Sched.Policy.name;
-        Sim.Gantt.jobs_chart fmt result.Sim.Engine.outcomes;
-        Sim.Gantt.utilization_chart fmt
-          ~capacity:Workload.Month_profile.capacity
-          result.Sim.Engine.outcomes
+  let run setup =
+    let trace, policy, rstar = setup () in
+    if Workload.Trace.length trace > 300 then
+      Format.eprintf
+        "note: %d jobs; only the first 40 rows are drawn — consider --scale@."
+        (Workload.Trace.length trace);
+    let result = Sim.Engine.run ~r_star:rstar ~policy trace in
+    Format.fprintf fmt "=== %s ===@." policy.Sched.Policy.name;
+    Sim.Gantt.jobs_chart fmt result.Sim.Engine.outcomes;
+    Sim.Gantt.utilization_chart fmt
+      ~capacity:Workload.Month_profile.capacity
+      result.Sim.Engine.outcomes
   in
   Cmd.v
     (Cmd.info "gantt"
        ~doc:"Render a policy's schedule as an ASCII timeline (small traces).")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt)
+    Term.(const run $ setup_term)
 
 (* --- validate --- *)
 
 let validate_cmd =
-  let run month swf scale seed rho spec budget rstar =
-    let result =
-      let ( let* ) = Result.bind in
-      let* trace = load_trace ~month ~swf ~scale ~seed ~rho in
-      let* policy = Experiments.Policy_spec.parse ~budget spec in
-      Ok (trace, policy)
+  let run setup =
+    let trace, policy, rstar = setup () in
+    let expect =
+      Schedcheck.Validator.expectation_of_policy policy.Sched.Policy.name
     in
-    match result with
-    | Error e ->
-        Format.eprintf "error: %s@." e;
-        exit 1
-    | Ok (trace, policy) ->
-        let expect =
-          Schedcheck.Validator.expectation_of_policy policy.Sched.Policy.name
-        in
-        let result =
-          Sim.Engine.run ~validate:expect ~r_star:rstar ~policy trace
-        in
-        let report = Option.get result.Sim.Engine.validation in
-        Format.fprintf fmt "%a@." Schedcheck.Report.pp report;
-        if not (Schedcheck.Report.ok report) then exit 1
+    let run = Sim.Run.simulate ~validate:expect ~r_star:rstar ~policy trace in
+    let report = Option.get run.Sim.Run.validation in
+    Format.fprintf fmt "%a@." Schedcheck.Report.pp report;
+    if not (Schedcheck.Report.ok report) then exit 1
   in
   Cmd.v
     (Cmd.info "validate"
@@ -443,8 +413,7 @@ let validate_cmd =
              start-after-submit, decision-point alignment) — and, for the \
              EASY backfill family, against a differential replay of the \
              reference backfill plan.  Exits non-zero on any violation.")
-    Term.(const run $ month_opt $ swf_opt $ scale_opt $ seed_opt $ rho_opt
-          $ policy_opt $ budget_opt $ rstar_opt)
+    Term.(const run $ setup_term)
 
 (* --- experiment --- *)
 

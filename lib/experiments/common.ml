@@ -122,12 +122,20 @@ let trace profile load =
           Workload.Trace.scale_load base
             ~capacity:Workload.Month_profile.capacity ~target:r)
 
-let run_cache : (string, Sim.Run.t) Simcore.Memo.t =
+(* A cached run with the sinks its observer fed. *)
+type entry = {
+  run : Sim.Run.t;
+  log : Sim.Decision_log.t option;
+  series : Sim.Series.t option;
+}
+
+let run_cache : (string, entry) Simcore.Memo.t =
   Simcore.Memo.create ~size:64 ()
 
 (* Decision tracing: when on, every simulation computed into the run
    cache carries a decision log keyed by its cache key; the log rides
-   in [Sim.Run.t], so cached runs keep their trace for later export.
+   in the cache entry, so cached runs keep their trace for later
+   export.
    Runs already cached when tracing is switched on stay untraced —
    harnesses reset the caches when flipping the switch. *)
 let tracing_cell = ref false
@@ -144,10 +152,9 @@ let validation () = !validation_cell
 
 (* Run-health series: same switch pattern again.  When on, every
    simulation computed into the run cache feeds a bounded sampler that
-   rides in [Sim.Run.t] for later report rendering. *)
+   rides in the cache entry for later report rendering. *)
 let series_cell = ref false
 let set_series v = series_cell := v
-let series_enabled () = !series_cell
 
 let simulate ~policy_key ~policy ~r_star profile load =
   let key =
@@ -156,37 +163,52 @@ let simulate ~policy_key ~policy ~r_star profile load =
       (Sim.Engine.r_star_name r_star)
       policy_key
   in
-  Simcore.Memo.get run_cache key (fun () ->
-      let log =
-        if !tracing_cell then
-          Some (Sim.Decision_log.create ~policy:policy_key ())
-        else None
-      in
-      let series =
-        if !series_cell then Some (Sim.Series.create ~policy:policy_key ())
-        else None
-      in
-      let policy = policy () in
-      let validate =
-        if !validation_cell then
-          Some
-            (Schedcheck.Validator.expectation_of_policy
-               policy.Sched.Policy.name)
-        else None
-      in
-      Sim.Run.simulate ?log ?series ?validate ~r_star ~policy
-        (trace profile load))
+  let entry =
+    Simcore.Memo.get run_cache key (fun () ->
+        let log =
+          if !tracing_cell then
+            Some (Sim.Decision_log.create ~policy:policy_key ())
+          else None
+        in
+        let series =
+          if !series_cell then Some (Sim.Series.create ~policy:policy_key ())
+          else None
+        in
+        let observe =
+          match (log, series) with
+          | None, None -> None
+          | _ ->
+              Some
+                (fun d ->
+                  Option.iter (fun l -> Sim.Decision_log.observe l d) log;
+                  Option.iter (fun s -> Sim.Series.observe s d) series)
+        in
+        let policy = policy () in
+        let validate =
+          if !validation_cell then
+            Some
+              (Schedcheck.Validator.expectation_of_policy
+                 policy.Sched.Policy.name)
+          else None
+        in
+        let run =
+          Sim.Run.simulate ?observe ?validate ~r_star ~policy
+            (trace profile load)
+        in
+        { run; log; series })
+  in
+  entry.run
 
 (* Cache entries carrying the optional artifact [field], sorted by key. *)
 let cached field =
   Simcore.Memo.bindings run_cache
-  |> List.filter_map (fun (key, run) ->
-         Option.map (fun x -> (key, x)) (field run))
+  |> List.filter_map (fun (key, entry) ->
+         Option.map (fun x -> (key, x)) (field entry))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let traced_runs () = cached (fun run -> run.Sim.Run.log)
-let validation_reports () = cached (fun run -> run.Sim.Run.validation)
-let series_runs () = cached (fun run -> run.Sim.Run.series)
+let traced_runs () = cached (fun e -> e.log)
+let validation_reports () = cached (fun e -> e.run.Sim.Run.validation)
+let series_runs () = cached (fun e -> e.series)
 
 let pp_series fmt =
   List.iter (fun (key, s) -> Sim.Series.pp_jsonl ~run:key fmt s)
@@ -237,19 +259,3 @@ let search_policy config () = fst (Core.Search_policy.policy config)
 let section fmt ~id title =
   Format.fprintf fmt "@.%s@.== %s: %s@.%s@." (String.make 72 '=') id title
     (String.make 72 '=')
-
-let row_header fmt label = Format.fprintf fmt "%-34s" label
-
-let pp_month_columns fmt ~months ~rows =
-  Format.fprintf fmt "%-34s" "";
-  List.iter
-    (fun m ->
-      Format.fprintf fmt " %8s" m.Workload.Month_profile.label)
-    months;
-  Format.pp_print_newline fmt ();
-  List.iter
-    (fun (label, value) ->
-      row_header fmt label;
-      List.iter (fun m -> Format.fprintf fmt " %8.2f" (value m)) months;
-      Format.pp_print_newline fmt ())
-    rows

@@ -111,13 +111,12 @@ val validation_reports : unit -> (string * Schedcheck.Report.t) list
 
     Same switch pattern as tracing: when on, every simulation computed
     into the run cache feeds a bounded {!Sim.Series.t} sampler (one
-    run-health observation per decision point) that rides in
-    {!Sim.Run.t}.  The exporters list runs in sorted-key order, so
+    run-health observation per decision point) kept with the cached
+    run.  The exporters list runs in sorted-key order, so
     output is byte-identical for every [jobs] setting.  Flip the
     switch {e before} warming the cache. *)
 
 val set_series : bool -> unit
-val series_enabled : unit -> bool
 
 val series_runs : unit -> (string * Sim.Series.t) list
 (** Cached runs that carry a run-health series, sorted by cache key. *)
@@ -158,13 +157,3 @@ val search_policy : Core.Search_policy.config -> unit -> Sched.Policy.t
 
 val section : Format.formatter -> id:string -> string -> unit
 (** Print a section banner. *)
-
-val row_header : Format.formatter -> string -> unit
-
-val pp_month_columns :
-  Format.formatter ->
-  months:Workload.Month_profile.t list ->
-  rows:(string * (Workload.Month_profile.t -> float)) list ->
-  unit
-(** Table with one column per month and one line per (label, value)
-    row. *)

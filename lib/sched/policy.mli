@@ -23,9 +23,9 @@ type t = {
   decide : context -> Workload.Job.t list;
   probe : Simcore.Telemetry.Probe.t option;
       (** search-effort record the policy overwrites on every [decide]
-          ([None] for policies that do not search).  After each
-          decision the engine snapshots it into the decision log and,
-          when the run has a metric registry, adds it to the
+          ([None] for policies that do not search).  The engine hands
+          it to its observers with each decision report; the decision
+          log snapshots it and the run metrics add it to the
           [schedsim_search_*] instruments. *)
 }
 

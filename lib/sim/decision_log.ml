@@ -41,15 +41,14 @@ let create ?(capacity = 1 lsl 16) ~policy () =
   let capacity = max capacity 1 in
   { policy; ring = Array.make capacity empty_decision; recorded = 0 }
 
-let policy t = t.policy
-let capacity t = Array.length t.ring
 let recorded t = t.recorded
 let dropped t = max 0 (t.recorded - Array.length t.ring)
 
-let record t ~time ~queue ~started ~probe =
+let observe t (d : Engine.decision) =
   let seq = t.recorded in
-  let d =
-    match probe with
+  let time = d.now and queue = d.seen and started = List.length d.started in
+  let e =
+    match d.probe with
     | None ->
         { empty_decision with seq; time; queue; started }
     | Some (p : Simcore.Telemetry.Probe.t) ->
@@ -69,7 +68,7 @@ let record t ~time ~queue ~started ~probe =
           winner_depth = p.winner_depth;
         }
   in
-  t.ring.(seq mod Array.length t.ring) <- d;
+  t.ring.(seq mod Array.length t.ring) <- e;
   t.recorded <- seq + 1
 
 let decisions t =
@@ -79,7 +78,8 @@ let decisions t =
       t.ring.((t.recorded - retained + i) mod cap))
 
 (* Minimal JSON string escaping: policy names and run labels are ASCII
-   but quotes/backslashes must not break the line format. *)
+   but quotes/backslashes must not break the line format.  Shared with
+   Series' exporter. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

@@ -3,9 +3,10 @@
     A bounded ring buffer of scheduling-decision events — decision
     time, queue length, jobs started, and the search effort snapshot
     from the policy's {!Simcore.Telemetry.Probe} (zeros for policies
-    that do not search).  The engine records one event per decision
-    point; when the ring is full the oldest events are dropped (the
-    drop count is kept, and the exporters report it).
+    that do not search).  Passed to {!Engine.run} as (part of) its
+    [observe] hook, it records one event per decision point; when the
+    ring is full the oldest events are dropped (the drop count is
+    kept, and the exporters report it).
 
     Everything recorded is a pure function of the simulation inputs —
     no wall-clock time, no randomness — so exported traces are
@@ -44,21 +45,13 @@ val create : ?capacity:int -> policy:string -> unit -> t
 (** Ring of at most [capacity] decisions (default 65536, clamped to
     >= 1). *)
 
-val policy : t -> string
-val capacity : t -> int
-
 val schema : string
 (** The JSONL schema identifier, ["decision_trace/1"]. *)
 
-val record :
-  t ->
-  time:float ->
-  queue:int ->
-  started:int ->
-  probe:Simcore.Telemetry.Probe.t option ->
-  unit
-(** Append one decision event; snapshots the probe fields (zeros when
-    [None]). *)
+val observe : t -> Engine.decision -> unit
+(** The engine observer: append one decision event — its time, the
+    queue length the policy saw, the number of jobs it started — and
+    snapshot the probe fields (zeros when [None]). *)
 
 val recorded : t -> int
 (** Total events ever recorded, including dropped ones. *)
@@ -79,6 +72,10 @@ val chrome_events : ?run:string -> ?pid:int -> t -> string list
     event order: thread metadata, one "X" decision span and one
     "queue" counter sample per retained event.  [pid] separates runs
     in the viewer (default 1). *)
+
+val escape : string -> string
+(** Minimal JSON string-body escaping (quotes, backslashes, control
+    characters); the one escaper of every JSONL exporter here. *)
 
 val chrome_document : string list -> string
 (** [{"traceEvents":[...]}] document around Chrome [trace_event]

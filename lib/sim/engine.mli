@@ -31,50 +31,45 @@ type result = {
   queue_samples : queue_sample list;
       (** waiting-queue length after each decision, time order *)
   decisions : int;
-  horizon : float;  (** time of the last event *)
-  validation : Schedcheck.Report.t option;
-      (** present iff [?validate] was given to {!run} *)
+}
+
+(** What one decision point did, reported to the [observe] hook after
+    the decision's starts took effect.  Decisions happen exactly at
+    arrivals and departures, so every completion instant is reported
+    too. *)
+type decision = {
+  now : float;  (** simulated decision time, seconds *)
+  seen : int;  (** waiting-queue length the policy saw *)
+  started : Workload.Job.t list;  (** jobs started here, in start order *)
+  queue : int;  (** waiting jobs after the starts *)
+  demand : int;  (** nodes demanded by those waiting jobs (backlog) *)
+  max_wait : float;  (** longest current wait among them, seconds *)
+  busy : int;  (** busy nodes after the starts *)
+  running : int;  (** running jobs after the starts *)
+  probe : Simcore.Telemetry.Probe.t option;
+      (** the policy's search-effort record for this decision ([None]
+          for policies that do not search); valid only during the
+          call *)
 }
 
 val run :
   ?machine:Cluster.Machine.t ->
-  ?log:Decision_log.t ->
-  ?series:Series.t ->
-  ?metrics:Simcore.Metrics.t ->
-  ?validate:Schedcheck.Validator.expectation ->
+  ?observe:(decision -> unit) ->
   r_star:r_star ->
   policy:Sched.Policy.t ->
   Workload.Trace.t ->
   result
 (** Simulate the whole trace to completion (default machine:
-    {!Cluster.Machine.titan}).  [log], when given, receives one
-    decision event per decision point: the simulated time, the queue
-    length the policy saw, the number of jobs it started, and the
-    policy's search-effort probe snapshot.
+    {!Cluster.Machine.titan}).
 
-    [series], when given, is fed one run-health observation per
-    decision point, after the decision's starts took effect (decisions
-    happen exactly at arrivals and departures, so completions are
-    sampled too), plus one {!Series.note_start} per started job.
-
-    [metrics], when given, must be a fresh registry: the engine
-    registers its run-health instruments on it (decision/start/finish
-    counters, queue/busy/backlog gauges, wait and queue-depth
-    histograms, names prefixed [schedsim_]) and records into them as
-    the run progresses.  When the policy carries a probe it also
-    registers, after those, the search-effort instruments
-    [schedsim_search_{decisions,nodes,leaves,exhausted,improvements}]
-    and the [schedsim_search_nodes_per_decision] histogram, fed from
-    the probe after every decision that searched ([budget > 0]).  Both
-    hooks are entirely off the simulation path when unset.
-
-    [validate], when given, runs {!Schedcheck.Validator.validate} over
-    the finished schedule and stores the report in
-    [result.validation]; violations are reported as data, never
-    raised.  Validation is entirely off the simulation path — with
-    [?validate] unset no validator code runs.  Under [Predicted]
-    runtimes an [Easy_backfill] expectation is downgraded to [Generic]
-    (the stateful estimator cannot be replayed post-hoc).
+    [observe], when given, is called once per decision point, after
+    the decision's starts took effect.  Every sink — the decision log
+    ({!Decision_log.observe}), the run-health series
+    ({!Series.observe}), the metric registry ({!Run_metrics.observer})
+    — is such an observer; compose several with a closure.  The pass
+    over the queue that computes [demand] and [max_wait] runs only
+    when [observe] is set, so an unobserved run pays nothing for it.
+    Schedule validation is {!Run.simulate}'s [?validate].
     @raise Invalid_argument if some job is wider than the machine or if
     the policy requests an invalid start. *)
 

@@ -34,12 +34,13 @@ type signal = {
   title : string;
   unit_ : string;
   scale : float;  (* display = raw * scale *)
-  value : Series.sample -> float;
-  lo : Series.sample -> float;
-  hi : Series.sample -> float;
+  band : Series.sample -> float Series.band;
 }
 
 let hours = 1.0 /. 3600.0
+
+let ints (b : int Series.band) : float Series.band =
+  { v = float_of_int b.v; lo = float_of_int b.lo; hi = float_of_int b.hi }
 
 let signals =
   [
@@ -48,54 +49,42 @@ let signals =
       title = "Busy nodes";
       unit_ = "nodes";
       scale = 1.0;
-      value = (fun s -> float_of_int s.Series.busy);
-      lo = (fun s -> float_of_int s.Series.busy_min);
-      hi = (fun s -> float_of_int s.Series.busy_max);
+      band = (fun s -> ints s.busy);
     };
     {
       key = "queue_jobs";
       title = "Waiting jobs";
       unit_ = "jobs";
       scale = 1.0;
-      value = (fun s -> float_of_int s.Series.queue);
-      lo = (fun s -> float_of_int s.Series.queue_min);
-      hi = (fun s -> float_of_int s.Series.queue_max);
+      band = (fun s -> ints s.queue);
     };
     {
       key = "backlog_nodes";
       title = "Backlog (nodes demanded by waiting jobs)";
       unit_ = "nodes";
       scale = 1.0;
-      value = (fun s -> float_of_int s.Series.demand);
-      lo = (fun s -> float_of_int s.Series.demand_min);
-      hi = (fun s -> float_of_int s.Series.demand_max);
+      band = (fun s -> ints s.demand);
     };
     {
       key = "running_jobs";
       title = "Running jobs";
       unit_ = "jobs";
       scale = 1.0;
-      value = (fun s -> float_of_int s.Series.running);
-      lo = (fun s -> float_of_int s.Series.running_min);
-      hi = (fun s -> float_of_int s.Series.running_max);
+      band = (fun s -> ints s.running);
     };
     {
       key = "max_wait_s";
       title = "Longest current wait";
       unit_ = "hours";
       scale = hours;
-      value = (fun s -> s.Series.max_wait);
-      lo = (fun s -> s.Series.max_wait_min);
-      hi = (fun s -> s.Series.max_wait_max);
+      band = (fun s -> s.max_wait);
     };
     {
       key = "excess_s";
       title = "Cumulative excessive wait";
       unit_ = "hours";
       scale = hours;
-      value = (fun s -> s.Series.excess);
-      lo = (fun s -> s.Series.excess);
-      hi = (fun s -> s.Series.excess);
+      band = (fun s -> { v = s.excess; lo = s.excess; hi = s.excess });
     };
   ]
 
@@ -126,26 +115,7 @@ let thin samples =
         let first = g * k and last = min ((g * k) + k - 1) (n - 1) in
         let acc = ref arr.(first) in
         for i = first + 1 to last do
-          acc := Series.{
-            !acc with
-            t = arr.(i).t;
-            busy = arr.(i).busy;
-            busy_min = min !acc.busy_min arr.(i).busy_min;
-            busy_max = max !acc.busy_max arr.(i).busy_max;
-            queue = arr.(i).queue;
-            queue_min = min !acc.queue_min arr.(i).queue_min;
-            queue_max = max !acc.queue_max arr.(i).queue_max;
-            demand = arr.(i).demand;
-            demand_min = min !acc.demand_min arr.(i).demand_min;
-            demand_max = max !acc.demand_max arr.(i).demand_max;
-            running = arr.(i).running;
-            running_min = min !acc.running_min arr.(i).running_min;
-            running_max = max !acc.running_max arr.(i).running_max;
-            max_wait = arr.(i).max_wait;
-            max_wait_min = Float.min !acc.max_wait_min arr.(i).max_wait_min;
-            max_wait_max = Float.max !acc.max_wait_max arr.(i).max_wait_max;
-            excess = arr.(i).excess;
-          }
+          acc := Series.merge !acc arr.(i)
         done;
         !acc)
   end
@@ -173,7 +143,7 @@ let chart buf signal runs =
             (fun s ->
               tmin := Float.min !tmin s.Series.t;
               tmax := Float.max !tmax s.Series.t;
-              vmax := Float.max !vmax (signal.hi s *. signal.scale))
+              vmax := Float.max !vmax ((signal.band s).hi *. signal.scale))
             samples)
         drawn;
       let tspan = Float.max (!tmax -. !tmin) 1e-9 in
@@ -232,7 +202,8 @@ let chart buf signal runs =
                   (coord (y (f s *. signal.scale))))
               samples
           in
-          let upper = pts signal.hi and lower = List.rev (pts signal.lo) in
+          let upper = pts (fun s -> (signal.band s).hi)
+          and lower = List.rev (pts (fun s -> (signal.band s).lo)) in
           Buffer.add_string buf
             (Printf.sprintf
                "<polygon class=\"band\" fill=\"%s\" points=\"%s\"><title>%s \
@@ -248,7 +219,7 @@ let chart buf signal runs =
             List.map
               (fun s ->
                 Printf.sprintf "%s,%s" (coord (x s.Series.t))
-                  (coord (y (signal.value s *. signal.scale))))
+                  (coord (y ((signal.band s).v *. signal.scale))))
               samples
           in
           Buffer.add_string buf

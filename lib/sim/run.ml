@@ -8,9 +8,7 @@ type t = {
   wall_clock : float;
   utilization : float;
   queue_samples : Engine.queue_sample list;
-  log : Decision_log.t option;
   validation : Schedcheck.Report.t option;
-  series : Series.t option;
 }
 
 (* Busy node-seconds inside [from_, upto), over machine capacity. *)
@@ -32,12 +30,26 @@ let utilization_of ~machine ~from_ ~upto outcomes =
     busy /. (float_of_int machine.Cluster.Machine.nodes *. window)
   end
 
-let simulate ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
-    ~r_star ~policy trace =
-  let t0 = Simcore.Clock.monotonic_s () in
-  let result =
-    Engine.run ~machine ?log ?series ?metrics ?validate ~r_star ~policy trace
+(* The Predicted estimator is stateful (it learns as jobs complete), so
+   its profiles cannot be rebuilt after the fact: keep the machine-level
+   invariants, drop the differential. *)
+let validate_schedule ~machine ~expect ~r_star ~policy ~trace outcomes =
+  let expect =
+    if r_star = Engine.Predicted then Schedcheck.Validator.Generic
+    else expect
   in
+  let replay_r_star (j : Workload.Job.t) =
+    match r_star with
+    | Engine.Requested -> j.requested
+    | Engine.Actual | Engine.Predicted -> Float.min j.runtime j.requested
+  in
+  Schedcheck.Validator.validate ~machine ~expect ~r_star:replay_r_star
+    ~subject:policy.Sched.Policy.name ~trace ~outcomes ()
+
+let simulate ?(machine = Cluster.Machine.titan) ?observe ?validate ~r_star
+    ~policy trace =
+  let t0 = Simcore.Clock.monotonic_s () in
+  let result = Engine.run ~machine ?observe ~r_star ~policy trace in
   let wall_clock = Simcore.Clock.monotonic_s () -. t0 in
   let measured =
     List.filter
@@ -58,9 +70,12 @@ let simulate ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
     decisions = result.Engine.decisions;
     wall_clock;
     queue_samples = result.Engine.queue_samples;
-    log;
-    validation = result.Engine.validation;
-    series;
+    validation =
+      Option.map
+        (fun expect ->
+          validate_schedule ~machine ~expect ~r_star ~policy ~trace
+            result.Engine.outcomes)
+        validate;
     utilization =
       utilization_of ~machine
         ~from_:(Workload.Trace.measure_start trace)
@@ -69,6 +84,3 @@ let simulate ?(machine = Cluster.Machine.titan) ?log ?series ?metrics ?validate
   }
 
 let excess t ~threshold = Metrics.Excess.compute ~threshold t.measured
-
-let fcfs_thresholds t =
-  (t.aggregate.Metrics.Aggregate.max_wait, t.aggregate.Metrics.Aggregate.p98_wait)

@@ -1,9 +1,10 @@
 (** One policy x one trace -> the paper's reported measures.
 
-    Wraps {!Engine.run}, restricts statistics to jobs submitted in the
-    trace's measurement window (the month, excluding warm-up and
-    cool-down) and packages the aggregate measures, the per-class
-    matrix and the raw outcomes for excessive-wait post-processing. *)
+    Wraps {!Engine.run}, optionally validates the schedule, restricts
+    statistics to jobs submitted in the trace's measurement window (the
+    month, excluding warm-up and cool-down) and packages the aggregate
+    measures, the per-class matrix and the raw outcomes for
+    excessive-wait post-processing. *)
 
 type t = {
   policy_name : string;
@@ -20,35 +21,30 @@ type t = {
   queue_samples : Engine.queue_sample list;
       (** waiting-queue length after each decision (whole simulation),
           for backlog-dynamics analyses *)
-  log : Decision_log.t option;
-      (** per-decision event log, when the run was traced
-          ([simulate ?log]); rides along in the run caches so traced
-          experiment output can be exported after the fact *)
   validation : Schedcheck.Report.t option;
       (** schedule-validation report, when the run was validated
-          ([simulate ?validate]); rides along in the run caches like
-          [log] so the bench harness can aggregate reports *)
-  series : Series.t option;
-      (** run-health time series, when the run was sampled
-          ([simulate ?series]); rides along in the run caches like
-          [log] so reports can be rendered after the fact *)
+          ([simulate ?validate]); rides along in the run caches so the
+          bench harness can aggregate reports *)
 }
 
 val simulate :
   ?machine:Cluster.Machine.t ->
-  ?log:Decision_log.t ->
-  ?series:Series.t ->
-  ?metrics:Simcore.Metrics.t ->
+  ?observe:(Engine.decision -> unit) ->
   ?validate:Schedcheck.Validator.expectation ->
   r_star:Engine.r_star ->
   policy:Sched.Policy.t ->
   Workload.Trace.t ->
   t
+(** Run {!Engine.run} ([observe] is passed through: the caller owns
+    the sinks it feeds) and package the measures.
+
+    [validate], when given, runs {!Schedcheck.Validator.validate} over
+    the finished schedule and stores the report in [validation];
+    violations are reported as data, never raised.  With [?validate]
+    unset no validator code runs.  Under [Predicted] runtimes an
+    [Easy_backfill] expectation is downgraded to [Generic] (the
+    stateful estimator cannot be replayed post hoc).  [wall_clock]
+    covers the simulation only, not the validation. *)
 
 val excess : t -> threshold:float -> Metrics.Excess.t
 (** Excessive wait of the measured jobs w.r.t. a threshold. *)
-
-val fcfs_thresholds : t -> float * float
-(** [(max wait, 98th-percentile wait)] of this run — applied to an
-    FCFS-backfill run they are the paper's E^max and E^98% thresholds
-    for the month. *)

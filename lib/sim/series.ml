@@ -1,21 +1,13 @@
+type 'a band = { v : 'a; lo : 'a; hi : 'a }
+
 type sample = {
   t : float;
   span : int;
-  busy : int;
-  busy_min : int;
-  busy_max : int;
-  queue : int;
-  queue_min : int;
-  queue_max : int;
-  demand : int;
-  demand_min : int;
-  demand_max : int;
-  running : int;
-  running_min : int;
-  running_max : int;
-  max_wait : float;
-  max_wait_min : float;
-  max_wait_max : float;
+  busy : int band;
+  queue : int band;
+  demand : int band;
+  running : int band;
+  max_wait : float band;
   excess : float;
 }
 
@@ -45,14 +37,17 @@ type t = {
   mutable tls : timelines option;
 }
 
+let point x = { v = x; lo = x; hi = x }
+
 let dummy =
   {
-    t = 0.0; span = 0;
-    busy = 0; busy_min = 0; busy_max = 0;
-    queue = 0; queue_min = 0; queue_max = 0;
-    demand = 0; demand_min = 0; demand_max = 0;
-    running = 0; running_min = 0; running_max = 0;
-    max_wait = 0.0; max_wait_min = 0.0; max_wait_max = 0.0;
+    t = 0.0;
+    span = 0;
+    busy = point 0;
+    queue = point 0;
+    demand = point 0;
+    running = point 0;
+    max_wait = point 0.0;
     excess = 0.0;
   }
 
@@ -72,38 +67,25 @@ let create ?(capacity = 4096) ?(threshold = 0.0) ~policy () =
     tls = None;
   }
 
-let policy t = t.policy
 let capacity t = Array.length t.points
-let threshold t = t.threshold
 let observed t = t.observed
 let stride t = t.stride
 let length t = t.n
 let samples t = Array.to_list (Array.sub t.points 0 t.n)
 let cumulative_excess t = t.excess
 
-let note_start t ~wait = t.excess <- t.excess +. Float.max 0.0 (wait -. t.threshold)
+(* [b] is the later band: its value wins, the envelope covers both. *)
+let merge_band lo hi a b = { v = b.v; lo = lo a.lo b.lo; hi = hi a.hi b.hi }
 
-(* [b] is the later sample: instantaneous values come from it, the
-   min/max envelope covers both, spans add. *)
 let merge a b =
   {
     t = b.t;
     span = a.span + b.span;
-    busy = b.busy;
-    busy_min = min a.busy_min b.busy_min;
-    busy_max = max a.busy_max b.busy_max;
-    queue = b.queue;
-    queue_min = min a.queue_min b.queue_min;
-    queue_max = max a.queue_max b.queue_max;
-    demand = b.demand;
-    demand_min = min a.demand_min b.demand_min;
-    demand_max = max a.demand_max b.demand_max;
-    running = b.running;
-    running_min = min a.running_min b.running_min;
-    running_max = max a.running_max b.running_max;
-    max_wait = b.max_wait;
-    max_wait_min = Float.min a.max_wait_min b.max_wait_min;
-    max_wait_max = Float.max a.max_wait_max b.max_wait_max;
+    busy = merge_band Int.min Int.max a.busy b.busy;
+    queue = merge_band Int.min Int.max a.queue b.queue;
+    demand = merge_band Int.min Int.max a.demand b.demand;
+    running = merge_band Int.min Int.max a.running b.running;
+    max_wait = merge_band Float.min Float.max a.max_wait b.max_wait;
     excess = b.excess;
   }
 
@@ -118,9 +100,14 @@ let halve t =
   t.n <- half;
   t.stride <- t.stride * 2
 
-let observe t ~now ~busy ~queue ~demand ~running ~max_wait =
+let observe t (d : Engine.decision) =
+  let now = d.now in
   if now < t.last_now then
     invalid_arg "Series.observe: time went backwards";
+  List.iter
+    (fun (j : Workload.Job.t) ->
+      t.excess <- t.excess +. Float.max 0.0 (now -. j.submit -. t.threshold))
+    d.started;
   let tls =
     match t.tls with
     | Some tls -> tls
@@ -138,13 +125,14 @@ let observe t ~now ~busy ~queue ~demand ~running ~max_wait =
         t.tls <- Some tls;
         tls
   in
-  Simcore.Stats.Timeline.record tls.tl_busy ~now ~value:(float_of_int busy);
-  Simcore.Stats.Timeline.record tls.tl_queue ~now ~value:(float_of_int queue);
+  Simcore.Stats.Timeline.record tls.tl_busy ~now ~value:(float_of_int d.busy);
+  Simcore.Stats.Timeline.record tls.tl_queue ~now
+    ~value:(float_of_int d.queue);
   Simcore.Stats.Timeline.record tls.tl_demand ~now
-    ~value:(float_of_int demand);
+    ~value:(float_of_int d.demand);
   Simcore.Stats.Timeline.record tls.tl_running ~now
-    ~value:(float_of_int running);
-  Simcore.Stats.Timeline.record tls.tl_max_wait ~now ~value:max_wait;
+    ~value:(float_of_int d.running);
+  Simcore.Stats.Timeline.record tls.tl_max_wait ~now ~value:d.max_wait;
   Simcore.Stats.Timeline.record tls.tl_excess ~now ~value:t.excess;
   t.last_now <- now;
   t.observed <- t.observed + 1;
@@ -152,11 +140,11 @@ let observe t ~now ~busy ~queue ~demand ~running ~max_wait =
     {
       t = now;
       span = 1;
-      busy; busy_min = busy; busy_max = busy;
-      queue; queue_min = queue; queue_max = queue;
-      demand; demand_min = demand; demand_max = demand;
-      running; running_min = running; running_max = running;
-      max_wait; max_wait_min = max_wait; max_wait_max = max_wait;
+      busy = point d.busy;
+      queue = point d.queue;
+      demand = point d.demand;
+      running = point d.running;
+      max_wait = point d.max_wait;
       excess = t.excess;
     }
   in
@@ -195,11 +183,11 @@ let summary t =
         }
       in
       [
-        row "busy_nodes" tls.tl_busy (float_of_int last.busy);
-        row "queue_jobs" tls.tl_queue (float_of_int last.queue);
-        row "backlog_nodes" tls.tl_demand (float_of_int last.demand);
-        row "running_jobs" tls.tl_running (float_of_int last.running);
-        row "max_wait_s" tls.tl_max_wait last.max_wait;
+        row "busy_nodes" tls.tl_busy (float_of_int last.busy.v);
+        row "queue_jobs" tls.tl_queue (float_of_int last.queue.v);
+        row "backlog_nodes" tls.tl_demand (float_of_int last.demand.v);
+        row "running_jobs" tls.tl_running (float_of_int last.running.v);
+        row "max_wait_s" tls.tl_max_wait last.max_wait.v;
         row "excess_s" tls.tl_excess last.excess;
       ]
 
@@ -207,22 +195,7 @@ let summary t =
 
 let schema = "run_series/1"
 
-(* Minimal JSON string escaping, as in Decision_log: labels are ASCII
-   but quotes/backslashes must not break the line format. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Decision_log.escape
 
 let pp_jsonl ?(run = "") fmt t =
   Format.fprintf fmt
@@ -234,8 +207,8 @@ let pp_jsonl ?(run = "") fmt t =
       if i < t.n then
         Format.fprintf fmt
           "{\"type\":\"sample\",\"run\":\"%s\",\"i\":%d,\"t\":%.3f,\"span\":%d,\"busy\":%d,\"busy_min\":%d,\"busy_max\":%d,\"queue\":%d,\"queue_min\":%d,\"queue_max\":%d,\"demand\":%d,\"demand_min\":%d,\"demand_max\":%d,\"running\":%d,\"running_min\":%d,\"running_max\":%d,\"max_wait\":%.3f,\"max_wait_min\":%.3f,\"max_wait_max\":%.3f,\"excess\":%.3f}@."
-          (escape run) i s.t s.span s.busy s.busy_min s.busy_max s.queue
-          s.queue_min s.queue_max s.demand s.demand_min s.demand_max
-          s.running s.running_min s.running_max s.max_wait s.max_wait_min
-          s.max_wait_max s.excess)
+          (escape run) i s.t s.span s.busy.v s.busy.lo s.busy.hi s.queue.v
+          s.queue.lo s.queue.hi s.demand.v s.demand.lo s.demand.hi
+          s.running.v s.running.lo s.running.hi s.max_wait.v s.max_wait.lo
+          s.max_wait.hi s.excess)
     t.points

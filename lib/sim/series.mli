@@ -1,17 +1,18 @@
 (** Bounded simulated-time run-health series.
 
-    A sampler the engine feeds at every decision point (decisions
-    happen exactly at job arrivals and departures, so every completion
-    instant is sampled too): busy nodes, waiting-queue length and
-    core demand (backlog), running-job count, the longest current wait
-    in the queue, and the cumulative excessive wait of started jobs.
+    A sampler fed every decision point as an {!Engine.run} observer
+    (decisions happen exactly at job arrivals and departures, so every
+    completion instant is sampled too): busy nodes, waiting-queue
+    length and core demand (backlog), running-job count, the longest
+    current wait in the queue, and the cumulative excessive wait of
+    started jobs.
     This is the system-level health signal behind the paper's
     Figures 2-8 — queue and backlog trajectories, utilization, and
     excess-wait accumulation over the month.
 
     Memory is fixed: the series holds at most [capacity] samples.
     When full it deterministically halves its resolution — adjacent
-    samples merge pairwise (keeping the later sample's instantaneous
+    samples merge pairwise ({!merge}: the later sample's instantaneous
     values and the min/max envelope of both) and from then on one
     sample summarizes twice as many observations.  The committed
     samples are therefore a pure function of the observation sequence,
@@ -22,28 +23,30 @@
     buffer at all: exact time-weighted averages and extremes come from
     {!Simcore.Stats.Timeline} accumulators fed at every observation. *)
 
+type 'a band = {
+  v : 'a;  (** value at the band's last observation *)
+  lo : 'a;  (** minimum over the observations merged into it *)
+  hi : 'a;  (** maximum over them *)
+}
+
 type sample = {
   t : float;  (** time of the last observation merged into this sample *)
   span : int;  (** number of raw observations merged *)
-  busy : int;  (** busy nodes at [t] *)
-  busy_min : int;
-  busy_max : int;
-  queue : int;  (** waiting jobs at [t] *)
-  queue_min : int;
-  queue_max : int;
-  demand : int;  (** nodes demanded by waiting jobs (backlog) at [t] *)
-  demand_min : int;
-  demand_max : int;
-  running : int;  (** running jobs at [t] *)
-  running_min : int;
-  running_max : int;
-  max_wait : float;  (** longest current wait in the queue at [t], s *)
-  max_wait_min : float;
-  max_wait_max : float;
+  busy : int band;  (** busy nodes *)
+  queue : int band;  (** waiting jobs *)
+  demand : int band;  (** nodes demanded by waiting jobs (backlog) *)
+  running : int band;  (** running jobs *)
+  max_wait : float band;  (** longest current wait in the queue, s *)
   excess : float;
       (** cumulative excessive wait of jobs started by [t], seconds
           (non-decreasing across samples) *)
 }
+
+val merge : sample -> sample -> sample
+(** [merge a b] summarizes [a] followed by the later [b]: time, values
+    and [excess] from [b], each band's envelope over both, spans
+    added.  The one downsampling step of both the series' halving and
+    {!Report}'s chart thinning. *)
 
 type t
 
@@ -56,9 +59,7 @@ val create :
     FCFS-derived E^max/E^98% thresholds, so trajectories of different
     policies compare directly). *)
 
-val policy : t -> string
 val capacity : t -> int
-val threshold : t -> float
 
 val observed : t -> int
 (** Raw observations fed so far. *)
@@ -76,21 +77,11 @@ val samples : t -> sample list
 
 val cumulative_excess : t -> float
 
-val note_start : t -> wait:float -> unit
-(** Account a started job's wait: [max 0 (wait - threshold)] joins the
-    cumulative excessive wait. *)
-
-val observe :
-  t ->
-  now:float ->
-  busy:int ->
-  queue:int ->
-  demand:int ->
-  running:int ->
-  max_wait:float ->
-  unit
-(** Record one decision-point observation.  [now] must be
-    non-decreasing across calls.
+val observe : t -> Engine.decision -> unit
+(** The engine observer: record one decision-point observation.  Each
+    started job's wait beyond the threshold joins the cumulative
+    excessive wait first, so the observation includes it.  Decision
+    times must be non-decreasing across calls.
     @raise Invalid_argument if time goes backwards. *)
 
 (** {2 Summaries} *)

@@ -6,8 +6,8 @@
     executing in parallel on the domain pool each own theirs and never
     contend.
 
-    There is no switch: "off" is not passing a registry (the engine's
-    [?metrics] is optional, like its [?log] and [?series]).  Recording
+    There is no switch: "off" is not observing a run with a registry
+    (the engine's one [?observe] hook is optional).  Recording
     writes into storage preallocated at registration and never
     allocates per observation (tested).
 

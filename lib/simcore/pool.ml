@@ -133,11 +133,6 @@ let spans t =
       compare (a.batch, a.task) (b.batch, b.task))
     spans
 
-let clear_spans t =
-  Mutex.lock t.m;
-  t.spans <- [];
-  Mutex.unlock t.m
-
 (* Post [tasks], take part in running them, and wait for stragglers.
    Batches are serialized on [current]. *)
 let run_batch t tasks =

@@ -68,8 +68,6 @@ val spans : t -> Span.t list
 (** Recorded spans in (batch, task) order — deterministic listing
     order even though the times inside are wall-clock. *)
 
-val clear_spans : t -> unit
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Subsequent
     [map]/[iter] calls raise [Invalid_argument]. *)

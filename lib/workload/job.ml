@@ -41,17 +41,6 @@ let size_range8 n =
   else if n <= 64 then 6
   else 7
 
-let size_range8_label = function
-  | 0 -> "1"
-  | 1 -> "2"
-  | 2 -> "3-4"
-  | 3 -> "5-8"
-  | 4 -> "9-16"
-  | 5 -> "17-32"
-  | 6 -> "33-64"
-  | 7 -> "65-128"
-  | i -> invalid_arg (Printf.sprintf "Job.size_range8_label: %d" i)
-
 let node_class5 n =
   if n <= 1 then 0
   else if n = 2 then 1

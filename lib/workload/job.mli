@@ -49,8 +49,6 @@ val size_range8 : int -> int
     0:(1) 1:(2) 2:(3-4) 3:(5-8) 4:(9-16) 5:(17-32) 6:(33-64)
     7:(65-128). *)
 
-val size_range8_label : int -> string
-
 val node_class5 : int -> int
 (** [node_class5 n] maps a node count to the Table 4 class index:
     0:(1) 1:(2) 2:(3-8) 3:(9-32) 4:(33-128). *)

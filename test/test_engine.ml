@@ -183,6 +183,80 @@ let test_rstar_requested_changes_schedule () =
   Alcotest.(check bool) "schedules differ" true
     (starts actual <> starts requested)
 
+(* The [observe] hook gets one report per decision, after its starts:
+   the report's post-start state must agree with the finished
+   schedule, and observing must not change that schedule. *)
+let test_observe_each_decision () =
+  let trace = Helpers.mini_trace ~seed:9 ~n:60 () in
+  let n_jobs = Workload.Trace.length trace in
+  List.iter
+    (fun policy ->
+      let name = policy.Sched.Policy.name in
+      let seen = ref [] in
+      let result =
+        Sim.Engine.run ~machine:machine16
+          ~observe:(fun d -> seen := d :: !seen)
+          ~r_star:Sim.Engine.Actual ~policy trace
+      in
+      let ds = List.rev !seen in
+      let plain = simulate ~policy trace in
+      Alcotest.(check (list (float 0.0)))
+        (name ^ ": observing leaves the schedule alone")
+        (List.map (fun (o : Metrics.Outcome.t) -> o.start) plain.outcomes)
+        (List.map (fun (o : Metrics.Outcome.t) -> o.start) result.outcomes);
+      Alcotest.(check int) (name ^ ": one report per decision")
+        result.decisions (List.length ds);
+      Alcotest.(check int) (name ^ ": every job started once") n_jobs
+        (List.fold_left
+           (fun acc (d : Sim.Engine.decision) -> acc + List.length d.started)
+           0 ds);
+      let last_now = ref neg_infinity in
+      List.iter
+        (fun (d : Sim.Engine.decision) ->
+          Alcotest.(check int) (name ^ ": seen = queue + started")
+            d.seen (d.queue + List.length d.started);
+          Alcotest.(check bool) (name ^ ": time non-decreasing") true
+            (d.now >= !last_now);
+          last_now := d.now;
+          (* post-start state, rebuilt from the finished schedule *)
+          let waiting, running =
+            List.partition
+              (fun (o : Metrics.Outcome.t) -> o.start > d.now)
+              (List.filter
+                 (fun (o : Metrics.Outcome.t) ->
+                   o.job.submit <= d.now && o.finish > d.now)
+                 result.outcomes)
+          in
+          let nodes l =
+            List.fold_left
+              (fun acc (o : Metrics.Outcome.t) -> acc + o.job.nodes)
+              0 l
+          in
+          Alcotest.(check int) (name ^ ": queue") (List.length waiting)
+            d.queue;
+          Alcotest.(check int) (name ^ ": demand") (nodes waiting) d.demand;
+          Alcotest.(check (float 1e-9)) (name ^ ": max wait")
+            (List.fold_left
+               (fun acc (o : Metrics.Outcome.t) ->
+                 Float.max acc (d.now -. o.job.submit))
+               0.0 waiting)
+            d.max_wait;
+          Alcotest.(check int) (name ^ ": running") (List.length running)
+            d.running;
+          Alcotest.(check int) (name ^ ": busy") (nodes running) d.busy)
+        ds;
+      match List.rev ds with
+      | [] -> Alcotest.fail "no decision observed"
+      | last :: _ ->
+          Alcotest.(check (pair int int)) (name ^ ": ends drained") (0, 0)
+            (last.queue, last.running))
+    [
+      Sched.Backfill.fcfs;
+      fst
+        (Core.Search_policy.policy
+           (Core.Search_policy.dds_lxf_dynb ~budget:200));
+    ]
+
 let suite =
   [
     Alcotest.test_case "every job runs once" `Quick test_every_job_runs_once;
@@ -204,4 +278,6 @@ let suite =
       test_deterministic_simulation;
     Alcotest.test_case "R*=R changes schedule" `Quick
       test_rstar_requested_changes_schedule;
+    Alcotest.test_case "engine observes each decision once, after its starts"
+      `Quick test_observe_each_decision;
   ]

@@ -141,12 +141,28 @@ let test_openmetrics_exposition () =
 (* Reference model: observation i of a generated run. *)
 type obs = { ot : float; ob : int; oq : int; od : int; orn : int; ow : float }
 
+(* The engine's report of a decision that started [started]. *)
+let decision ?(started = []) ~now ~busy ~queue ~demand ~running ~max_wait ()
+    : Sim.Engine.decision =
+  {
+    now;
+    seen = queue + List.length started;
+    started;
+    queue;
+    demand;
+    max_wait;
+    busy;
+    running;
+    probe = None;
+  }
+
 let feed ?(capacity = 8) obs_list =
   let s = Sim.Series.create ~capacity ~policy:"t" () in
   List.iter
     (fun o ->
-      Sim.Series.observe s ~now:o.ot ~busy:o.ob ~queue:o.oq ~demand:o.od
-        ~running:o.orn ~max_wait:o.ow)
+      Sim.Series.observe s
+        (decision ~now:o.ot ~busy:o.ob ~queue:o.oq ~demand:o.od
+           ~running:o.orn ~max_wait:o.ow ()))
     obs_list;
   s
 
@@ -188,25 +204,22 @@ let check_series_against_model obs_list s =
       let slice = Array.sub obs first (last - first + 1) in
       let last_o = slice.(Array.length slice - 1) in
       check (p.Sim.Series.t = last_o.ot);
-      check (p.Sim.Series.busy = last_o.ob);
-      check (p.Sim.Series.queue = last_o.oq);
-      check (p.Sim.Series.demand = last_o.od);
-      check (p.Sim.Series.running = last_o.orn);
-      check (p.Sim.Series.max_wait = last_o.ow);
       let fold f init g =
         Array.fold_left (fun acc o -> f acc (g o)) init slice
       in
-      check (p.Sim.Series.busy_min = fold min max_int (fun o -> o.ob));
-      check (p.Sim.Series.busy_max = fold max min_int (fun o -> o.ob));
-      check (p.Sim.Series.queue_min = fold min max_int (fun o -> o.oq));
-      check (p.Sim.Series.queue_max = fold max min_int (fun o -> o.oq));
-      check (p.Sim.Series.demand_min = fold min max_int (fun o -> o.od));
-      check (p.Sim.Series.demand_max = fold max min_int (fun o -> o.od));
-      check (p.Sim.Series.running_min = fold min max_int (fun o -> o.orn));
-      check (p.Sim.Series.running_max = fold max min_int (fun o -> o.orn));
-      check (p.Sim.Series.max_wait_min = fold Float.min infinity (fun o -> o.ow));
-      check (p.Sim.Series.max_wait_max
-             = fold Float.max neg_infinity (fun o -> o.ow)))
+      let int_band (b : int Sim.Series.band) g =
+        check (b.v = g last_o);
+        check (b.lo = fold min max_int g);
+        check (b.hi = fold max min_int g)
+      in
+      int_band p.Sim.Series.busy (fun o -> o.ob);
+      int_band p.Sim.Series.queue (fun o -> o.oq);
+      int_band p.Sim.Series.demand (fun o -> o.od);
+      int_band p.Sim.Series.running (fun o -> o.orn);
+      let w = p.Sim.Series.max_wait in
+      check (w.v = last_o.ow);
+      check (w.lo = fold Float.min infinity (fun o -> o.ow));
+      check (w.hi = fold Float.max neg_infinity (fun o -> o.ow)))
     samples;
   !ok
 
@@ -233,28 +246,33 @@ let test_series_halving_exact () =
 
 let test_series_time_backwards () =
   let s = Sim.Series.create ~policy:"t" () in
-  Sim.Series.observe s ~now:10.0 ~busy:0 ~queue:0 ~demand:0 ~running:0
-    ~max_wait:0.0;
+  let idle now =
+    decision ~now ~busy:0 ~queue:0 ~demand:0 ~running:0 ~max_wait:0.0 ()
+  in
+  Sim.Series.observe s (idle 10.0);
   Alcotest.check_raises "time must not go backwards"
     (Invalid_argument "Series.observe: time went backwards") (fun () ->
-      Sim.Series.observe s ~now:9.0 ~busy:0 ~queue:0 ~demand:0 ~running:0
-        ~max_wait:0.0)
+      Sim.Series.observe s (idle 9.0))
 
 let test_series_excess_and_summary () =
   let s = Sim.Series.create ~threshold:100.0 ~policy:"t" () in
-  Sim.Series.note_start s ~wait:50.0;
+  Alcotest.(check int) "no observation, no summary" 0
+    (List.length (Sim.Series.summary s));
+  (* each decision starts one job: waits 50 s and 350 s at start *)
+  let job ~id ~submit =
+    Workload.Job.v ~id ~submit ~nodes:1 ~runtime:10.0 ~requested:10.0
+  in
+  Sim.Series.observe s
+    (decision ~started:[ job ~id:0 ~submit:950.0 ] ~now:1000.0 ~busy:10
+       ~queue:2 ~demand:64 ~running:1 ~max_wait:30.0 ());
   (* below threshold *)
   Alcotest.(check (float 0.0)) "below threshold ignored" 0.0
     (Sim.Series.cumulative_excess s);
-  Sim.Series.note_start s ~wait:350.0;
+  Sim.Series.observe s
+    (decision ~started:[ job ~id:1 ~submit:750.0 ] ~now:1100.0 ~busy:20
+       ~queue:4 ~demand:32 ~running:2 ~max_wait:60.0 ());
   Alcotest.(check (float 1e-9)) "excess accumulates" 250.0
     (Sim.Series.cumulative_excess s);
-  Alcotest.(check int) "no observation, no summary" 0
-    (List.length (Sim.Series.summary s));
-  Sim.Series.observe s ~now:0.0 ~busy:10 ~queue:2 ~demand:64 ~running:1
-    ~max_wait:30.0;
-  Sim.Series.observe s ~now:100.0 ~busy:20 ~queue:4 ~demand:32 ~running:2
-    ~max_wait:60.0;
   let rows = Sim.Series.summary s in
   Alcotest.(check int) "six signals" 6 (List.length rows);
   let row label = List.find (fun r -> r.Sim.Series.label = label) rows in
@@ -282,8 +300,13 @@ let test_engine_feeds_series_and_metrics () =
   let plain = Sim.Engine.run ~r_star:Sim.Engine.Actual ~policy trace in
   let series = Sim.Series.create ~policy:"fcfs" () in
   let metrics = M.create () in
+  let record = Sim.Run_metrics.observer metrics policy in
+  let observe d =
+    Sim.Series.observe series d;
+    record d
+  in
   let sampled =
-    Sim.Engine.run ~series ~metrics ~r_star:Sim.Engine.Actual ~policy trace
+    Sim.Engine.run ~observe ~r_star:Sim.Engine.Actual ~policy trace
   in
   (* observational only: the simulation itself is unchanged *)
   Alcotest.(check int) "same decisions" plain.Sim.Engine.decisions
@@ -326,7 +349,11 @@ let test_search_policy_metrics () =
     Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:200)
   in
   let metrics = M.create () in
-  let _ = Sim.Engine.run ~metrics ~r_star:Sim.Engine.Actual ~policy trace in
+  let _ =
+    Sim.Engine.run
+      ~observe:(Sim.Run_metrics.observer metrics policy)
+      ~r_star:Sim.Engine.Actual ~policy trace
+  in
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in
   M.pp_openmetrics fmt metrics;
@@ -347,8 +374,8 @@ let test_report_page_structure () =
   let trace = small_trace () in
   let series = Sim.Series.create ~policy:"fcfs" () in
   let _ =
-    Sim.Engine.run ~series ~r_star:Sim.Engine.Actual
-      ~policy:Sched.Backfill.fcfs trace
+    Sim.Engine.run ~observe:(Sim.Series.observe series)
+      ~r_star:Sim.Engine.Actual ~policy:Sched.Backfill.fcfs trace
   in
   let html = Sim.Report.page ~title:"t" [ ("fcfs", series) ] in
   Alcotest.(check bool) "doctype" true (contains html "<!doctype html>");

@@ -110,7 +110,12 @@ let test_probe_counts_local_search () =
   in
   let log = Sim.Decision_log.create ~policy:policy.Sched.Policy.name () in
   let metrics = M.create () in
-  let _ = Sim.Engine.run ~log ~metrics ~r_star:Sim.Engine.Actual ~policy trace in
+  let record = Sim.Run_metrics.observer metrics policy in
+  let observe d =
+    Sim.Decision_log.observe log d;
+    record d
+  in
+  let _ = Sim.Engine.run ~observe ~r_star:Sim.Engine.Actual ~policy trace in
   let ds = Sim.Decision_log.decisions log in
   (* queues here are far shorter than L, so only an improving swap
      pass can take a decision past its budget *)
@@ -188,14 +193,28 @@ let test_probe_allocates_nothing () =
 
 (* --- decision-log ring buffer --- *)
 
+(* A decision that saw [seen] waiting jobs and started none. *)
+let decision ~now ~seen ~probe : Sim.Engine.decision =
+  {
+    now;
+    seen;
+    started = [];
+    queue = seen;
+    demand = 0;
+    max_wait = 0.0;
+    busy = 0;
+    running = 0;
+    probe;
+  }
+
 let test_decision_log_ring () =
   let log = Sim.Decision_log.create ~capacity:4 ~policy:"p" () in
   let probe = T.Probe.create () in
   for i = 0 to 5 do
     probe.T.Probe.nodes <- 100 * i;
     probe.T.Probe.budget <- 1000;
-    Sim.Decision_log.record log ~time:(float_of_int i) ~queue:i ~started:0
-      ~probe:(Some probe)
+    Sim.Decision_log.observe log
+      (decision ~now:(float_of_int i) ~seen:i ~probe:(Some probe))
   done;
   Alcotest.(check int) "recorded" 6 (Sim.Decision_log.recorded log);
   Alcotest.(check int) "dropped" 2 (Sim.Decision_log.dropped log);
@@ -205,7 +224,7 @@ let test_decision_log_ring () =
   Alcotest.(check int) "probe snapshotted, not aliased" 200
     (List.hd ds).Sim.Decision_log.nodes;
   (* a decision without a probe records zero search effort *)
-  Sim.Decision_log.record log ~time:7.0 ~queue:0 ~started:0 ~probe:None;
+  Sim.Decision_log.observe log (decision ~now:7.0 ~seen:0 ~probe:None);
   let last = List.hd (List.rev (Sim.Decision_log.decisions log)) in
   Alcotest.(check bool) "unsearched" false last.Sim.Decision_log.searched;
   Alcotest.(check int) "no nodes" 0 last.Sim.Decision_log.nodes

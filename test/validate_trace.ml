@@ -9,9 +9,9 @@
    {"traceEvents":[...]} document; an HTML report (Sim.Report) must be
    a self-contained zero-JS page; an OpenMetrics file
    (Simcore.Metrics) must expose well-formed families ending in
-   "# EOF" and, after [--search], every schedsim_search_* family a
-   search policy's run registers.  Exit 0 on success, 1 with a message
-   on the first violation. *)
+   "# EOF" and, after [--search], exactly the families a search
+   policy's run registers, in their pinned order.  Exit 0 on success, 1
+   with a message on the first violation. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -315,10 +315,20 @@ let validate_html file =
 
 (* --- OpenMetrics exposition --- *)
 
-(* The engine's search-effort families and the sample line each must
-   carry, present whenever the policy searches. *)
+(* A search policy's run exposes exactly these families, in this order
+   (Sim.Run_metrics' registration order): the run-health eight, then
+   the search-effort six.  Each comes with the sample line it must
+   carry. *)
 let search_families =
   [
+    ("schedsim_queue_depth", "histogram", "_count");
+    ("schedsim_wait_seconds", "histogram", "_count");
+    ("schedsim_backlog_nodes", "gauge", "");
+    ("schedsim_busy_nodes", "gauge", "");
+    ("schedsim_queue_jobs", "gauge", "");
+    ("schedsim_jobs_completed", "counter", "_total");
+    ("schedsim_jobs_started", "counter", "_total");
+    ("schedsim_decisions", "counter", "_total");
     ("schedsim_search_decisions", "counter", "_total");
     ("schedsim_search_nodes", "counter", "_total");
     ("schedsim_search_leaves", "counter", "_total");
@@ -329,15 +339,24 @@ let search_families =
 
 let validate_openmetrics ~search file =
   let lines = read_lines file in
-  if search then
+  if search then begin
+    let types = List.filter (starts_with "# TYPE ") lines in
+    let want =
+      List.map
+        (fun (name, kind, _) -> Printf.sprintf "# TYPE %s %s" name kind)
+        search_families
+    in
+    if types <> want then
+      fail "%s: families\n  %s\nwant, in this order,\n  %s" file
+        (String.concat "\n  " types)
+        (String.concat "\n  " want);
     List.iter
-      (fun (name, kind, suffix) ->
-        if not (List.mem (Printf.sprintf "# TYPE %s %s" name kind) lines) then
-          fail "%s: missing %s family %s" file kind name;
+      (fun (name, _, suffix) ->
         let sample = name ^ suffix ^ " " in
         if not (List.exists (starts_with sample) lines) then
           fail "%s: missing sample %s" file (name ^ suffix))
-      search_families;
+      search_families
+  end;
   (match List.rev lines with
   | "# EOF" :: _ -> ()
   | _ -> fail "%s: exposition must end with # EOF" file);
