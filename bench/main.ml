@@ -1,8 +1,7 @@
 (* Reproduction bench harness.
 
    Regenerates every table and figure of the paper (Sections 2-6), then
-   the ablation studies, then bechamel microbenchmarks of the scheduler
-   hot paths.  Knobs (environment variables):
+   the ablation studies.  Knobs (environment variables):
 
      REPRO_SCALE   workload scale (default 1.0 = full months)
      REPRO_MONTHS  comma-separated subset of month labels
@@ -11,7 +10,6 @@
      REPRO_ONLY    comma-separated experiment ids to run
      REPRO_JOBS    domain-pool width for experiment execution
                    (default: recommended_domain_count - 1; also -j N)
-     REPRO_SKIP_MICRO=1  skip the bechamel microbenchmarks
 
    Validation (rides along with the tables):
 
@@ -51,9 +49,8 @@
 
    Perf regression modes (instead of the tables):
 
-     --perf-json [path]   measure search throughput (nodes/ms, trail
-                          and snapshot backtracking) over a grid of
-                          node budgets and queue depths, bechamel
+     --perf-json [path]   measure search throughput (nodes/ms) over a
+                          grid of node budgets and queue depths, bechamel
                           micro-op costs, and the sequential vs
                           parallel harness wall-clock at the
                           REPRO_SCALE=0.1 quick config, and write
@@ -125,63 +122,6 @@ let run_experiments fmt =
     exps
 
 (* ------------------------------------------------------------------ *)
-(* Microbenchmarks of the hot kernels                                  *)
-
-let search_test ~budget =
-  Test.make
-    ~name:(Printf.sprintf "dds-search/L=%d" budget)
-    (Staged.stage (fun () ->
-         let state =
-           Experiments.Overhead.synthetic_state ~seed:(17 + budget) ()
-         in
-         ignore (Core.Search.run Core.Search.Dds ~budget state)))
-
-let heuristic_path_test =
-  Test.make ~name:"heuristic-path/30jobs"
-    (Staged.stage (fun () ->
-         (* just the iteration-0 path: one greedy schedule build *)
-         let state = Experiments.Overhead.synthetic_state ~seed:17 () in
-         ignore (Core.Search.run Core.Search.Dds ~budget:31 state)))
-
-let profile_test =
-  let releases =
-    List.init 40 (fun i -> (float_of_int (((i * 977) mod 36000) + 60), 3))
-  in
-  Test.make ~name:"profile/build+place"
-    (Staged.stage (fun () ->
-         let p = Cluster.Profile.of_running ~now:0.0 ~capacity:128 releases in
-         let s = Cluster.Profile.earliest_start p ~nodes:64 ~duration:7200.0 in
-         Cluster.Profile.reserve p ~at:s ~nodes:64 ~duration:7200.0))
-
-let microbench fmt =
-  Format.fprintf fmt "@.%s@.== microbenchmarks (bechamel)@.%s@."
-    (String.make 72 '=') (String.make 72 '=');
-  let tests =
-    [ profile_test; heuristic_path_test ]
-    @ List.map (fun budget -> search_test ~budget) [ 1000; 4000; 8000 ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~stabilize:true ~quota:(Time.second 1.0) ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (time_per_run :: _) ->
-              Format.fprintf fmt "%-28s %12.3f ms/run@." name
-                (time_per_run /. 1e6)
-          | _ -> Format.fprintf fmt "%-28s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Perf regression layer: BENCH_search_hotpath.json                    *)
 
 let ols =
@@ -226,12 +166,6 @@ let micro_reserve_undo =
          Cluster.Profile.reserve p ~at:13000.0 ~nodes:5 ~duration:7200.0;
          Cluster.Profile.undo_to p m))
 
-let micro_copy_into =
-  let p = micro_profile () in
-  let q = Cluster.Profile.copy p in
-  Test.make ~name:"copy_into"
-    (Staged.stage (fun () -> Cluster.Profile.copy_into ~src:p ~dst:q))
-
 (* One run-health observation, steady state (the buffer stays at its
    capacity and halving amortizes away). *)
 let micro_series_observe =
@@ -256,20 +190,20 @@ let micro_series_observe =
 let perf_budgets = [ 1000; 8000; 100000 ]
 let perf_queue_depths = [ 10; 30; 60 ]
 
-let grid_key ~prefix ~budget ~n = Printf.sprintf "%s_l%d_n%d" prefix budget n
+let grid_key ~budget ~n = Printf.sprintf "trail_l%d_n%d" budget n
 
-let smoke_key = grid_key ~prefix:"trail" ~budget:8000 ~n:30
+let smoke_key = grid_key ~budget:8000 ~n:30
 
-let measure_grid ~backtrack ~prefix ~repeats out =
+let measure_grid ~repeats out =
   List.iter
     (fun budget ->
       List.iter
         (fun n ->
           let v =
-            Experiments.Overhead.nodes_per_ms ~n_waiting:n ~backtrack ~repeats
+            Experiments.Overhead.nodes_per_ms ~n_waiting:n ~repeats
               ~budget ()
           in
-          out (grid_key ~prefix ~budget ~n) v)
+          out (grid_key ~budget ~n) v)
         perf_queue_depths)
     perf_budgets
 
@@ -378,18 +312,10 @@ let perf_json path =
   ignore (Experiments.Overhead.nodes_per_ms ~repeats:5 ~budget:8000 ());
   let entries = ref [] in
   let out key v = entries := (key, v) :: !entries in
-  measure_grid ~backtrack:Core.Search_state.Trail ~prefix:"trail" ~repeats:20
-    out;
-  (* the snapshot oracle only at the headline point: it exists for
-     equivalence testing, not speed *)
-  out
-    (grid_key ~prefix:"snapshot" ~budget:8000 ~n:30)
-    (Experiments.Overhead.nodes_per_ms ~backtrack:Core.Search_state.Snapshot
-       ~repeats:20 ~budget:8000 ());
+  measure_grid ~repeats:20 out;
   let micro =
     [ ("micro_place_earliest_undo_ns", ols_ns micro_place_undo);
       ("micro_reserve_undo_ns", ols_ns micro_reserve_undo);
-      ("micro_copy_into_ns", ols_ns micro_copy_into);
       ("micro_series_observe_ns", ols_ns micro_series_observe) ]
   in
   let wall = wallclock_entries () in
@@ -691,7 +617,6 @@ let () =
   | [| _ |] ->
       let t0 = Simcore.Clock.monotonic_s () in
       run_experiments fmt;
-      if Sys.getenv_opt "REPRO_SKIP_MICRO" = None then microbench fmt;
       Format.fprintf fmt "@.total bench time: %.1fs@."
         (Simcore.Clock.monotonic_s () -. t0);
       Option.iter write_traces !trace_path;

@@ -12,13 +12,13 @@
       plain busy-interval list (no availability profile, no segment
       merging), against which {!Sched.Backfill.plan} must agree
       exactly;
-    - the trail-vs-snapshot profile oracle lives in
-      {!Core.Search_state} itself (the [Snapshot] backtracking
-      strategy); the qcheck suites drive both strategies over
-      randomized workloads and compare visit sequences.
+    - the trail-vs-snapshot oracle for {!Core.Search_state} is a
+      test-side replay in [test/test_search.ml]: every placement's
+      start must equal the earliest start on a fresh copy of the base
+      profile with the path prefix replayed.
 
-    The qcheck suites in [test/test_check.ml] wire these to random
-    workload generators. *)
+    The qcheck suites in [test/test_check.ml] wire the first two to
+    random workload generators. *)
 
 val enumerate_best : Core.Search_state.t -> Core.Objective.t
 (** Best objective over all [n!] complete job orders, evaluated one

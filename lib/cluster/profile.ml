@@ -389,18 +389,6 @@ let copy t =
     scan_stop = 0;
   }
 
-let copy_into ~src ~dst =
-  if src.capacity <> dst.capacity then
-    invalid_arg "Profile.copy_into: capacity mismatch";
-  ensure_capacity dst src.len;
-  Array.blit src.times 0 dst.times 0 src.len;
-  Array.blit src.free 0 dst.free 0 src.len;
-  dst.len <- src.len;
-  (* A wholesale overwrite cannot be undone segment-wise: invalidate
-     any trail the destination carried. *)
-  dst.trailing <- false;
-  dst.t_len <- 0
-
 let pp fmt t =
   Format.fprintf fmt "[";
   for i = 0 to t.len - 1 do

@@ -11,8 +11,7 @@
     backtracks through a reverse-delta {e trail}: {!mark} the profile
     before a reservation, and {!undo_to} rolls back exactly the
     segments that reservation touched — O(touched), not O(segments).
-    The snapshot path ({!copy_into}) remains available as an oracle.
-    Both paths keep the hot loop allocation-free (trail buffers grow
+    The hot loop stays allocation-free (trail buffers grow
     geometrically, off the hot path). *)
 
 type t
@@ -119,7 +118,7 @@ val undo_to : t -> mark -> unit
     reverse order.  Cost is proportional to the number of recorded
     mutations, i.e. to the segments touched — not to the profile size.
     @raise Invalid_argument if the mark is not on the current trail
-    (e.g. already undone past, or invalidated by {!copy_into}). *)
+    (e.g. already undone past). *)
 
 val trail_length : t -> int
 (** Number of recorded mutations (0 when trailing is off or fully
@@ -128,11 +127,6 @@ val trail_length : t -> int
 val copy : t -> t
 (** Independent copy of the segments.  The copy starts with an empty
     trail and trailing off. *)
-
-val copy_into : src:t -> dst:t -> unit
-(** Restore [dst] to the state of [src]; both must share a capacity.
-    Grows [dst]'s buffers if needed.  Clears [dst]'s trail and turns
-    trailing off: marks taken before a [copy_into] are invalid. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the step function, e.g. ["[0s:12 3600s:64 7200s:128]"]. *)

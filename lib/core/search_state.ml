@@ -1,16 +1,11 @@
-type backtrack = Trail | Snapshot
-
 type t = {
   now : float;
   secondary : Objective.secondary;
-  backtrack : backtrack;
   jobs : Workload.Job.t array;
   durations : float array;
   thresholds : float array;
-  base : Cluster.Profile.t;
-  work : Cluster.Profile.t;  (* Trail: the single mutable profile *)
-  marks : Cluster.Profile.mark array;  (* Trail: one mark per depth *)
-  profiles : Cluster.Profile.t array;  (* Snapshot: one snapshot per depth *)
+  work : Cluster.Profile.t;  (* the single mutable profile *)
+  marks : Cluster.Profile.mark array;  (* one trail mark per depth *)
   used : bool array;
   (* Circular doubly-linked list of unused job indices in increasing
      order, with sentinel [n]: rank-r lookup is an r-step walk and the
@@ -35,8 +30,8 @@ let reset_links t =
     t.uprev.(i) <- (i + n) mod (n + 1)
   done
 
-let create ?(secondary = Objective.Bounded_slowdown) ?(backtrack = Trail)
-    ?on_place ~now ~profile ~jobs ~durations ~thresholds () =
+let create ?(secondary = Objective.Bounded_slowdown) ?on_place ~now ~profile
+    ~jobs ~durations ~thresholds () =
   let n = Array.length jobs in
   if Array.length durations <> n || Array.length thresholds <> n then
     invalid_arg "Search_state.create: array length mismatch";
@@ -44,20 +39,11 @@ let create ?(secondary = Objective.Bounded_slowdown) ?(backtrack = Trail)
     {
       now;
       secondary;
-      backtrack;
       jobs;
       durations;
       thresholds;
-      base = profile;
-      work =
-        (match backtrack with
-        | Trail -> Cluster.Profile.copy profile
-        | Snapshot -> profile);
+      work = Cluster.Profile.copy profile;
       marks = Array.make n 0;
-      profiles =
-        (match backtrack with
-        | Trail -> [||]
-        | Snapshot -> Array.init n (fun _ -> Cluster.Profile.copy profile));
       used = Array.make n false;
       unext = Array.make (n + 1) 0;
       uprev = Array.make (n + 1) 0;
@@ -73,7 +59,6 @@ let create ?(secondary = Objective.Bounded_slowdown) ?(backtrack = Trail)
   t
 
 let secondary t = t.secondary
-let backtrack t = t.backtrack
 let job_count t = Array.length t.jobs
 let now t = t.now
 let nodes_visited t = t.visited
@@ -85,26 +70,10 @@ let place t ~depth ~job =
      both float arguments and the result, three times per node *)
   let d = t.durations.(job) in
   let duration = if d > 1.0 then d else 1.0 in
-  let s =
-    match t.backtrack with
-    | Trail ->
-        t.marks.(depth) <- Cluster.Profile.mark t.work;
-        Cluster.Profile.stage_duration t.work duration;
-        Cluster.Profile.place_earliest_staged t.work
-          ~nodes:j.Workload.Job.nodes;
-        Cluster.Profile.staged_start t.work
-    | Snapshot ->
-        let parent = if depth = 0 then t.base else t.profiles.(depth - 1) in
-        let profile = t.profiles.(depth) in
-        Cluster.Profile.copy_into ~src:parent ~dst:profile;
-        let s =
-          Cluster.Profile.earliest_start profile ~nodes:j.Workload.Job.nodes
-            ~duration
-        in
-        Cluster.Profile.reserve profile ~at:s ~nodes:j.Workload.Job.nodes
-          ~duration;
-        s
-  in
+  t.marks.(depth) <- Cluster.Profile.mark t.work;
+  Cluster.Profile.stage_duration t.work duration;
+  Cluster.Profile.place_earliest_staged t.work ~nodes:j.Workload.Job.nodes;
+  let s = Cluster.Profile.staged_start t.work in
   let wait = s -. j.Workload.Job.submit in
   let excess, secondary_sum =
     if depth = 0 then (0.0, 0.0)
@@ -133,9 +102,7 @@ let place t ~depth ~job =
 let unplace t ~depth =
   let job = t.chosen.(depth) in
   assert (job >= 0 && t.used.(job));
-  (match t.backtrack with
-  | Trail -> Cluster.Profile.undo_to t.work t.marks.(depth)
-  | Snapshot -> ());
+  Cluster.Profile.undo_to t.work t.marks.(depth);
   t.used.(job) <- false;
   (* dancing-links re-insertion: valid because unplacements mirror
      placements in LIFO order *)
@@ -151,9 +118,7 @@ let reset t =
   Array.fill t.p_excess 0 n 0.0;
   Array.fill t.p_secondary 0 n 0.0;
   reset_links t;
-  match t.backtrack with
-  | Trail -> Cluster.Profile.undo_to t.work 0
-  | Snapshot -> ()
+  Cluster.Profile.undo_to t.work 0
 
 let used t i = t.used.(i)
 let chosen t ~depth = t.chosen.(depth)

@@ -6,18 +6,13 @@
     (Section 2.2: "the start time of each job is computed in the order
     it appears on the path").
 
-    Two backtracking strategies share this interface:
-
-    - [Trail] (default): one working profile plus a reverse-delta
-      trail; {!place} marks the trail before reserving and {!unplace}
-      rolls back exactly the segments the reservation touched, so a
-      place/unplace pair costs O(segments touched), not O(profile).
-    - [Snapshot]: the original one-profile-snapshot-per-depth scheme
-      ({!Cluster.Profile.copy_into} per place), kept as a debug oracle
-      — the equivalence test suite checks both strategies visit the
-      same nodes and return identical results.
-
-    The hot path allocates nothing per node either way.
+    Backtracking uses one working profile plus a reverse-delta trail:
+    {!place} marks the trail before reserving and {!unplace} rolls back
+    exactly the segments the reservation touched, so a place/unplace
+    pair costs O(segments touched), not O(profile).  The test suite
+    checks every placement against a snapshot replay of its path
+    prefix on a fresh copy of the base profile.  The hot path
+    allocates nothing per node.
 
     Jobs are indexed 0 .. n-1 in *heuristic order* (see {!Branching});
     child rank 0 of any node is the lowest-indexed unused job.  The
@@ -26,13 +21,8 @@
 
 type t
 
-type backtrack = Trail | Snapshot
-(** Backtracking strategy; [Trail] is the fast default, [Snapshot] the
-    copy-based oracle. *)
-
 val create :
   ?secondary:Objective.secondary ->
-  ?backtrack:backtrack ->
   ?on_place:(depth:int -> job:int -> start:float -> unit) ->
   now:float ->
   profile:Cluster.Profile.t ->
@@ -45,14 +35,13 @@ val create :
     (never mutated — the state works on copies); [durations.(i)] is the
     scheduler-visible runtime of [jobs.(i)]; [thresholds.(i)] its
     excessive-wait bound.  [secondary] selects the tie-breaking goal
-    (default: the paper's bounded slowdown).  [backtrack] selects the
-    strategy (default [Trail]).  [on_place] is an instrumentation hook
-    invoked after every placement — used by the equivalence tests to
-    record visit sequences; leave unset on the hot path.
+    (default: the paper's bounded slowdown).  [on_place] is an
+    instrumentation hook invoked after every placement — used by the
+    oracle tests to record visit sequences; leave unset on the hot
+    path.
     @raise Invalid_argument on array length mismatch. *)
 
 val secondary : t -> Objective.secondary
-val backtrack : t -> backtrack
 
 val job_count : t -> int
 val now : t -> float
@@ -71,8 +60,8 @@ val unplace : t -> depth:int -> unit
 
 val reset : t -> unit
 (** Unplace everything: clears used flags, chosen jobs, recorded starts
-    and partial objectives, rebuilds the unused list, and (in [Trail]
-    mode) rewinds the working profile to its base state — safe after a
+    and partial objectives, rebuilds the unused list, and rewinds the
+    working profile to its base state — safe after a
     search unwound through an exception ({!Search.Budget_spent}) and
     left placements behind.  Does not reset the node counter. *)
 

@@ -91,9 +91,8 @@ let pool () =
       pool_cell := Some p;
       p
 
-let par_iter f xs = Simcore.Pool.iter (pool ()) ~f xs
 let par_map f xs = Simcore.Pool.map (pool ()) ~f xs
-let prefetch thunks = par_iter (fun f -> f ()) thunks
+let prefetch thunks = Simcore.Pool.iter (pool ()) ~f:(fun f -> f ()) thunks
 
 (* ------------------------------------------------------------------ *)
 (* Compute-once trace / run caches                                     *)
@@ -101,26 +100,34 @@ let prefetch thunks = par_iter (fun f -> f ()) thunks
 let trace_cache : (string, Workload.Trace.t) Simcore.Memo.t =
   Simcore.Memo.create ~size:32 ()
 
-let trace profile load =
-  let key =
-    Printf.sprintf "%s/%s" profile.Workload.Month_profile.label
-      (load_label load)
+type scenario = { key : string; build : unit -> Workload.Trace.t }
+
+let scenario_trace s = Simcore.Memo.get trace_cache s.key s.build
+
+let month_trace ~seed profile load =
+  let base =
+    let config =
+      { Workload.Generator.default_config with scale = scale (); seed }
+    in
+    Workload.Generator.month ~config profile
   in
-  Simcore.Memo.get trace_cache key (fun () ->
-      let base =
-        let config =
-          { Workload.Generator.default_config with
-            scale = scale ();
-            seed = seed ();
-          }
-        in
-        Workload.Generator.month ~config profile
-      in
-      match load with
-      | Original -> base
-      | Rho r ->
-          Workload.Trace.scale_load base
-            ~capacity:Workload.Month_profile.capacity ~target:r)
+  match load with
+  | Original -> base
+  | Rho r ->
+      Workload.Trace.scale_load base
+        ~capacity:Workload.Month_profile.capacity ~target:r
+
+(* The month path: the month's trace at the REPRO_SEED, keyed
+   [<label>/<load>]. *)
+let month profile load =
+  {
+    key =
+      Printf.sprintf "%s/%s" profile.Workload.Month_profile.label
+        (load_label load);
+    build = (fun () -> month_trace ~seed:(seed ()) profile load);
+  }
+
+let trace profile load = scenario_trace (month profile load)
 
 (* A cached run with the sinks its observer fed. *)
 type entry = {
@@ -140,7 +147,6 @@ let run_cache : (string, entry) Simcore.Memo.t =
    harnesses reset the caches when flipping the switch. *)
 let tracing_cell = ref false
 let set_tracing v = tracing_cell := v
-let tracing () = !tracing_cell
 
 (* Schedule validation: same switch pattern as tracing.  When on, every
    simulation computed into the run cache validates its finished
@@ -148,7 +154,6 @@ let tracing () = !tracing_cell
    name) and carries the report in [Sim.Run.t]. *)
 let validation_cell = ref false
 let set_validation v = validation_cell := v
-let validation () = !validation_cell
 
 (* Run-health series: same switch pattern again.  When on, every
    simulation computed into the run cache feeds a bounded sampler that
@@ -156,10 +161,9 @@ let validation () = !validation_cell
 let series_cell = ref false
 let set_series v = series_cell := v
 
-let simulate ~policy_key ~policy ~r_star profile load =
+let simulate_scenario ~policy_key ~policy ~r_star scenario =
   let key =
-    Printf.sprintf "%s/%s/%s/%s" profile.Workload.Month_profile.label
-      (load_label load)
+    Printf.sprintf "%s/%s/%s" scenario.key
       (Sim.Engine.r_star_name r_star)
       policy_key
   in
@@ -193,11 +197,14 @@ let simulate ~policy_key ~policy ~r_star profile load =
         in
         let run =
           Sim.Run.simulate ?observe ?validate ~r_star ~policy
-            (trace profile load)
+            (scenario_trace scenario)
         in
         { run; log; series })
   in
   entry.run
+
+let simulate ~policy_key ~policy ~r_star profile load =
+  simulate_scenario ~policy_key ~policy ~r_star (month profile load)
 
 (* Cache entries carrying the optional artifact [field], sorted by key. *)
 let cached field =

@@ -8,7 +8,7 @@
     - [REPRO_SEED]   — generator seed (default 42).
 
     Traces and simulation runs are memoized per process so that every
-    figure sharing a (month, load, policy, estimator) combination pays
+    figure sharing a (scenario, policy, estimator) combination pays
     for it once.  The memo tables are domain-safe and compute-once
     ([Simcore.Memo]): concurrent requests for one key force the policy
     thunk and run the simulation exactly once, everyone else blocks on
@@ -47,13 +47,14 @@ val pool : unit -> Simcore.Pool.t
 val shutdown_pool : unit -> unit
 (** Join the pool's worker domains (recreated on next [pool ()]). *)
 
-val par_iter : ('a -> unit) -> 'a list -> unit
 val par_map : ('a -> 'b) -> 'a list -> 'b list
-(** Run over the shared pool; [par_map] preserves input order. *)
+(** Map over the shared pool, preserving input order.  For work that
+    simulates nothing (e.g. the anytime search grid); simulations go
+    through {!simulate_scenario} so the run-cache switches see them. *)
 
 val prefetch : (unit -> unit) list -> unit
 (** Execute a plan — the enumerated run set of a figure — through the
-    pool.  Thunks typically force [trace]/[simulate] cache entries;
+    pool.  Thunks typically force {!simulate_scenario} cache entries;
     the compute-once tables absorb duplicates between overlapping
     plans. *)
 
@@ -80,7 +81,6 @@ val reset_caches : unit -> unit
     [reset_caches]) — already-cached runs stay untraced. *)
 
 val set_tracing : bool -> unit
-val tracing : unit -> bool
 
 val traced_runs : unit -> (string * Sim.Decision_log.t) list
 (** Cached runs that carry a decision log, sorted by cache key. *)
@@ -102,7 +102,6 @@ val chrome_trace_document : unit -> string
     {!Sim.Run.t}.  Flip the switch {e before} warming the cache. *)
 
 val set_validation : bool -> unit
-val validation : unit -> bool
 
 val validation_reports : unit -> (string * Schedcheck.Report.t) list
 (** Cached runs that carry a validation report, sorted by cache key. *)
@@ -124,8 +123,41 @@ val series_runs : unit -> (string * Sim.Series.t) list
 val pp_series : Format.formatter -> unit
 (** JSONL ([run_series/1]) of every sampled cached run. *)
 
+(** {2 Scenarios and the run cache}
+
+    Every experiment simulation goes through {!simulate_scenario}, so
+    the tracing, validation and series switches above cover all of
+    them.  A run's cache key is
+    [<scenario key>/<estimator>/<policy_key>]. *)
+
+type scenario = { key : string; build : unit -> Workload.Trace.t }
+(** A trace key and the builder of its trace.  Keys have the shape
+    [<a>/<b>/<load>]: [7/03/rho=0.90] for a month,
+    [9/03+seed=1001/rho=0.90] or [model/seed=1/rho=0.85] for other
+    workloads. *)
+
+val scenario_trace : scenario -> Workload.Trace.t
+(** The trace memoized under the scenario's key; [build] runs on the
+    first request only. *)
+
+val simulate_scenario :
+  policy_key:string ->
+  policy:(unit -> Sched.Policy.t) ->
+  r_star:Sim.Engine.r_star ->
+  scenario ->
+  Sim.Run.t
+(** Memoized simulation of the scenario's trace.  [policy_key] must
+    uniquely identify the policy configuration; [policy] is forced
+    only on a cache miss. *)
+
+val month_trace :
+  seed:int -> Workload.Month_profile.t -> load -> Workload.Trace.t
+(** Generate the month at generator seed [seed] and the [REPRO_SCALE]
+    scale, load-scaled for [Rho r]; not memoized. *)
+
 val trace : Workload.Month_profile.t -> load -> Workload.Trace.t
-(** Generated (and, for [Rho r], load-scaled) trace; memoized. *)
+(** The month's trace at the [REPRO_SEED], keyed [<label>/<load>];
+    memoized. *)
 
 val simulate :
   policy_key:string ->
@@ -134,8 +166,7 @@ val simulate :
   Workload.Month_profile.t ->
   load ->
   Sim.Run.t
-(** Memoized simulation.  [policy_key] must uniquely identify the
-    policy configuration; [policy] is forced only on a cache miss. *)
+(** {!simulate_scenario} on the month's trace ({!trace}). *)
 
 val fcfs_run :
   r_star:Sim.Engine.r_star -> Workload.Month_profile.t -> load -> Sim.Run.t

@@ -1,6 +1,6 @@
 open Simcore
 
-let synthetic_state ?(n_waiting = 30) ?backtrack ~seed () =
+let synthetic_state ?(n_waiting = 30) ~seed () =
   let rng = Rng.create ~seed in
   let now = Units.days 100.0 in
   let capacity = 128 in
@@ -36,29 +36,32 @@ let synthetic_state ?(n_waiting = 30) ?backtrack ~seed () =
   let thresholds =
     Core.Bound.thresholds Core.Bound.dynamic ~now ~r_star ordered
   in
-  Core.Search_state.create ?backtrack ~now ~profile ~jobs:ordered ~durations
+  Core.Search_state.create ~now ~profile ~jobs:ordered ~durations
     ~thresholds ()
 
 let monotonic_s = Simcore.Clock.monotonic_s
 
-let time_one ?n_waiting ?backtrack ~budget ~seed () =
-  let state = synthetic_state ?n_waiting ?backtrack ~seed () in
+let time_one ?n_waiting ~budget ~seed () =
+  let state = synthetic_state ?n_waiting ~seed () in
   let t0 = monotonic_s () in
   let result = Core.Search.run Core.Search.Dds ~budget state in
   let elapsed = monotonic_s () -. t0 in
   (elapsed, result.Core.Search.nodes_visited)
 
-let nodes_per_ms ?n_waiting ?backtrack ?(repeats = 20) ~budget () =
+(* Total seconds and nodes over [repeats] independently seeded states. *)
+let measure ?n_waiting ~repeats ~budget () =
   let total_time = ref 0.0 in
   let total_nodes = ref 0 in
   for i = 1 to repeats do
-    let elapsed, nodes =
-      time_one ?n_waiting ?backtrack ~budget ~seed:(1000 + i) ()
-    in
+    let elapsed, nodes = time_one ?n_waiting ~budget ~seed:(1000 + i) () in
     total_time := !total_time +. elapsed;
     total_nodes := !total_nodes + nodes
   done;
-  float_of_int !total_nodes /. Float.max (1000.0 *. !total_time) 1e-9
+  (!total_time, !total_nodes)
+
+let nodes_per_ms ?n_waiting ?(repeats = 20) ~budget () =
+  let time, nodes = measure ?n_waiting ~repeats ~budget () in
+  float_of_int nodes /. Float.max (1000.0 *. time) 1e-9
 
 let run fmt =
   Common.section fmt ~id:"overhead"
@@ -68,15 +71,9 @@ let run fmt =
   List.iter
     (fun budget ->
       let repeats = 20 in
-      let total_time = ref 0.0 in
-      let total_nodes = ref 0 in
-      for i = 1 to repeats do
-        let elapsed, nodes = time_one ~budget ~seed:(1000 + i) () in
-        total_time := !total_time +. elapsed;
-        total_nodes := !total_nodes + nodes
-      done;
-      let ms = 1000.0 *. !total_time /. float_of_int repeats in
-      let nodes = float_of_int !total_nodes /. float_of_int repeats in
+      let time, nodes = measure ~repeats ~budget () in
+      let ms = 1000.0 *. time /. float_of_int repeats in
+      let nodes = float_of_int nodes /. float_of_int repeats in
       Format.fprintf fmt "%-10d %12.0f %14.3f %14.0f@." budget nodes ms
         (nodes /. Float.max ms 1e-9))
     [ 1000; 2000; 4000; 8000 ]

@@ -5,19 +5,15 @@
 
 val synthetic_state :
   ?n_waiting:int ->
-  ?backtrack:Core.Search_state.backtrack ->
   seed:int ->
   unit ->
   Core.Search_state.t
 (** A fresh decision-point state with [n_waiting] queued jobs (default
-    30) over a realistically loaded 128-node machine.  [backtrack]
-    selects the profile backtracking strategy (default
-    {!Core.Search_state.Trail}).  Each call returns an independent
-    state (search consumes it). *)
+    30) over a realistically loaded 128-node machine.  Each call
+    returns an independent state (search consumes it). *)
 
 val nodes_per_ms :
   ?n_waiting:int ->
-  ?backtrack:Core.Search_state.backtrack ->
   ?repeats:int ->
   budget:int ->
   unit ->

@@ -15,15 +15,7 @@ let table fmt ~title ~months ~policies ~value =
         (fun m -> Format.fprintf fmt " %8.2f" (value m (runner m)))
         months;
       Format.pp_print_newline fmt ())
-    policies;
-  if Chart.enabled () then
-    Chart.grouped_bars fmt ~title
-      ~groups:(List.map (fun m -> m.Workload.Month_profile.label) months)
-      ~series:
-        (List.map
-           (fun (name, runner) ->
-             (name, List.map (fun m -> value m (runner m)) months))
-           policies)
+    policies
 
 let avg_wait_hours _ (run : Sim.Run.t) =
   Metrics.Aggregate.avg_wait_hours run.Sim.Run.aggregate

@@ -1,79 +1,34 @@
 let days = 14.0
 
 let scenario ~seed ~rho =
-  let base = Workload.Model.generate ~seed ~days () in
-  Workload.Trace.scale_load base ~capacity:128 ~target:rho
-
-(* (name, fresh policy instance) — search policies carry per-run
-   mutable state, so each simulation must force its own. *)
-let policies =
-  [
-    ("FCFS-backfill", fun () -> Sched.Backfill.fcfs);
-    ("LXF-backfill", fun () -> Sched.Backfill.lxf);
-    ( "DDS/lxf/dynB",
-      fun () ->
-        fst
-          (Core.Search_policy.policy
-             (Core.Search_policy.dds_lxf_dynb ~budget:1000)) );
-  ]
+  {
+    Common.key =
+      Printf.sprintf "model/seed=%d/%s" seed (Common.load_label (Rho rho));
+    build =
+      (fun () ->
+        Workload.Trace.scale_load
+          (Workload.Model.generate ~seed ~days ())
+          ~capacity:128 ~target:rho);
+  }
 
 let run fmt =
   Common.section fmt ~id:"robustness"
     "Headline relationships on an uncalibrated parametric workload model";
   let scenarios =
-    [ ("seed=1 rho=0.85", (1, 0.85));
-      ("seed=2 rho=0.90", (2, 0.90));
-      ("seed=3 rho=0.95", (3, 0.95)) ]
+    [ ("seed=1 rho=0.85", scenario ~seed:1 ~rho:0.85);
+      ("seed=2 rho=0.90", scenario ~seed:2 ~rho:0.90);
+      ("seed=3 rho=0.95", scenario ~seed:3 ~rho:0.95) ]
   in
-  (* plan: generate the scenario traces, then every (scenario, policy)
-     run, through the pool; formatting reads the results in order *)
-  let traces =
-    Common.par_map
-      (fun (label, (seed, rho)) -> (label, scenario ~seed ~rho))
-      scenarios
-  in
-  let results =
-    Common.par_map
-      (fun ((label, trace), (name, make_policy)) ->
-        ( label,
-          (name, Sim.Run.simulate ~r_star:Sim.Engine.Actual
-                   ~policy:(make_policy ()) trace) ))
-      (List.concat_map
-         (fun scenario -> List.map (fun p -> (scenario, p)) policies)
-         traces)
-  in
+  Headline.prefetch (List.map snd scenarios);
   List.iter
-    (fun (label, trace) ->
+    (fun (label, s) ->
       Format.fprintf fmt "@.--- %s: %s ---@." label
-        (Workload.Trace.concat_stats trace);
-      let runs = List.filter_map
-          (fun (l, r) -> if String.equal l label then Some r else None)
-          results
-      in
-      let agg name = (List.assoc name runs).Sim.Run.aggregate in
-      Format.fprintf fmt "%-16s %9s %9s %9s@." "policy" "avgW(h)" "maxW(h)"
-        "avgBsld";
+        (Workload.Trace.concat_stats (Common.scenario_trace s));
+      let runs = Headline.runs s in
+      Headline.pp_table fmt runs;
       List.iter
-        (fun (name, run) ->
-          let a = run.Sim.Run.aggregate in
-          Format.fprintf fmt "%-16s %9.2f %9.2f %9.1f@." name
-            (Metrics.Aggregate.avg_wait_hours a)
-            (Metrics.Aggregate.max_wait_hours a)
-            a.Metrics.Aggregate.avg_bounded_slowdown)
-        runs;
-      let fcfs = agg "FCFS-backfill"
-      and lxf = agg "LXF-backfill"
-      and dds = agg "DDS/lxf/dynB" in
-      let check label ok =
-        Format.fprintf fmt "[%s] %s@." (if ok then "PASS" else "FAIL") label
-      in
-      check "LXF slowdown < FCFS slowdown"
-        (lxf.Metrics.Aggregate.avg_bounded_slowdown
-        < fcfs.Metrics.Aggregate.avg_bounded_slowdown);
-      check "DDS max wait <= 1.15 x FCFS max wait"
-        (dds.Metrics.Aggregate.max_wait
-        <= 1.15 *. fcfs.Metrics.Aggregate.max_wait);
-      check "DDS slowdown < FCFS slowdown"
-        (dds.Metrics.Aggregate.avg_bounded_slowdown
-        < fcfs.Metrics.Aggregate.avg_bounded_slowdown))
-    traces
+        (fun (relation, ok) ->
+          Format.fprintf fmt "[%s] %s@." (if ok then "PASS" else "FAIL")
+            relation)
+        (Headline.relations runs))
+    scenarios

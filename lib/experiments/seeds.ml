@@ -1,80 +1,28 @@
 let month_label = "9/03"
 let seeds = [ 42; 1001; 2002; 3003 ]
 
-let trace_for seed =
+let scenario seed =
   let profile = Workload.Month_profile.find month_label in
-  let config =
-    { Workload.Generator.default_config with
-      seed;
-      scale = Common.scale ();
-    }
-  in
-  let base = Workload.Generator.month ~config profile in
-  Workload.Trace.scale_load base ~capacity:Workload.Month_profile.capacity
-    ~target:0.9
+  let load = Common.Rho 0.9 in
+  {
+    Common.key =
+      Printf.sprintf "%s+seed=%d/%s" month_label seed (Common.load_label load);
+    build = (fun () -> Common.month_trace ~seed profile load);
+  }
 
 let run fmt =
   Common.section fmt ~id:"seeds"
     (Printf.sprintf
        "Seed sensitivity: month %s at rho=0.9 across generator seeds"
        month_label);
-  let policies =
-    [
-      ("FCFS-backfill", fun () -> Sched.Backfill.fcfs);
-      ("LXF-backfill", fun () -> Sched.Backfill.lxf);
-      ( "DDS/lxf/dynB",
-        fun () ->
-          fst
-            (Core.Search_policy.policy
-               (Core.Search_policy.dds_lxf_dynb ~budget:1000)) );
-    ]
-  in
-  (* plan: traces per seed, then every (seed, policy) run, via the pool *)
-  let traces =
-    Common.par_map (fun seed -> (seed, trace_for seed)) seeds
-  in
-  let results =
-    Common.par_map
-      (fun ((seed, trace), (name, make)) ->
-        ( seed,
-          ( name,
-            Sim.Run.simulate ~r_star:Sim.Engine.Actual ~policy:(make ())
-              trace ) ))
-      (List.concat_map
-         (fun st -> List.map (fun p -> (st, p)) policies)
-         traces)
-  in
+  Headline.prefetch (List.map scenario seeds);
   let all_pass = ref true in
   List.iter
     (fun seed ->
-      let runs =
-        List.filter_map
-          (fun (s, r) -> if s = seed then Some r else None)
-          results
-      in
+      let runs = Headline.runs (scenario seed) in
       Format.fprintf fmt "@.seed %d:@." seed;
-      Format.fprintf fmt "%-16s %9s %9s %9s@." "policy" "avgW(h)" "maxW(h)"
-        "avgBsld";
-      List.iter
-        (fun (name, run) ->
-          let a = run.Sim.Run.aggregate in
-          Format.fprintf fmt "%-16s %9.2f %9.2f %9.1f@." name
-            (Metrics.Aggregate.avg_wait_hours a)
-            (Metrics.Aggregate.max_wait_hours a)
-            a.Metrics.Aggregate.avg_bounded_slowdown)
-        runs;
-      let agg name = (List.assoc name runs).Sim.Run.aggregate in
-      let fcfs = agg "FCFS-backfill"
-      and lxf = agg "LXF-backfill"
-      and dds = agg "DDS/lxf/dynB" in
-      let stable =
-        lxf.Metrics.Aggregate.avg_bounded_slowdown
-          < fcfs.Metrics.Aggregate.avg_bounded_slowdown
-        && dds.Metrics.Aggregate.max_wait
-           <= 1.15 *. fcfs.Metrics.Aggregate.max_wait
-        && dds.Metrics.Aggregate.avg_bounded_slowdown
-           < fcfs.Metrics.Aggregate.avg_bounded_slowdown
-      in
+      Headline.pp_table fmt runs;
+      let stable = List.for_all snd (Headline.relations runs) in
       if not stable then all_pass := false;
       Format.fprintf fmt "[%s] headline ordering holds for seed %d@."
         (if stable then "PASS" else "FAIL")

@@ -229,8 +229,7 @@ let prop_backfill_matches_reference =
 
 (* --- differential oracle: search vs exhaustive enumeration --- *)
 
-let make_state ?(backtrack = Core.Search_state.Trail) ~releases ~heuristic
-    jobs =
+let make_state ~releases ~heuristic jobs =
   let now = 1100.0 in
   let profile = Cluster.Profile.of_running ~now ~capacity:8 releases in
   let ordered = Core.Branching.order heuristic ~now ~r_star jobs in
@@ -238,7 +237,7 @@ let make_state ?(backtrack = Core.Search_state.Trail) ~releases ~heuristic
   let thresholds =
     Core.Bound.thresholds (Core.Bound.fixed_hours 0.5) ~now ~r_star ordered
   in
-  Core.Search_state.create ~backtrack ~now ~profile ~jobs:ordered ~durations
+  Core.Search_state.create ~now ~profile ~jobs:ordered ~durations
     ~thresholds ()
 
 let random_queue rng =

@@ -160,6 +160,40 @@ let test_bucket_bounds () =
   Alcotest.(check (float 1e-9)) "long top = limit" limit hi2;
   Alcotest.(check bool) "short low positive" true (lo0 > 0.0)
 
+(* --- calibration regression across every month --- *)
+
+let test_all_months_calibrated () =
+  Array.iter
+    (fun profile ->
+      let config = { Generator.default_config with scale = 0.3; seed = 99 } in
+      let trace = Generator.month ~config profile in
+      let mix = Mix_report.of_trace ~capacity:Month_profile.capacity trace in
+      let label = profile.Month_profile.label in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s load %.2f ~ %.2f" label mix.Mix_report.load
+           profile.Month_profile.load)
+        true
+        (Float.abs (mix.Mix_report.load -. profile.Month_profile.load) < 0.03);
+      let norm arr =
+        let s = Array.fold_left ( +. ) 0.0 arr in
+        Array.map (fun v -> 100.0 *. v /. s) arr
+      in
+      let jobs_diff =
+        Mix_report.max_abs_diff mix.Mix_report.jobs8
+          (norm profile.Month_profile.jobs8)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s job mix off by %.1f pts" label jobs_diff)
+        true (jobs_diff < 6.0);
+      let short_diff =
+        Mix_report.max_abs_diff mix.Mix_report.short5
+          profile.Month_profile.short5
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s short shares off by %.1f pts" label short_diff)
+        true (short_diff < 6.0))
+    Month_profile.all
+
 let suite =
   [
     Alcotest.test_case "deterministic in seed" `Quick test_deterministic;
@@ -176,4 +210,6 @@ let suite =
       test_arrival_times_ordered_and_bounded;
     Alcotest.test_case "draw_nodes ranges" `Quick test_draw_nodes_in_range;
     Alcotest.test_case "bucket bounds" `Quick test_bucket_bounds;
+    Alcotest.test_case "all months calibrated" `Slow
+      test_all_months_calibrated;
   ]

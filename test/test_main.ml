@@ -10,7 +10,6 @@ let () =
       ("workload.generator", Test_generator.suite);
       ("workload.model", Test_model.suite);
       ("workload.arrivals", Test_arrival_stats.suite);
-      ("workload.slice", Test_slice.suite);
       ("cluster.profile", Test_profile.suite);
       ("cluster.misc", Test_cluster_misc.suite);
       ("metrics", Test_metrics.suite);

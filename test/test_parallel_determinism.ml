@@ -47,8 +47,45 @@ let test_fig3_fig6_jobs_invariant () =
             (String.length seq > 0);
           Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" seq par))
 
+(* The seeds experiment simulates through Common's run cache like every
+   figure does, so the validation switch covers its twelve runs (four
+   generator seeds x three policies) without changing a byte of its
+   output. *)
+let test_seeds_validated () =
+  with_env
+    [ ("REPRO_SCALE", "0.05") ]
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Experiments.Common.set_validation false;
+          Experiments.Common.reset_caches ())
+        (fun () ->
+          Experiments.Common.set_validation false;
+          Experiments.Common.reset_caches ();
+          let plain = render [ Experiments.Seeds.run ] in
+          Experiments.Common.set_validation true;
+          Experiments.Common.reset_caches ();
+          let validated = render [ Experiments.Seeds.run ] in
+          let reports = Experiments.Common.validation_reports () in
+          Alcotest.(check int) "12 validated runs" 12 (List.length reports);
+          Alcotest.(check bool) "all clean" true
+            (List.for_all (fun (_, r) -> Schedcheck.Report.ok r) reports);
+          let trace_key key =
+            match String.split_on_char '/' key with
+            | a :: b :: load :: _ -> String.concat "/" [ a; b; load ]
+            | _ -> key
+          in
+          Alcotest.(check (list string)) "4 trace keys"
+            [ "9/03+seed=1001/rho=0.90"; "9/03+seed=2002/rho=0.90";
+              "9/03+seed=3003/rho=0.90"; "9/03+seed=42/rho=0.90" ]
+            (List.sort_uniq compare
+               (List.map (fun (key, _) -> trace_key key) reports));
+          Alcotest.(check string) "output unchanged by validation" plain
+            validated))
+
 let suite =
   [
     Alcotest.test_case "fig3+fig6 output independent of REPRO_JOBS" `Quick
       test_fig3_fig6_jobs_invariant;
+    Alcotest.test_case "seeds runs are validated" `Quick test_seeds_validated;
   ]

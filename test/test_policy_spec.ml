@@ -53,49 +53,6 @@ let test_known_all_parse () =
       | Error e -> Alcotest.failf "known spec %S failed: %s" spec e)
     Experiments.Policy_spec.known
 
-let test_chart_rendering () =
-  let buffer = Buffer.create 256 in
-  let fmt = Format.formatter_of_buffer buffer in
-  Experiments.Chart.grouped_bars fmt ~title:"demo" ~groups:[ "a"; "b" ]
-    ~series:[ ("p1", [ 1.0; 2.0 ]); ("p2", [ 0.0; 4.0 ]) ];
-  Format.pp_print_flush fmt ();
-  let out = Buffer.contents buffer in
-  Alcotest.(check bool) "title shown" true (Helpers.contains out "demo");
-  Alcotest.(check bool) "group label shown" true (Helpers.contains out "a");
-  Alcotest.(check bool) "bars drawn" true (Helpers.contains out "####");
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument
-       "Chart.grouped_bars: series \"p1\" has 1 values for 2 groups")
-    (fun () ->
-      Experiments.Chart.grouped_bars fmt ~title:"x" ~groups:[ "a"; "b" ]
-        ~series:[ ("p1", [ 1.0 ]) ])
-
-let test_chart_enabled_env () =
-  let with_env value f =
-    let old = Sys.getenv_opt "REPRO_BARS" in
-    Unix.putenv "REPRO_BARS" value;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "REPRO_BARS" (Option.value old ~default:""))
-      f
-  in
-  with_env "1" (fun () ->
-      Alcotest.(check bool) "1 enables" true (Experiments.Chart.enabled ()));
-  with_env "yes" (fun () ->
-      Alcotest.(check bool) "yes enables" true (Experiments.Chart.enabled ()));
-  with_env "0" (fun () ->
-      Alcotest.(check bool) "0 disables" false (Experiments.Chart.enabled ()));
-  with_env "" (fun () ->
-      Alcotest.(check bool) "empty disables" false (Experiments.Chart.enabled ()))
-
-let test_chart_all_zero () =
-  let buffer = Buffer.create 64 in
-  let fmt = Format.formatter_of_buffer buffer in
-  Experiments.Chart.grouped_bars fmt ~title:"zeros" ~groups:[ "a" ]
-    ~series:[ ("p", [ 0.0 ]) ];
-  Format.pp_print_flush fmt ();
-  Alcotest.(check bool) "degenerate message" true
-    (Helpers.contains (Buffer.contents buffer) "all values zero")
-
 let test_common_load_labels () =
   Alcotest.(check string) "original" "original"
     (Experiments.Common.load_label Experiments.Common.Original);
@@ -139,9 +96,6 @@ let suite =
     Alcotest.test_case "search specs" `Quick test_search_specs;
     Alcotest.test_case "bad specs rejected" `Quick test_bad_specs;
     Alcotest.test_case "all known specs parse" `Quick test_known_all_parse;
-    Alcotest.test_case "chart rendering" `Quick test_chart_rendering;
-    Alcotest.test_case "chart enabled env" `Quick test_chart_enabled_env;
-    Alcotest.test_case "chart all zero" `Quick test_chart_all_zero;
     Alcotest.test_case "load labels" `Quick test_common_load_labels;
     Alcotest.test_case "months default" `Quick test_common_months_default;
     Alcotest.test_case "memoization" `Slow test_common_memoization;

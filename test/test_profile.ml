@@ -79,16 +79,7 @@ let test_copy_independent () =
   let p = Profile.create ~now:0.0 ~capacity:10 in
   let q = Profile.copy p in
   Profile.reserve p ~at:0.0 ~nodes:5 ~duration:100.0;
-  Alcotest.(check int) "copy untouched" 10 (Profile.free_at q 0.0);
-  Profile.copy_into ~src:p ~dst:q;
-  Alcotest.(check int) "copy_into restores" 5 (Profile.free_at q 0.0)
-
-let test_copy_into_capacity_mismatch () =
-  let p = Profile.create ~now:0.0 ~capacity:10 in
-  let q = Profile.create ~now:0.0 ~capacity:16 in
-  Alcotest.check_raises "capacity mismatch"
-    (Invalid_argument "Profile.copy_into: capacity mismatch") (fun () ->
-      Profile.copy_into ~src:p ~dst:q)
+  Alcotest.(check int) "copy untouched" 10 (Profile.free_at q 0.0)
 
 (* --- trail-based backtracking --- *)
 
@@ -163,18 +154,6 @@ let test_trail_invalid_mark () =
   let m1 = Profile.mark p in
   Profile.undo_to p m0;
   Alcotest.check_raises "mark already undone past"
-    (Invalid_argument "Profile.undo_to: mark not on the current trail")
-    (fun () -> Profile.undo_to p m1)
-
-let test_copy_into_clears_trail () =
-  let p = Profile.create ~now:0.0 ~capacity:10 in
-  let q = Profile.create ~now:0.0 ~capacity:10 in
-  let _m0 = Profile.mark p in
-  Profile.reserve p ~at:0.0 ~nodes:2 ~duration:10.0;
-  let m1 = Profile.mark p in
-  Profile.copy_into ~src:q ~dst:p;
-  Alcotest.(check int) "trail cleared" 0 (Profile.trail_length p);
-  Alcotest.check_raises "stale mark rejected"
     (Invalid_argument "Profile.undo_to: mark not on the current trail")
     (fun () -> Profile.undo_to p m1)
 
@@ -386,8 +365,6 @@ let suite =
     Alcotest.test_case "reserve validates" `Quick test_reserve_insufficient;
     Alcotest.test_case "fits_at" `Quick test_fits_at;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
-    Alcotest.test_case "copy_into mismatch" `Quick
-      test_copy_into_capacity_mismatch;
     Alcotest.test_case "trail undo restores" `Quick test_trail_undo_restores;
     Alcotest.test_case "trail finish past last boundary" `Quick
       test_trail_finish_past_last_boundary;
@@ -396,8 +373,6 @@ let suite =
       test_trail_merge_both_ends;
     Alcotest.test_case "trail nested marks" `Quick test_trail_nested_marks;
     Alcotest.test_case "trail invalid mark" `Quick test_trail_invalid_mark;
-    Alcotest.test_case "copy_into clears trail" `Quick
-      test_copy_into_clears_trail;
     Alcotest.test_case "place_earliest = two-step" `Quick
       test_place_earliest_matches_two_step;
     QCheck_alcotest.to_alcotest prop_invariant_under_reserves;

@@ -6,12 +6,12 @@ let r_star (j : Workload.Job.t) = j.runtime
 
 (* Build a search state over an empty or partially busy machine. *)
 let make_state ?(now = 0.0) ?(capacity = 8) ?(releases = [])
-    ?(bound = Bound.fixed_hours 1e6) ?backtrack ?on_place ~heuristic jobs =
+    ?(bound = Bound.fixed_hours 1e6) ?on_place ~heuristic jobs =
   let profile = Cluster.Profile.of_running ~now ~capacity releases in
   let ordered = Branching.order heuristic ~now ~r_star jobs in
   let durations = Array.map r_star ordered in
   let thresholds = Bound.thresholds bound ~now ~r_star ordered in
-  Search_state.create ?backtrack ?on_place ~now ~profile ~jobs:ordered
+  Search_state.create ?on_place ~now ~profile ~jobs:ordered
     ~durations ~thresholds ()
 
 (* Brute force: evaluate every permutation with a fresh state. *)
@@ -189,24 +189,15 @@ let prop_prune_preserves_best =
       Objective.compare plain.Search.best pruned.Search.best = 0
       && pruned.Search.nodes_visited <= plain.Search.nodes_visited)
 
-(* --- trail vs snapshot equivalence --- *)
+(* --- trail vs snapshot replay --- *)
 
-(* Both backtracking strategies must be observationally identical: the
-   same node sequence (depth, job, start triples, recorded through the
-   [on_place] hook) and the same result record, for every algorithm
-   and branching heuristic, exhaustive (n <= 5) or budget-truncated. *)
-let run_instrumented ~algo ~heuristic ~backtrack ~budget ~releases jobs =
-  let visits = ref [] in
-  let state =
-    make_state ~now:1100.0 ~releases ~bound:(Bound.fixed_hours 0.5) ~backtrack
-      ~on_place:(fun ~depth ~job ~start ->
-        visits := (depth, job, start) :: !visits)
-      ~heuristic jobs
-  in
-  let result = Search.run algo ~budget state in
-  (result, List.rev !visits)
-
-let strategies_equivalent seed =
+(* Independent oracle for the trail: every placement the search makes
+   (recorded through the [on_place] hook) must start exactly where a
+   fresh copy of the base profile, with the current path prefix
+   replayed by [earliest_start] + [reserve], says the job can start.
+   Covers every algorithm and branching heuristic, exhaustive (n <= 5)
+   or budget-truncated. *)
+let trail_matches_snapshot_replay seed =
   let rng = Simcore.Rng.create ~seed in
   let n = 1 + Simcore.Rng.int rng 12 in
   let jobs = random_jobs rng n in
@@ -214,26 +205,43 @@ let strategies_equivalent seed =
   let budget =
     if n <= 5 then max_int else 200 + Simcore.Rng.int rng 1800
   in
+  let now = 1100.0 in
+  let base = Cluster.Profile.of_running ~now ~capacity:8 releases in
   List.for_all
     (fun algo ->
       List.for_all
         (fun heuristic ->
-          let rt, vt =
-            run_instrumented ~algo ~heuristic
-              ~backtrack:Search_state.Trail ~budget ~releases jobs
+          let ordered = Branching.order heuristic ~now ~r_star jobs in
+          let shape i =
+            (ordered.(i).Workload.Job.nodes, Float.max 1.0 (r_star ordered.(i)))
           in
-          let rs, vs =
-            run_instrumented ~algo ~heuristic
-              ~backtrack:Search_state.Snapshot ~budget ~releases jobs
+          let path = Array.make n (-1) in
+          let agreed = ref true in
+          let on_place ~depth ~job ~start =
+            path.(depth) <- job;
+            let p = Cluster.Profile.copy base in
+            for d = 0 to depth - 1 do
+              let nodes, duration = shape path.(d) in
+              let at = Cluster.Profile.earliest_start p ~nodes ~duration in
+              Cluster.Profile.reserve p ~at ~nodes ~duration
+            done;
+            let nodes, duration = shape job in
+            if Cluster.Profile.earliest_start p ~nodes ~duration <> start then
+              agreed := false
           in
-          vt = vs && rt = rs)
+          let state =
+            make_state ~now ~releases ~bound:(Bound.fixed_hours 0.5) ~on_place
+              ~heuristic jobs
+          in
+          ignore (Search.run algo ~budget state);
+          !agreed)
         [ Branching.Fcfs; Branching.Lxf ])
     [ Search.Dfs; Search.Lds; Search.Lds_original; Search.Dds ]
 
 let prop_trail_snapshot_equivalent =
   QCheck.Test.make
     ~name:"trail = snapshot (4 algorithms x 2 heuristics, n <= 12)"
-    ~count:40 QCheck.small_int strategies_equivalent
+    ~count:40 QCheck.small_int trail_matches_snapshot_replay
 
 let test_reset_after_budget_spent () =
   (* A budget abort unwinds through Budget_spent and Search.run resets
