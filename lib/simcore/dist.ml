@@ -19,22 +19,28 @@ let normal rng ~mean ~stddev =
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mean:mu ~stddev:sigma)
 
+(* Loops over local float refs rather than a fold and a recursive scan,
+   so that neither the sum nor the running total is boxed per weight. *)
 let categorical rng ~weights =
-  let total = Array.fold_left (fun acc w ->
-      if w < 0.0 then invalid_arg "Dist.categorical: negative weight";
-      acc +. w)
-      0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Dist.categorical: all weights zero";
-  let target = Rng.float rng total in
   let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = weights.(i) in
+    if w < 0.0 then invalid_arg "Dist.categorical: negative weight";
+    total := !total +. w
+  done;
+  if !total <= 0.0 then invalid_arg "Dist.categorical: all weights zero";
+  let target = Rng.float rng !total in
+  let chosen = ref (n - 1) and acc = ref 0.0 and i = ref 0 in
+  while !i < n - 1 do
+    acc := !acc +. weights.(!i);
+    if target < !acc then begin
+      chosen := !i;
+      i := n
+    end
+    else incr i
+  done;
+  !chosen
 
 let bernoulli rng ~p =
   let p = Float.max 0.0 (Float.min 1.0 p) in

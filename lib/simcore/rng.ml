@@ -1,4 +1,6 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer, not a mutable [int64] field, so
+   advancing it stores the new value in place of boxing it. *)
+type t = Bytes.t
 
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators", OOPSLA 2014.  Chosen for trivial state, good statistical
@@ -13,17 +15,20 @@ let mix z =
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
+
+let create ~seed = of_state (mix (Int64.of_int seed))
 
 let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
-let split t =
-  let seed = bits64 t in
-  { state = mix seed }
-
-let copy t = { state = t.state }
+let split t = of_state (mix (bits64 t))
+let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -4,25 +4,24 @@ type params = { p_exact : float; p_small : float }
 
 let default = { p_exact = 0.2; p_small = 0.25 }
 
-let grid ~limit =
+(* Round request values, ascending.  A list, not a float array, so that
+   [round_up] returns an element without boxing it. *)
+let base =
   let open Units in
-  let base =
-    [ minutes 5.0; minutes 10.0; minutes 15.0; minutes 30.0;
-      hour; hours 2.0; hours 3.0; hours 4.0; hours 6.0; hours 8.0;
-      hours 10.0; hours 12.0; hours 16.0; hours 20.0; hours 24.0;
-      hours 36.0; hours 48.0 ]
-  in
-  let below = List.filter (fun v -> v < limit) base in
-  Array.of_list (below @ [ limit ])
+  [ minutes 5.0; minutes 10.0; minutes 15.0; minutes 30.0;
+    hour; hours 2.0; hours 3.0; hours 4.0; hours 6.0; hours 8.0;
+    hours 10.0; hours 12.0; hours 16.0; hours 20.0; hours 24.0;
+    hours 36.0; hours 48.0 ]
 
-let round_up ~limit r =
-  let g = grid ~limit in
-  let rec scan i =
-    if i >= Array.length g then limit
-    else if g.(i) >= r then g.(i)
-    else scan (i + 1)
-  in
-  scan 0
+let grid ~limit =
+  Array.of_list (List.filter (fun v -> v < limit) base @ [ limit ])
+
+let rec first_at_least ~limit r = function
+  | b :: rest when b < limit ->
+      if b >= r then b else first_at_least ~limit r rest
+  | _ -> limit
+
+let round_up ~limit r = first_at_least ~limit r base
 
 let draw ?(params = default) rng ~limit ~runtime =
   let u = Rng.unit_float rng in

@@ -30,7 +30,8 @@ val grid : limit:float -> float array
 
 val round_up : limit:float -> float -> float
 (** [round_up ~limit r] is the smallest grid value >= [r], capped at
-    [limit]. *)
+    [limit].  It scans the static round values in place of building
+    [grid ~limit], and allocates nothing. *)
 
 val draw : ?params:params -> Simcore.Rng.t -> limit:float -> runtime:float -> float
 (** [draw rng ~limit ~runtime] samples a requested runtime for a job

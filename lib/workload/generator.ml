@@ -56,7 +56,9 @@ let arrival_times rng ~origin ~span ~count =
     let times =
       Array.init count (fun _ -> origin +. invert (Rng.float rng total))
     in
-    Array.sort Float.compare times;
+    (* a merge sort beats [Array.sort]'s heap sort here, and floats
+       that compare equal are interchangeable *)
+    Array.stable_sort Float.compare times;
     times
   end
 
@@ -105,41 +107,59 @@ let draw_runtime rng ~limit bucket =
 (* ------------------------------------------------------------------ *)
 (* Demand calibration                                                  *)
 
-type proto = {
-  submit : float;
-  nodes : int;
-  range : int;
-  bucket : int;
-  mutable runtime : float;
+(* Every job's shape before calibration, one array per field, so that
+   the calibration passes rewrite runtimes without boxing them. *)
+type protos = {
+  nodes : int array;
+  range : int array;
+  bucket : int array;
+  runtime : float array;
 }
 
-let calibrate ~profile ~total_target protos =
+let draw_protos rng profile ~limit count =
+  let protos =
+    { nodes = Array.make count 0; range = Array.make count 0;
+      bucket = Array.make count 0; runtime = Array.make count 0.0 }
+  in
+  for i = 0 to count - 1 do
+    let range = Dist.categorical rng ~weights:profile.Month_profile.jobs8 in
+    let nodes = draw_nodes rng ~range in
+    let bucket = draw_bucket rng profile (Job.node_class5 nodes) in
+    protos.range.(i) <- range;
+    protos.nodes.(i) <- nodes;
+    protos.bucket.(i) <- bucket;
+    protos.runtime.(i) <- draw_runtime rng ~limit bucket
+  done;
+  protos
+
+let calibrate ~profile ~total_target p =
   let limit = profile.Month_profile.runtime_limit in
   let fractions =
     let sum = Array.fold_left ( +. ) 0.0 profile.Month_profile.demand8 in
     Array.map (fun d -> d /. sum) profile.Month_profile.demand8
   in
+  (* Clamp inside the bucket so the Table 4 short/long shares survive
+     calibration; use lo+epsilon because buckets are half-open on the
+     left. *)
+  let lows = Array.init 3 (fun b -> fst (bucket_bounds ~limit b) +. 1.0) in
+  let highs = Array.init 3 (fun b -> snd (bucket_bounds ~limit b)) in
   let iterations = 5 in
   for _ = 1 to iterations do
     let achieved = Array.make 8 0.0 in
-    List.iter
-      (fun p ->
-        achieved.(p.range) <-
-          achieved.(p.range) +. (float_of_int p.nodes *. p.runtime))
-      protos;
-    List.iter
-      (fun p ->
-        let target = fractions.(p.range) *. total_target in
-        if achieved.(p.range) > 0.0 then begin
-          let factor = target /. achieved.(p.range) in
-          let lo, hi = bucket_bounds ~limit p.bucket in
-          (* Clamp inside the bucket so the Table 4 short/long shares
-             survive calibration; use lo+epsilon because buckets are
-             half-open on the left. *)
-          p.runtime <-
-            Float.max (lo +. 1.0) (Float.min hi (p.runtime *. factor))
-        end)
-      protos
+    for i = 0 to Array.length p.runtime - 1 do
+      let r = p.range.(i) in
+      achieved.(r) <-
+        achieved.(r) +. (float_of_int p.nodes.(i) *. p.runtime.(i))
+    done;
+    for i = 0 to Array.length p.runtime - 1 do
+      let r = p.range.(i) in
+      if achieved.(r) > 0.0 then begin
+        let factor = fractions.(r) *. total_target /. achieved.(r) in
+        let b = p.bucket.(i) in
+        p.runtime.(i) <-
+          Float.max lows.(b) (Float.min highs.(b) (p.runtime.(i) *. factor))
+      end
+    done
   done
 
 (* ------------------------------------------------------------------ *)
@@ -171,25 +191,14 @@ let month ?(config = default_config) profile =
       (warmup +. span, cooldown, count_for cooldown) ]
   in
   let submits =
-    List.concat_map
-      (fun (origin, seg_span, count) ->
-        if seg_span <= 0.0 || count = 0 then []
-        else
-          Array.to_list
-            (arrival_times arrivals_rng ~origin ~span:seg_span ~count))
-      segments
+    Array.concat
+      (List.map
+         (fun (origin, seg_span, count) ->
+           if seg_span <= 0.0 || count = 0 then [||]
+           else arrival_times arrivals_rng ~origin ~span:seg_span ~count)
+         segments)
   in
-  let jobs_weights = profile.Month_profile.jobs8 in
-  let protos =
-    List.map
-      (fun submit ->
-        let range = Dist.categorical shape_rng ~weights:jobs_weights in
-        let nodes = draw_nodes shape_rng ~range in
-        let bucket = draw_bucket shape_rng profile (Job.node_class5 nodes) in
-        let runtime = draw_runtime shape_rng ~limit bucket in
-        { submit; nodes; range; bucket; runtime })
-      submits
-  in
+  let protos = draw_protos shape_rng profile ~limit (Array.length submits) in
   let whole_span = warmup +. span +. cooldown in
   let total_target =
     profile.Month_profile.load
@@ -203,19 +212,20 @@ let month ?(config = default_config) profile =
     Array.init (max 1 config.users) (fun k -> 1.0 /. float_of_int (k + 1))
   in
   let jobs =
-    List.mapi
-      (fun id p ->
+    Array.mapi
+      (fun id submit ->
+        let runtime = protos.runtime.(id) in
         let requested =
-          Estimate.draw ~params:config.estimate estimate_rng ~limit
-            ~runtime:p.runtime
+          Estimate.draw ~params:config.estimate estimate_rng ~limit ~runtime
         in
         let user = 1 + Dist.categorical user_rng ~weights:user_weights in
-        Job.v ~id ~submit:p.submit ~nodes:p.nodes ~runtime:p.runtime
-          ~requested
+        Job.v ~id ~submit ~nodes:protos.nodes.(id) ~runtime ~requested
         |> Job.with_user user)
-      protos
+      submits
   in
-  let raw = Trace.v jobs ~measure_start:warmup ~measure_end:(warmup +. span) in
+  let raw =
+    Trace.of_array jobs ~measure_start:warmup ~measure_end:(warmup +. span)
+  in
   (* Bucket clamping in [calibrate] can leave the total load a few
      percent off the Table 3 target (e.g. months whose demand sits in
      long wide jobs near the bucket bounds).  A final compression of

@@ -8,6 +8,10 @@ type t = {
 }
 
 let v ~id ~submit ~nodes ~runtime ~requested =
+  (* every comparison below is false for NaN, so check finiteness first *)
+  if not (Float.is_finite submit && Float.is_finite runtime
+          && Float.is_finite requested)
+  then invalid_arg "Job.v: non-finite time";
   if nodes < 1 then invalid_arg "Job.v: nodes must be >= 1";
   if runtime <= 0.0 then invalid_arg "Job.v: runtime must be positive";
   if requested < runtime then invalid_arg "Job.v: requested < runtime";

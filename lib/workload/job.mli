@@ -19,7 +19,8 @@ type t = {
 
 val v :
   id:int -> submit:float -> nodes:int -> runtime:float -> requested:float -> t
-(** Smart constructor; validates [nodes >= 1], [runtime > 0],
+(** Smart constructor; validates that [submit], [runtime] and
+    [requested] are finite, [nodes >= 1], [runtime > 0],
     [requested >= runtime] and [submit >= 0].  [user] is 0; attach a
     real user with {!with_user}.
     @raise Invalid_argument on violation. *)

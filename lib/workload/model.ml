@@ -69,15 +69,16 @@ let generate ?(params = default) ~seed ~days () =
     Generator.arrival_times arrivals_rng ~origin:0.0 ~span:whole ~count
   in
   let jobs =
-    Array.to_list submits
-    |> List.mapi (fun id submit ->
-           let nodes = draw_nodes params shape_rng in
-           let runtime = draw_runtime params shape_rng in
-           let requested =
-             Estimate.draw ~params:params.estimate estimate_rng
-               ~limit:params.runtime_limit ~runtime
-           in
-           Job.v ~id ~submit ~nodes ~runtime ~requested
-           |> Job.with_user (1 + (id mod 23)))
+    Array.mapi
+      (fun id submit ->
+        let nodes = draw_nodes params shape_rng in
+        let runtime = draw_runtime params shape_rng in
+        let requested =
+          Estimate.draw ~params:params.estimate estimate_rng
+            ~limit:params.runtime_limit ~runtime
+        in
+        Job.v ~id ~submit ~nodes ~runtime ~requested
+        |> Job.with_user (1 + (id mod 23)))
+      submits
   in
-  Trace.v jobs ~measure_start:warm ~measure_end:(warm +. span)
+  Trace.of_array jobs ~measure_start:warm ~measure_end:(warm +. span)

@@ -42,7 +42,13 @@ let parse_line ~line_number ~id line =
               Option.value (int_of_string_opt uid) ~default:(-1)
           | _ -> -1
         in
-        if runtime <= 0.0 || nodes <= 0 || submit < 0.0 then Ok None
+        (* [float_of_string_opt] admits "nan" and "inf" *)
+        let finite =
+          List.for_all Float.is_finite
+            [ submit; runtime; alloc; req_procs; req_time ]
+        in
+        if (not finite) || runtime <= 0.0 || nodes <= 0 || submit < 0.0 then
+          Ok None
         else
           let job =
             Job.v ~id ~submit ~nodes ~runtime

@@ -15,7 +15,8 @@
     - user             <- field 12 when present and positive
 
     Jobs with unusable fields (non-positive runtime or width, negative
-    submit) are skipped and counted.  CRLF line endings are accepted
+    submit, or a [nan]/[inf] in any numeric field read) are skipped and
+    counted.  CRLF line endings are accepted
     (the trailing carriage return is stripped before parsing);
     malformed lines — wrong field count, non-numeric numeric fields —
     are reported as [Error] with their line number. *)

@@ -4,18 +4,31 @@ type t = {
   measure_end : float;
 }
 
-let v ?measure_start ?measure_end jobs =
-  let arr = Array.of_list jobs in
-  Array.sort Job.compare_submit arr;
-  let module Ids = Set.Make (Int) in
-  let _ =
-    Array.fold_left
-      (fun seen (j : Job.t) ->
-        if Ids.mem j.id seen then
-          invalid_arg (Printf.sprintf "Trace.v: duplicate job id %d" j.id);
-        Ids.add j.id seen)
-      Ids.empty arr
+let in_submit_order (arr : Job.t array) =
+  let rec from i =
+    i >= Array.length arr
+    || (Job.compare_submit arr.(i - 1) arr.(i) <= 0 && from (i + 1))
   in
+  from 1
+
+(* Ids that strictly increase along the array are unique; only traces
+   whose ids are out of submit order pay for sorting a copy. *)
+let check_unique (arr : Job.t array) =
+  let rec increasing i =
+    i >= Array.length arr || (arr.(i - 1).id < arr.(i).id && increasing (i + 1))
+  in
+  if not (increasing 1) then begin
+    let ids = Array.map (fun (j : Job.t) -> j.id) arr in
+    Array.sort Int.compare ids;
+    for i = 1 to Array.length ids - 1 do
+      if ids.(i - 1) = ids.(i) then
+        invalid_arg (Printf.sprintf "Trace.v: duplicate job id %d" ids.(i))
+    done
+  end
+
+let of_array ?measure_start ?measure_end arr =
+  if not (in_submit_order arr) then Array.sort Job.compare_submit arr;
+  check_unique arr;
   let default_start =
     if Array.length arr = 0 then 0.0 else arr.(0).Job.submit
   in
@@ -31,6 +44,9 @@ let v ?measure_start ?measure_end jobs =
     measure_start = Option.value measure_start ~default:default_start;
     measure_end = Option.value measure_end ~default:default_end;
   }
+
+let v ?measure_start ?measure_end jobs =
+  of_array ?measure_start ?measure_end (Array.of_list jobs)
 
 let jobs t = t.jobs
 let length t = Array.length t.jobs
@@ -64,17 +80,19 @@ let scale_load t ~capacity ~target =
   let factor = current /. target in
   let origin = if Array.length t.jobs = 0 then 0.0 else t.jobs.(0).Job.submit in
   let squeeze time = origin +. ((time -. origin) *. factor) in
-  let jobs =
-    Array.to_list t.jobs
-    |> List.map (fun (j : Job.t) -> { j with Job.submit = squeeze j.submit })
-  in
-  v jobs ~measure_start:(squeeze t.measure_start)
+  (* [squeeze] is monotone, so the order check normally passes; only
+     submits it rounds into ties between jobs whose ids run against
+     submit order make [of_array] sort. *)
+  of_array
+    (Array.map
+       (fun (j : Job.t) -> { j with Job.submit = squeeze j.submit })
+       t.jobs)
+    ~measure_start:(squeeze t.measure_start)
     ~measure_end:(squeeze t.measure_end)
 
 let map_jobs t f =
-  v
-    (List.map f (Array.to_list t.jobs))
-    ~measure_start:t.measure_start ~measure_end:t.measure_end
+  of_array (Array.map f t.jobs) ~measure_start:t.measure_start
+    ~measure_end:t.measure_end
 
 let concat_stats t =
   Printf.sprintf "%d jobs (%d measured), window [%.1fd, %.1fd), demand %.3e node-s"

@@ -8,9 +8,22 @@
 type t
 
 val v : ?measure_start:float -> ?measure_end:float -> Job.t list -> t
-(** [v jobs] builds a trace.  Jobs are sorted by submit time; ids must
-    be unique.  The measurement window defaults to the full span of the
-    submissions.  @raise Invalid_argument on duplicate ids. *)
+(** [v jobs] builds a trace: [of_array] over [Array.of_list jobs]. *)
+
+val of_array : ?measure_start:float -> ?measure_end:float -> Job.t array -> t
+(** [of_array jobs] builds a trace and takes ownership of [jobs]: the
+    trace keeps the array itself, and the caller must neither mutate nor
+    reuse it.  This is the one construction path; {!v}, {!scale_load}
+    and {!map_jobs} all end here.
+
+    Jobs end up in {!Job.compare_submit} order.  One O(n) pass checks
+    that order, and [Array.sort] runs only when it fails.  Ids must be
+    unique.  When they strictly increase along the sorted array, as in
+    generated and SWF traces, a second O(n) pass proves it; otherwise a
+    sorted copy of the ids is scanned.  The measurement window defaults
+    to the full span of the submissions.
+    @raise Invalid_argument ["Trace.v: duplicate job id <id>"], naming
+    the smallest duplicated id. *)
 
 val jobs : t -> Job.t array
 (** Submit-ordered jobs (do not mutate). *)
@@ -37,12 +50,16 @@ val scale_load : t -> capacity:int -> target:float -> t
     a constant factor so that the offered load of the measured window
     becomes [target] (the paper's rho = 0.9 construction).  Runtimes
     and node counts are unchanged; the measurement window is compressed
-    by the same factor.  @raise Invalid_argument if the trace has no
+    by the same factor.  The jobs are mapped into a fresh array with no
+    list round-trip; compression is monotone, so the trace is re-sorted
+    only when it rounds submits into ties between jobs whose ids run
+    against submit order.  @raise Invalid_argument if the trace has no
     load or [target <= 0]. *)
 
 val map_jobs : t -> (Job.t -> Job.t) -> t
 (** Apply a per-job transformation (e.g. attach requested runtimes),
-    keeping the window. *)
+    keeping the window.  [f] runs on the jobs in submit order; the
+    result is validated as by {!of_array}. *)
 
 val concat_stats : t -> string
 (** One-line human-readable summary. *)

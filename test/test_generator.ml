@@ -194,6 +194,81 @@ let test_all_months_calibrated () =
         true (short_diff < 6.0))
     Month_profile.all
 
+(* --- bit-exactness guard --- *)
+
+(* FNV-1a over 64-bit words: every field of every job, floats by their
+   bit pattern, then the measurement window.  Any change to a draw, its
+   order or the arithmetic on it changes the fingerprint. *)
+let fingerprint trace =
+  let h = ref 0xcbf29ce484222325L in
+  let word x = h := Int64.mul (Int64.logxor !h x) 0x100000001b3L in
+  let float x = word (Int64.bits_of_float x) in
+  let int x = word (Int64.of_int x) in
+  Array.iter
+    (fun (j : Job.t) ->
+      int j.id;
+      float j.submit;
+      int j.nodes;
+      float j.runtime;
+      float j.requested;
+      int j.user)
+    (Trace.jobs trace);
+  float (Trace.measure_start trace);
+  float (Trace.measure_end trace);
+  Printf.sprintf "%016Lx" !h
+
+let check_fingerprint name expected trace =
+  Alcotest.(check string) name expected (fingerprint trace)
+
+let test_pinned_months () =
+  let _, jan = month_small ~scale:1.0 "1/04" in
+  check_fingerprint "1/04 scale 1 seed 42" "90c4cd5d2dc5cef3" jan;
+  check_fingerprint "7/03 scale 0.3 seed 42" "f385bb57a74ccc10"
+    (snd (month_small ~scale:0.3 "7/03"));
+  check_fingerprint "1/04 scale 1 at rho 0.9" "77039686c8da9d8c"
+    (Trace.scale_load jan ~capacity:Month_profile.capacity ~target:0.9)
+
+let test_pinned_model () =
+  check_fingerprint "Model seed 1, 3 days" "7da0d26437ac5faa"
+    (Model.generate ~seed:1 ~days:3. ())
+
+let test_pinned_rng () =
+  let stream seed =
+    let rng = Simcore.Rng.create ~seed in
+    List.init 8 (fun _ -> Simcore.Rng.bits64 rng)
+  in
+  let hex = List.map (Printf.sprintf "%016Lx") in
+  Alcotest.(check (list string)) "seed 0"
+    (hex [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+           0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+           0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ])
+    (hex (stream 0));
+  Alcotest.(check (list string)) "seed 42"
+    (hex [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+           0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+           0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ])
+    (hex (stream 42))
+
+(* Allocation guard: one scale-1 month (4,626 jobs) is generated as
+   arrays end to end, rounds estimates without building a grid, and
+   builds its trace and the load correction without a list or a [Set]:
+   about 204 minor words per job in the dev profile, against 875 when
+   every stage rebuilt a list, each estimate rebuilt its grid and both
+   [Trace.v] passes re-sorted and filled a [Set].  The bound is the
+   measured value plus 25%. *)
+let test_month_allocation () =
+  let profile = Month_profile.find "1/04" in
+  let config = { Generator.default_config with scale = 1.0 } in
+  ignore (Generator.month ~config profile);
+  let before = Gc.minor_words () in
+  let trace = Generator.month ~config profile in
+  let per_job =
+    (Gc.minor_words () -. before) /. Float.of_int (Trace.length trace)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per job <= 255" per_job)
+    true (per_job <= 255.0)
+
 let suite =
   [
     Alcotest.test_case "deterministic in seed" `Quick test_deterministic;
@@ -212,4 +287,8 @@ let suite =
     Alcotest.test_case "bucket bounds" `Quick test_bucket_bounds;
     Alcotest.test_case "all months calibrated" `Slow
       test_all_months_calibrated;
+    Alcotest.test_case "pinned month fingerprints" `Quick test_pinned_months;
+    Alcotest.test_case "pinned model fingerprint" `Quick test_pinned_model;
+    Alcotest.test_case "pinned rng streams" `Quick test_pinned_rng;
+    Alcotest.test_case "month allocation bound" `Quick test_month_allocation;
   ]

@@ -39,6 +39,16 @@ let test_parse_skips_unusable () =
   Alcotest.(check int) "unusable skipped" 1 r.Swf.skipped;
   Alcotest.(check int) "no jobs" 0 (Trace.length r.Swf.trace)
 
+(* [float_of_string_opt] accepts "nan" and "inf"; such rows are
+   unusable jobs, skipped and counted rather than admitted or raised. *)
+let test_parse_skips_non_finite () =
+  let r =
+    parse
+      "1 0 0 nan 4 -1 -1 4 100 -1 1 3\n2 10 0 50 2 -1 -1 2 inf -1 1 3\n"
+  in
+  Alcotest.(check int) "both rows skipped" 2 r.Swf.skipped;
+  Alcotest.(check int) "no jobs" 0 (Trace.length r.Swf.trace)
+
 let test_parse_malformed () =
   match Swf.of_string "1 2 3" with
   | Ok _ -> Alcotest.fail "expected parse error"
@@ -238,6 +248,7 @@ let suite =
     Alcotest.test_case "parse basic" `Quick test_parse_basic;
     Alcotest.test_case "fixture file" `Quick test_fixture_file;
     Alcotest.test_case "skip unusable" `Quick test_parse_skips_unusable;
+    Alcotest.test_case "skip nan/inf times" `Quick test_parse_skips_non_finite;
     Alcotest.test_case "malformed line" `Quick test_parse_malformed;
     Alcotest.test_case "requested clamped" `Quick
       test_requested_clamped_to_runtime;

@@ -17,7 +17,18 @@ let test_job_validation () =
       ignore (job ~runtime:0.0 ()));
   Alcotest.check_raises "requested >= runtime"
     (Invalid_argument "Job.v: requested < runtime") (fun () ->
-      ignore (job ~runtime:100.0 ~requested:50.0 ()))
+      ignore (job ~runtime:100.0 ~requested:50.0 ()));
+  (* NaN fails every comparison, and infinities pass the ones above *)
+  List.iter
+    (fun (name, make) ->
+      Alcotest.check_raises name (Invalid_argument "Job.v: non-finite time")
+        (fun () -> ignore (make ())))
+    [ ("nan submit", fun () -> job ~submit:Float.nan ());
+      ("inf submit", fun () -> job ~submit:Float.infinity ());
+      ("nan runtime", fun () -> job ~runtime:Float.nan ());
+      ("inf runtime", fun () -> job ~runtime:Float.infinity ());
+      ("nan requested", fun () -> job ~requested:Float.nan ());
+      ("inf requested", fun () -> job ~requested:Float.infinity ()) ]
 
 let test_job_area () =
   Alcotest.(check (float 1e-9)) "area" 7200.0
@@ -115,6 +126,77 @@ let test_trace_map_jobs () =
     (fun (j : Job.t) -> Alcotest.(check int) "mapped" 7 j.nodes)
     (Trace.jobs t')
 
+(* Random job lists in four shapes, so that each of [Trace.v]'s fast
+   paths and fallbacks runs: already in submit order or not, ids
+   increasing along submit order or shuffled.  Submits sit on a coarse
+   grid so ties fall back on ids, and a third of the lists carry a
+   planted duplicate id. *)
+let prop_trace_v_matches_reference =
+  QCheck.Test.make ~name:"Trace.v = sort + Set duplicate check" ~count:500
+    QCheck.small_int (fun seed ->
+      let rng = Simcore.Rng.create ~seed in
+      let n = Simcore.Rng.int rng 40 in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let k = Simcore.Rng.int rng (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(k);
+          a.(k) <- x
+        done
+      in
+      let submits =
+        Array.init n (fun _ -> 10.0 *. Float.of_int (Simcore.Rng.int rng 6))
+      in
+      let ids = Array.init n Fun.id in
+      (match Simcore.Rng.int rng 4 with
+       | 0 -> Array.sort Float.compare submits
+       | 1 ->
+           Array.sort Float.compare submits;
+           shuffle ids
+       | 2 -> shuffle ids
+       | _ -> ());
+      if n >= 2 && Simcore.Rng.int rng 3 = 0 then
+        ids.(Simcore.Rng.int rng n) <- ids.(Simcore.Rng.int rng n);
+      let jobs =
+        List.init n (fun i -> job ~id:ids.(i) ~submit:submits.(i) ())
+      in
+      let module Ids = Set.Make (Int) in
+      let _, dups =
+        List.fold_left
+          (fun (seen, dups) (j : Job.t) ->
+            if Ids.mem j.id seen then (seen, Ids.add j.id dups)
+            else (Ids.add j.id seen, dups))
+          (Ids.empty, Ids.empty) jobs
+      in
+      match (Trace.v jobs, Ids.min_elt_opt dups) with
+      | t, None ->
+          let expected = Array.of_list jobs in
+          Array.sort Job.compare_submit expected;
+          Trace.jobs t = expected
+      | _, Some _ -> false
+      | exception Invalid_argument msg -> (
+          match Ids.min_elt_opt dups with
+          | Some id -> msg = Printf.sprintf "Trace.v: duplicate job id %d" id
+          | None -> false))
+
+(* Compressing submits a few units apart, around a large origin, rounds
+   them all onto the origin; the jobs' ids run against submit order, so
+   only the fallback sort restores (submit, id) order. *)
+let test_scale_load_ties_resorted () =
+  let origin = 1e6 in
+  let t =
+    Trace.v
+      (List.init 5 (fun i ->
+           job ~id:(9 - (2 * i)) ~submit:(origin +. Float.of_int i) ~runtime:100.0
+             ()))
+  in
+  let scaled = Trace.scale_load t ~capacity:1 ~target:1e15 in
+  let jobs = Trace.jobs scaled in
+  Alcotest.(check bool) "squeezing created ties" true
+    (jobs.(0).Job.submit = jobs.(Array.length jobs - 1).Job.submit);
+  Alcotest.(check (list int)) "ties ordered by id" [ 1; 3; 5; 7; 9 ]
+    (Array.to_list (Array.map (fun (j : Job.t) -> j.id) jobs))
+
 (* --- Estimate --- *)
 
 let test_estimate_round_up () =
@@ -123,6 +205,39 @@ let test_estimate_round_up () =
     (Estimate.round_up ~limit 3599.0);
   Alcotest.(check (float 1e-9)) "caps at limit" limit
     (Estimate.round_up ~limit (Simcore.Units.hours 50.0))
+
+(* [round_up] scans the static round values; it must agree with the
+   first [grid] value >= r on, just below and just above every grid
+   point, at and beyond the limit, for every month's limit. *)
+let test_estimate_round_up_matches_grid () =
+  Array.iter
+    (fun m ->
+      let limit = m.Month_profile.runtime_limit in
+      let grid = Estimate.grid ~limit in
+      let reference r =
+        Option.value (Array.find_opt (fun g -> g >= r) grid) ~default:limit
+      in
+      let probes =
+        List.concat_map
+          (fun g -> [ g; Float.pred g; Float.succ g; g -. 1.0; g +. 1.0 ])
+          (Array.to_list grid)
+        @ [ 0.0; limit; Float.succ limit; 2.0 *. limit ]
+      in
+      List.iter
+        (fun r ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s: round_up %h" m.Month_profile.label r)
+            (reference r) (Estimate.round_up ~limit r))
+        probes;
+      let before = Gc.minor_words () in
+      List.iter
+        (fun r -> ignore (Sys.opaque_identity (Estimate.round_up ~limit r)))
+        probes;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "round_up allocated %.0f words" words)
+        true (words < 8.0))
+    Month_profile.all
 
 let test_estimate_draw_bounds () =
   let rng = Simcore.Rng.create ~seed:5 in
@@ -226,7 +341,12 @@ let suite =
     Alcotest.test_case "trace offered load" `Quick test_trace_offered_load;
     Alcotest.test_case "trace scale_load" `Quick test_trace_scale_load;
     Alcotest.test_case "trace map_jobs" `Quick test_trace_map_jobs;
+    QCheck_alcotest.to_alcotest prop_trace_v_matches_reference;
+    Alcotest.test_case "scale_load re-sorts squeezed ties" `Quick
+      test_scale_load_ties_resorted;
     Alcotest.test_case "estimate round_up" `Quick test_estimate_round_up;
+    Alcotest.test_case "estimate round_up = first grid value" `Quick
+      test_estimate_round_up_matches_grid;
     Alcotest.test_case "estimate draw bounds" `Quick test_estimate_draw_bounds;
     Alcotest.test_case "estimate deterministic" `Quick
       test_estimate_attach_deterministic;
