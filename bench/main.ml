@@ -265,7 +265,7 @@ let telemetry_entries () =
   Experiments.Common.reset_caches ();
   let month = List.hd (Experiments.Common.months ()) in
   let _ : Sim.Run.t =
-    Experiments.Common.simulate ~policy_key:"DDS/lxf/dynB(L=1K)"
+    Experiments.Common.simulate
       ~policy:(Experiments.Common.dds_lxf_dynb ~budget:1000)
       ~r_star:Sim.Engine.Actual month Experiments.Common.Original
   in

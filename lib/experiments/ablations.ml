@@ -1,17 +1,9 @@
 let load = Common.Rho 0.9
 let r_star = Sim.Engine.Actual
 
-let runner ~policy_key ~policy m =
-  Common.simulate ~policy_key ~policy ~r_star m load
-
-let simple name policy =
-  (name, runner ~policy_key:name ~policy:(fun () -> policy))
-
-let search name config =
-  ( name,
-    runner
-      ~policy_key:(Core.Search_policy.name config)
-      ~policy:(Common.search_policy config) )
+let runner name policy = (name, fun m -> Common.simulate ~policy ~r_star m load)
+let simple name policy = runner name (fun () -> policy)
+let search name config = runner name (Common.search_policy config)
 
 let three_panels fmt ~months ~policies =
   Panels.table fmt ~title:"avg wait (hours)" ~months ~policies
@@ -35,7 +27,7 @@ let extra_baselines fmt =
       simple "lookahead-backfill" (Sched.Lookahead.policy ());
       simple "relaxed-backfill" (Sched.Relaxed.policy ());
       simple "multi-queue-backfill" (Sched.Multi_queue.policy ());
-      simple "run-now (greedy)" Sched.Policy.run_now;
+      simple "run-now (greedy)" Sched.Backfill.run_now;
       search "DDS/lxf/dynB(1K)" (Core.Search_policy.dds_lxf_dynb ~budget:1000);
     ]
   in
@@ -92,10 +84,7 @@ let prediction fmt =
   let with_estimator label r_star =
     ( label,
       fun m ->
-        Common.simulate
-          ~policy_key:(Core.Search_policy.name config)
-          ~policy:(Common.search_policy config)
-          ~r_star m load )
+        Common.simulate ~policy:(Common.search_policy config) ~r_star m load )
   in
   let policies =
     [

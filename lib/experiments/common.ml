@@ -161,21 +161,22 @@ let set_validation v = validation_cell := v
 let series_cell = ref false
 let set_series v = series_cell := v
 
-let simulate_scenario ~policy_key ~policy ~r_star scenario =
+let simulate_scenario ~policy ~r_star scenario =
+  (* A fresh instance per call: search policies carry per-run state, and
+     only a cache miss simulates with it. *)
+  let policy = policy () in
+  let name = policy.Sched.Policy.name in
   let key =
-    Printf.sprintf "%s/%s/%s" scenario.key
-      (Sim.Engine.r_star_name r_star)
-      policy_key
+    Printf.sprintf "%s/%s/%s" scenario.key (Sim.Engine.r_star_name r_star) name
   in
   let entry =
     Simcore.Memo.get run_cache key (fun () ->
         let log =
-          if !tracing_cell then
-            Some (Sim.Decision_log.create ~policy:policy_key ())
+          if !tracing_cell then Some (Sim.Decision_log.create ~policy:name ())
           else None
         in
         let series =
-          if !series_cell then Some (Sim.Series.create ~policy:policy_key ())
+          if !series_cell then Some (Sim.Series.create ~policy:name ())
           else None
         in
         let observe =
@@ -187,12 +188,9 @@ let simulate_scenario ~policy_key ~policy ~r_star scenario =
                   Option.iter (fun l -> Sim.Decision_log.observe l d) log;
                   Option.iter (fun s -> Sim.Series.observe s d) series)
         in
-        let policy = policy () in
         let validate =
           if !validation_cell then
-            Some
-              (Schedcheck.Validator.expectation_of_policy
-                 policy.Sched.Policy.name)
+            Some (Schedcheck.Validator.expectation_of_policy name)
           else None
         in
         let run =
@@ -203,8 +201,8 @@ let simulate_scenario ~policy_key ~policy ~r_star scenario =
   in
   entry.run
 
-let simulate ~policy_key ~policy ~r_star profile load =
-  simulate_scenario ~policy_key ~policy ~r_star (month profile load)
+let simulate ~policy ~r_star profile load =
+  simulate_scenario ~policy ~r_star (month profile load)
 
 (* Cache entries carrying the optional artifact [field], sorted by key. *)
 let cached field =
@@ -248,9 +246,7 @@ let prefetch_runs ~months policies =
        policies)
 
 let fcfs_run ~r_star profile load =
-  simulate ~policy_key:"FCFS-backfill"
-    ~policy:(fun () -> Sched.Backfill.fcfs)
-    ~r_star profile load
+  simulate ~policy:(fun () -> Sched.Backfill.fcfs) ~r_star profile load
 
 let fcfs_max_threshold ~r_star profile load =
   (fcfs_run ~r_star profile load).Sim.Run.aggregate.Metrics.Aggregate.max_wait

@@ -128,7 +128,7 @@ val pp_series : Format.formatter -> unit
     Every experiment simulation goes through {!simulate_scenario}, so
     the tracing, validation and series switches above cover all of
     them.  A run's cache key is
-    [<scenario key>/<estimator>/<policy_key>]. *)
+    [<scenario key>/<estimator>/<policy name>]. *)
 
 type scenario = { key : string; build : unit -> Workload.Trace.t }
 (** A trace key and the builder of its trace.  Keys have the shape
@@ -141,14 +141,15 @@ val scenario_trace : scenario -> Workload.Trace.t
     first request only. *)
 
 val simulate_scenario :
-  policy_key:string ->
   policy:(unit -> Sched.Policy.t) ->
   r_star:Sim.Engine.r_star ->
   scenario ->
   Sim.Run.t
-(** Memoized simulation of the scenario's trace.  [policy_key] must
-    uniquely identify the policy configuration; [policy] is forced
-    only on a cache miss. *)
+(** Memoized simulation of the scenario's trace.  [policy] builds a
+    fresh instance on every call; the instance's name, which must
+    uniquely identify the policy configuration, keys the run (and
+    labels its decision log and series), and only a cache miss
+    simulates with it. *)
 
 val month_trace :
   seed:int -> Workload.Month_profile.t -> load -> Workload.Trace.t
@@ -160,7 +161,6 @@ val trace : Workload.Month_profile.t -> load -> Workload.Trace.t
     memoized. *)
 
 val simulate :
-  policy_key:string ->
   policy:(unit -> Sched.Policy.t) ->
   r_star:Sim.Engine.r_star ->
   Workload.Month_profile.t ->

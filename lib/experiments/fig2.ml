@@ -7,9 +7,7 @@ let policy_for omega =
   in
   ( Printf.sprintf "DDS/lxf w=%gh" omega,
     fun m ->
-      Common.simulate
-        ~policy_key:(Core.Search_policy.name config)
-        ~policy:(Common.search_policy config)
+      Common.simulate ~policy:(Common.search_policy config)
         ~r_star:Sim.Engine.Actual m Common.Original )
 
 let run fmt =

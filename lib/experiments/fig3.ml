@@ -1,22 +1,14 @@
 let policies ~load ~r_star ~budget =
+  let run policy m = Common.simulate ~policy ~r_star m load in
   [
-    ( "FCFS-backfill",
-      fun m ->
-        Common.simulate ~policy_key:"FCFS-backfill"
-          ~policy:(fun () -> Sched.Backfill.fcfs)
-          ~r_star m load );
-    ( "LXF-backfill",
-      fun m ->
-        Common.simulate ~policy_key:"LXF-backfill"
-          ~policy:(fun () -> Sched.Backfill.lxf)
-          ~r_star m load );
+    ("FCFS-backfill", run (fun () -> Sched.Backfill.fcfs));
+    ("LXF-backfill", run (fun () -> Sched.Backfill.lxf));
     ( "DDS/lxf/dynB",
       fun m ->
-        let config = Core.Search_policy.dds_lxf_dynb ~budget:(budget m) in
-        Common.simulate
-          ~policy_key:(Core.Search_policy.name config)
-          ~policy:(Common.search_policy config)
-          ~r_star m load );
+        run
+          (Common.search_policy
+             (Core.Search_policy.dds_lxf_dynb ~budget:(budget m)))
+          m );
   ]
 
 let run fmt =

@@ -30,17 +30,14 @@ let run fmt =
             let config = Core.Search_policy.dds_lxf_dynb ~budget in
             ( Printf.sprintf "L=%dK" (budget / 1000),
               fun () ->
-                Common.simulate
-                  ~policy_key:(Core.Search_policy.name config)
-                  ~policy:(Common.search_policy config)
+                Common.simulate ~policy:(Common.search_policy config)
                   ~r_star month load ))
           (budgets ())
         @ [
             ("FCFS-BF", fun () -> Common.fcfs_run ~r_star month load);
             ( "LXF-BF",
               fun () ->
-                Common.simulate ~policy_key:"LXF-backfill"
-                  ~policy:(fun () -> Sched.Backfill.lxf)
+                Common.simulate ~policy:(fun () -> Sched.Backfill.lxf)
                   ~r_star month load );
           ]
       in

@@ -7,9 +7,7 @@ let variant ~algorithm ~heuristic name =
   in
   ( name,
     fun m ->
-      Common.simulate
-        ~policy_key:(Core.Search_policy.name config)
-        ~policy:(Common.search_policy config)
+      Common.simulate ~policy:(Common.search_policy config)
         ~r_star:Sim.Engine.Actual m load )
 
 let run fmt =

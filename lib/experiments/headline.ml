@@ -1,16 +1,15 @@
-(* (label, policy_key, fresh policy instance) — search policies carry
-   per-run mutable state, so each simulation forces its own. *)
+(* (label, fresh policy instance) — search policies carry per-run
+   mutable state, so each simulation forces its own. *)
 let policies =
-  let dds = Core.Search_policy.dds_lxf_dynb ~budget:1000 in
   [
-    ("FCFS-backfill", "FCFS-backfill", fun () -> Sched.Backfill.fcfs);
-    ("LXF-backfill", "LXF-backfill", fun () -> Sched.Backfill.lxf);
-    ("DDS/lxf/dynB", Core.Search_policy.name dds, Common.search_policy dds);
+    ("FCFS-backfill", fun () -> Sched.Backfill.fcfs);
+    ("LXF-backfill", fun () -> Sched.Backfill.lxf);
+    ( "DDS/lxf/dynB",
+      Common.search_policy (Core.Search_policy.dds_lxf_dynb ~budget:1000) );
   ]
 
-let simulate scenario (_, policy_key, policy) =
-  Common.simulate_scenario ~policy_key ~policy ~r_star:Sim.Engine.Actual
-    scenario
+let simulate scenario (_, policy) =
+  Common.simulate_scenario ~policy ~r_star:Sim.Engine.Actual scenario
 
 let prefetch scenarios =
   Common.prefetch
@@ -18,7 +17,7 @@ let prefetch scenarios =
        (fun s -> List.map (fun p () -> ignore (simulate s p)) policies)
        scenarios)
 
-let runs s = List.map (fun ((name, _, _) as p) -> (name, simulate s p)) policies
+let runs s = List.map (fun ((name, _) as p) -> (name, simulate s p)) policies
 
 let pp_table fmt runs =
   Format.fprintf fmt "%-16s %9s %9s %9s@." "policy" "avgW(h)" "maxW(h)"

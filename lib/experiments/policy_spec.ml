@@ -81,5 +81,5 @@ let parse ~budget spec =
   | "lookahead" -> Ok (Sched.Lookahead.policy ())
   | "relaxed" -> Ok (Sched.Relaxed.policy ())
   | "multi-queue" -> Ok (Sched.Multi_queue.policy ())
-  | "run-now" -> Ok Sched.Policy.run_now
+  | "run-now" -> Ok Sched.Backfill.run_now
   | lowered -> parse_search ~budget lowered

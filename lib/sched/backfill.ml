@@ -3,12 +3,30 @@ type plan = {
   reserved : (Workload.Job.t * float) list;
 }
 
+let pass profile ~now ~r_star ~reserve jobs =
+  let rec go start_now reserved = function
+    | [] -> { start_now = List.rev start_now; reserved = List.rev reserved }
+    | (j : Workload.Job.t) :: rest ->
+        let duration = Float.max (r_star j) 1.0 in
+        if Cluster.Profile.fits_at profile ~at:now ~nodes:j.nodes ~duration
+        then begin
+          Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes ~duration;
+          go (j :: start_now) reserved rest
+        end
+        else if reserve j then
+          let at =
+            Cluster.Profile.place_earliest profile ~nodes:j.nodes ~duration
+          in
+          go start_now ((j, at) :: reserved) rest
+        else go start_now reserved rest
+  in
+  go [] [] jobs
+
 let rec sorted cmp = function
   | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted cmp rest
   | [] | [ _ ] -> true
 
 let plan ~reservations ~priority (ctx : Policy.context) =
-  let profile = Policy.profile_of ctx in
   (* The queue arrives in submit order, which is already FCFS order; a
      stable sort of a sorted list is the identity, so check first and
      sort only when some adjacent pair is out of order. *)
@@ -18,26 +36,13 @@ let plan ~reservations ~priority (ctx : Policy.context) =
     else List.stable_sort cmp ctx.waiting
   in
   let remaining = ref reservations in
-  let start_now = ref [] in
-  let reserved = ref [] in
-  List.iter
-    (fun (j : Workload.Job.t) ->
-      let duration = Float.max (ctx.r_star j) 1.0 in
-      if Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:j.nodes ~duration
-      then begin
-        Cluster.Profile.reserve profile ~at:ctx.now ~nodes:j.nodes ~duration;
-        start_now := j :: !start_now
-      end
-      else if !remaining > 0 then begin
-        let s =
-          Cluster.Profile.earliest_start profile ~nodes:j.nodes ~duration
-        in
-        Cluster.Profile.reserve profile ~at:s ~nodes:j.nodes ~duration;
-        reserved := (j, s) :: !reserved;
-        decr remaining
-      end)
-    ordered;
-  { start_now = List.rev !start_now; reserved = List.rev !reserved }
+  let first_k _ =
+    let grant = !remaining > 0 in
+    if grant then decr remaining;
+    grant
+  in
+  pass (Policy.profile_of ctx) ~now:ctx.now ~r_star:ctx.r_star
+    ~reserve:first_k ordered
 
 let policy ?(reservations = 1) priority =
   let name =
@@ -54,3 +59,9 @@ let policy ?(reservations = 1) priority =
 let fcfs = policy Priority.fcfs
 let lxf = policy Priority.lxf
 let sjf = policy Priority.sjf
+
+let run_now =
+  Policy.make ~name:"run-now" ~decide:(fun ctx ->
+      (pass (Policy.profile_of ctx) ~now:ctx.now ~r_star:ctx.r_star
+         ~reserve:(fun _ -> false) ctx.waiting)
+        .start_now)

@@ -18,13 +18,33 @@ type plan = {
       (** jobs given a scheduled start time, with that time *)
 }
 
+val pass :
+  Cluster.Profile.t ->
+  now:float ->
+  r_star:(Workload.Job.t -> float) ->
+  reserve:(Workload.Job.t -> bool) ->
+  Workload.Job.t list ->
+  plan
+(** [pass profile ~now ~r_star ~reserve jobs] is the backfill family's
+    one start loop.  In list order, each job that fits [profile] at
+    [now] for its estimated duration ([max (r_star j) 1 s]) starts and
+    is carved into the profile there; a job that does not fit is carved
+    in at its earliest start, and listed in [reserved], when [reserve
+    job] says so, and is otherwise skipped.  [reserve] is asked once
+    per blocked job, in list order.  Every policy here is a queue order
+    plus a [reserve] rule over this pass: {!plan} reserves the first
+    [reservations] blocked jobs, {!Selective} the starved ones, and
+    {!run_now} none. *)
+
 val plan :
   reservations:int ->
   priority:Priority.t ->
   Policy.context ->
   plan
-(** Full backfill schedule at one decision point (exposed so tests and
-    the Figure-5-style analyses can inspect reservations). *)
+(** Full backfill schedule at one decision point: the queue in
+    priority order, then {!pass} reserving the first [reservations]
+    blocked jobs (exposed so tests and the Figure-5-style analyses can
+    inspect reservations). *)
 
 val policy : ?reservations:int -> Priority.t -> Policy.t
 (** [policy priority] is the backfill scheduling policy (default one
@@ -38,3 +58,11 @@ val lxf : Policy.t
 
 val sjf : Policy.t
 (** SJF-backfill, one reservation (starvation-prone; for comparisons). *)
+
+val run_now : Policy.t
+(** Trivial greedy policy ["run-now"]: {!pass} over the submit-ordered
+    queue with no reservations, i.e. start jobs in FCFS order while
+    they fit the free nodes (pure space sharing, starves wide jobs).
+    With nothing reserved ahead, free nodes only grow after [now], so
+    "fits for its duration" is "fits now".  Useful as a worst-case
+    baseline and in tests. *)

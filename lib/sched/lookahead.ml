@@ -22,51 +22,29 @@ let knapsack ~capacity candidates =
 
 let policy () =
   Policy.make ~name:"lookahead-backfill" ~decide:(fun ctx ->
-      let profile = Policy.profile_of ctx in
       match ctx.Policy.waiting with
       | [] -> []
       | head :: rest ->
-          let duration (j : Workload.Job.t) = Float.max (ctx.r_star j) 1.0 in
-          (* The head keeps strict EASY semantics: start it if it fits,
-             otherwise carve its reservation so the knapsack cannot
-             delay it. *)
-          let head_d = duration head in
-          let head_now =
-            Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:head.nodes
-              ~duration:head_d
+          let now = ctx.now and r_star = ctx.r_star in
+          let profile = Policy.profile_of ctx in
+          let start ~reserve jobs =
+            (Backfill.pass profile ~now ~r_star ~reserve jobs).start_now
           in
-          let start_at =
-            if head_now then ctx.now
-            else
-              Cluster.Profile.earliest_start profile ~nodes:head.nodes
-                ~duration:head_d
-          in
-          Cluster.Profile.reserve profile ~at:start_at ~nodes:head.nodes
-            ~duration:head_d;
+          (* The head starts if it fits; otherwise it holds the one
+             reservation, so the knapsack cannot delay it.  A head that
+             starts leaves no job protected: unlike EASY, the first
+             blocked job behind it gets no reservation. *)
+          let head_now = start ~reserve:(fun _ -> true) [ head ] in
           let candidates =
             List.filter
               (fun (j : Workload.Job.t) ->
-                Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:j.nodes
-                  ~duration:(duration j))
+                Cluster.Profile.fits_at profile ~at:now ~nodes:j.nodes
+                  ~duration:(Float.max (r_star j) 1.0))
               rest
           in
-          let free_now = Cluster.Profile.free_at profile ctx.now in
+          let free_now = Cluster.Profile.free_at profile now in
           let selected = knapsack ~capacity:free_now candidates in
           (* Sequential re-validation: durations differ, so a set that
-             fits at [now] may still collide later; place greedily and
+             fits at [now] may still collide later; start greedily and
              drop jobs that no longer fit. *)
-          let backfilled =
-            List.filter
-              (fun (j : Workload.Job.t) ->
-                let d = duration j in
-                if Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:j.nodes
-                     ~duration:d
-                then begin
-                  Cluster.Profile.reserve profile ~at:ctx.now ~nodes:j.nodes
-                    ~duration:d;
-                  true
-                end
-                else false)
-              selected
-          in
-          if head_now then head :: backfilled else backfilled)
+          head_now @ start ~reserve:(fun _ -> false) selected)

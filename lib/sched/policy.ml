@@ -15,15 +15,3 @@ let make ~name ~decide = { name; decide; probe = None }
 let with_probe t probe = { t with probe = Some probe }
 
 let profile_of ctx = Cluster.Running_set.profile ctx.running ~now:ctx.now
-
-let run_now =
-  make ~name:"run-now" ~decide:(fun ctx ->
-      let free = ref (Cluster.Running_set.free_nodes ctx.running) in
-      List.filter
-        (fun (j : Workload.Job.t) ->
-          if j.nodes <= !free then begin
-            free := !free - j.nodes;
-            true
-          end
-          else false)
-        ctx.waiting)

@@ -37,8 +37,3 @@ val with_probe : t -> Simcore.Telemetry.Probe.t -> t
 
 val profile_of : context -> Cluster.Profile.t
 (** Availability profile implied by the running set at [ctx.now]. *)
-
-val run_now : t
-(** Trivial greedy policy: start jobs in FCFS order while they fit,
-    no reservations (pure space sharing, starves wide jobs).  Useful
-    as a worst-case baseline and in tests. *)

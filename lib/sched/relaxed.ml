@@ -5,7 +5,8 @@ let policy ?(relaxation = 0.5) () =
       match ctx.Policy.waiting with
       | [] -> []
       | head :: rest ->
-          let duration (j : Workload.Job.t) = Float.max (ctx.r_star j) 1.0 in
+          let now = ctx.now and r_star = ctx.r_star in
+          let duration (j : Workload.Job.t) = Float.max (r_star j) 1.0 in
           (* Profile WITHOUT any reservation: candidates are accepted as
              long as the head's recomputed earliest start stays within
              the allowance of its unobstructed earliest start. *)
@@ -15,44 +16,34 @@ let policy ?(relaxation = 0.5) () =
             Cluster.Profile.earliest_start profile ~nodes:head.nodes
               ~duration:head_d
           in
-          if unobstructed <= ctx.now then begin
-            (* head runs immediately; behave exactly like EASY *)
-            Cluster.Profile.reserve profile ~at:ctx.now ~nodes:head.nodes
-              ~duration:head_d;
-            head
-            :: List.filter
-                 (fun (j : Workload.Job.t) ->
-                   let d = duration j in
-                   if Cluster.Profile.fits_at profile ~at:ctx.now
-                        ~nodes:j.nodes ~duration:d
-                   then begin
-                     Cluster.Profile.reserve profile ~at:ctx.now
-                       ~nodes:j.nodes ~duration:d;
-                     true
-                   end
-                   else false)
-                 rest
-          end
+          if unobstructed <= now then
+            (* The head runs immediately and every other job that fits
+               starts with it.  No job is protected here: unlike EASY,
+               the first blocked job behind the head gets no
+               reservation. *)
+            (Backfill.pass profile ~now ~r_star ~reserve:(fun _ -> false)
+               ctx.waiting)
+              .start_now
           else begin
             let deadline = unobstructed +. (relaxation *. head_d) in
             let started = ref [] in
             List.iter
               (fun (j : Workload.Job.t) ->
                 let d = duration j in
-                if Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:j.nodes
+                if Cluster.Profile.fits_at profile ~at:now ~nodes:j.nodes
                      ~duration:d
                 then begin
                   (* tentatively start it and check the head's new
                      earliest start against the relaxed deadline *)
                   let trial = Cluster.Profile.copy profile in
-                  Cluster.Profile.reserve trial ~at:ctx.now ~nodes:j.nodes
+                  Cluster.Profile.reserve trial ~at:now ~nodes:j.nodes
                     ~duration:d;
                   let delayed =
                     Cluster.Profile.earliest_start trial ~nodes:head.nodes
                       ~duration:head_d
                   in
                   if delayed <= deadline +. 1e-6 then begin
-                    Cluster.Profile.reserve profile ~at:ctx.now ~nodes:j.nodes
+                    Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes
                       ~duration:d;
                     started := j :: !started
                   end

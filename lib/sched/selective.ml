@@ -2,24 +2,10 @@ let policy ?(threshold = 3.0) () =
   Policy.make
     ~name:(Printf.sprintf "selective-backfill(xf>=%.1f)" threshold)
     ~decide:(fun ctx ->
-      let profile = Policy.profile_of ctx in
-      let start_now = ref [] in
       (* FCFS order; starved jobs (large expansion factor) get
          reservations, everything else backfills around them. *)
-      List.iter
-        (fun (j : Workload.Job.t) ->
-          let duration = Float.max (ctx.r_star j) 1.0 in
-          let xf = Priority.expansion_factor ~now:ctx.now ~r_star:ctx.r_star j in
-          if Cluster.Profile.fits_at profile ~at:ctx.now ~nodes:j.nodes ~duration
-          then begin
-            Cluster.Profile.reserve profile ~at:ctx.now ~nodes:j.nodes ~duration;
-            start_now := j :: !start_now
-          end
-          else if xf >= threshold then begin
-            let s =
-              Cluster.Profile.earliest_start profile ~nodes:j.nodes ~duration
-            in
-            Cluster.Profile.reserve profile ~at:s ~nodes:j.nodes ~duration
-          end)
-        ctx.waiting;
-      List.rev !start_now)
+      let now = ctx.now and r_star = ctx.r_star in
+      let starved j = Priority.expansion_factor ~now ~r_star j >= threshold in
+      (Backfill.pass (Policy.profile_of ctx) ~now ~r_star ~reserve:starved
+         ctx.waiting)
+        .start_now)

@@ -6,7 +6,9 @@
     expansion factor of recently completed jobs the policy behaves very
     much like LXF-backfill on these workloads (which is what the paper
     reports); we expose a fixed threshold for simplicity and let the
-    caller tune it. *)
+    caller tune it.  The decision is {!Backfill.pass} over the
+    submit-ordered queue, reserving exactly the blocked jobs past the
+    threshold. *)
 
 val policy : ?threshold:float -> unit -> Policy.t
 (** [threshold] is the expansion factor beyond which a waiting job is

@@ -74,7 +74,7 @@ let test_real_runs_ok () =
       Alcotest.(check bool) "decisions replayed" true
         (report.Report.decisions_checked > 0))
     [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Backfill.sjf;
-      Sched.Policy.run_now ]
+      Sched.Backfill.run_now ]
 
 let test_predicted_downgrades () =
   (* The stateful estimator cannot be replayed: Run.simulate must fall
@@ -152,7 +152,7 @@ let test_catches_wide_job () =
    EASY backfill would have produced. *)
 let test_catches_impostor_backfill () =
   let impostor =
-    { Sched.Policy.run_now with Sched.Policy.name = "FCFS-backfill" }
+    { Sched.Backfill.run_now with Sched.Policy.name = "FCFS-backfill" }
   in
   let trace = Helpers.mini_trace ~n:40 ~capacity:16 ~seed:3 () in
   let report = validated ~policy:impostor trace in

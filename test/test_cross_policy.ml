@@ -18,7 +18,7 @@ let all_policies () =
     Sched.Lookahead.policy ();
     Sched.Relaxed.policy ();
     Sched.Multi_queue.policy ();
-    Sched.Policy.run_now;
+    Sched.Backfill.run_now;
     search (Core.Search_policy.dds_lxf_dynb ~budget:150);
     search
       (Core.Search_policy.v ~algorithm:Core.Search.Lds

@@ -87,7 +87,7 @@ let test_single_job_whole_machine () =
             (policy.Sched.Policy.name ^ " starts immediately")
             0.0 (Metrics.Outcome.wait o)
       | _ -> Alcotest.fail "expected one outcome")
-    [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Policy.run_now;
+    [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Backfill.run_now;
       Sched.Lookahead.policy ();
       fst (Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:10)) ]
 

@@ -44,7 +44,7 @@ let test_no_oversubscription () =
       Alcotest.(check bool)
         (policy.Sched.Policy.name ^ " never oversubscribes")
         true (!peak <= 16))
-    [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Policy.run_now;
+    [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Backfill.run_now;
       fst (Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:200)) ]
 
 let test_jobs_start_after_submit () =

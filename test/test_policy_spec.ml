@@ -73,21 +73,28 @@ let test_common_memoization () =
   let a = Experiments.Common.trace m Experiments.Common.Original in
   let b = Experiments.Common.trace m Experiments.Common.Original in
   Alcotest.(check bool) "trace memoized" true (a == b);
-  let calls = ref 0 in
-  let policy () =
-    incr calls;
-    Sched.Policy.run_now
+  (* the run cache keys on scenario, estimator and policy name: a second
+     request for the same scenario reuses the run and its trace *)
+  let builds = ref 0 in
+  let scenario =
+    {
+      Experiments.Common.key = "memo-test/original";
+      build =
+        (fun () ->
+          incr builds;
+          Helpers.mini_trace ~seed:3 ());
+    }
   in
-  let run1 =
-    Experiments.Common.simulate ~policy_key:"memo-test" ~policy
-      ~r_star:Sim.Engine.Actual m Experiments.Common.Original
+  let simulate policy =
+    Experiments.Common.simulate_scenario ~policy ~r_star:Sim.Engine.Actual
+      scenario
   in
-  let run2 =
-    Experiments.Common.simulate ~policy_key:"memo-test" ~policy
-      ~r_star:Sim.Engine.Actual m Experiments.Common.Original
-  in
+  let run1 = simulate (fun () -> Sched.Backfill.run_now) in
+  let run2 = simulate (fun () -> Sched.Backfill.run_now) in
   Alcotest.(check bool) "run memoized" true (run1 == run2);
-  Alcotest.(check int) "policy constructed once" 1 !calls
+  let run3 = simulate (fun () -> Sched.Backfill.fcfs) in
+  Alcotest.(check bool) "other policy, other run" true (run3 != run1);
+  Alcotest.(check int) "trace built once" 1 !builds
 
 let suite =
   [

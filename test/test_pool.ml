@@ -94,53 +94,65 @@ let test_memo_failure_cached () =
   Alcotest.check_raises "second caller" (Boom 7) (fun () -> ignore (get ()));
   Alcotest.(check int) "thunk forced once" 1 (Atomic.get forcings)
 
-(* The ISSUE's cache-coherence stress: from 8 domains, request the same
-   and overlapping Common.simulate keys concurrently; each policy thunk
-   must be forced exactly once and all callers must see the same run. *)
+(* Cache-coherence stress: from 8 domains, request the same and
+   overlapping Common.simulate_scenario keys concurrently, one scenario
+   per key under one policy name.  Each scenario's trace must be built
+   exactly once, each key simulated exactly once (every policy instance
+   counts itself on its first decision), and all callers must see the
+   same run. *)
 let test_common_simulate_stress () =
-  let with_env bindings f =
-    let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) bindings in
-    List.iter (fun (k, v) -> Unix.putenv k v) bindings;
-    Fun.protect f ~finally:(fun () ->
-        List.iter
-          (fun (k, v) -> Unix.putenv k (Option.value v ~default:""))
-          saved)
+  Experiments.Common.reset_caches ();
+  let n_keys = 4 in
+  let builds = Array.init n_keys (fun _ -> Atomic.make 0) in
+  let simulations = Array.init n_keys (fun _ -> Atomic.make 0) in
+  let scenario k =
+    {
+      Experiments.Common.key = Printf.sprintf "stress-%d/original" k;
+      build =
+        (fun () ->
+          Atomic.incr builds.(k);
+          Helpers.mini_trace ~n:200 ~seed:k ());
+    }
   in
-  with_env [ ("REPRO_SCALE", "0.05"); ("REPRO_MONTHS", "7/03") ] (fun () ->
-      Experiments.Common.reset_caches ();
-      let month = Workload.Month_profile.find "7/03" in
-      let n_keys = 4 in
-      let forcings = Array.init n_keys (fun _ -> Atomic.make 0) in
-      let request k =
-        Experiments.Common.simulate
-          ~policy_key:(Printf.sprintf "stress-%d" k)
-          ~policy:(fun () ->
-            Atomic.incr forcings.(k);
-            Sched.Policy.run_now)
-          ~r_star:Sim.Engine.Actual month Experiments.Common.Original
-      in
-      let requests = List.init 64 (fun i -> i mod n_keys) in
-      let runs =
-        Pool.with_pool ~jobs:8 (fun pool -> Pool.map pool ~f:request requests)
-      in
-      Array.iteri
-        (fun k c ->
-          Alcotest.(check int)
-            (Printf.sprintf "policy thunk %d forced exactly once" k)
-            1 (Atomic.get c))
-        forcings;
-      (* all callers of one key observe the same Sim.Run.t *)
-      let canonical = Array.make n_keys None in
-      List.iter2
-        (fun k run ->
-          match canonical.(k) with
-          | None -> canonical.(k) <- Some run
-          | Some first ->
-              Alcotest.(check bool)
-                (Printf.sprintf "key %d: same run for every caller" k)
-                true (run == first))
-        requests runs;
-      Experiments.Common.reset_caches ())
+  let policy k () =
+    let fresh = ref true in
+    Sched.Policy.make ~name:"stress" ~decide:(fun ctx ->
+        if !fresh then begin
+          fresh := false;
+          Atomic.incr simulations.(k)
+        end;
+        Sched.Backfill.run_now.Sched.Policy.decide ctx)
+  in
+  let request k =
+    Experiments.Common.simulate_scenario ~policy:(policy k)
+      ~r_star:Sim.Engine.Actual (scenario k)
+  in
+  let requests = List.init 64 (fun i -> i mod n_keys) in
+  let runs =
+    Pool.with_pool ~jobs:8 (fun pool -> Pool.map pool ~f:request requests)
+  in
+  let once what counts =
+    Array.iteri
+      (fun k c ->
+        Alcotest.(check int)
+          (Printf.sprintf "scenario %d %s exactly once" k what)
+          1 (Atomic.get c))
+      counts
+  in
+  once "built" builds;
+  once "simulated" simulations;
+  (* all callers of one key observe the same Sim.Run.t *)
+  let canonical = Array.make n_keys None in
+  List.iter2
+    (fun k run ->
+      match canonical.(k) with
+      | None -> canonical.(k) <- Some run
+      | Some first ->
+          Alcotest.(check bool)
+            (Printf.sprintf "key %d: same run for every caller" k)
+            true (run == first))
+    requests runs;
+  Experiments.Common.reset_caches ()
 
 let suite =
   [

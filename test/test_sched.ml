@@ -137,7 +137,7 @@ let test_run_now_policy () =
       Helpers.job ~id:2 ~submit:2.0 ~nodes:4 () ]
   in
   let ctx = context ~now:10.0 ~waiting ~running:[] () in
-  let started = Policy.run_now.Policy.decide ctx in
+  let started = Backfill.run_now.Policy.decide ctx in
   Alcotest.(check (list int)) "greedy fill skips too-wide" [ 0; 2 ]
     (List.map (fun (j : Workload.Job.t) -> j.id) started)
 
@@ -239,6 +239,75 @@ let prop_sort_skip_matches_sort =
           Priority.lxf_w ~weight_per_hour:0.5;
         ])
 
+(* A random decision context as the engine builds one: the queue in
+   submit order (coarse submits, so ties fall back on ids), a running
+   set whose estimated releases may already be overdue, and R* = T or
+   R* = R. *)
+let random_decision_context rng =
+  let capacity = 8 + Simcore.Rng.int rng 121 in
+  let now = 10_000.0 in
+  let machine = Cluster.Machine.v ~nodes:capacity in
+  let rs = Cluster.Running_set.create ~machine in
+  for i = 0 to Simcore.Rng.int rng 10 - 1 do
+    let nodes = 1 + Simcore.Rng.int rng (1 + (capacity / 4)) in
+    if nodes <= Cluster.Running_set.free_nodes rs then begin
+      let start = Simcore.Rng.float rng now in
+      let job =
+        Helpers.job ~id:(1000 + i) ~submit:start ~nodes
+          ~runtime:(now -. start +. 60.0) ()
+      in
+      Cluster.Running_set.add rs
+        {
+          Cluster.Running_set.job;
+          start;
+          finish = now +. 60.0 +. Simcore.Rng.float rng 7200.0;
+          est_finish =
+            Float.max start (now -. 3600.0 +. Simcore.Rng.float rng 10800.0);
+        }
+    end
+  done;
+  let waiting =
+    List.init (Simcore.Rng.int rng 25) (fun id ->
+        let runtime = 60.0 +. Simcore.Rng.float rng 7200.0 in
+        Helpers.job ~id
+          ~submit:(100.0 *. Float.of_int (Simcore.Rng.int rng 90))
+          ~nodes:(1 + Simcore.Rng.int rng capacity)
+          ~runtime
+          ~requested:(runtime *. (1.0 +. Simcore.Rng.float rng 2.0))
+          ())
+    |> List.sort Workload.Job.compare_submit
+  in
+  let r_star =
+    if Simcore.Rng.bool rng then fun (j : Workload.Job.t) -> j.runtime
+    else fun (j : Workload.Job.t) -> j.requested
+  in
+  { Policy.now; waiting; running = rs; r_star }
+
+(* Properties: policies that differ only in which blocked jobs they
+   reserve decide identically when their reservation rules coincide. *)
+let decides_as ~name a b =
+  QCheck.Test.make ~name ~count:200 QCheck.small_int (fun seed ->
+      let ctx = random_decision_context (Simcore.Rng.create ~seed) in
+      let ids p =
+        List.map (fun (j : Workload.Job.t) -> j.id) (p.Policy.decide ctx)
+      in
+      ids a = ids b)
+
+let prop_selective_unreachable_is_run_now =
+  decides_as ~name:"selective(xf>=infinity) decides as run-now"
+    (Selective.policy ~threshold:Float.infinity ())
+    Backfill.run_now
+
+let prop_no_reservation_backfill_is_run_now =
+  decides_as ~name:"FCFS-backfill/res=0 decides as run-now"
+    (Backfill.policy ~reservations:0 Priority.fcfs)
+    Backfill.run_now
+
+let prop_selective_zero_is_conservative =
+  decides_as ~name:"selective(xf>=0) decides as conservative"
+    (Selective.policy ~threshold:0.0 ())
+    (Conservative.policy ())
+
 (* Allocation guard: one FCFS-backfill decision over a fixed 30-job
    submit-ordered queue and 20 running jobs.  The profile is built from
    the running set's maintained release order, the queue is not
@@ -297,6 +366,9 @@ let suite =
     Alcotest.test_case "run-now policy" `Quick test_run_now_policy;
     QCheck_alcotest.to_alcotest prop_backfill_preserves_reservation;
     QCheck_alcotest.to_alcotest prop_sort_skip_matches_sort;
+    QCheck_alcotest.to_alcotest prop_selective_unreachable_is_run_now;
+    QCheck_alcotest.to_alcotest prop_no_reservation_backfill_is_run_now;
+    QCheck_alcotest.to_alcotest prop_selective_zero_is_conservative;
     Alcotest.test_case "FCFS decide allocation bound" `Quick
       test_fcfs_decide_allocation;
   ]
