@@ -25,8 +25,6 @@ type decision = {
   probe : Simcore.Telemetry.Probe.t option;
 }
 
-type event = Arrival of Workload.Job.t | Finish of int
-
 let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
   (* On-line predictor state (Predicted mode): running mean of the
      actual/requested ratio of completed jobs, seeded at 1.0 (trust the
@@ -47,18 +45,20 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
       incr ratio_count
     end
   in
+  let jobs = Workload.Trace.jobs trace in
   Array.iter
     (fun j ->
       if not (Cluster.Machine.fits machine j) then
         invalid_arg
           (Printf.sprintf "Engine.run: job %d wider than machine"
              j.Workload.Job.id))
-    (Workload.Trace.jobs trace);
-  let events = Simcore.Event_queue.create () in
-  Array.iter
-    (fun (j : Workload.Job.t) ->
-      Simcore.Event_queue.schedule events ~time:j.submit (Arrival j))
-    (Workload.Trace.jobs trace);
+    jobs;
+  (* Arrivals are read off the submit-ordered trace through a cursor;
+     the event queue holds only the running jobs' departures (job ids,
+     by finish time). *)
+  let n_jobs = Array.length jobs in
+  let next_arrival = ref 0 in
+  let departures = Simcore.Event_queue.create () in
   let running = Cluster.Running_set.create ~machine in
   (* Waiting queue in submit order: appends at the back.  [n_waiting]
      is its length, kept so no decision has to count the list. *)
@@ -68,25 +68,28 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
   let queue_samples = ref [] in
   let decisions = ref 0 in
   let start_job now (j : Workload.Job.t) =
-    if not (List.exists (fun w -> Workload.Job.equal w j) !waiting) then
-      invalid_arg
-        (Printf.sprintf "Engine.run: policy started non-waiting job %d" j.id);
+    (* Ids are unique, so [j] is waiting at most once: drop it and copy
+       only the jobs queued in front of it. *)
+    let rec without = function
+      | [] ->
+          invalid_arg
+            (Printf.sprintf "Engine.run: policy started non-waiting job %d"
+               j.id)
+      | w :: rest -> if Workload.Job.equal w j then rest else w :: without rest
+    in
+    let rest = without !waiting in
     let duration = Float.min j.runtime j.requested in
     let finish = now +. duration in
     Cluster.Running_set.add running
       { job = j; start = now; finish; est_finish = now +. estimator j };
-    Simcore.Event_queue.schedule events ~time:finish (Finish j.id);
-    waiting := List.filter (fun w -> not (Workload.Job.equal w j)) !waiting;
+    Simcore.Event_queue.schedule departures ~time:finish j.id;
+    waiting := rest;
     decr n_waiting;
     outcomes := Metrics.Outcome.v ~job:j ~start:now ~finish :: !outcomes
   in
-  let apply = function
-    | Arrival j ->
-        waiting := !waiting @ [ j ];
-        incr n_waiting
-    | Finish id ->
-        let entry = Cluster.Running_set.remove running ~id in
-        learn entry.Cluster.Running_set.job
+  (* The next arrival's submit time, [infinity] once all have arrived. *)
+  let next_submit () =
+    if !next_arrival < n_jobs then jobs.(!next_arrival).submit else infinity
   in
   (* The decision report: one pass over the post-start queue for the
      core demand (backlog) and the longest current wait. *)
@@ -110,38 +113,42 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
       probe = policy.Sched.Policy.probe;
     }
   in
-  let rec drain_instant now =
-    match Simcore.Event_queue.next_time events with
-    | Some t when t <= now +. 1e-9 ->
-        let _, e = Option.get (Simcore.Event_queue.pop events) in
-        apply e;
-        drain_instant now
-    | _ -> ()
-  in
   let rec loop () =
-    match Simcore.Event_queue.pop events with
-    | None -> ()
-    | Some (now, e) ->
-        apply e;
-        drain_instant now;
-        let ctx =
-          {
-            Sched.Policy.now;
-            waiting = !waiting;
-            running;
-            r_star = estimator;
-          }
-        in
-        let to_start = policy.Sched.Policy.decide ctx in
-        incr decisions;
-        let seen = !n_waiting in
-        List.iter (start_job now) to_start;
-        (match observe with
-        | None -> ()
-        | Some f -> f (report now ~seen to_start));
-        queue_samples :=
-          { time = now; length = !n_waiting } :: !queue_samples;
-        loop ()
+    let submit = next_submit ()
+    and departure = Simcore.Event_queue.next_time departures in
+    let now = if submit <= departure then submit else departure in
+    if now < infinity then begin
+      (* Apply every event due by [limit], earliest first; on equal
+         times the arrival goes first. *)
+      let limit = now +. 1e-9 in
+      let due = ref true in
+      while !due do
+        let submit = next_submit ()
+        and departure = Simcore.Event_queue.next_time departures in
+        if submit <= departure && submit <= limit then begin
+          waiting := !waiting @ [ jobs.(!next_arrival) ];
+          incr next_arrival;
+          incr n_waiting
+        end
+        else if departure <= limit then begin
+          let _, id = Option.get (Simcore.Event_queue.pop departures) in
+          learn (Cluster.Running_set.remove running ~id).Cluster.Running_set.job
+        end
+        else due := false
+      done;
+      let ctx =
+        { Sched.Policy.now; waiting = !waiting; running; r_star = estimator }
+      in
+      let to_start = policy.Sched.Policy.decide ctx in
+      incr decisions;
+      let seen = !n_waiting in
+      List.iter (start_job now) to_start;
+      (match observe with
+      | None -> ()
+      | Some f -> f (report now ~seen to_start));
+      queue_samples := { time = now; length = !n_waiting } :: !queue_samples;
+      loop ()
+    end
   in
   loop ();
   {

@@ -9,7 +9,22 @@
     The engine validates every start the policy requests (the job must
     be waiting and fit the free nodes) and raises [Invalid_argument] on
     a violation, so a buggy policy cannot silently oversubscribe the
-    machine. *)
+    machine.
+
+    Event order.  Arrivals are read through a cursor over the
+    submit-ordered {!Workload.Trace.jobs}; the event queue holds only
+    the running jobs' departures, so it never has more entries than
+    there are running jobs.  The next event is whichever comes first,
+    the next arrival or the earliest departure; on equal times the
+    arrival goes first, equal submits go in id order, and equal
+    departures in start order.  A decision point at [now] first
+    applies every event with time [t <= now +. 1e-9], then consults
+    the policy once.  The window is a rounded float sum: it is close
+    to 1 ns while the ulp of [now] is small, one ulp (about 1.9 ns) for
+    [now] from 2{^23} to 2{^24} s, and from 2{^24} s (about 194 days)
+    on the [1e-9] rounds away and the window is exact equality.
+    {!Schedcheck.Validator} groups events by the same sum
+    ([leader +. drain_window]), so the two agree at every time. *)
 
 type r_star =
   | Actual  (** the paper's R* = T: perfect information *)
@@ -27,7 +42,10 @@ val r_star_name : r_star -> string
 type queue_sample = { time : float; length : int }
 
 type result = {
-  outcomes : Metrics.Outcome.t list;  (** one per job, submit order *)
+  outcomes : Metrics.Outcome.t list;
+      (** one per job, in start order (starts non-decreasing); a
+          backfilled job comes before the earlier-submitted jobs it
+          overtook *)
   queue_samples : queue_sample list;
       (** waiting-queue length after each decision, time order *)
   decisions : int;

@@ -12,7 +12,9 @@ let schedule q ~time payload =
   Heap.push q.heap { time; seq = q.next_seq; payload };
   q.next_seq <- q.next_seq + 1
 
-let next_time q = Option.map (fun e -> e.time) (Heap.peek q.heap)
+let next_time q =
+  if Heap.is_empty q.heap then infinity else (Heap.peek_exn q.heap).time
+
 let pop q = Option.map (fun e -> (e.time, e.payload)) (Heap.pop q.heap)
 let is_empty q = Heap.is_empty q.heap
 let length q = Heap.length q.heap

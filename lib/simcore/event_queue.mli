@@ -14,8 +14,9 @@ val schedule : 'a t -> time:float -> 'a -> unit
     the past relative to already-popped events is allowed (the queue
     itself is oblivious); drivers should not do it. *)
 
-val next_time : 'a t -> float option
-(** Time of the earliest pending event, if any. *)
+val next_time : 'a t -> float
+(** Time of the earliest pending event, [infinity] when there is none.
+    It builds no option, so a simulation loop can poll it for free. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event with its time. *)

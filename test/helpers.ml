@@ -27,3 +27,23 @@ let mini_trace ?(n = 40) ?(capacity = 16) ?(horizon = 7200.0) ~seed () =
         Workload.Job.v ~id ~submit ~nodes ~runtime ~requested)
   in
   Workload.Trace.v jobs
+
+(* Like [mini_trace], but submit times, runtimes and requested limits
+   are whole minutes: every decision point lies on a 60 s grid.  Jobs
+   of at most half the machine with runtimes of 1-10 minutes, over a
+   half-hour horizon, make arrivals often coincide with departures and
+   with each other. *)
+let grid_trace ?(n = 30) ?(capacity = 16) ?(horizon = 1800.0) ~seed () =
+  let rng = Simcore.Rng.create ~seed in
+  let minutes k = 60.0 *. float_of_int k in
+  let jobs =
+    List.init n (fun id ->
+        let nodes = 1 + Simcore.Rng.int rng (capacity / 2) in
+        let runtime = minutes (1 + Simcore.Rng.int rng 10) in
+        let submit =
+          minutes (Simcore.Rng.int rng (int_of_float (horizon /. 60.0)))
+        in
+        let requested = runtime +. minutes (Simcore.Rng.int rng 40) in
+        Workload.Job.v ~id ~submit ~nodes ~runtime ~requested)
+  in
+  Workload.Trace.v jobs

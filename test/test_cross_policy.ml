@@ -99,6 +99,33 @@ let prop_estimators_sound =
           outcomes_ok n result && never_oversubscribed result)
         [ Sim.Engine.Actual; Sim.Engine.Requested; Sim.Engine.Predicted ])
 
+(* Arrivals and departures on one 60 s grid: many decision points
+   drain an arrival and a departure together.  The validator regroups
+   the events itself, so its EASY differential checks the engine's
+   same-instant order independently; under R*=pred [Run.simulate]
+   keeps only the generic invariants. *)
+let prop_tie_heavy_schedules_validate =
+  QCheck.Test.make ~name:"grid-aligned traces: schedules validate"
+    ~count:10 QCheck.small_int
+    (fun seed ->
+      let trace = Helpers.grid_trace ~seed:(seed + 200) () in
+      let validates ~expect ~r_star policy =
+        let run =
+          Sim.Run.simulate ~machine ~validate:expect ~r_star ~policy trace
+        in
+        Schedcheck.Report.ok (Option.get run.Sim.Run.validation)
+      in
+      List.for_all
+        (fun r_star ->
+          validates ~r_star
+            ~expect:(Schedcheck.Validator.expectation_of_policy "FCFS-backfill")
+            Sched.Backfill.fcfs)
+        [ Sim.Engine.Actual; Sim.Engine.Requested; Sim.Engine.Predicted ]
+      && List.for_all
+           (validates ~expect:Schedcheck.Validator.Generic
+              ~r_star:Sim.Engine.Actual)
+           (all_policies ()))
+
 let test_profile_pp () =
   let p = Cluster.Profile.of_running ~now:0.0 ~capacity:128 [ (3600.0, 64) ] in
   Alcotest.(check string) "rendered" "[0.0s:64 1.00h:128]"
@@ -108,5 +135,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_all_policies_sound;
     QCheck_alcotest.to_alcotest prop_estimators_sound;
+    QCheck_alcotest.to_alcotest prop_tie_heavy_schedules_validate;
     Alcotest.test_case "profile pp" `Quick test_profile_pp;
   ]

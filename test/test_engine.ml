@@ -97,6 +97,17 @@ let test_too_wide_job_rejected () =
     (Invalid_argument "Engine.run: job 0 wider than machine") (fun () ->
       ignore (simulate ~policy:Sched.Backfill.fcfs trace))
 
+let test_non_waiting_start_rejected () =
+  (* a policy that starts the queue head twice in one decision *)
+  let policy =
+    Sched.Policy.make ~name:"double-start" ~decide:(fun ctx ->
+        match ctx.Sched.Policy.waiting with j :: _ -> [ j; j ] | [] -> [])
+  in
+  let trace = Workload.Trace.v [ Helpers.job ~id:3 ~runtime:10.0 () ] in
+  Alcotest.check_raises "second start of job 3"
+    (Invalid_argument "Engine.run: policy started non-waiting job 3")
+    (fun () -> ignore (simulate ~policy trace))
+
 let test_windowed_queue_average () =
   let samples =
     [ { Sim.Engine.time = 0.0; length = 2 };
@@ -257,6 +268,136 @@ let test_observe_each_decision () =
            (Core.Search_policy.dds_lxf_dynb ~budget:200));
     ]
 
+(* --- event order: which events one decision point drains --- *)
+
+let machine8 = Cluster.Machine.v ~nodes:8
+
+(* Each decision's report as (now, seen, started ids, running). *)
+let decisions_of ?(policy = Sched.Backfill.fcfs) jobs =
+  let ds = ref [] in
+  let (_ : Sim.Engine.result) =
+    Sim.Engine.run ~machine:machine8
+      ~observe:(fun (d : Sim.Engine.decision) ->
+        ds :=
+          ( d.now,
+            d.seen,
+            List.map (fun (j : Workload.Job.t) -> j.id) d.started,
+            d.running )
+          :: !ds)
+      ~r_star:Sim.Engine.Actual ~policy (Workload.Trace.v jobs)
+  in
+  List.rev !ds
+
+let decision_t =
+  Alcotest.(list (pair (pair (float 0.0) int) (pair (list int) int)))
+
+let check_decisions name expected actual =
+  let flat = List.map (fun (now, seen, ids, r) -> ((now, seen), (ids, r))) in
+  Alcotest.check decision_t name (flat expected) (flat actual)
+
+(* A full-machine job that runs [0, 100) and a full-machine job
+   submitted at [submit]: the second can only start once the first has
+   left the machine. *)
+let blocker_then submit =
+  [
+    Helpers.job ~id:0 ~submit:0.0 ~nodes:8 ~runtime:100.0 ();
+    Helpers.job ~id:1 ~submit ~nodes:8 ~runtime:50.0 ();
+  ]
+
+let test_arrival_at_departure_instant () =
+  check_decisions "one decision at t=100: arrival queued, departure applied"
+    [ (0.0, 1, [ 0 ], 1); (100.0, 1, [ 1 ], 1); (150.0, 0, [], 0) ]
+    (decisions_of (blocker_then 100.0))
+
+let test_arrival_inside_drain_window () =
+  (* Job 1 takes the nodes job 0 frees at t=100, so job 2 (arriving
+     0.5 ns later, before it may start) is seen waiting there. *)
+  let job id submit runtime = Helpers.job ~id ~submit ~nodes:8 ~runtime () in
+  check_decisions "arrival 0.5 ns late joins the departure's decision"
+    [
+      (0.0, 2, [ 0 ], 1); (100.0, 2, [ 1 ], 1); (150.0, 1, [ 2 ], 1);
+      (200.0, 0, [], 0);
+    ]
+    (decisions_of
+       [ job 0 0.0 100.0; job 1 0.0 50.0; job 2 (100.0 +. 0.5e-9) 50.0 ])
+
+let test_arrival_outside_drain_window () =
+  let t = 100.0 +. 2e-9 in
+  check_decisions "arrival 2 ns late is its own decision"
+    [
+      (0.0, 1, [ 0 ], 1); (100.0, 0, [], 0); (t, 1, [ 1 ], 1);
+      (t +. 50.0, 0, [], 0);
+    ]
+    (decisions_of (blocker_then t))
+
+let test_equal_submits_queue_in_id_order () =
+  (* A full-machine job holds the queue, so the policy sees the three
+     equal-submit arrivals waiting; they are listed out of order. *)
+  let queues = ref [] in
+  let policy =
+    Sched.Policy.make ~name:"recording-fcfs" ~decide:(fun ctx ->
+        queues :=
+          List.map (fun (j : Workload.Job.t) -> j.id) ctx.Sched.Policy.waiting
+          :: !queues;
+        Sched.Backfill.fcfs.decide ctx)
+  in
+  let job id submit nodes = Helpers.job ~id ~submit ~nodes ~runtime:100.0 () in
+  let ds =
+    decisions_of ~policy
+      [ job 0 0.0 8; job 3 10.0 2; job 1 10.0 2; job 2 10.0 2 ]
+  in
+  Alcotest.(check (list (list int))) "queues seen, in decision order"
+    [ [ 0 ]; [ 1; 2; 3 ]; [ 1; 2; 3 ]; [] ]
+    (List.rev !queues);
+  Alcotest.(check (list int)) "started in queue order at t=100" [ 1; 2; 3 ]
+    (match ds with [ _; _; (_, _, ids, _); _ ] -> ids | _ -> [])
+
+let test_departures_after_last_arrival () =
+  (* Four 2-node jobs, all at t=0, leaving at 100, 200, 200 and 300:
+     the two departures at 200 share one decision. *)
+  let job id runtime = Helpers.job ~id ~submit:0.0 ~nodes:2 ~runtime () in
+  check_decisions "one decision per departure instant"
+    [
+      (0.0, 4, [ 0; 1; 2; 3 ], 4); (100.0, 0, [], 3); (200.0, 0, [], 1);
+      (300.0, 0, [], 0);
+    ]
+    (decisions_of [ job 0 100.0; job 1 200.0; job 2 200.0; job 3 300.0 ])
+
+(* --- outcome order --- *)
+
+let test_outcomes_in_start_order () =
+  let starts_sorted (r : Sim.Engine.result) =
+    let starts = List.map (fun (o : Metrics.Outcome.t) -> o.start) r.outcomes in
+    starts = List.stable_sort Float.compare starts
+  in
+  let trace = Helpers.mini_trace ~seed:10 ~n:60 () in
+  List.iter
+    (fun policy ->
+      Alcotest.(check bool)
+        (policy.Sched.Policy.name ^ ": starts non-decreasing")
+        true
+        (starts_sorted (simulate ~policy trace)))
+    [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Backfill.run_now ];
+  (* Job 1 waits for job 0's nodes; job 2, submitted later, backfills
+     in front of it and so comes first in the list. *)
+  let result =
+    Sim.Engine.run ~machine:machine8 ~r_star:Sim.Engine.Actual
+      ~policy:Sched.Backfill.fcfs
+      (Workload.Trace.v
+         [
+           Helpers.job ~id:0 ~submit:0.0 ~nodes:6 ~runtime:100.0 ();
+           Helpers.job ~id:1 ~submit:1.0 ~nodes:8 ~runtime:100.0 ();
+           Helpers.job ~id:2 ~submit:2.0 ~nodes:2 ~runtime:50.0 ();
+         ])
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "backfilled job 2 precedes job 1"
+    [ (0, 0.0); (2, 2.0); (1, 100.0) ]
+    (List.map
+       (fun (o : Metrics.Outcome.t) -> (o.job.Workload.Job.id, o.start))
+       result.outcomes);
+  Alcotest.(check bool) "starts non-decreasing" true (starts_sorted result)
+
 let suite =
   [
     Alcotest.test_case "every job runs once" `Quick test_every_job_runs_once;
@@ -280,4 +421,18 @@ let suite =
       test_rstar_requested_changes_schedule;
     Alcotest.test_case "engine observes each decision once, after its starts"
       `Quick test_observe_each_decision;
+    Alcotest.test_case "arrival at a departure's instant: one decision"
+      `Quick test_arrival_at_departure_instant;
+    Alcotest.test_case "arrival 0.5 ns after a departure: one decision"
+      `Quick test_arrival_inside_drain_window;
+    Alcotest.test_case "arrival 2 ns after a departure: two decisions"
+      `Quick test_arrival_outside_drain_window;
+    Alcotest.test_case "equal submits queue in id order" `Quick
+      test_equal_submits_queue_in_id_order;
+    Alcotest.test_case "late departures: one decision per instant" `Quick
+      test_departures_after_last_arrival;
+    Alcotest.test_case "outcomes come in start order" `Quick
+      test_outcomes_in_start_order;
+    Alcotest.test_case "non-waiting start rejected" `Quick
+      test_non_waiting_start_rejected;
   ]
