@@ -1,8 +1,9 @@
 let sprintf = Printf.sprintf
 
-(* The engine treats events within 1 ns of the first popped event as
-   simultaneous (Engine.drain_instant); the replay must group identically
-   or differential comparison sees phantom decisions. *)
+(* The engine treats events within 1 ns of a decision point as
+   simultaneous (the "Event order" paragraph of engine.mli); the replay
+   must group identically or differential comparison sees phantom
+   decisions. *)
 let drain_window = 1e-9
 
 (* Comparison slack for derived quantities (durations, promised starts).

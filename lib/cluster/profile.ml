@@ -100,11 +100,30 @@ let trail_length t = t.t_len
 
 (* --- primitive mutations (trail-recorded) ---------------------------- *)
 
+(* Shifts of at most [loop_shift] slots move element by element in
+   OCaml; longer ones keep [Array.blit].  A placement shifts a handful
+   of slots on average, and each [Array.blit] is a C call, which under
+   OCaml 5 costs a switch off the OCaml stack; past the crossover the
+   blit's memmove wins. *)
+let loop_shift = 16
+
+(* Shift segments [idx, len) one slot right, opening a gap at [idx];
+   the caller has ensured room for [len + 1] segments. *)
+let open_gap t idx =
+  if t.len - idx > loop_shift then begin
+    Array.blit t.times idx t.times (idx + 1) (t.len - idx);
+    Array.blit t.free idx t.free (idx + 1) (t.len - idx)
+  end
+  else
+    for k = t.len downto idx + 1 do
+      t.times.(k) <- t.times.(k - 1);
+      t.free.(k) <- t.free.(k - 1)
+    done
+
 (* Insert a segment boundary at position [idx]. *)
 let insert_raw t idx time free =
   ensure_capacity t (t.len + 1);
-  Array.blit t.times idx t.times (idx + 1) (t.len - idx);
-  Array.blit t.free idx t.free (idx + 1) (t.len - idx);
+  open_gap t idx;
   t.times.(idx) <- time;
   t.free.(idx) <- free;
   t.len <- t.len + 1
@@ -116,10 +135,18 @@ let insert t idx time free =
     t.t_op.(pos) <- (idx lsl 2) lor op_insert
   end
 
-(* Remove the segment boundary at position [idx]. *)
+(* Remove the segment boundary at position [idx], shifting segments
+   [idx + 1, len) one slot left. *)
 let delete_raw t idx =
-  Array.blit t.times (idx + 1) t.times idx (t.len - idx - 1);
-  Array.blit t.free (idx + 1) t.free idx (t.len - idx - 1);
+  if t.len - idx - 1 > loop_shift then begin
+    Array.blit t.times (idx + 1) t.times idx (t.len - idx - 1);
+    Array.blit t.free (idx + 1) t.free idx (t.len - idx - 1)
+  end
+  else
+    for k = idx to t.len - 2 do
+      t.times.(k) <- t.times.(k + 1);
+      t.free.(k) <- t.free.(k + 1)
+    done;
   t.len <- t.len - 1
 
 let delete t idx =
@@ -166,8 +193,7 @@ let undo_to t m =
          float-array without crossing a function boundary (which would
          box it — this loop runs once per backtracked node) *)
       ensure_capacity t (t.len + 1);
-      Array.blit t.times idx t.times (idx + 1) (t.len - idx);
-      Array.blit t.free idx t.free (idx + 1) (t.len - idx);
+      open_gap t idx;
       t.times.(idx) <- t.t_time.(k);
       t.free.(idx) <- t.t_free.(k);
       t.len <- t.len + 1

@@ -3,11 +3,7 @@ type t = Fcfs | Lxf
 let name = function Fcfs -> "fcfs" | Lxf -> "lxf"
 
 let order t ~now ~r_star waiting =
-  let arr = Array.of_list waiting in
-  let compare =
-    match t with
-    | Fcfs -> Sched.Priority.fcfs.Sched.Priority.compare ~now ~r_star
-    | Lxf -> Sched.Priority.lxf.Sched.Priority.compare ~now ~r_star
+  let priority =
+    match t with Fcfs -> Sched.Priority.fcfs | Lxf -> Sched.Priority.lxf
   in
-  Array.sort compare arr;
-  arr
+  Array.of_list (Sched.Priority.order priority ~now ~r_star waiting)

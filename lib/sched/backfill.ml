@@ -22,18 +22,9 @@ let pass profile ~now ~r_star ~reserve jobs =
   in
   go [] [] jobs
 
-let rec sorted cmp = function
-  | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted cmp rest
-  | [] | [ _ ] -> true
-
 let plan ~reservations ~priority (ctx : Policy.context) =
-  (* The queue arrives in submit order, which is already FCFS order; a
-     stable sort of a sorted list is the identity, so check first and
-     sort only when some adjacent pair is out of order. *)
-  let cmp = priority.Priority.compare ~now:ctx.now ~r_star:ctx.r_star in
   let ordered =
-    if sorted cmp ctx.waiting then ctx.waiting
-    else List.stable_sort cmp ctx.waiting
+    Priority.order priority ~now:ctx.now ~r_star:ctx.r_star ctx.waiting
   in
   let remaining = ref reservations in
   let first_k _ =

@@ -7,20 +7,16 @@ let queue_rank ~boundaries r =
 
 let default_boundaries = [ Simcore.Units.hour; Simcore.Units.hours 5.0 ]
 
+let priority ?(boundaries = default_boundaries) () =
+  {
+    Priority.name = "multi-queue";
+    key =
+      (fun ~now:_ ~r_star j ->
+        -.float_of_int (queue_rank ~boundaries (r_star j)));
+  }
+
 let policy ?(boundaries = default_boundaries) ?(reservations = 1) () =
-  let priority =
-    {
-      Priority.name = "multi-queue";
-      compare =
-        (fun ~now:_ ~r_star a b ->
-          let c =
-            Int.compare
-              (queue_rank ~boundaries (r_star a))
-              (queue_rank ~boundaries (r_star b))
-          in
-          if c <> 0 then c else Workload.Job.compare_submit a b);
-    }
-  in
+  let priority = priority ~boundaries () in
   let inner = Backfill.policy ~reservations priority in
   Policy.make
     ~name:(Printf.sprintf "multi-queue-backfill(%d queues)"

@@ -13,6 +13,10 @@ val queue_rank : boundaries:float list -> float -> int
     runtime [r]: the first boundary at or above it, or
     [length boundaries] when none is. *)
 
+val priority : ?boundaries:float list -> unit -> Priority.t
+(** The queue order: lower {!queue_rank} first (the key is the negated
+    rank), FCFS within a queue. *)
+
 val policy : ?boundaries:float list -> ?reservations:int -> unit -> Policy.t
 (** Default boundaries: 1 hour and 5 hours (three queues); one
     reservation. *)

@@ -1,19 +1,42 @@
 (** Job priority functions for priority-backfill policies.
 
-    A priority orders the waiting queue; [compare] sorts
-    higher-priority jobs first.  All comparators break ties by
-    submission order (and finally job id) so queue orders are total and
-    deterministic. *)
+    A priority orders the waiting queue by a per-job [key]: higher key
+    first, equal keys in submission order (and finally job id), so
+    queue orders are total and deterministic.  Every priority fits this
+    shape: FCFS has a constant key, SJF the negated estimated runtime,
+    LXF and LXF&W their scores. *)
 
 type t = {
   name : string;
-  compare :
-    now:float ->
-    r_star:(Workload.Job.t -> float) ->
-    Workload.Job.t ->
-    Workload.Job.t ->
-    int;
+  key :
+    now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float;
+      (** the job's priority at decision time [now]; a pure function
+          of its arguments *)
 }
+
+val order :
+  t ->
+  now:float ->
+  r_star:(Workload.Job.t -> float) ->
+  Workload.Job.t list ->
+  Workload.Job.t list
+(** The queue in priority order.  An already-ordered queue (the
+    engine's submit-ordered queue under FCFS) is detected in one pass
+    and returned as is, without allocating.  Otherwise each job's key
+    is computed once into a float array and an index permutation is
+    merge-sorted on it, so a decision costs n key computations, not
+    two per comparison. *)
+
+val compare :
+  t ->
+  now:float ->
+  r_star:(Workload.Job.t -> float) ->
+  Workload.Job.t ->
+  Workload.Job.t ->
+  int
+(** The comparator {!order} sorts by (negative: the first job goes
+    first), recomputing both keys on every call.  The reference for
+    tests; the policies use {!order}. *)
 
 val fcfs : t
 (** First come, first served. *)
@@ -33,4 +56,4 @@ val lxf_w : weight_per_hour:float -> t
 
 val expansion_factor :
   now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float
-(** The bounded expansion factor used by {!lxf}. *)
+(** The bounded expansion factor, {!lxf}'s key. *)

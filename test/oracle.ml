@@ -65,7 +65,7 @@ let reference_backfill ~reservations ~priority (ctx : Sched.Policy.context) =
   in
   let ordered =
     List.stable_sort
-      (priority.Sched.Priority.compare ~now ~r_star:ctx.r_star)
+      (Sched.Priority.compare priority ~now ~r_star:ctx.r_star)
       ctx.waiting
   in
   let remaining = ref reservations in

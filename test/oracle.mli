@@ -10,8 +10,9 @@
       DDS) must agree exactly when exhausted;
     - {!reference_backfill} re-plans an EASY backfill decision on a
       plain busy-interval list (no availability profile, no segment
-      merging), against which {!Sched.Backfill.plan} must agree
-      exactly;
+      merging), with the queue ordered by [List.stable_sort] over
+      {!Sched.Priority.compare}, against which {!Sched.Backfill.plan}
+      (keyed order, profile) must agree exactly;
     - the trail-vs-snapshot oracle for {!Core.Search_state} is a
       test-side replay in [test/test_search.ml]: every placement's
       start must equal the earliest start on a fresh copy of the base

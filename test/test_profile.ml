@@ -297,6 +297,97 @@ let prop_place_earliest_equals_two_step =
           s = s' && Profile.segments p = Profile.segments q)
         plan)
 
+(* Segment shifts.  [insert_raw], [delete_raw] and [undo_to]'s
+   re-insert open or close a one-slot gap with an OCaml loop when few
+   segments move and with [Array.blit] past the crossover.  A staircase
+   profile (free counts 1, 2, ..., n at t = 0, 100, ...) lets a 1-node
+   reservation insert or delete at any chosen index, so sweeping the
+   index sweeps the shift length from n - 1 slots down to none, across
+   the crossover in both directions.  Index 0 is the profile's start:
+   reservations never begin before it and merges only look left, so
+   index 1 and the last index are the reachable edges.  Each mutation
+   is checked against the expected segment list and then undone back
+   to a pre-mark copy. *)
+let staircase n =
+  Profile.of_running ~now:0.0 ~capacity:n
+    (List.init (n - 1) (fun k -> (100.0 *. Float.of_int (k + 1), 1)))
+
+let check_round_trip name p ~expected mutate =
+  let before = Profile.copy p in
+  let m = Profile.mark p in
+  mutate ();
+  Alcotest.(check (list (pair (float 0.0) int)))
+    (name ^ ": mutated") expected (Profile.segments p);
+  Alcotest.(check bool) (name ^ ": invariant") true (Profile.invariant p);
+  Profile.undo_to p m;
+  Alcotest.(check (list (pair (float 0.0) int)))
+    (name ^ ": undone") (Profile.segments before) (Profile.segments p)
+
+let test_shift_inserts_at_every_index () =
+  let n = 40 in
+  let p = staircase n in
+  let base = Profile.segments p in
+  for i = 0 to n - 1 do
+    (* a 10 s window inside segment [i]: boundaries land at [i + 1] and
+       [i + 2], shifting [n - i - 1] and then [n - i - 1] slots *)
+    let t, free = List.nth base i in
+    let expected =
+      List.concat
+        (List.mapi
+           (fun k seg ->
+             if k = i then [ seg; (t +. 50.0, free - 1); (t +. 60.0, free) ]
+             else [ seg ])
+           base)
+    in
+    check_round_trip (Printf.sprintf "insert after %d" i) p ~expected
+      (fun () -> Profile.reserve p ~at:(t +. 50.0) ~nodes:1 ~duration:10.0)
+  done
+
+let test_shift_deletes_at_every_index () =
+  let n = 40 in
+  let p = staircase n in
+  let base = Profile.segments p in
+  for i = 1 to n - 1 do
+    (* one node off segment [i] makes it equal to segment [i - 1], which
+       merges it away: a delete at [i] shifting [n - i - 1] slots.  The
+       last segment is unbounded, so its window first inserts its end
+       at [n] and the merge then shifts that one boundary *)
+    let t, _ = List.nth base i in
+    let expected =
+      List.filteri (fun k _ -> k <> i) base
+      @ if i = n - 1 then [ (t +. 100.0, n) ] else []
+    in
+    check_round_trip (Printf.sprintf "delete at %d" i) p ~expected
+      (fun () -> Profile.reserve p ~at:t ~nodes:1 ~duration:100.0)
+  done
+
+let test_shift_across_buffer_growth () =
+  (* [create] leaves room for 16 segments; seven disjoint windows fill
+     15.  An eighth window then adds the 16th and 17th boundaries, so
+     its second insert grows the buffers: once in the middle of the
+     profile, once appending at the end *)
+  let seven_windows () =
+    let p = Profile.create ~now:0.0 ~capacity:4 in
+    for k = 1 to 7 do
+      Profile.reserve p ~at:(100.0 *. Float.of_int k) ~nodes:1 ~duration:50.0
+    done;
+    Alcotest.(check int) "15 segments" 15 (Profile.segment_count p);
+    p
+  in
+  let p = seven_windows () in
+  let expected =
+    List.concat_map
+      (fun ((t, _) as seg) ->
+        if t = 100.0 then [ seg; (125.0, 2); (135.0, 3) ] else [ seg ])
+      (Profile.segments p)
+  in
+  check_round_trip "growth mid-profile" p ~expected (fun () ->
+      Profile.reserve p ~at:125.0 ~nodes:1 ~duration:10.0);
+  let p = seven_windows () in
+  let expected = Profile.segments p @ [ (1000.0, 3); (1010.0, 4) ] in
+  check_round_trip "growth at the end" p ~expected (fun () ->
+      Profile.reserve p ~at:1000.0 ~nodes:1 ~duration:10.0)
+
 (* Allocation guard: the window scans behind [fits_at] and
    [earliest_start] are top-level functions over ints and [t], so with
    constant float arguments [fits_at] allocates nothing and
@@ -343,7 +434,29 @@ let test_window_scans_allocate_nothing () =
   Alcotest.(check (float 0.0))
     "earliest_start: only its boxed result per call"
     (float_of_int (calls * boxed_float_words))
-    start_words
+    start_words;
+  (* The search's placement round trip (the staged [place_earliest],
+     whose plain form only adds its boxed result) allocates nothing,
+     whichever way its segments shift.  On a 40-segment staircase a
+     2-node job merges away index 1 (38 slots move, past the loop
+     crossover) and a 39-node job index 38 (one slot); [undo_to]
+     re-inserts each. *)
+  let stairs = staircase 40 in
+  List.iter
+    (fun nodes ->
+      let round_trip_words =
+        words_of (fun () ->
+            for _ = 1 to calls do
+              let m = Profile.mark stairs in
+              Profile.stage_duration stairs 100.0;
+              Profile.place_earliest_staged stairs ~nodes;
+              Profile.undo_to stairs m
+            done)
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d-node place + undo_to: 0 minor words" nodes)
+        0.0 round_trip_words)
+    [ 2; 39 ]
 
 let suite =
   [
@@ -383,4 +496,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_place_earliest_equals_two_step;
     Alcotest.test_case "window scans allocate nothing" `Quick
       test_window_scans_allocate_nothing;
+    Alcotest.test_case "shift: insert at every index" `Quick
+      test_shift_inserts_at_every_index;
+    Alcotest.test_case "shift: delete at every index" `Quick
+      test_shift_deletes_at_every_index;
+    Alcotest.test_case "shift: across buffer growth" `Quick
+      test_shift_across_buffer_growth;
   ]

@@ -26,20 +26,20 @@ let test_fcfs_priority () =
   let a = Helpers.job ~id:0 ~submit:10.0 () in
   let b = Helpers.job ~id:1 ~submit:5.0 () in
   Alcotest.(check bool) "earlier first" true
-    (Priority.fcfs.Priority.compare ~now:20.0 ~r_star b a < 0)
+    (Priority.compare Priority.fcfs ~now:20.0 ~r_star b a < 0)
 
 let test_sjf_priority () =
   let short = Helpers.job ~id:0 ~runtime:60.0 () in
   let long = Helpers.job ~id:1 ~runtime:3600.0 () in
   Alcotest.(check bool) "short first" true
-    (Priority.sjf.Priority.compare ~now:0.0 ~r_star short long < 0)
+    (Priority.compare Priority.sjf ~now:0.0 ~r_star short long < 0)
 
 let test_lxf_priority () =
   (* same wait, shorter job has larger expansion factor *)
   let short = Helpers.job ~id:0 ~submit:0.0 ~runtime:600.0 () in
   let long = Helpers.job ~id:1 ~submit:0.0 ~runtime:36000.0 () in
   Alcotest.(check bool) "larger xf first" true
-    (Priority.lxf.Priority.compare ~now:3600.0 ~r_star short long < 0)
+    (Priority.compare Priority.lxf ~now:3600.0 ~r_star short long < 0)
 
 let test_expansion_factor () =
   let j = Helpers.job ~submit:0.0 ~runtime:3600.0 () in
@@ -56,9 +56,9 @@ let test_lxf_w_prefers_waiters () =
   let fresh = Helpers.job ~id:1 ~submit:35000.0 ~runtime:600.0 () in
   (* plain lxf prefers the fresh short job; a big wait weight flips it *)
   Alcotest.(check bool) "lxf prefers fresh short job" true
-    (Priority.lxf.Priority.compare ~now:36000.0 ~r_star fresh waited < 0);
+    (Priority.compare Priority.lxf ~now:36000.0 ~r_star fresh waited < 0);
   Alcotest.(check bool) "lxf&w prefers the long waiter" true
-    (p.Priority.compare ~now:36000.0 ~r_star waited fresh < 0)
+    (Priority.compare p ~now:36000.0 ~r_star waited fresh < 0)
 
 (* --- Backfill --- *)
 
@@ -223,7 +223,7 @@ let prop_sort_skip_matches_sort =
       in
       List.for_all
         (fun priority ->
-          let cmp = priority.Priority.compare ~now ~r_star in
+          let cmp = Priority.compare priority ~now ~r_star in
           List.for_all
             (fun queue ->
               same
@@ -238,6 +238,67 @@ let prop_sort_skip_matches_sort =
           Priority.sjf;
           Priority.lxf_w ~weight_per_hour:0.5;
         ])
+
+(* The keyed order against its comparator.  [Priority.order] computes
+   each key once and merge-sorts an index permutation; the reference
+   stable-sorts with [Priority.compare], which recomputes both keys on
+   every comparison.  The queues force every tie the two must break
+   alike: submits on a four-point grid whose last point is [now] (equal
+   submits, jobs that have waited 0 s), estimates from a short list
+   with repeats and with sub-minute values that LXF floors at 1 min,
+   under R* = T, R* = R and a predictor-style estimate.  Each queue is
+   ordered as generated, already sorted (which must come back as the
+   very same list) and reverse-sorted. *)
+let tie_queue_arbitrary =
+  let estimates = [| 1.0; 30.0; 59.0; 60.0; 600.0; 3600.0 |] in
+  let job id (s, r, q) =
+    let runtime = estimates.(r) in
+    Helpers.job ~id ~submit:(600.0 *. Float.of_int s) ~runtime
+      ~requested:(runtime *. Float.of_int q) ()
+  in
+  QCheck.make
+    ~print:(fun jobs ->
+      String.concat "; "
+        (List.map
+           (fun (j : Workload.Job.t) ->
+             Printf.sprintf "#%d@%g T=%g R=%g" j.id j.submit j.runtime
+               j.requested)
+           jobs))
+    QCheck.Gen.(
+      map
+        (List.mapi job)
+        (list_size (0 -- 70) (triple (0 -- 3) (0 -- 5) (1 -- 2))))
+
+let prop_keyed_order_matches_compare =
+  let now = 1800.0 in
+  let r_stars =
+    [ (fun (j : Workload.Job.t) -> Float.min j.runtime j.requested);
+      (fun (j : Workload.Job.t) -> j.requested);
+      (fun (j : Workload.Job.t) ->
+        Float.max 60.0 (Float.min j.requested (j.requested *. 0.37))) ]
+  in
+  let priorities =
+    [ Priority.fcfs; Priority.sjf; Priority.lxf;
+      Priority.lxf_w ~weight_per_hour:0.5; Multi_queue.priority ();
+      Multi_queue.priority ~boundaries:[ 30.0; 600.0 ] () ]
+  in
+  let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
+  QCheck.Test.make ~name:"Priority.order = stable_sort Priority.compare"
+    ~count:300 tie_queue_arbitrary (fun jobs ->
+      List.for_all
+        (fun r_star ->
+          List.for_all
+            (fun p ->
+              let sorted =
+                List.stable_sort (Priority.compare p ~now ~r_star) jobs
+              in
+              Priority.order p ~now ~r_star sorted == sorted
+              && List.for_all
+                   (fun queue ->
+                     ids (Priority.order p ~now ~r_star queue) = ids sorted)
+                   [ jobs; List.rev sorted ])
+            priorities)
+        r_stars)
 
 (* A random decision context as the engine builds one: the queue in
    submit order (coarse submits, so ties fall back on ids), a running
@@ -366,6 +427,7 @@ let suite =
     Alcotest.test_case "run-now policy" `Quick test_run_now_policy;
     QCheck_alcotest.to_alcotest prop_backfill_preserves_reservation;
     QCheck_alcotest.to_alcotest prop_sort_skip_matches_sort;
+    QCheck_alcotest.to_alcotest prop_keyed_order_matches_compare;
     QCheck_alcotest.to_alcotest prop_selective_unreachable_is_run_now;
     QCheck_alcotest.to_alcotest prop_no_reservation_backfill_is_run_now;
     QCheck_alcotest.to_alcotest prop_selective_zero_is_conservative;

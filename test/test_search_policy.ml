@@ -134,6 +134,45 @@ let test_local_search_finds_swap () =
   Alcotest.(check bool) "swap improves excess" true
     (improved.Search.best.Objective.excess < base.Search.best.Objective.excess)
 
+(* Allocation guard for the branching order.  LXF over a 64-job queue
+   that arrives in submit order but is far from LXF order: the keyed
+   order computes 64 keys into a float array, merge-sorts an int
+   permutation and builds the result (list, then the returned array),
+   about 10 minor words per job in a test build.  Reading the keys
+   through a polymorphic array with polymorphic compare measured 29,
+   and [Array.sort] with a comparator that recomputes the expansion
+   factors 40, so the bound of 16 fails either.  An already
+   FCFS-ordered queue comes back as is, so [Branching.order] allocates
+   exactly what [Array.of_list] does for its returned array. *)
+let test_order_allocation () =
+  let n = 64 in
+  let now = 100_000.0 in
+  let queue =
+    List.init n (fun id ->
+        Helpers.job ~id
+          ~submit:(Float.of_int (1000 * id))
+          ~runtime:(Float.of_int (60 * (1 + (id * 37 mod 61))))
+          ())
+  in
+  let words_of f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. before
+  in
+  let lxf_words =
+    words_of (fun () -> Branching.order Branching.Lxf ~now ~r_star queue)
+  in
+  let per_job = lxf_words /. Float.of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "LXF order: %.1f minor words per job <= 16" per_job)
+    true (per_job <= 16.0);
+  Alcotest.(check (float 0.0)) "FCFS order: only the returned array"
+    (words_of (fun () -> Array.of_list queue))
+    (words_of (fun () -> Branching.order Branching.Fcfs ~now ~r_star queue));
+  Alcotest.(check (float 0.0)) "FCFS Priority.order: nothing" 0.0
+    (words_of (fun () -> Sched.Priority.order Sched.Priority.fcfs ~now ~r_star queue))
+
 let suite =
   [
     Alcotest.test_case "policy names" `Quick test_names;
@@ -145,4 +184,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_local_search_never_worse;
     Alcotest.test_case "local search finds a swap" `Quick
       test_local_search_finds_swap;
+    Alcotest.test_case "order allocation bound" `Quick test_order_allocation;
   ]
