@@ -3,9 +3,12 @@
     Tracks, for every running job, its start time, its true completion
     time (known to the simulator) and its *estimated* completion time
     (known to the scheduler: start + R*, where R* is the runtime the
-    policy was configured to trust).  Keeps the estimated releases
-    sorted as jobs start and finish, so a scheduler's availability
-    {!Profile} is built in one pass with no sort ({!profile}). *)
+    policy was configured to trust).  There is no job table: the set
+    is two sorted arrays, kept ordered by one insertion step as jobs
+    start.  The estimated releases give a scheduler's availability
+    {!Profile} in one pass with no sort ({!profile}); the true
+    finishes are the simulator's departure order ({!next_finish},
+    {!pop_finished}). *)
 
 type entry = {
   job : Workload.Job.t;
@@ -22,14 +25,24 @@ val machine : t -> Machine.t
 val busy_nodes : t -> int
 val free_nodes : t -> int
 val count : t -> int
-val is_empty : t -> bool
 
 val add : t -> entry -> unit
 (** @raise Invalid_argument if the job oversubscribes the machine or is
     already running. *)
 
+val next_finish : t -> float
+(** The earliest true [finish] among the running jobs, [infinity] when
+    none runs.  It builds no option, so an event loop can poll it for
+    free. *)
+
+val pop_finished : t -> entry
+(** Remove and return the job with the earliest true [finish].  Jobs
+    with equal finishes leave in the order they were added (start
+    order).  @raise Invalid_argument if nothing runs. *)
+
 val remove : t -> id:int -> entry
-(** Remove a job at departure.  @raise Not_found if absent. *)
+(** Remove a job by id, wherever it stands in the departure order.
+    @raise Not_found if absent. *)
 
 val releases : t -> now:float -> (float * int) list
 (** [(estimated end, nodes)] pairs for profile construction; estimated
@@ -38,8 +51,8 @@ val releases : t -> now:float -> (float * int) list
     grace is strictly wider than every policy's start-now tolerance,
     so no policy can be tricked into starting a job on nodes an
     overdue job still occupies.  Unspecified order; it is read from
-    the job table, independently of the sorted releases behind
-    {!profile}, and serves as their reference. *)
+    the departure order, never from the estimated releases behind
+    {!profile}, and so serves as their reference. *)
 
 val profile : t -> now:float -> Profile.t
 (** The availability profile at [now]: exactly

@@ -54,11 +54,10 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
              j.Workload.Job.id))
     jobs;
   (* Arrivals are read off the submit-ordered trace through a cursor;
-     the event queue holds only the running jobs' departures (job ids,
-     by finish time). *)
+     departures come from the running set's finish order, equal
+     finishes in start order. *)
   let n_jobs = Array.length jobs in
   let next_arrival = ref 0 in
-  let departures = Simcore.Event_queue.create () in
   let running = Cluster.Running_set.create ~machine in
   (* Waiting queue in submit order: appends at the back.  [n_waiting]
      is its length, kept so no decision has to count the list. *)
@@ -82,7 +81,6 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
     let finish = now +. duration in
     Cluster.Running_set.add running
       { job = j; start = now; finish; est_finish = now +. estimator j };
-    Simcore.Event_queue.schedule departures ~time:finish j.id;
     waiting := rest;
     decr n_waiting;
     outcomes := Metrics.Outcome.v ~job:j ~start:now ~finish :: !outcomes
@@ -115,7 +113,7 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
   in
   let rec loop () =
     let submit = next_submit ()
-    and departure = Simcore.Event_queue.next_time departures in
+    and departure = Cluster.Running_set.next_finish running in
     let now = if submit <= departure then submit else departure in
     if now < infinity then begin
       (* Apply every event due by [limit], earliest first; on equal
@@ -124,16 +122,14 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
       let due = ref true in
       while !due do
         let submit = next_submit ()
-        and departure = Simcore.Event_queue.next_time departures in
+        and departure = Cluster.Running_set.next_finish running in
         if submit <= departure && submit <= limit then begin
           waiting := !waiting @ [ jobs.(!next_arrival) ];
           incr next_arrival;
           incr n_waiting
         end
-        else if departure <= limit then begin
-          let _, id = Option.get (Simcore.Event_queue.pop departures) in
-          learn (Cluster.Running_set.remove running ~id).Cluster.Running_set.job
-        end
+        else if departure <= limit then
+          learn (Cluster.Running_set.pop_finished running).job
         else due := false
       done;
       let ctx =

@@ -12,12 +12,13 @@
     machine.
 
     Event order.  Arrivals are read through a cursor over the
-    submit-ordered {!Workload.Trace.jobs}; the event queue holds only
-    the running jobs' departures, so it never has more entries than
-    there are running jobs.  The next event is whichever comes first,
-    the next arrival or the earliest departure; on equal times the
-    arrival goes first, equal submits go in id order, and equal
-    departures in start order.  A decision point at [now] first
+    submit-ordered {!Workload.Trace.jobs}; departures are read from
+    the running set's finish order ({!Cluster.Running_set.next_finish},
+    {!Cluster.Running_set.pop_finished}), which holds nothing but the
+    running jobs.  The next event is whichever comes first, the next
+    arrival or the earliest departure; on equal times the arrival goes
+    first, equal submits go in id order, and equal finishes in start
+    order.  A decision point at [now] first
     applies every event with time [t <= now +. 1e-9], then consults
     the policy once.  The window is a rounded float sum: it is close
     to 1 ns while the ulp of [now] is small, one ulp (about 1.9 ns) for

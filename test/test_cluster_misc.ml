@@ -2,14 +2,17 @@
 
 open Cluster
 
-let entry ?(id = 0) ?(nodes = 4) ?(start = 0.0) ?(runtime = 100.0) () =
+let entry ?(id = 0) ?(nodes = 4) ?(start = 0.0) ?(runtime = 100.0) ?est ()
+    =
   let job = Helpers.job ~id ~nodes ~runtime () in
   {
     Running_set.job;
     start;
     finish = start +. runtime;
-    est_finish = start +. runtime;
+    est_finish = start +. Option.value est ~default:runtime;
   }
+
+let pop_id rs = (Running_set.pop_finished rs).Running_set.job.Workload.Job.id
 
 let test_machine () =
   Alcotest.(check int) "titan nodes" 128 Machine.titan.Machine.nodes;
@@ -23,7 +26,7 @@ let test_machine () =
 
 let test_running_set_accounting () =
   let rs = Running_set.create ~machine:(Machine.v ~nodes:16) in
-  Alcotest.(check bool) "starts empty" true (Running_set.is_empty rs);
+  Alcotest.(check int) "starts empty" 0 (Running_set.count rs);
   Running_set.add rs (entry ~id:0 ~nodes:4 ());
   Running_set.add rs (entry ~id:1 ~nodes:8 ());
   Alcotest.(check int) "busy" 12 (Running_set.busy_nodes rs);
@@ -67,14 +70,112 @@ let test_releases_clamp_past_estimates () =
   | other ->
       Alcotest.failf "expected one release, got %d" (List.length other)
 
-(* Property: the profile built from the maintained release order
+(* The departure order the engine reads: earliest true finish first,
+   whatever the estimates say, and equal finishes in start order. *)
+let test_departures_in_finish_order () =
+  let rs = Running_set.create ~machine:(Machine.v ~nodes:16) in
+  Running_set.add rs (entry ~id:0 ~runtime:5.0 ~est:1.0 ());
+  Running_set.add rs (entry ~id:1 ~runtime:1.0 ~est:9.0 ());
+  Running_set.add rs (entry ~id:2 ~runtime:3.0 ());
+  Alcotest.(check (float 0.0)) "next finish" 1.0 (Running_set.next_finish rs);
+  let popped = List.init 3 (fun _ -> pop_id rs) in
+  Alcotest.(check (list int)) "finish order" [ 1; 2; 0 ] popped;
+  Alcotest.(check int) "drained" 0 (Running_set.count rs);
+  Alcotest.(check int) "nodes freed" 0 (Running_set.busy_nodes rs)
+
+let test_equal_finishes_in_start_order () =
+  let rs = Running_set.create ~machine:(Machine.v ~nodes:16) in
+  List.iter
+    (fun (id, start) ->
+      Running_set.add rs (entry ~id ~nodes:1 ~start ~runtime:(2.0 -. start) ()))
+    [ (7, 0.0); (3, 0.5); (5, 1.0); (1, 1.5) ];
+  Running_set.add rs (entry ~id:9 ~runtime:1.0 ());
+  let popped = List.init 5 (fun _ -> pop_id rs) in
+  Alcotest.(check (list int)) "start order at equal finish" [ 9; 7; 3; 5; 1 ]
+    popped
+
+let test_next_finish_and_empty_pop () =
+  let rs = Running_set.create ~machine:(Machine.v ~nodes:16) in
+  Alcotest.(check (float 0.0)) "empty" infinity (Running_set.next_finish rs);
+  Running_set.add rs (entry ~id:0 ~runtime:9.0 ());
+  Alcotest.(check (float 0.0)) "next" 9.0 (Running_set.next_finish rs);
+  Alcotest.(check int) "popped" 0 (pop_id rs);
+  Alcotest.(check (float 0.0)) "after the last pop" infinity
+    (Running_set.next_finish rs);
+  Alcotest.check_raises "pop when empty"
+    (Invalid_argument "Running_set.pop_finished: nothing running") (fun () ->
+      ignore (Running_set.pop_finished rs))
+
+(* [remove ~id] of a job that is not the next departure (the
+   validator's EASY replay removes in its own order) must leave both
+   orders intact: later pops still come in finish order, and the
+   maintained profile still equals the [releases] reference. *)
+let test_remove_keeps_both_orders () =
+  let rs = Running_set.create ~machine:(Machine.v ~nodes:32) in
+  List.iter
+    (fun (id, runtime, est) ->
+      Running_set.add rs (entry ~id ~nodes:(id + 1) ~runtime ~est ()))
+    [ (0, 40.0, 10.0); (1, 20.0, 50.0); (2, 30.0, 30.0); (3, 10.0, 20.0) ];
+  let removed = Running_set.remove rs ~id:2 in
+  Alcotest.(check (float 0.0)) "removed entry" 30.0 removed.Running_set.finish;
+  let profile_matches () =
+    Profile.segments (Running_set.profile rs ~now:0.0)
+    = Profile.segments
+        (Profile.of_running ~now:0.0 ~capacity:32
+           (Running_set.releases rs ~now:0.0))
+  in
+  Alcotest.(check bool) "profile after remove" true (profile_matches ());
+  Alcotest.(check int) "busy" 7 (Running_set.busy_nodes rs);
+  let popped =
+    List.init 3 (fun _ ->
+        let id = pop_id rs in
+        Alcotest.(check bool) "profile after pop" true (profile_matches ());
+        id)
+  in
+  Alcotest.(check (list int)) "remaining finish order" [ 3; 1; 0 ] popped
+
+(* The engine polls [next_finish] and pops at every departure: once
+   the set's arrays have grown, that path allocates nothing, so no
+   per-event record or per-poll option can creep back in. *)
+let test_departure_path_allocates_nothing () =
+  let rs = Running_set.create ~machine:(Machine.v ~nodes:128) in
+  let entries =
+    Array.init 2000 (fun id ->
+        let start = Float.of_int id in
+        entry ~id ~nodes:1 ~start
+          ~runtime:(Float.of_int (1 + (id * 7919 mod 40)))
+          ~est:(Float.of_int (1 + (id * 104729 mod 50)))
+          ())
+  in
+  for i = 0 to 39 do
+    Running_set.add rs entries.(i)
+  done;
+  let churn lo hi =
+    for i = lo to hi - 1 do
+      Running_set.add rs entries.(i);
+      if Running_set.next_finish rs < infinity then
+        ignore (Sys.opaque_identity (Running_set.pop_finished rs))
+    done
+  in
+  churn 40 1000;
+  (* warm-up *)
+  let before = Gc.minor_words () in
+  churn 1000 2000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "still running" 40 (Running_set.count rs);
+  Alcotest.(check (float 0.0)) "minor words for 1000 add + pop" 0.0 words
+
+(* Property: after every step of a random start/pop/remove/advance
+   sequence, (1) the profile built from the maintained release order
    ([Policy.profile_of], via [Running_set.profile]) equals the
-   reference built from the job table's release list, floats included,
-   after every step of a random start/finish/advance sequence.  Ends
-   sit on a coarse grid so many tie, the clock advances past them so
-   overdue jobs exercise the R*=pred clamp, and narrow jobs let more
-   than 32 run at once so the release arrays grow. *)
-type op = Start of int * int | Finish of int | Advance of int
+   reference built from [releases], floats included; (2) each
+   [pop_finished] returns the head of a stable sort by [finish] of the
+   running jobs in start order; (3) [count], [busy_nodes] and
+   [next_finish] agree with that list.  Estimated ends and true
+   finishes sit on coarse grids so many tie, the clock advances past
+   estimates so overdue jobs exercise the R*=pred clamp, and narrow
+   jobs let more than 32 run at once so the arrays grow. *)
+type op = Start of int * int * int | Pop | Finish of int | Advance of int
 
 let ops_arbitrary =
   let gen =
@@ -83,9 +184,14 @@ let ops_arbitrary =
         (list_size (1 -- 150)
            (frequency
               [
-                (4, map2 (fun n e -> Start (n, e)) (1 -- 4) (0 -- 12));
-                (2, map2 (fun n e -> Start (n, e)) (1 -- 32) (0 -- 12));
-                (3, map (fun k -> Finish k) (0 -- 1000));
+                ( 4,
+                  map3 (fun n e f -> Start (n, e, f)) (1 -- 4) (0 -- 12)
+                    (1 -- 6) );
+                ( 2,
+                  map3 (fun n e f -> Start (n, e, f)) (1 -- 32) (0 -- 12)
+                    (1 -- 6) );
+                (2, return Pop);
+                (2, map (fun k -> Finish k) (0 -- 1000));
                 (2, map (fun d -> Advance d) (0 -- 8));
               ])))
   in
@@ -94,7 +200,8 @@ let ops_arbitrary =
       (String.concat "; "
          (List.map
             (function
-              | Start (n, e) -> Printf.sprintf "Start(%d,%d)" n e
+              | Start (n, e, f) -> Printf.sprintf "Start(%d,%d,%d)" n e f
+              | Pop -> "Pop"
               | Finish k -> Printf.sprintf "Finish %d" k
               | Advance d -> Printf.sprintf "Advance %d" d)
             ops))
@@ -105,7 +212,14 @@ let prop_maintained_profile_matches_reference =
   QCheck.Test.make ~name:"maintained profile = of_running reference"
     ~count:300 ops_arbitrary (fun (capacity, ops) ->
       let rs = Running_set.create ~machine:(Machine.v ~nodes:capacity) in
+      (* [live]: (id, nodes, finish) of the running jobs, start order *)
       let now = ref 0.0 and next_id = ref 0 and live = ref [] in
+      let next_departure () =
+        List.hd
+          (List.stable_sort
+             (fun (_, _, a) (_, _, b) -> Float.compare a b)
+             !live)
+      in
       let agrees () =
         let ctx =
           {
@@ -121,34 +235,60 @@ let prop_maintained_profile_matches_reference =
         in
         Profile.segments (Sched.Policy.profile_of ctx)
         = Profile.segments reference
+        && Running_set.count rs = List.length !live
+        && Running_set.busy_nodes rs
+           = List.fold_left (fun acc (_, n, _) -> acc + n) 0 !live
+        && Running_set.next_finish rs
+           = (match !live with
+             | [] -> infinity
+             | _ ->
+                 let _, _, f = next_departure () in
+                 f)
       in
       List.for_all
         (fun op ->
           (match op with
-          | Start (nodes, e) ->
+          | Start (nodes, e, f) ->
               if nodes <= Running_set.free_nodes rs then begin
                 let id = !next_id in
                 incr next_id;
-                (* ends on a 100 s grid; [e = 0] may already be past *)
-                let est_finish =
-                  (Float.floor (!now /. 100.0) +. Float.of_int e) *. 100.0
-                in
+                (* ends on a 100 s grid, [e = 0] may already be past;
+                   true finishes in 600 s steps from the same base *)
+                let grid = Float.floor (!now /. 100.0) in
+                let est_finish = (grid +. Float.of_int e) *. 100.0 in
+                let finish = (grid +. (6.0 *. Float.of_int f)) *. 100.0 in
                 Running_set.add rs
                   {
-                    (entry ~id ~nodes ~start:!now ~runtime:1e6 ()) with
-                    Running_set.est_finish;
+                    (entry ~id ~nodes ~start:!now ()) with
+                    Running_set.finish;
+                    est_finish;
                   };
-                live := id :: !live
-              end
+                live := !live @ [ (id, nodes, finish) ]
+              end;
+              true
+          | Pop -> (
+              match !live with
+              | [] -> true
+              | _ ->
+                  let ((id, _, finish) as expected) = next_departure () in
+                  let e = Running_set.pop_finished rs in
+                  live := List.filter (( != ) expected) !live;
+                  e.Running_set.job.Workload.Job.id = id
+                  && e.Running_set.finish = finish)
           | Finish k -> (
               match !live with
-              | [] -> ()
-              | ids ->
-                  let id = List.nth ids (k mod List.length ids) in
-                  ignore (Running_set.remove rs ~id);
-                  live := List.filter (( <> ) id) ids)
-          | Advance d -> now := !now +. (50.0 *. Float.of_int d));
-          agrees ())
+              | [] -> true
+              | jobs ->
+                  let ((id, _, _) as gone) =
+                    List.nth jobs (k mod List.length jobs)
+                  in
+                  let e = Running_set.remove rs ~id in
+                  live := List.filter (( != ) gone) jobs;
+                  e.Running_set.job.Workload.Job.id = id)
+          | Advance d ->
+              now := !now +. (50.0 *. Float.of_int d);
+              true)
+          && agrees ())
         ops)
 
 let suite =
@@ -161,5 +301,15 @@ let suite =
       test_releases;
     Alcotest.test_case "releases clamp past estimates" `Quick
       test_releases_clamp_past_estimates;
+    Alcotest.test_case "departures in finish order" `Quick
+      test_departures_in_finish_order;
+    Alcotest.test_case "equal finishes leave in start order" `Quick
+      test_equal_finishes_in_start_order;
+    Alcotest.test_case "next_finish and empty pop" `Quick
+      test_next_finish_and_empty_pop;
+    Alcotest.test_case "remove keeps both orders" `Quick
+      test_remove_keeps_both_orders;
+    Alcotest.test_case "departure path allocates nothing" `Quick
+      test_departure_path_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_maintained_profile_matches_reference;
   ]

@@ -3,7 +3,6 @@
 let () =
   Alcotest.run "schedsearch"
     [
-      ("simcore.heap", Test_heap.suite);
       ("simcore.misc", Test_simcore_misc.suite);
       ("workload", Test_workload.suite);
       ("workload.swf", Test_swf.suite);

@@ -1,4 +1,5 @@
-(* Tests for Simcore.Units, Rng, Dist, Stats and Event_queue. *)
+(* Tests for Simcore.Units, Rng, Dist and Stats.  The departure order
+   the engine reads is tested on Cluster.Running_set. *)
 
 open Simcore
 
@@ -169,31 +170,6 @@ let prop_percentile_bounds =
       let hi = Array.fold_left Float.max Float.neg_infinity arr in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
-(* --- Event_queue --- *)
-
-let test_event_order () =
-  let q = Event_queue.create () in
-  Event_queue.schedule q ~time:5.0 "c";
-  Event_queue.schedule q ~time:1.0 "a";
-  Event_queue.schedule q ~time:3.0 "b";
-  let popped = List.init 3 (fun _ -> Option.get (Event_queue.pop q)) in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ]
-    (List.map snd popped);
-  Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
-
-let test_event_fifo_ties () =
-  let q = Event_queue.create () in
-  List.iter (fun s -> Event_queue.schedule q ~time:2.0 s) [ "x"; "y"; "z" ];
-  let popped = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
-  Alcotest.(check (list string)) "FIFO at equal time" [ "x"; "y"; "z" ] popped
-
-let test_event_next_time () =
-  let q = Event_queue.create () in
-  Alcotest.(check (float 0.0)) "empty" infinity (Event_queue.next_time q);
-  Event_queue.schedule q ~time:9.0 ();
-  Alcotest.(check (float 0.0)) "next" 9.0 (Event_queue.next_time q);
-  Alcotest.(check int) "length" 1 (Event_queue.length q)
-
 let suite =
   [
     Alcotest.test_case "units conversions" `Quick test_units;
@@ -216,7 +192,4 @@ let suite =
     Alcotest.test_case "percentile pure" `Quick test_percentile_does_not_mutate;
     Alcotest.test_case "timeline average" `Quick test_timeline;
     QCheck_alcotest.to_alcotest prop_percentile_bounds;
-    Alcotest.test_case "event queue order" `Quick test_event_order;
-    Alcotest.test_case "event queue FIFO ties" `Quick test_event_fifo_ties;
-    Alcotest.test_case "event queue next_time" `Quick test_event_next_time;
   ]
