@@ -36,9 +36,6 @@ val v :
   violation list ->
   t
 
-val pp_violation : Format.formatter -> violation -> unit
-(** One line: [[invariant] t=<time> jobs=[..]: detail]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Header line plus one line per violation. *)
 

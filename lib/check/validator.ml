@@ -1,14 +1,9 @@
 let sprintf = Printf.sprintf
 
-(* The engine treats events within 1 ns of a decision point as
-   simultaneous (the "Event order" paragraph of engine.mli); the replay
-   must group identically or differential comparison sees phantom
-   decisions. *)
-let drain_window = 1e-9
-
-(* Comparison slack for derived quantities (durations, promised starts).
-   Start/finish times themselves are compared through [drain_window]
-   because the engine computes them by pure addition. *)
+(* Comparison slack for promised starts, which the reference plan
+   derives from estimated durations.  Submit, start and finish times
+   are compared exactly: the engine groups events by float equality
+   and computes every finish as [start +. min T R]. *)
 let tol = 1e-6
 
 type expectation =
@@ -37,10 +32,38 @@ let expectation_of_policy name =
       Easy_backfill { reservations; priority = Sched.Priority.sjf }
   | _ -> Generic
 
-(* Replay events, exactly the engine's two kinds. *)
-type event = Arrive of Workload.Job.t | Depart of Metrics.Outcome.t
-
 let pp_ids ids = String.concat "," (List.map string_of_int ids)
+
+(* The instants at which anything happens, in time order: a merge of
+   the submit-ordered trace, the outcomes by finish and the outcomes
+   by start.  [f t ~arrive ~depart ~start] gets, as [(lo, hi)] index
+   ranges, the jobs submitted at exactly [t], the outcomes of
+   [by_finish] finishing at [t] and those of [by_start] starting at
+   [t].  The walk ends at the first time that is not finite. *)
+let each_instant ~(jobs : Workload.Job.t array)
+    ~(by_finish : Metrics.Outcome.t array)
+    ~(by_start : Metrics.Outcome.t array) f =
+  let submit (j : Workload.Job.t) = j.submit
+  and finish (o : Metrics.Outcome.t) = o.finish
+  and start (o : Metrics.Outcome.t) = o.start in
+  let head a time i = if i < Array.length a then time a.(i) else infinity in
+  let rec upto a time t i =
+    if i < Array.length a && time a.(i) = t then upto a time t (i + 1) else i
+  in
+  let rec go a d s =
+    let t =
+      Float.min (head jobs submit a)
+        (Float.min (head by_finish finish d) (head by_start start s))
+    in
+    if t < infinity then begin
+      let a' = upto jobs submit t a
+      and d' = upto by_finish finish t d
+      and s' = upto by_start start t s in
+      f t ~arrive:(a, a') ~depart:(d, d') ~start:(s, s');
+      go a' d' s'
+    end
+  in
+  go 0 0 0
 
 let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
     ?(r_star =
@@ -83,95 +106,51 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
       if j.nodes > capacity then
         violate "job-fits-machine" ~time:o.start ~jobs:[ j.id ]
           (sprintf "needs %d nodes on a %d-node machine" j.nodes capacity);
-      if o.start < j.submit -. drain_window then
+      if o.start < j.submit then
         violate "start-after-submit" ~time:o.start ~jobs:[ j.id ]
-          (sprintf "started %.3f s before its submission" (j.submit -. o.start));
-      let duration = Float.min j.runtime j.requested in
-      if Float.abs (o.finish -. o.start -. duration) > tol then
+          (sprintf "started %g s before its submission" (j.submit -. o.start));
+      let expected = o.start +. Float.min j.runtime j.requested in
+      if o.finish <> expected then
         violate "exact-runtime" ~time:o.start ~jobs:[ j.id ]
-          (sprintf "held its nodes for %.3f s, expected min(T, R) = %.3f s"
-             (o.finish -. o.start) duration))
+          (sprintf "finished at %.17g, expected start + min(T, R) = %.17g"
+             o.finish expected))
     outcomes;
-  (* --- capacity: sweep node-usage deltas; at equal times releases
-     (negative deltas) apply before acquisitions, as the engine drains
-     all departures before deciding. --- *)
-  let deltas =
-    List.concat_map
-      (fun (o : Metrics.Outcome.t) ->
-        [
-          (o.start, o.job.Workload.Job.nodes, o.job.id);
-          (o.finish, -o.job.Workload.Job.nodes, o.job.id);
-        ])
-      outcomes
-    |> List.sort (fun (t1, d1, _) (t2, d2, _) ->
-           match Float.compare t1 t2 with 0 -> compare d1 d2 | c -> c)
-  in
-  let (_ : int) =
-    List.fold_left
-      (fun used (time, delta, id) ->
-        let used = used + delta in
-        if delta > 0 && used > capacity then
-          violate "capacity" ~time ~jobs:[ id ]
-            (sprintf "%d nodes in use on a %d-node machine" used capacity);
-        used)
-      0 deltas
-  in
-  (* --- decision points: arrivals and departures, grouped as the
-     engine's drain loop groups them. --- *)
-  let n = Array.length jobs in
-  let events =
-    let arrivals =
-      Array.to_list
-        (Array.mapi
-           (fun i (j : Workload.Job.t) -> (j.submit, i, Arrive j))
-           jobs)
-    in
-    let departures =
-      List.mapi
-        (fun i (o : Metrics.Outcome.t) -> (o.finish, n + i, Depart o))
-        outcomes
-    in
-    List.sort
-      (fun (t1, s1, _) (t2, s2, _) ->
-        match Float.compare t1 t2 with 0 -> compare s1 s2 | c -> c)
-      (arrivals @ departures)
-  in
-  let groups =
-    List.fold_left
-      (fun acc (t, _, e) ->
-        match acc with
-        | (leader, es) :: rest when t <= leader +. drain_window ->
-            (leader, e :: es) :: rest
-        | _ -> (t, [ e ]) :: acc)
-      [] events
-    |> List.rev_map (fun (leader, es) -> (leader, List.rev es))
-  in
-  let decisions = List.length groups in
-  let leaders = Array.of_list (List.map fst groups) in
-  (* start-at-decision-point: every start time must be the leader time of
-     some decision group. *)
-  let starts_at_leader s =
-    let m = Array.length leaders in
-    if m = 0 then false
-    else
-      let rec bs lo hi =
-        if hi - lo <= 1 then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if leaders.(mid) <= s then bs mid hi else bs lo mid
-      in
-      let i = bs 0 m in
-      Float.abs (leaders.(i) -. s) <= drain_window
-      || (i + 1 < m && Float.abs (leaders.(i + 1) -. s) <= drain_window)
-  in
-  List.iter
-    (fun (o : Metrics.Outcome.t) ->
-      if not (starts_at_leader o.start) then
-        violate "start-at-decision-point" ~time:o.start ~jobs:[ o.job.id ]
-          "started between decision points (no arrival or departure there)")
-    outcomes;
+  (* --- capacity and start-at-decision-point, in one walk over the
+     instants.  An instant's departures free their nodes before its
+     starts take them, as the engine applies all of an instant's
+     events before it decides. --- *)
+  let by_start = Array.of_list outcomes in
+  Array.stable_sort
+    (fun (a : Metrics.Outcome.t) (b : Metrics.Outcome.t) ->
+      Float.compare a.start b.start)
+    by_start;
+  let by_finish = Array.copy by_start in
+  Array.stable_sort
+    (fun (a : Metrics.Outcome.t) (b : Metrics.Outcome.t) ->
+      Float.compare a.finish b.finish)
+    by_finish;
+  let each_instant = each_instant ~jobs ~by_finish ~by_start in
+  let decisions = ref 0 and used = ref 0 in
+  each_instant (fun t ~arrive:(a0, a1) ~depart:(d0, d1) ~start:(s0, s1) ->
+      let decision = a1 > a0 || d1 > d0 in
+      if decision then incr decisions;
+      for i = d0 to d1 - 1 do
+        used := !used - by_finish.(i).job.nodes
+      done;
+      for i = s0 to s1 - 1 do
+        let o = by_start.(i) in
+        used := !used + o.job.nodes;
+        if not decision then
+          violate "start-at-decision-point" ~time:t ~jobs:[ o.job.id ]
+            "started between decision points (no arrival or departure \
+             there)";
+        if !used > capacity then
+          violate "capacity" ~time:t ~jobs:[ o.job.id ]
+            (sprintf "%d nodes in use on a %d-node machine" !used capacity)
+      done);
   let legal = !violations = [] in
-  (* --- differential replay of the EASY backfill engine --- *)
+  (* --- differential replay of the EASY backfill engine, over the same
+     instants: on a legal schedule each one is a decision point. --- *)
   (match expect with
   | Generic -> ()
   | Easy_backfill _ when not legal ->
@@ -184,39 +163,22 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
       let running = Cluster.Running_set.create ~machine in
       let waiting = ref [] in
       let promises : (int, float) Hashtbl.t = Hashtbl.create 64 in
-      let started =
-        Array.of_list
-          (List.stable_sort
-             (fun (a : Metrics.Outcome.t) (b : Metrics.Outcome.t) ->
-               Float.compare a.start b.start)
-             outcomes)
-      in
-      let cursor = ref 0 in
       try
-        List.iter
-          (fun (now, es) ->
-            List.iter
-              (function
-                | Arrive j -> waiting := !waiting @ [ j ]
-                | Depart (o : Metrics.Outcome.t) ->
-                    let (_ : Cluster.Running_set.entry) =
-                      Cluster.Running_set.remove running ~id:o.job.id
-                    in
-                    ())
-              es;
+        each_instant
+          (fun now ~arrive:(a0, a1) ~depart:(d0, d1) ~start:(s0, s1) ->
+            if a1 > a0 then
+              waiting := !waiting @ Array.to_list (Array.sub jobs a0 (a1 - a0));
+            for i = d0 to d1 - 1 do
+              let (_ : Cluster.Running_set.entry) =
+                Cluster.Running_set.remove running ~id:by_finish.(i).job.id
+              in
+              ()
+            done;
             let ctx =
               { Sched.Policy.now; waiting = !waiting; running; r_star }
             in
             let plan = Sched.Backfill.plan ~reservations ~priority ctx in
-            let actual = ref [] in
-            while
-              !cursor < Array.length started
-              && started.(!cursor).Metrics.Outcome.start <= now +. drain_window
-            do
-              actual := started.(!cursor) :: !actual;
-              incr cursor
-            done;
-            let actual = List.rev !actual in
+            let actual = Array.to_list (Array.sub by_start s0 (s1 - s0)) in
             let planned_ids =
               List.map
                 (fun (j : Workload.Job.t) -> j.id)
@@ -230,13 +192,19 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                 ~jobs:(List.sort_uniq compare (planned_ids @ actual_ids))
                 (sprintf "reference plan starts [%s], schedule starts [%s]"
                    (pp_ids planned_ids) (pp_ids actual_ids));
+            (* A promise [p] inside the running set's grace after [now]
+               is kept at the grace's end: the profile reports no
+               release sooner. *)
+            let kept p =
+              Float.max p (now +. Cluster.Running_set.overdue_grace)
+            in
             if track_promises then
               List.iter
                 (fun ((j : Workload.Job.t), promised) ->
                   match Hashtbl.find_opt promises j.id with
                   | None -> Hashtbl.replace promises j.id promised
                   | Some p ->
-                      if promised > p +. tol then
+                      if promised > kept p +. tol then
                         violate "easy-reservation-monotone" ~time:now
                           ~jobs:[ j.id ]
                           (sprintf
@@ -244,13 +212,14 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                              promised);
                       Hashtbl.replace promises j.id (Float.min p promised))
                 plan.Sched.Backfill.reserved;
+            if actual <> [] then
+              waiting :=
+                List.filter
+                  (fun (w : Workload.Job.t) -> not (List.mem w.id actual_ids))
+                  !waiting;
             List.iter
               (fun (o : Metrics.Outcome.t) ->
                 let j = o.job in
-                waiting :=
-                  List.filter
-                    (fun (w : Workload.Job.t) -> w.id <> j.id)
-                    !waiting;
                 Cluster.Running_set.add running
                   {
                     job = j;
@@ -271,10 +240,9 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                              (o.start -. p) p);
                       Hashtbl.remove promises j.id)
               actual)
-          groups
       with exn ->
         violate "replay-failed" ~time:0.0 ~jobs:[]
           (sprintf "differential replay raised: %s" (Printexc.to_string exn))));
   Report.v ~subject ~jobs_checked:(List.length outcomes)
-    ~decisions_checked:decisions
+    ~decisions_checked:!decisions
     (List.rev !violations)

@@ -13,14 +13,23 @@
       and no outcome is for an unknown job;
     - ["job-fits-machine"]: no job is wider than the machine;
     - ["start-after-submit"]: no job starts before its arrival;
-    - ["exact-runtime"]: a started job holds its nodes for exactly
-      [min(T, R)] seconds — non-preemption, no early kill, no overrun;
+    - ["exact-runtime"]: a started job finishes at exactly
+      [start +. min T R], the engine's own expression — non-preemption,
+      no early kill, no overrun;
     - ["capacity"]: instantaneous node usage never exceeds machine
       capacity (releases at an instant free nodes for starts at the
-      same instant, matching the engine's event draining);
+      same instant, as the engine applies an instant's events before
+      it decides);
     - ["start-at-decision-point"]: every start happens at a scheduling
       decision point (a job arrival or departure) — the paper's
       decision model.
+
+    An instant is one float: events are grouped, and submit, start and
+    finish times compared, by exact equality, as {!Sim.Engine} does.
+    One walk over the instants at which anything happens (a merge of
+    the submit-ordered trace, the outcomes by finish and the outcomes
+    by start) checks [capacity] and [start-at-decision-point], and the
+    EASY replay below reuses it.
 
     [Easy_backfill] additionally replays {!Sched.Backfill.plan} at
     every decision point with a reconstructed context and checks:
@@ -31,7 +40,9 @@
     - ["easy-reservation-monotone"] (fcfs priority only): a reserved
       job's promised start never slips later across decisions (sound
       because fcfs order is stable and the estimates the profile is
-      built from never under-estimate);
+      built from never under-estimate); the running set reports no
+      release sooner than {!Cluster.Running_set.overdue_grace} after
+      [now], so a promise inside that grace is kept at its end;
     - ["easy-reservation-bound"] (fcfs priority only): no reserved job
       starts later than its promised start — the one-reservation EASY
       guarantee Dutot & Mounié's bi-criteria analysis relies on;
@@ -44,8 +55,8 @@
     generic violations already locate the fault.
 
     The replay reconstructs contexts exactly as {!Sim.Engine} builds
-    them (same event order, same 1 ns same-instant drain window), so
-    on a faithful run the differential comparison is bit-exact.  The
+    them (same event order, same instants), so on a faithful run the
+    differential comparison is bit-exact.  The
     stateful [R* = pred] estimator cannot be replayed after the fact;
     callers must downgrade to [Generic] for predicted runtimes (the
     engine wiring does). *)

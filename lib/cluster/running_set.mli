@@ -44,14 +44,18 @@ val remove : t -> id:int -> entry
 (** Remove a job by id, wherever it stands in the departure order.
     @raise Not_found if absent. *)
 
+val overdue_grace : float
+(** 1 ms: {!releases} and {!profile} report no release sooner than
+    [now +. overdue_grace]. *)
+
 val releases : t -> now:float -> (float * int) list
 (** [(estimated end, nodes)] pairs for profile construction; estimated
-    ends already in the past are reported as a 1 ms grace after [now]
-    (a job that outlives its estimate still holds its nodes).  The
-    grace is strictly wider than every policy's start-now tolerance,
-    so no policy can be tricked into starting a job on nodes an
-    overdue job still occupies.  Unspecified order; it is read from
-    the departure order, never from the estimated releases behind
+    ends before [now +. overdue_grace], past or about to come, are
+    reported at it (a job that outlives its estimate still holds its
+    nodes).  The grace is strictly wider than every policy's start-now
+    tolerance, so no policy can be tricked into starting a job on
+    nodes a running job still occupies.  Unspecified order; it is read
+    from the departure order, never from the estimated releases behind
     {!profile}, and so serves as their reference. *)
 
 val profile : t -> now:float -> Profile.t

@@ -27,8 +27,6 @@ let add ?(secondary = Bounded_slowdown) t ~wait ~threshold ~est_runtime =
 let avg_secondary t =
   if t.jobs = 0 then 0.0 else t.secondary_sum /. float_of_int t.jobs
 
-let avg_slowdown = avg_secondary
-
 (* One float second of excess on totals of hours is noise; compare with
    a relative-plus-absolute tolerance so the second level can break
    effective ties. *)

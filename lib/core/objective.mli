@@ -40,10 +40,6 @@ val add :
 
 val avg_secondary : t -> float
 
-val avg_slowdown : t -> float
-(** Alias of {!avg_secondary} (meaningful when accumulated with
-    [Bounded_slowdown]). *)
-
 val compare : t -> t -> int
 (** Lexicographic: total excess first, then average slowdown.  Both
     comparisons use a small relative tolerance so float noise does not

@@ -19,6 +19,5 @@ val compute : ?avg_queue_length:float -> Outcome.t list -> t
 
 val avg_wait_hours : t -> float
 val max_wait_hours : t -> float
-val p98_wait_hours : t -> float
 
 val pp : Format.formatter -> t -> unit

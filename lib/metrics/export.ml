@@ -8,28 +8,15 @@ let csv_row (o : Outcome.t) =
     j.Workload.Job.submit o.start o.finish j.Workload.Job.runtime
     j.Workload.Job.requested (Outcome.wait o) (Outcome.bounded_slowdown o)
 
-let sorted outcomes =
-  List.stable_sort
-    (fun (a : Outcome.t) (b : Outcome.t) ->
-      Workload.Job.compare_submit a.job b.job)
-    outcomes
-
-let with_file path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
 let to_csv path outcomes =
-  with_file path (fun oc ->
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
       output_string oc (csv_header ^ "\n");
       List.iter
         (fun o -> output_string oc (csv_row o ^ "\n"))
-        (sorted outcomes))
-
-let to_swf ?(comments = []) path outcomes =
-  with_file path (fun oc ->
-      List.iter (fun c -> output_string oc (c ^ "\n")) comments;
-      List.iter
-        (fun (o : Outcome.t) ->
-          output_string oc
-            (Workload.Swf.job_line ~wait:(Outcome.wait o) o.job ^ "\n"))
-        (sorted outcomes))
+        (List.stable_sort
+           (fun (a : Outcome.t) (b : Outcome.t) ->
+             Workload.Job.compare_submit a.job b.job)
+           outcomes))

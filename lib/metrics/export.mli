@@ -1,10 +1,8 @@
-(** Export simulation outcomes for external analysis.
-
-    Two formats:
-    - CSV with one row per job (id, user, nodes, submit, start, finish,
-      runtime, requested, wait, bounded slowdown) — for notebooks;
-    - SWF with the wait-time field filled from the simulation — so a
-      simulated schedule can be fed to any SWF-consuming tool. *)
+(** Export simulation outcomes for external analysis: CSV with one row
+    per job (id, user, nodes, submit, start, finish, runtime,
+    requested, wait, bounded slowdown), for notebooks.  A schedule as
+    SWF, with the wait field filled, is {!Workload.Swf.to_file}'s
+    [~wait]. *)
 
 val to_csv : string -> Outcome.t list -> unit
 (** Write outcomes to a CSV file (header included), in submit order. *)
@@ -12,6 +10,3 @@ val to_csv : string -> Outcome.t list -> unit
 val csv_header : string
 
 val csv_row : Outcome.t -> string
-
-val to_swf : ?comments:string list -> string -> Outcome.t list -> unit
-(** Write outcomes as SWF, wait field = simulated wait. *)

@@ -116,21 +116,14 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
     and departure = Cluster.Running_set.next_finish running in
     let now = if submit <= departure then submit else departure in
     if now < infinity then begin
-      (* Apply every event due by [limit], earliest first; on equal
-         times the arrival goes first. *)
-      let limit = now +. 1e-9 in
-      let due = ref true in
-      while !due do
-        let submit = next_submit ()
-        and departure = Cluster.Running_set.next_finish running in
-        if submit <= departure && submit <= limit then begin
-          waiting := !waiting @ [ jobs.(!next_arrival) ];
-          incr next_arrival;
-          incr n_waiting
-        end
-        else if departure <= limit then
-          learn (Cluster.Running_set.pop_finished running).job
-        else due := false
+      (* Apply exactly the events at [now], arrivals first. *)
+      while next_submit () = now do
+        waiting := !waiting @ [ jobs.(!next_arrival) ];
+        incr next_arrival;
+        incr n_waiting
+      done;
+      while Cluster.Running_set.next_finish running = now do
+        learn (Cluster.Running_set.pop_finished running).job
       done;
       let ctx =
         { Sched.Policy.now; waiting = !waiting; running; r_star = estimator }

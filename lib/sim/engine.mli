@@ -15,17 +15,14 @@
     submit-ordered {!Workload.Trace.jobs}; departures are read from
     the running set's finish order ({!Cluster.Running_set.next_finish},
     {!Cluster.Running_set.pop_finished}), which holds nothing but the
-    running jobs.  The next event is whichever comes first, the next
-    arrival or the earliest departure; on equal times the arrival goes
-    first, equal submits go in id order, and equal finishes in start
-    order.  A decision point at [now] first
-    applies every event with time [t <= now +. 1e-9], then consults
-    the policy once.  The window is a rounded float sum: it is close
-    to 1 ns while the ulp of [now] is small, one ulp (about 1.9 ns) for
-    [now] from 2{^23} to 2{^24} s, and from 2{^24} s (about 194 days)
-    on the [1e-9] rounds away and the window is exact equality.
-    {!Schedcheck.Validator} groups events by the same sum
-    ([leader +. drain_window]), so the two agree at every time. *)
+    running jobs.  One instant is one float: the next decision point
+    [now] is the earliest pending event time, and it applies exactly
+    the events whose time equals [now] (arrivals first, equal submits
+    in id order, then departures, equal finishes in start order)
+    before it consults the policy once.  An event even one ulp later
+    is its own decision, so every start is at or after its job's
+    submit, exactly.  {!Schedcheck.Validator} groups events by the
+    same equality. *)
 
 type r_star =
   | Actual  (** the paper's R* = T: perfect information *)

@@ -13,18 +13,15 @@
     Rendering is a pure function of the input series, so report bytes
     are identical for any [REPRO_JOBS] / pool width (tested). *)
 
-val max_runs : int
-(** Charts draw at most this many runs (the fixed categorical palette
-    is never cycled); extra runs still appear in the summary table and
-    the legend notes how many were not drawn. *)
-
 val page :
   title:string -> ?subtitle:string -> (string * Series.t) list -> string
 (** [page ~title runs] is a complete HTML document charting the
     labelled runs together.  Runs are drawn in list order with the
     fixed categorical palette; a legend appears whenever there are at
     least two runs.  Series without observations are skipped in charts
-    but listed in the summary table. *)
+    but listed in the summary table.  Charts draw at most 8 runs (the
+    palette is never cycled); extra runs still appear in the summary
+    table and the legend notes how many were not drawn. *)
 
 type section = {
   href : string;  (** relative link to the section's {!page} file *)

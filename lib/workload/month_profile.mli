@@ -33,10 +33,6 @@ val find : string -> t
 (** [find "1/04"] looks a month up by label.
     @raise Not_found on unknown labels. *)
 
-val jobs5 : t -> float array
-(** Table 3 job fractions aggregated to the 5 node classes of Table 4
-    (percent). *)
-
 val short_given_class : t -> int -> float
 (** [short_given_class m c] is P(T <= 1h | node class c), derived from
     Tables 3 and 4, clamped to [0, 1]. *)

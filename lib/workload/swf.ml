@@ -18,6 +18,8 @@ let float_field ~line_number name s =
 
 let ( let* ) = Result.bind
 
+(* One line: [Ok None] for comments, blank lines and unusable jobs,
+   [Error msg] for malformed lines. *)
 let parse_line ~line_number ~id line =
   if is_blank line || is_comment line then Ok None
   else

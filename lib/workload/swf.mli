@@ -27,17 +27,8 @@ type parse_result = {
   comments : string list;  (** header comment lines, in order *)
 }
 
-val parse_line : line_number:int -> id:int -> string -> (Job.t option, string) result
-(** Parse one line.  [Ok None] for comments/blank lines and unusable
-    jobs; [Error msg] for malformed lines. *)
-
-val of_channel : in_channel -> (parse_result, string) result
 val of_string : string -> (parse_result, string) result
 val of_file : string -> (parse_result, string) result
-
-val job_line : wait:float -> Job.t -> string
-(** Render one job as an 18-field SWF line.  [wait] fills the wait-time
-    field (use 0.0 if unknown). *)
 
 val to_file :
   ?comments:string list -> ?wait:(Job.t -> float) -> string -> Trace.t -> unit

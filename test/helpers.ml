@@ -32,8 +32,12 @@ let mini_trace ?(n = 40) ?(capacity = 16) ?(horizon = 7200.0) ~seed () =
    are whole minutes: every decision point lies on a 60 s grid.  Jobs
    of at most half the machine with runtimes of 1-10 minutes, over a
    half-hour horizon, make arrivals often coincide with departures and
-   with each other. *)
-let grid_trace ?(n = 30) ?(capacity = 16) ?(horizon = 1800.0) ~seed () =
+   with each other.  With [jitter], about a third of the submits land
+   0.5 ns past their grid minute: sub-nanosecond near-ties, each of
+   which is a decision point of its own.  Without it the draws, and so
+   the trace, are those of the plain grid. *)
+let grid_trace ?(n = 30) ?(capacity = 16) ?(horizon = 1800.0)
+    ?(jitter = false) ~seed () =
   let rng = Simcore.Rng.create ~seed in
   let minutes k = 60.0 *. float_of_int k in
   let jobs =
@@ -44,6 +48,10 @@ let grid_trace ?(n = 30) ?(capacity = 16) ?(horizon = 1800.0) ~seed () =
           minutes (Simcore.Rng.int rng (int_of_float (horizon /. 60.0)))
         in
         let requested = runtime +. minutes (Simcore.Rng.int rng 40) in
+        let submit =
+          if jitter && Simcore.Rng.int rng 3 = 0 then submit +. 0.5e-9
+          else submit
+        in
         Workload.Job.v ~id ~submit ~nodes ~runtime ~requested)
   in
   Workload.Trace.v jobs

@@ -142,6 +142,15 @@ let test_catches_off_decision_start () =
   let report = validate_raw [ j ] [ outcome j 42.0 142.0 ] in
   check_violation report "start-at-decision-point" ~time:42.0
 
+let test_catches_sub_ns_start_shift () =
+  (* job 1 starts when job 0 leaves at t=100; moved 0.5 ns later, its
+     start is at neither an arrival nor a departure *)
+  let t = 100.0 +. 0.5e-9 in
+  let report =
+    validate_raw two_jobs [ outcome j0 0.0 100.0; outcome j1 t (t +. 100.0) ]
+  in
+  check_violation report "start-at-decision-point" ~time:t
+
 let test_catches_wide_job () =
   let j = Helpers.job ~id:0 ~nodes:9 ~runtime:100.0 () in
   let report = validate_raw [ j ] [ outcome j 0.0 100.0 ] in
@@ -168,6 +177,27 @@ let test_catches_impostor_backfill () =
   (* the genuine article stays clean on the same workload *)
   Alcotest.(check bool) "real backfill clean" true
     (Report.ok (validated ~policy:Sched.Backfill.fcfs trace))
+
+(* A full-machine job 1 is promised t=100, when job 0 leaves; job 2,
+   backfilled beside job 0 but running to t=300, pushes that promise
+   to 300 at t=100 and job 1 starts there.  The schedule is legal, so
+   the replay runs and must report the slip and the broken bound. *)
+let test_catches_slipped_reservation () =
+  let job id nodes runtime = Helpers.job ~id ~nodes ~runtime () in
+  let j0 = job 0 6 100.0 and j1 = job 1 8 100.0 and j2 = job 2 2 300.0 in
+  let report =
+    Validator.validate
+      ~machine:(Cluster.Machine.v ~nodes:8)
+      ~expect:(Validator.expectation_of_policy "FCFS-backfill")
+      ~subject:"bad backfill" ~r_star
+      ~trace:(Workload.Trace.v [ j0; j1; j2 ])
+      ~outcomes:
+        [ outcome j0 0.0 100.0; outcome j2 0.0 300.0; outcome j1 300.0 400.0 ]
+      ()
+  in
+  check_violation report "backfill-differential" ~time:0.0;
+  check_violation report "easy-reservation-monotone" ~time:100.0;
+  check_violation report "easy-reservation-bound" ~time:300.0
 
 (* --- differential oracle: Backfill.plan vs naive reference --- *)
 
@@ -337,9 +367,13 @@ let suite =
       test_catches_lost_and_phantom_jobs;
     Alcotest.test_case "catches off-decision starts" `Quick
       test_catches_off_decision_start;
+    Alcotest.test_case "catches a start 0.5 ns off its decision point"
+      `Quick test_catches_sub_ns_start_shift;
     Alcotest.test_case "catches too-wide jobs" `Quick test_catches_wide_job;
     Alcotest.test_case "catches impostor backfill" `Quick
       test_catches_impostor_backfill;
+    Alcotest.test_case "catches a slipped reservation" `Quick
+      test_catches_slipped_reservation;
     QCheck_alcotest.to_alcotest prop_backfill_matches_reference;
     QCheck_alcotest.to_alcotest prop_search_matches_enumeration;
     QCheck_alcotest.to_alcotest prop_profile_trail_matches_snapshots;

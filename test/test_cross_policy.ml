@@ -39,7 +39,7 @@ let outcomes_ok n (result : Sim.Engine.result) =
   List.length outcomes = n
   && List.for_all
        (fun (o : Metrics.Outcome.t) ->
-         o.start >= o.job.Workload.Job.submit -. 1e-9
+         o.start >= o.job.Workload.Job.submit
          && Float.abs
               (o.finish -. o.start
               -. Float.min o.job.Workload.Job.runtime
@@ -103,28 +103,34 @@ let prop_estimators_sound =
    drain an arrival and a departure together.  The validator regroups
    the events itself, so its EASY differential checks the engine's
    same-instant order independently; under R*=pred [Run.simulate]
-   keeps only the generic invariants. *)
+   keeps only the generic invariants.  The jittered copy adds
+   sub-nanosecond near-ties: an arrival 0.5 ns after a departure is a
+   decision of its own, and a job may start there, at its submit. *)
 let prop_tie_heavy_schedules_validate =
   QCheck.Test.make ~name:"grid-aligned traces: schedules validate"
     ~count:10 QCheck.small_int
     (fun seed ->
-      let trace = Helpers.grid_trace ~seed:(seed + 200) () in
-      let validates ~expect ~r_star policy =
-        let run =
-          Sim.Run.simulate ~machine ~validate:expect ~r_star ~policy trace
-        in
-        Schedcheck.Report.ok (Option.get run.Sim.Run.validation)
-      in
       List.for_all
-        (fun r_star ->
-          validates ~r_star
-            ~expect:(Schedcheck.Validator.expectation_of_policy "FCFS-backfill")
-            Sched.Backfill.fcfs)
-        [ Sim.Engine.Actual; Sim.Engine.Requested; Sim.Engine.Predicted ]
-      && List.for_all
-           (validates ~expect:Schedcheck.Validator.Generic
-              ~r_star:Sim.Engine.Actual)
-           (all_policies ()))
+        (fun jitter ->
+          let trace = Helpers.grid_trace ~jitter ~seed:(seed + 200) () in
+          let validates ~expect ~r_star policy =
+            let run =
+              Sim.Run.simulate ~machine ~validate:expect ~r_star ~policy trace
+            in
+            Schedcheck.Report.ok (Option.get run.Sim.Run.validation)
+          in
+          List.for_all
+            (fun r_star ->
+              validates ~r_star
+                ~expect:
+                  (Schedcheck.Validator.expectation_of_policy "FCFS-backfill")
+                Sched.Backfill.fcfs)
+            [ Sim.Engine.Actual; Sim.Engine.Requested; Sim.Engine.Predicted ]
+          && List.for_all
+               (validates ~expect:Schedcheck.Validator.Generic
+                  ~r_star:Sim.Engine.Actual)
+               (all_policies ()))
+        [ false; true ])
 
 let test_profile_pp () =
   let p = Cluster.Profile.of_running ~now:0.0 ~capacity:128 [ (3600.0, 64) ] in

@@ -309,19 +309,42 @@ let test_arrival_at_departure_instant () =
     [ (0.0, 1, [ 0 ], 1); (100.0, 1, [ 1 ], 1); (150.0, 0, [], 0) ]
     (decisions_of (blocker_then 100.0))
 
-let test_arrival_inside_drain_window () =
-  (* Job 1 takes the nodes job 0 frees at t=100, so job 2 (arriving
-     0.5 ns later, before it may start) is seen waiting there. *)
+let test_arrival_half_ns_after_departure () =
+  (* Job 1 takes the nodes job 0 frees at t=100; job 2, arriving 0.5 ns
+     later, is a decision of its own and waits there for job 1. *)
   let job id submit runtime = Helpers.job ~id ~submit ~nodes:8 ~runtime () in
-  check_decisions "arrival 0.5 ns late joins the departure's decision"
+  let t = 100.0 +. 0.5e-9 in
+  check_decisions "arrival 0.5 ns late is its own decision"
     [
-      (0.0, 2, [ 0 ], 1); (100.0, 2, [ 1 ], 1); (150.0, 1, [ 2 ], 1);
-      (200.0, 0, [], 0);
+      (0.0, 2, [ 0 ], 1); (100.0, 1, [ 1 ], 1); (t, 1, [], 1);
+      (150.0, 1, [ 2 ], 1); (200.0, 0, [], 0);
     ]
-    (decisions_of
-       [ job 0 0.0 100.0; job 1 0.0 50.0; job 2 (100.0 +. 0.5e-9) 50.0 ])
+    (decisions_of [ job 0 0.0 100.0; job 1 0.0 50.0; job 2 t 50.0 ])
 
-let test_arrival_outside_drain_window () =
+(* The machine frees at t=100 and a full-machine job arrives 0.5 ns
+   later: it starts at its own submit, in its own decision.  Had the
+   two events shared a decision, the job would have started at 100,
+   before its submission, and [Outcome.v] would have aborted the run. *)
+let test_late_arrival_starts_at_submit () =
+  let t = 100.0 +. 0.5e-9 in
+  check_decisions "arrival 0.5 ns late starts in its own decision"
+    [
+      (0.0, 1, [ 0 ], 1); (100.0, 0, [], 0); (t, 1, [ 1 ], 1);
+      (t +. 50.0, 0, [], 0);
+    ]
+    (decisions_of (blocker_then t));
+  let result =
+    Sim.Engine.run ~machine:machine8 ~r_star:Sim.Engine.Actual
+      ~policy:Sched.Backfill.fcfs
+      (Workload.Trace.v (blocker_then t))
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "job 1 starts at its submit" [ (0, 0.0); (1, t) ]
+    (List.map
+       (fun (o : Metrics.Outcome.t) -> (o.job.Workload.Job.id, o.start))
+       result.outcomes)
+
+let test_arrival_two_ns_after_departure () =
   let t = 100.0 +. 2e-9 in
   check_decisions "arrival 2 ns late is its own decision"
     [
@@ -423,10 +446,12 @@ let suite =
       `Quick test_observe_each_decision;
     Alcotest.test_case "arrival at a departure's instant: one decision"
       `Quick test_arrival_at_departure_instant;
-    Alcotest.test_case "arrival 0.5 ns after a departure: one decision"
-      `Quick test_arrival_inside_drain_window;
+    Alcotest.test_case "arrival 0.5 ns after a departure: two decisions"
+      `Quick test_arrival_half_ns_after_departure;
     Alcotest.test_case "arrival 2 ns after a departure: two decisions"
-      `Quick test_arrival_outside_drain_window;
+      `Quick test_arrival_two_ns_after_departure;
+    Alcotest.test_case "late full-machine arrival starts at its submit"
+      `Quick test_late_arrival_starts_at_submit;
     Alcotest.test_case "equal submits queue in id order" `Quick
       test_equal_submits_queue_in_id_order;
     Alcotest.test_case "late departures: one decision per instant" `Quick

@@ -1,4 +1,4 @@
-(* Tests for outcome export (CSV and SWF-with-waits). *)
+(* Tests for outcome export to CSV. *)
 
 let outcome ?(id = 0) ?(user = 0) ?(submit = 0.0) ~wait () =
   let job = Helpers.job ~id ~submit ~nodes:4 ~runtime:600.0 () in
@@ -28,29 +28,8 @@ let test_csv_file () =
         (String.length (List.nth lines 1) > 0
         && (List.nth lines 1).[0] = '0'))
 
-let test_swf_roundtrip_with_waits () =
-  let path = Filename.temp_file "export" ".swf" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Metrics.Export.to_swf path ~comments:[ "; simulated" ]
-        [ outcome ~id:0 ~wait:300.0 () ];
-      match Workload.Swf.of_file path with
-      | Error e -> Alcotest.fail e
-      | Ok r ->
-          Alcotest.(check int) "one job" 1
-            (Workload.Trace.length r.Workload.Swf.trace);
-          (* the wait field is carried in the file (3rd column) *)
-          let ic = open_in path in
-          let _comment = input_line ic in
-          let line = input_line ic in
-          close_in ic;
-          let fields = String.split_on_char ' ' line in
-          Alcotest.(check string) "wait field" "300" (List.nth fields 2))
-
 let suite =
   [
     Alcotest.test_case "csv row" `Quick test_csv_row;
     Alcotest.test_case "csv file" `Quick test_csv_file;
-    Alcotest.test_case "swf with waits" `Quick test_swf_roundtrip_with_waits;
   ]

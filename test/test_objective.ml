@@ -5,7 +5,7 @@ open Core
 let test_zero () =
   Alcotest.(check int) "no jobs" 0 Objective.zero.Objective.jobs;
   Alcotest.(check (float 1e-9)) "avg slowdown empty" 0.0
-    (Objective.avg_slowdown Objective.zero)
+    (Objective.avg_secondary Objective.zero)
 
 let test_add () =
   let o =
@@ -16,7 +16,7 @@ let test_add () =
   Alcotest.(check (float 1e-9)) "slowdown" 3.0 o.Objective.secondary_sum;
   let o2 = Objective.add o ~wait:0.0 ~threshold:3600.0 ~est_runtime:3600.0 in
   Alcotest.(check (float 1e-9)) "excess unchanged" 3600.0 o2.Objective.excess;
-  Alcotest.(check (float 1e-9)) "avg slowdown" 2.0 (Objective.avg_slowdown o2)
+  Alcotest.(check (float 1e-9)) "avg slowdown" 2.0 (Objective.avg_secondary o2)
 
 let test_add_short_job_floor () =
   let o =
