@@ -243,6 +243,65 @@ let prop_trail_snapshot_equivalent =
     ~name:"trail = snapshot (4 algorithms x 2 heuristics, n <= 12)"
     ~count:40 QCheck.small_int trail_matches_snapshot_replay
 
+(* --- visit order vs the Tree_enum specification --- *)
+
+(* The placements a walk over [paths] makes: each path re-places only
+   what it does not share with the path before it. *)
+let placements_of_paths paths =
+  let rec shared a b =
+    match (a, b) with
+    | x :: a', y :: b' when x = y -> 1 + shared a' b'
+    | _ -> 0
+  in
+  let _, placed =
+    List.fold_left
+      (fun (prev, acc) path ->
+        let keep = shared prev path in
+        let fresh =
+          List.filteri (fun depth _ -> depth >= keep) path
+          |> List.mapi (fun i job -> (keep + i, job))
+        in
+        (path, List.rev_append fresh acc))
+      ([], []) paths
+  in
+  List.rev placed
+
+(* Every (depth, job) the kernel places, in order, for an exhaustive
+   unpruned search over [n] jobs, is the one the specification implies:
+   the heuristic path, then each iteration of [Tree_enum] walked left
+   to right (for DFS, the whole tree once after the heuristic path). *)
+let visit_order_matches_spec seed =
+  let rng = Simcore.Rng.create ~seed in
+  let n = 1 + Simcore.Rng.int rng 6 in
+  let jobs = random_jobs rng n in
+  List.for_all
+    (fun algo ->
+      let placed = ref [] in
+      let on_place ~depth ~job ~start:_ = placed := (depth, job) :: !placed in
+      let state =
+        make_state ~now:1100.0 ~on_place ~heuristic:Branching.Lxf jobs
+      in
+      ignore (Search.run algo ~budget:max_int state);
+      let heuristic_path = List.init n Fun.id in
+      let expected =
+        match algo with
+        | Search.Dfs ->
+            placements_of_paths [ heuristic_path ]
+            @ placements_of_paths (Tree_enum.all_paths Search.Dfs ~n)
+        | Search.Lds | Search.Lds_original | Search.Dds ->
+            List.concat_map
+              (fun iteration ->
+                placements_of_paths
+                  (Tree_enum.paths_in_iteration algo ~n ~iteration))
+              (List.init n Fun.id)
+      in
+      List.rev !placed = expected)
+    [ Search.Dfs; Search.Lds; Search.Lds_original; Search.Dds ]
+
+let prop_visit_order_matches_spec =
+  QCheck.Test.make ~name:"visit order = Tree_enum (4 algorithms, n <= 6)"
+    ~count:60 QCheck.small_int visit_order_matches_spec
+
 let test_reset_after_budget_spent () =
   (* A budget abort unwinds through Budget_spent and Search.run resets
      the state; reusing that state (with a cumulative budget, since the
@@ -373,6 +432,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lds_original_optimal;
     QCheck_alcotest.to_alcotest prop_prune_preserves_best;
     QCheck_alcotest.to_alcotest prop_trail_snapshot_equivalent;
+    QCheck_alcotest.to_alcotest prop_visit_order_matches_spec;
     Alcotest.test_case "reset after budget abort" `Quick
       test_reset_after_budget_spent;
     Alcotest.test_case "budget enforced" `Quick test_budget_enforced;
