@@ -18,7 +18,7 @@ let v ~subject ~jobs_checked ~decisions_checked violations =
   { subject; jobs_checked; decisions_checked; violations }
 
 let pp_violation fmt v =
-  Format.fprintf fmt "[%s] t=%.0f jobs=[%s]: %s" v.invariant v.time
+  Format.fprintf fmt "[%s] t=%.17g jobs=[%s]: %s" v.invariant v.time
     (String.concat "," (List.map string_of_int v.jobs))
     v.detail
 

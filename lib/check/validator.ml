@@ -208,7 +208,7 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                         violate "easy-reservation-monotone" ~time:now
                           ~jobs:[ j.id ]
                           (sprintf
-                             "promised start slipped from %.3f to %.3f" p
+                             "promised start slipped from %.17g to %.17g" p
                              promised);
                       Hashtbl.replace promises j.id (Float.min p promised))
                 plan.Sched.Backfill.reserved;
@@ -235,8 +235,8 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                         violate "easy-reservation-bound" ~time:now
                           ~jobs:[ j.id ]
                           (sprintf
-                             "reserved job started %.3f s after its \
-                              promised start %.3f"
+                             "reserved job started %.17g s after its \
+                              promised start %.17g"
                              (o.start -. p) p);
                       Hashtbl.remove promises j.id)
               actual)

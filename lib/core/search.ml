@@ -14,24 +14,29 @@ type result = {
   leaves_evaluated : int;
   iterations : int;
   exhausted : bool;
+  improvements : int;
+  winner_iteration : int;
+  winner_depth : int;
 }
 
 exception Budget_spent
 
 type driver = {
   state : Search_state.t;
-  algorithm : algorithm;
   n : int;
   budget : int;
   prune : bool;
-  probe : Simcore.Telemetry.Probe.t option;
   mutable enforce_budget : bool;
+  mutable rule : algorithm;  (* whose admission rule the walk applies *)
   mutable forced : int;  (* DDS: choice-depth of the forced discrepancy *)
-  mutable cur_iter : int;  (* discrepancy iteration being explored *)
+  mutable iteration : int;  (* discrepancy iteration being explored *)
   mutable best : Objective.t option;
-  mutable best_order : int array;
-  mutable best_starts : float array;
+  best_order : int array;
+  best_starts : float array;
   mutable leaves : int;
+  mutable improvements : int;
+  mutable winner_iteration : int;
+  mutable winner_depth : int;
 }
 
 let record_leaf d =
@@ -48,16 +53,9 @@ let record_leaf d =
       d.best_order.(depth) <- Search_state.chosen d.state ~depth;
       d.best_starts.(depth) <- Search_state.start_at d.state ~depth
     done;
-    (* Telemetry sampling happens only here — an incumbent improvement
-       at a leaf — never per node; writes into a preallocated record. *)
-    match d.probe with
-    | None -> ()
-    | Some p ->
-        p.Simcore.Telemetry.Probe.improvements <-
-          p.Simcore.Telemetry.Probe.improvements + 1;
-        p.winner_iteration <- d.cur_iter;
-        p.winner_depth <-
-          (if d.algorithm = Dds && d.cur_iter >= 1 then d.forced else -1)
+    d.improvements <- d.improvements + 1;
+    d.winner_iteration <- d.iteration;
+    d.winner_depth <- (if d.rule = Dds then d.forced else -1)
   end
 
 let check_budget d =
@@ -89,205 +87,118 @@ let hopeless d ~depth =
    (one leaf per [n] interior nodes). *)
 let at_leaf d ~depth = if not (hopeless d ~depth) then record_leaf d
 
-(* Each algorithm below inlines the same visit body — budget check,
-   place, recurse-or-evaluate, unplace — instead of sharing it through
-   a continuation parameter: a function-valued argument costs an
-   indirect [caml_apply] per node, and these recursions are the
-   innermost loop of the whole reproduction.  Children of a node are
-   exactly the unused jobs, walked in increasing index order via
-   {!Search_state.first_unused} / {!Search_state.next_unused}; the
-   walk is stable across a visit because unplace restores the links it
-   removed.  Nothing here allocates per node. *)
+(* Discrepancies a path can still take strictly below [depth]: one per
+   level with at least two children. *)
+let below d depth =
+  let k = d.n - 2 - depth in
+  if k > 0 then k else 0
 
-(* The pure heuristic path: rank 0 at every depth. *)
-let rec heur_go d depth =
+(* The admission rules.  A node at [depth] with [r] discrepancies left
+   admits its heuristic child (rank 0) iff [heuristic_admitted], and
+   its other children, one discrepancy each, iff [others_admitted]. *)
+let heuristic_admitted d depth r =
+  match d.rule with
+  | Dfs | Lds_original -> true
+  | Dds -> depth <> d.forced
+  | Lds -> r <= below d depth
+
+let others_admitted d depth r =
+  match d.rule with
+  | Dfs -> true
+  | Dds -> depth <= d.forced
+  | Lds -> 1 <= r && r <= below d depth + 1
+  | Lds_original -> r >= 1
+
+(* The one walk.  Children of a node are exactly the unused jobs, in
+   increasing index order via {!Search_state.first_unused} /
+   {!Search_state.next_unused}; the walk is stable across a visit
+   because unplace restores the links it removed.  The admission rule
+   is a match on [d.rule], not a function-valued argument: an indirect
+   [caml_apply] per node would cost more than the test itself, and
+   these recursions are the innermost loop of the whole reproduction.
+   Nothing here allocates per node. *)
+let rec visit d depth r =
   let job = Search_state.first_unused d.state in
+  if heuristic_admitted d depth r then child d depth job r;
+  if others_admitted d depth r then
+    discrepancies d depth (Search_state.next_unused d.state job) (r - 1)
+
+and discrepancies d depth job r =
   if job < d.n then begin
-    check_budget d;
-    Search_state.place d.state ~depth ~job;
-    if depth = d.n - 1 then at_leaf d ~depth
-    else if not (hopeless d ~depth) then heur_go d (depth + 1);
-    Search_state.unplace d.state ~depth
+    child d depth job r;
+    discrepancies d depth (Search_state.next_unused d.state job) r
   end
 
-let heuristic_path d = heur_go d 0
+and child d depth job r =
+  check_budget d;
+  Search_state.place d.state ~depth ~job;
+  if depth = d.n - 1 then at_leaf d ~depth
+  else if not (hopeless d ~depth) then visit d (depth + 1) r;
+  Search_state.unplace d.state ~depth
 
-(* Original LDS iteration k (Harvey & Ginsberg): all paths with at
-   most [k] discrepancies, left to right — earlier iterations' paths
-   are re-visited, spending budget on repeats. *)
-let rec lds0_go d depth remaining =
-  lds0_each d depth remaining (Search_state.first_unused d.state) 0
-
-and lds0_each d depth remaining job rank =
-  if job < d.n then begin
-    let cost = if rank = 0 then 0 else 1 in
-    if cost <= remaining then begin
-      check_budget d;
-      Search_state.place d.state ~depth ~job;
-      if depth = d.n - 1 then at_leaf d ~depth
-      else if not (hopeless d ~depth) then
-        lds0_go d (depth + 1) (remaining - cost);
-      Search_state.unplace d.state ~depth
-    end;
-    lds0_each d depth remaining (Search_state.next_unused d.state job)
-      (rank + 1)
-  end
-
-let lds_original_iteration d k = lds0_go d 0 (min k (d.n - 1))
-
-(* LDS iteration k: all paths with exactly [k] discrepancies, explored
-   left to right.  Only descend if the remaining discrepancies can
-   still be consumed strictly below: one per level with >= 2
-   children. *)
-let rec lds_go d depth remaining =
-  lds_each d depth remaining (Search_state.first_unused d.state) 0
-
-and lds_each d depth remaining job rank =
-  if job < d.n then begin
-    let cost = if rank = 0 then 0 else 1 in
-    let max_below = Stdlib.max 0 (d.n - 2 - depth) in
-    if cost <= remaining && remaining - cost <= max_below then begin
-      check_budget d;
-      Search_state.place d.state ~depth ~job;
-      if depth = d.n - 1 then at_leaf d ~depth
-      else if not (hopeless d ~depth) then
-        lds_go d (depth + 1) (remaining - cost);
-      Search_state.unplace d.state ~depth
-    end;
-    lds_each d depth remaining (Search_state.next_unused d.state job)
-      (rank + 1)
-  end
-
-let lds_iteration d k = if k <= d.n - 1 then lds_go d 0 k
-
-(* DDS iteration i >= 1: any child above choice-depth [d.forced], a
-   forced discrepancy at [d.forced], heuristic only below. *)
-let rec dds_go d depth =
-  if depth < d.forced then
-    dds_each d depth (Search_state.first_unused d.state)
-  else if depth = d.forced then begin
-    (* ranks 1 and up: skip the heuristic child *)
-    let job = Search_state.first_unused d.state in
-    if job < d.n then dds_each d depth (Search_state.next_unused d.state job)
-  end
-  else begin
-    let job = Search_state.first_unused d.state in
-    if job < d.n then begin
-      check_budget d;
-      Search_state.place d.state ~depth ~job;
-      if depth = d.n - 1 then at_leaf d ~depth
-      else if not (hopeless d ~depth) then dds_go d (depth + 1);
-      Search_state.unplace d.state ~depth
-    end
-  end
-
-and dds_each d depth job =
-  if job < d.n then begin
-    check_budget d;
-    Search_state.place d.state ~depth ~job;
-    if depth = d.n - 1 then at_leaf d ~depth
-    else if not (hopeless d ~depth) then dds_go d (depth + 1);
-    Search_state.unplace d.state ~depth;
-    dds_each d depth (Search_state.next_unused d.state job)
-  end
-
-let dds_iteration d i =
+(* Iteration [i] of [algorithm].  Iteration 0 is the pure heuristic
+   path for every algorithm: DDS forcing no discrepancy.  DDS iteration
+   [i] forces its discrepancy at choice-depth [i - 1]; (original) LDS
+   iteration [i] allows [i] discrepancies; DFS has one iteration after
+   the heuristic path, the whole tree, which re-walks that path (its
+   node count includes the repeat, as in any restart strategy). *)
+let iterate d algorithm i =
+  d.rule <- (if i = 0 then Dds else algorithm);
   d.forced <- i - 1;
-  (* a discrepancy needs >= 2 children at the forced depth *)
-  if d.forced <= d.n - 2 then dds_go d 0
+  d.iteration <- i;
+  visit d 0 i
 
-let rec dfs_go d depth =
-  dfs_each d depth (Search_state.first_unused d.state)
-
-and dfs_each d depth job =
-  if job < d.n then begin
-    check_budget d;
-    Search_state.place d.state ~depth ~job;
-    if depth = d.n - 1 then at_leaf d ~depth
-    else if not (hopeless d ~depth) then dfs_go d (depth + 1);
-    Search_state.unplace d.state ~depth;
-    dfs_each d depth (Search_state.next_unused d.state job)
-  end
-
-let dfs_all d = dfs_go d 0
-
-let run ?(prune = false) ?probe algorithm ~budget state =
+let run ?(prune = false) algorithm ~budget state =
   let n = Search_state.job_count state in
   if n = 0 then invalid_arg "Search.run: no waiting jobs";
-  Option.iter Simcore.Telemetry.Probe.reset probe;
   let d =
     {
       state;
-      algorithm;
       n;
       budget;
       prune;
-      probe;
       enforce_budget = false;
-      forced = 0;
-      cur_iter = 0;
+      rule = Dds;
+      forced = -1;
+      iteration = 0;
       best = None;
       best_order = Array.make n (-1);
       best_starts = Array.make n 0.0;
       leaves = 0;
+      improvements = 0;
+      winner_iteration = 0;
+      winner_depth = -1;
     }
   in
-  (* Iteration 0 (the heuristic path) ignores the budget so the policy
-     always has a complete schedule to fall back on. *)
-  heuristic_path d;
+  (* Iteration 0 ignores the budget so the policy always has a
+     complete schedule to fall back on. *)
+  iterate d algorithm 0;
   d.enforce_budget <- true;
-  let iterations = ref 1 in
-  let exhausted = ref false in
-  begin
+  let last = if algorithm = Dfs then 1 else n - 1 in
+  let completed = ref 0 in
+  let exhausted =
     try
-      begin
-        match algorithm with
-        | Dfs ->
-            (* The heuristic path was already visited; plain DFS re-walks
-               it (its node count includes the repeat, as in any restart
-               strategy). *)
-            d.cur_iter <- 1;
-            dfs_all d
-        | Lds ->
-            for k = 1 to n - 1 do
-              d.cur_iter <- k;
-              lds_iteration d k;
-              incr iterations
-            done
-        | Lds_original ->
-            for k = 1 to n - 1 do
-              d.cur_iter <- k;
-              lds_original_iteration d k;
-              incr iterations
-            done
-        | Dds ->
-            for i = 1 to n - 1 do
-              d.cur_iter <- i;
-              dds_iteration d i;
-              incr iterations
-            done
-      end;
-      exhausted := true
-    with Budget_spent -> Search_state.reset state
-  end;
+      for i = 1 to last do
+        iterate d algorithm i;
+        completed := i
+      done;
+      true
+    with Budget_spent ->
+      Search_state.reset state;
+      false
+  in
   match d.best with
   | None -> assert false (* iteration 0 always records a leaf *)
   | Some best ->
-      (match probe with
-      | None -> ()
-      | Some p ->
-          p.Simcore.Telemetry.Probe.nodes <-
-            Search_state.nodes_visited state;
-          p.leaves <- d.leaves;
-          p.iterations <- !iterations;
-          p.budget <- budget;
-          p.exhausted <- !exhausted);
       {
         best;
         best_order = d.best_order;
         best_starts = d.best_starts;
         nodes_visited = Search_state.nodes_visited state;
         leaves_evaluated = d.leaves;
-        iterations = !iterations;
-        exhausted = !exhausted;
+        iterations = (if algorithm = Dfs then 1 else !completed + 1);
+        exhausted;
+        improvements = d.improvements;
+        winner_iteration = d.winner_iteration;
+        winner_depth = d.winner_depth;
       }

@@ -67,28 +67,26 @@ let state_of ?usage config (ctx : Sched.Policy.context) =
   Search_state.create ~secondary:config.goal ~now:ctx.now ~profile ~jobs
     ~durations ~thresholds ()
 
-let search ?probe config state =
-  let result = Search.run ~prune:config.prune ?probe config.algorithm
-      ~budget:config.budget state
+let search config state =
+  let result =
+    Search.run ~prune:config.prune config.algorithm ~budget:config.budget
+      state
   in
-  if config.local_search then begin
-    let result =
-      Local_search.improve ~budget:(config.budget / 4) state result
-    in
-    (* an improving swap pass adds its own nodes to the result: keep
-       the probe in step with it *)
-    Option.iter
-      (fun (p : Simcore.Telemetry.Probe.t) ->
-        p.nodes <- result.Search.nodes_visited)
-      probe;
-    result
-  end
+  if config.local_search then
+    Local_search.improve ~budget:(config.budget / 4) state result
   else result
 
-let decide_detailed config ctx =
-  match ctx.Sched.Policy.waiting with
-  | [] -> None
-  | _ :: _ -> Some (search config (state_of config ctx))
+(* The decision's effort, local-search nodes included, written once
+   from the result the policy acts on. *)
+let write_probe (p : Simcore.Telemetry.Probe.t) ~budget (r : Search.result) =
+  p.nodes <- r.nodes_visited;
+  p.leaves <- r.leaves_evaluated;
+  p.iterations <- r.iterations;
+  p.budget <- budget;
+  p.exhausted <- r.exhausted;
+  p.improvements <- r.improvements;
+  p.winner_iteration <- r.winner_iteration;
+  p.winner_depth <- r.winner_depth
 
 let policy config =
   let decisions = ref 0 in
@@ -112,7 +110,8 @@ let policy config =
         []
     | _ :: _ ->
         let state = state_of ?usage config ctx in
-        let result = search ~probe config state in
+        let result = search config state in
+        write_probe probe ~budget:config.budget result;
         incr decisions;
         total_nodes := !total_nodes + result.Search.nodes_visited;
         total_leaves := !total_leaves + result.Search.leaves_evaluated;

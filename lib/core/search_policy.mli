@@ -56,8 +56,3 @@ val policy : config -> Sched.Policy.t * (unit -> stats)
     the last decision's effort, local-search nodes included; the
     engine turns it into the decision log and the [schedsim_search_*]
     run metrics. *)
-
-val decide_detailed :
-  config -> Sched.Policy.context -> Search.result option
-(** Run the search for one decision point and expose the raw result
-    ([None] when no jobs wait).  For tests and analyses. *)

@@ -8,8 +8,8 @@ type t = {
   marks : Cluster.Profile.mark array;  (* one trail mark per depth *)
   used : bool array;
   (* Circular doubly-linked list of unused job indices in increasing
-     order, with sentinel [n]: rank-r lookup is an r-step walk and the
-     heuristic child (rank 0) is O(1).  Removal and LIFO re-insertion
+     order, with sentinel [n]: the heuristic child (rank 0) and each next
+     sibling are one step away.  Removal and LIFO re-insertion
      are the dancing-links constant-time splices. *)
   unext : int array;
   uprev : int array;
@@ -60,7 +60,6 @@ let create ?(secondary = Objective.Bounded_slowdown) ?on_place ~now ~profile
 
 let secondary t = t.secondary
 let job_count t = Array.length t.jobs
-let now t = t.now
 let nodes_visited t = t.visited
 
 let place t ~depth ~job =
@@ -120,7 +119,6 @@ let reset t =
   reset_links t;
   Cluster.Profile.undo_to t.work 0
 
-let used t i = t.used.(i)
 let chosen t ~depth = t.chosen.(depth)
 let start_at t ~depth = t.starts.(depth)
 
@@ -132,15 +130,6 @@ let partial t ~depth =
   }
 
 let leaf_objective t = partial t ~depth:(Array.length t.jobs - 1)
-
-let nth_unused t r =
-  let sentinel = Array.length t.jobs in
-  let rec walk node remaining =
-    if node = sentinel then None
-    else if remaining = 0 then Some node
-    else walk t.unext.(node) (remaining - 1)
-  in
-  walk t.unext.(sentinel) r
 
 let first_unused t = t.unext.(Array.length t.jobs)
 let next_unused t job = t.unext.(job)

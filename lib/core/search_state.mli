@@ -16,8 +16,8 @@
 
     Jobs are indexed 0 .. n-1 in *heuristic order* (see {!Branching});
     child rank 0 of any node is the lowest-indexed unused job.  The
-    unused set is a doubly-linked list, so the heuristic child is found
-    in O(1) and rank [r] in O(r) — no per-child rescans. *)
+    unused set is a doubly-linked list, so the heuristic child and each
+    next sibling are found in O(1) — no per-child rescans. *)
 
 type t
 
@@ -44,7 +44,6 @@ val create :
 val secondary : t -> Objective.secondary
 
 val job_count : t -> int
-val now : t -> float
 
 val nodes_visited : t -> int
 (** Total placements performed so far (the paper's "nodes"). *)
@@ -65,7 +64,6 @@ val reset : t -> unit
     search unwound through an exception ({!Search.Budget_spent}) and
     left placements behind.  Does not reset the node counter. *)
 
-val used : t -> int -> bool
 val chosen : t -> depth:int -> int
 val start_at : t -> depth:int -> float
 val partial : t -> depth:int -> Objective.t
@@ -74,10 +72,6 @@ val partial : t -> depth:int -> Objective.t
 val leaf_objective : t -> Objective.t
 (** Objective of a complete path (depth [n-1] placed). *)
 
-val nth_unused : t -> int -> int option
-(** [nth_unused t r] is the index of the [r]-th unused job in
-    heuristic order (rank 0 = heuristic choice), if any.  O(r). *)
-
 val first_unused : t -> int
 (** Lowest unused job index, or [job_count t] (the sentinel) when all
     jobs are placed.  O(1) — the head of the unused list. *)
@@ -85,10 +79,9 @@ val first_unused : t -> int
 val next_unused : t -> int -> int
 (** Next unused job index after [job] (which must itself be unused),
     or [job_count t] when [job] is the last.  O(1).  Together with
-    {!first_unused} this iterates the children of a node without the
-    O(rank) walk of {!nth_unused}. *)
+    {!first_unused} this iterates the children of a node. *)
 
 val start_now_set : t -> order:int array -> starts:float array -> Workload.Job.t list
 (** Given a recorded best path (job indices + start times), the jobs
-    whose start time equals the decision time (within 1 s), in path
+    whose start time equals the decision time (within 1 µs), in path
     order — the jobs the policy starts immediately. *)

@@ -1,9 +1,15 @@
 (** Symbolic enumeration of the search tree (Figure 1).
 
-    Pure combinatorial counterparts of {!Search}'s traversal orders,
-    used to reproduce Figure 1(a)-(f) (which paths each iteration of
-    LDS and DDS visits, in order) and Figure 1(d) (tree sizes), and to
-    property-test the real search against the specification. *)
+    Pure combinatorial counterparts of {!Search}'s walk: iteration
+    membership by discrepancy count (LDS, original LDS) or deepest
+    discrepancy (DDS), over the same paths the admission rules yield.
+    Used to reproduce Figure 1(a)-(f) (which paths each iteration of
+    LDS and DDS visits, in order) and Figure 1(d) (tree sizes), and as
+    the specification the test suite checks the kernel's placements
+    against: each iteration walked left to right, a path re-placing
+    only what it does not share with the path before it.  The kernel
+    walks the heuristic path first for every algorithm, DFS included,
+    so its DFS order is that path followed by [all_paths Dfs]. *)
 
 val paths_in_iteration :
   Search.algorithm -> n:int -> iteration:int -> int list list

@@ -1,10 +1,9 @@
 (** Decision-level search telemetry.
 
-    {!Probe} is a caller-owned mutable record that a search fills at
-    incumbent improvements and once at the end of its run (see
-    [Core.Search.run ?probe]).  "Off" for a probe is simply not
-    passing one; filling it never allocates.  Named run-health
-    counters, gauges and histograms live in {!Metrics}. *)
+    {!Probe} is a caller-owned mutable record that a searching policy
+    overwrites once per decision from the search's result (see
+    [Core.Search_policy.policy]); filling it never allocates.  Named
+    run-health counters, gauges and histograms live in {!Metrics}. *)
 
 module Probe : sig
   type t = {
@@ -26,10 +25,10 @@ module Probe : sig
         (** DDS: choice-depth of the forced discrepancy of the winning
             iteration; -1 for iteration 0 and for non-DDS algorithms *)
   }
-  (** Caller-owned per-decision search-effort record.  The search
-      overwrites every field on each run, so one preallocated probe can
-      be reused across all decisions of a simulation; reading it is
-      only meaningful between runs. *)
+  (** Caller-owned per-decision search-effort record.  The policy
+      overwrites every field at each decision, so one preallocated
+      probe can be reused across all decisions of a simulation; reading
+      it is only meaningful between decisions. *)
 
   val create : unit -> t
   val reset : t -> unit

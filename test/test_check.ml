@@ -149,7 +149,13 @@ let test_catches_sub_ns_start_shift () =
   let report =
     validate_raw two_jobs [ outcome j0 0.0 100.0; outcome j1 t (t +. 100.0) ]
   in
-  check_violation report "start-at-decision-point" ~time:t
+  check_violation report "start-at-decision-point" ~time:t;
+  (* the printed report names the exact instant, not a rounded one *)
+  let printed = Format.asprintf "%a" Report.pp report in
+  Alcotest.(check bool) ("exact time in: " ^ printed) false
+    (Helpers.contains printed "t=100 ");
+  Alcotest.(check bool) ("sub-ns digits in: " ^ printed) true
+    (Helpers.contains printed "t=100.00000000049999 ")
 
 let test_catches_wide_job () =
   let j = Helpers.job ~id:0 ~nodes:9 ~runtime:100.0 () in

@@ -95,21 +95,23 @@ let test_unplace_restores () =
   Search_state.place state ~depth:0 ~job:0;
   Search_state.place state ~depth:1 ~job:1;
   Search_state.unplace state ~depth:1;
-  Alcotest.(check bool) "job 1 free again" false (Search_state.used state 1);
+  Alcotest.(check int) "job 1 free again" 1 (Search_state.first_unused state);
   Search_state.place state ~depth:1 ~job:1;
   let s1 = Search_state.start_at state ~depth:1 in
   Alcotest.(check (float 1e-9)) "same start on re-place" 0.0 s1
 
-let test_nth_unused () =
+let test_unused_walk () =
   let jobs =
     List.init 3 (fun id -> Helpers.job ~id ~submit:(float_of_int id) ())
   in
   let state = make_state ~heuristic:Branching.Fcfs jobs in
   Search_state.place state ~depth:0 ~job:1;
-  Alcotest.(check (option int)) "rank 0" (Some 0) (Search_state.nth_unused state 0);
-  Alcotest.(check (option int)) "rank 1" (Some 2) (Search_state.nth_unused state 1);
-  Alcotest.(check (option int)) "rank 2 exhausted" None
-    (Search_state.nth_unused state 2)
+  let first = Search_state.first_unused state in
+  Alcotest.(check int) "rank 0" 0 first;
+  let second = Search_state.next_unused state first in
+  Alcotest.(check int) "rank 1" 2 second;
+  Alcotest.(check int) "rank 2 is the sentinel" 3
+    (Search_state.next_unused state second)
 
 let test_start_now_set () =
   let jobs =
@@ -424,7 +426,7 @@ let suite =
       test_place_order_changes_starts;
     Alcotest.test_case "backfill within path" `Quick test_backfill_within_path;
     Alcotest.test_case "unplace restores" `Quick test_unplace_restores;
-    Alcotest.test_case "nth_unused ranks" `Quick test_nth_unused;
+    Alcotest.test_case "unused-list walk" `Quick test_unused_walk;
     Alcotest.test_case "start_now_set" `Quick test_start_now_set;
     QCheck_alcotest.to_alcotest prop_dfs_optimal;
     QCheck_alcotest.to_alcotest prop_lds_optimal;
@@ -432,7 +434,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lds_original_optimal;
     QCheck_alcotest.to_alcotest prop_prune_preserves_best;
     QCheck_alcotest.to_alcotest prop_trail_snapshot_equivalent;
-    QCheck_alcotest.to_alcotest prop_visit_order_matches_spec;
     Alcotest.test_case "reset after budget abort" `Quick
       test_reset_after_budget_spent;
     Alcotest.test_case "budget enforced" `Quick test_budget_enforced;
@@ -443,4 +444,5 @@ let suite =
     Alcotest.test_case "empty state rejected" `Quick test_empty_state_rejected;
     Alcotest.test_case "DDS vs LDS under tiny budget" `Quick
       test_dds_beats_lds_to_root_discrepancies;
+    QCheck_alcotest.to_alcotest prop_visit_order_matches_spec;
   ]

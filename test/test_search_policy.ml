@@ -58,25 +58,29 @@ let test_starts_fitting_jobs () =
   Alcotest.(check bool) "nodes counted" true (s.Search_policy.total_nodes >= 2);
   Alcotest.(check int) "queue length recorded" 2 s.Search_policy.max_queue
 
-let test_decide_detailed () =
-  let waiting = [ Helpers.job ~id:0 ~nodes:4 () ] in
-  match
-    Search_policy.decide_detailed
-      (Search_policy.dds_lxf_dynb ~budget:100)
-      (context ~waiting ())
-  with
-  | None -> Alcotest.fail "expected a result"
-  | Some result ->
-      Alcotest.(check bool) "single-job tree exhausted" true
-        result.Search.exhausted;
-      Alcotest.(check int) "one leaf" 1 result.Search.leaves_evaluated
+let probe_of (policy : Sched.Policy.t) = Option.get policy.Sched.Policy.probe
 
-let test_decide_detailed_empty () =
-  Alcotest.(check bool) "no result on empty queue" true
-    (Search_policy.decide_detailed
-       (Search_policy.dds_lxf_dynb ~budget:100)
-       (context ~waiting:[] ())
-    = None)
+let test_probe_after_decide () =
+  let policy, _ = Search_policy.policy (Search_policy.dds_lxf_dynb ~budget:100) in
+  ignore
+    (policy.Sched.Policy.decide
+       (context ~waiting:[ Helpers.job ~id:0 ~nodes:4 () ] ()));
+  let probe = probe_of policy in
+  Alcotest.(check bool) "single-job tree exhausted" true
+    probe.Simcore.Telemetry.Probe.exhausted;
+  Alcotest.(check int) "one leaf" 1 probe.Simcore.Telemetry.Probe.leaves;
+  Alcotest.(check int) "budget" 100 probe.Simcore.Telemetry.Probe.budget
+
+let test_empty_queue_resets_probe () =
+  let policy, _ = Search_policy.policy (Search_policy.dds_lxf_dynb ~budget:100) in
+  ignore
+    (policy.Sched.Policy.decide
+       (context ~waiting:[ Helpers.job ~id:0 ~nodes:4 () ] ()));
+  ignore (policy.Sched.Policy.decide (context ~waiting:[] ()));
+  let probe = probe_of policy in
+  Alcotest.(check int) "no nodes" 0 probe.Simcore.Telemetry.Probe.nodes;
+  Alcotest.(check int) "no budget: did not search" 0
+    probe.Simcore.Telemetry.Probe.budget
 
 (* Local search must never worsen the incumbent and must leave the
    state clean. *)
@@ -110,8 +114,10 @@ let prop_local_search_never_worse =
       let improved = Local_search.improve ~budget:1000 state base in
       Objective.compare improved.Search.best base.Search.best <= 0
       && Array.length improved.Search.best_order = n
-      && not (List.exists (fun i -> Search_state.used state i)
-                (List.init n Fun.id)))
+      && Search_state.first_unused state = 0
+      && List.for_all
+           (fun i -> Search_state.next_unused state i = i + 1)
+           (List.init n Fun.id))
 
 let test_local_search_finds_swap () =
   (* heuristic order deliberately bad: big job first starves the rest;
@@ -179,8 +185,10 @@ let suite =
     Alcotest.test_case "invalid budget" `Quick test_invalid_budget;
     Alcotest.test_case "empty queue" `Quick test_empty_queue;
     Alcotest.test_case "starts fitting jobs" `Quick test_starts_fitting_jobs;
-    Alcotest.test_case "decide_detailed" `Quick test_decide_detailed;
-    Alcotest.test_case "decide_detailed empty" `Quick test_decide_detailed_empty;
+    Alcotest.test_case "probe after one decide" `Quick
+      test_probe_after_decide;
+    Alcotest.test_case "empty queue resets probe" `Quick
+      test_empty_queue_resets_probe;
     QCheck_alcotest.to_alcotest prop_local_search_never_worse;
     Alcotest.test_case "local search finds a swap" `Quick
       test_local_search_finds_swap;

@@ -1,9 +1,9 @@
 (* Search telemetry and the decision-trace export: the log2 histogram
-   geometry and percentile estimator of Simcore.Metrics, the Search
-   probe agrees with Search.result (and with the policy's statistics
-   and run metrics under local search), probe recording allocates
-   nothing on the hot path, and trace export is independent of the
-   domain-pool width. *)
+   geometry and percentile estimator of Simcore.Metrics, the search
+   policy's probe agrees with Search.result (and with the policy's
+   statistics and run metrics under local search), the search stays
+   within its per-node allocation envelope, and trace export is
+   independent of the domain-pool width. *)
 
 module T = Simcore.Telemetry
 module M = Simcore.Metrics
@@ -56,10 +56,56 @@ let test_histogram_observe_percentile () =
 
 (* --- the Search probe --- *)
 
+(* A decision context over [n] waiting jobs on an idle 64-node machine. *)
+let context ~seed ~n =
+  let rng = Simcore.Rng.create ~seed in
+  let now = 10_000.0 in
+  let waiting =
+    List.init n (fun id ->
+        Helpers.job ~id
+          ~submit:(Simcore.Rng.float rng now)
+          ~nodes:(1 + Simcore.Rng.int rng 48)
+          ~runtime:(60.0 +. Simcore.Rng.float rng 20_000.0)
+          ())
+  in
+  let running =
+    Cluster.Running_set.create ~machine:(Cluster.Machine.v ~nodes:64)
+  in
+  {
+    Sched.Policy.now;
+    waiting;
+    running;
+    r_star = (fun j -> j.Workload.Job.runtime);
+  }
+
+let headline_policy ~budget =
+  let policy, stats =
+    Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget)
+  in
+  (policy, stats, Option.get policy.Sched.Policy.probe)
+
+(* The probe after one decision carries every effort field of the
+   result of the same search, run directly on the state the headline
+   policy builds (lxf order, dynamic bound). *)
 let test_probe_matches_result () =
-  let probe = T.Probe.create () in
-  let state = Experiments.Overhead.synthetic_state ~seed:5 () in
-  let r = Core.Search.run ~probe Core.Search.Dds ~budget:2000 state in
+  let budget = 2000 in
+  let policy, _, probe = headline_policy ~budget in
+  let ctx = context ~seed:5 ~n:12 in
+  ignore (policy.Sched.Policy.decide ctx);
+  let jobs =
+    Core.Branching.order Core.Branching.Lxf ~now:ctx.now ~r_star:ctx.r_star
+      ctx.waiting
+  in
+  let state =
+    Core.Search_state.create ~now:ctx.now
+      ~profile:(Sched.Policy.profile_of ctx) ~jobs
+      ~durations:(Array.map ctx.r_star jobs)
+      ~thresholds:
+        (Core.Bound.thresholds Core.Bound.dynamic ~now:ctx.now
+           ~r_star:ctx.r_star jobs)
+      ()
+  in
+  let r = Core.Search.run Core.Search.Dds ~budget state in
   Alcotest.(check int) "nodes" r.Core.Search.nodes_visited probe.T.Probe.nodes;
   Alcotest.(check int) "leaves" r.Core.Search.leaves_evaluated
     probe.T.Probe.leaves;
@@ -67,29 +113,38 @@ let test_probe_matches_result () =
     probe.T.Probe.iterations;
   Alcotest.(check bool) "exhausted" r.Core.Search.exhausted
     probe.T.Probe.exhausted;
-  Alcotest.(check int) "budget" 2000 probe.T.Probe.budget;
+  Alcotest.(check int) "budget" budget probe.T.Probe.budget;
+  Alcotest.(check int) "improvements" r.Core.Search.improvements
+    probe.T.Probe.improvements;
+  Alcotest.(check int) "winner iteration" r.Core.Search.winner_iteration
+    probe.T.Probe.winner_iteration;
+  Alcotest.(check int) "winner depth" r.Core.Search.winner_depth
+    probe.T.Probe.winner_depth;
   Alcotest.(check bool) "at least the heuristic incumbent" true
-    (probe.T.Probe.improvements >= 1);
+    (r.Core.Search.improvements >= 1);
+  Alcotest.(check bool) "budget-bound search" false r.Core.Search.exhausted;
   Alcotest.(check bool) "winner iteration sane" true
-    (probe.T.Probe.winner_iteration >= 0
-    && probe.T.Probe.winner_iteration <= r.Core.Search.iterations + 1)
+    (r.Core.Search.winner_iteration >= 0
+    && r.Core.Search.winner_iteration <= r.Core.Search.iterations);
+  Alcotest.(check int) "DDS winner depth = its forced discrepancy"
+    (r.Core.Search.winner_iteration - 1) r.Core.Search.winner_depth
 
 let test_probe_exhaustive_and_reuse () =
-  let probe = T.Probe.create () in
+  let policy, stats, probe = headline_policy ~budget:500 in
   (* small exhaustive search: the tree fits in the budget *)
-  let state = Experiments.Overhead.synthetic_state ~n_waiting:4 ~seed:9 () in
-  let r = Core.Search.run ~probe Core.Search.Dds ~budget:1_000_000 state in
-  Alcotest.(check bool) "small tree exhausted" true r.Core.Search.exhausted;
-  Alcotest.(check bool) "probe exhausted" true probe.T.Probe.exhausted;
-  (* the same probe reused on another run is fully overwritten *)
-  let state2 = Experiments.Overhead.synthetic_state ~seed:11 () in
-  let r2 = Core.Search.run ~probe Core.Search.Dds ~budget:500 state2 in
-  Alcotest.(check int) "reused probe tracks second run"
-    r2.Core.Search.nodes_visited probe.T.Probe.nodes;
-  Alcotest.(check bool) "budget-bound run not exhausted" false
+  ignore (policy.Sched.Policy.decide (context ~seed:9 ~n:4));
+  Alcotest.(check bool) "small tree exhausted" true probe.T.Probe.exhausted;
+  (* the same probe at the next decision is fully overwritten *)
+  let before = (stats ()).Core.Search_policy.total_nodes in
+  ignore (policy.Sched.Policy.decide (context ~seed:11 ~n:12));
+  Alcotest.(check int) "reused probe tracks the last decision"
+    ((stats ()).Core.Search_policy.total_nodes - before)
+    probe.T.Probe.nodes;
+  Alcotest.(check bool) "budget-bound decision not exhausted" false
     probe.T.Probe.exhausted;
   T.Probe.reset probe;
   Alcotest.(check int) "reset nodes" 0 probe.T.Probe.nodes;
+  Alcotest.(check int) "reset budget" 0 probe.T.Probe.budget;
   Alcotest.(check int) "reset improvements" 0 probe.T.Probe.improvements;
   Alcotest.(check int) "reset winner_depth" (-1) probe.T.Probe.winner_depth
 
@@ -134,7 +189,7 @@ let test_probe_counts_local_search () =
   Alcotest.(check bool) line true
     (List.mem line (String.split_on_char '\n' (Buffer.contents buf)))
 
-(* --- allocation: the probe must not touch the per-node budget --- *)
+(* --- allocation: nothing per node --- *)
 
 (* The node visit itself: a place/unplace walk with no leaf
    evaluation.  In release this is exactly 0 words (perf-json numbers
@@ -166,27 +221,22 @@ let test_node_visit_allocation_bounded () =
     (Printf.sprintf "place/unplace allocates %.2f <= 8 words/node" per_node)
     true (per_node <= 8.0)
 
-(* Minor-heap words allocated by one search over a fresh synthetic
-   state.  DDS is deterministic, so identical seeds and budgets
-   allocate identically — any probe-induced difference shows up as an
-   exact word delta. *)
-let alloc_words ?probe ~budget () =
-  let state = Experiments.Overhead.synthetic_state ~seed:123 () in
-  let before = Gc.minor_words () in
-  let r = Core.Search.run ?probe Core.Search.Dds ~budget state in
-  (Gc.minor_words () -. before, r.Core.Search.nodes_visited)
-
-let test_probe_allocates_nothing () =
+(* The whole search stays within a dev-profile allocation envelope per
+   node (leaf objective snapshots included).  The search writes no
+   probe: its effort counters are ints in its own driver, bumped at
+   leaves, and the policy copies them into its probe once per
+   decision. *)
+let test_search_allocation_bounded () =
+  let words () =
+    let state = Experiments.Overhead.synthetic_state ~seed:123 () in
+    let before = Gc.minor_words () in
+    let r = Core.Search.run Core.Search.Dds ~budget:9000 state in
+    (Gc.minor_words () -. before, r.Core.Search.nodes_visited)
+  in
   (* warm-up: first run pays one-time lazy setup *)
-  ignore (alloc_words ~budget:9000 ());
-  let w_off, n_off = alloc_words ~budget:9000 () in
-  let probe = T.Probe.create () in
-  let w_on, n_on = alloc_words ~probe ~budget:9000 () in
-  Alcotest.(check int) "same traversal" n_off n_on;
-  Alcotest.(check (float 0.0)) "probe adds exactly 0 words" w_off w_on;
-  (* and the whole search stays within a dev-profile allocation
-     envelope per node (leaf objective snapshots included) *)
-  let per_node = w_on /. float_of_int n_on in
+  ignore (words ());
+  let w, nodes = words () in
+  let per_node = w /. float_of_int nodes in
   Alcotest.(check bool)
     (Printf.sprintf "search allocates %.2f <= 64 words/node" per_node)
     true (per_node <= 64.0)
@@ -302,8 +352,8 @@ let suite =
       test_probe_counts_local_search;
     Alcotest.test_case "node visit allocation bounded" `Quick
       test_node_visit_allocation_bounded;
-    Alcotest.test_case "probe adds zero allocation" `Quick
-      test_probe_allocates_nothing;
+    Alcotest.test_case "search allocation per node" `Quick
+      test_search_allocation_bounded;
     Alcotest.test_case "decision-log ring keeps the newest" `Quick
       test_decision_log_ring;
     Alcotest.test_case "trace export independent of REPRO_JOBS" `Quick
