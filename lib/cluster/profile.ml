@@ -30,8 +30,6 @@ type mark = int
 
 let capacity t = t.capacity
 let segment_count t = t.len
-let start_time t = t.times.(0)
-
 (* A fully-free profile with room for [room] segments before its
    buffers first grow. *)
 let make ~now ~capacity ~room =
@@ -414,15 +412,6 @@ let copy t =
     scratch = Array.make 3 0.0;
     scan_stop = 0;
   }
-
-let pp fmt t =
-  Format.fprintf fmt "[";
-  for i = 0 to t.len - 1 do
-    if i > 0 then Format.fprintf fmt " ";
-    Format.fprintf fmt "%a:%d" Simcore.Units.pp_duration t.times.(i)
-      t.free.(i)
-  done;
-  Format.fprintf fmt "]"
 
 let invariant t =
   let ok = ref (t.len >= 1) in

@@ -47,18 +47,17 @@ val of_sorted_releases :
 val capacity : t -> int
 val segment_count : t -> int
 
-val start_time : t -> float
-(** Time at which the profile begins (the [now] it was built for). *)
-
 val free_at : t -> float -> int
-(** Free nodes at a given instant (>= start time). *)
+(** Free nodes at a given instant (no earlier than the [now] the
+    profile was built for). *)
 
 val segments : t -> (float * int) list
 (** [(start, free)] list for inspection and tests. *)
 
 val earliest_start : t -> nodes:int -> duration:float -> float
-(** First time [s >= start_time] such that at least [nodes] nodes are
-    free during the whole of [\[s, s + duration)].
+(** First time [s], no earlier than the [now] the profile was built
+    for, such that at least [nodes] nodes are free during the whole of
+    [\[s, s + duration)].
     @raise Invalid_argument if [nodes] exceeds capacity or
     [duration <= 0]. *)
 
@@ -127,9 +126,6 @@ val trail_length : t -> int
 val copy : t -> t
 (** Independent copy of the segments.  The copy starts with an empty
     trail and trailing off. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render the step function, e.g. ["[0s:12 3600s:64 7200s:128]"]. *)
 
 val invariant : t -> bool
 (** Structural invariant: times strictly increasing, free counts within

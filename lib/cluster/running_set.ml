@@ -117,11 +117,13 @@ let remove t ~id =
 
 (* A job that outlives its estimate (possible only with an
    undershooting predictor, R*=pred) still holds its nodes: report its
-   release as [overdue_grace] after [now].  The grace must be strictly
-   larger than any start-now tolerance a policy applies (the search's
-   [Search_state.start_now_set] uses 1e-6 s), or a policy will try to
-   start a job on nodes that are still physically occupied and the
-   engine will reject the start as oversubscription. *)
+   release as [overdue_grace] after [now].  Every policy's start-now
+   test compares a start with [now] exactly, so any positive grace keeps
+   such nodes out of a start now; without one a policy would start a job
+   on nodes that are still physically occupied and the engine would
+   reject the start as oversubscription.  The value 1 ms is kept
+   because the R*=pred schedules, where overdue jobs occur, depend on
+   it. *)
 let overdue_grace = 1e-3
 
 let releases t ~now =

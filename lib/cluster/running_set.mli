@@ -52,11 +52,12 @@ val releases : t -> now:float -> (float * int) list
 (** [(estimated end, nodes)] pairs for profile construction; estimated
     ends before [now +. overdue_grace], past or about to come, are
     reported at it (a job that outlives its estimate still holds its
-    nodes).  The grace is strictly wider than every policy's start-now
-    tolerance, so no policy can be tricked into starting a job on
-    nodes a running job still occupies.  Unspecified order; it is read
-    from the departure order, never from the estimated releases behind
-    {!profile}, and so serves as their reference. *)
+    nodes).  Every policy's start-now test is exact, so a release after
+    [now] keeps its nodes out of any start now: no policy can be tricked
+    into starting a job on nodes a running job still occupies.
+    Unspecified order; it is read from the departure order, never from
+    the estimated releases behind {!profile}, and so serves as their
+    reference. *)
 
 val profile : t -> now:float -> Profile.t
 (** The availability profile at [now]: exactly

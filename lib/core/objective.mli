@@ -5,7 +5,9 @@
     and A has smaller average bounded slowdown.  Values accumulate
     per-job contributions, so partial (prefix) values are monotone:
     adding a job can only increase both components — which is what
-    makes branch-and-bound pruning sound. *)
+    makes branch-and-bound pruning sound.  {!Search_state.place}
+    accumulates them, job by job along the path; this module holds the
+    value and its order. *)
 
 type secondary = Bounded_slowdown | Avg_wait
 (** The tie-breaking goal.  [Bounded_slowdown] is the paper's choice;
@@ -13,7 +15,6 @@ type secondary = Bounded_slowdown | Avg_wait
     would declare (goal-oriented scheduling is exactly about making
     this a configuration, not a code change). *)
 
-val secondary_name : secondary -> string
 val min_contribution : secondary -> float
 (** Smallest possible per-job secondary value (1.0 for slowdown, 0.0
     for wait) — the admissible bound branch-and-bound pruning uses. *)
@@ -24,20 +25,6 @@ type t = {
   jobs : int;  (** number of jobs accumulated *)
 }
 
-val zero : t
-
-val add :
-  ?secondary:secondary ->
-  t ->
-  wait:float ->
-  threshold:float ->
-  est_runtime:float ->
-  t
-(** Accumulate one job that would start after [wait] seconds in queue,
-    with excessive-wait threshold [threshold] and scheduler-estimated
-    runtime [est_runtime].  [secondary] defaults to the paper's
-    [Bounded_slowdown]. *)
-
 val avg_secondary : t -> float
 
 val compare : t -> t -> int
@@ -47,5 +34,3 @@ val compare : t -> t -> int
 
 val is_better : candidate:t -> incumbent:t -> bool
 (** [compare candidate incumbent < 0]. *)
-
-val pp : Format.formatter -> t -> unit

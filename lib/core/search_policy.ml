@@ -37,12 +37,7 @@ let name config =
     | Objective.Bounded_slowdown -> ""
     | Objective.Avg_wait -> "@goal=avgW")
 
-type stats = {
-  decisions : int;
-  total_nodes : int;
-  total_leaves : int;
-  max_queue : int;
-}
+type stats = { total_nodes : int }
 
 let state_of ?usage config (ctx : Sched.Policy.context) =
   let profile = Sched.Policy.profile_of ctx in
@@ -89,10 +84,7 @@ let write_probe (p : Simcore.Telemetry.Probe.t) ~budget (r : Search.result) =
   p.winner_depth <- r.winner_depth
 
 let policy config =
-  let decisions = ref 0 in
   let total_nodes = ref 0 in
-  let total_leaves = ref 0 in
-  let max_queue = ref 0 in
   (* One preallocated probe per policy instance, overwritten at every
      decision; the engine reads it after [decide] for the decision log
      and the [schedsim_search_*] metrics. *)
@@ -112,10 +104,7 @@ let policy config =
         let state = state_of ?usage config ctx in
         let result = search config state in
         write_probe probe ~budget:config.budget result;
-        incr decisions;
         total_nodes := !total_nodes + result.Search.nodes_visited;
-        total_leaves := !total_leaves + result.Search.leaves_evaluated;
-        max_queue := Stdlib.max !max_queue (Search_state.job_count state);
         let started =
           Search_state.start_now_set state ~order:result.Search.best_order
             ~starts:result.Search.best_starts
@@ -130,14 +119,7 @@ let policy config =
               started);
         started
   in
-  let stats () =
-    {
-      decisions = !decisions;
-      total_nodes = !total_nodes;
-      total_leaves = !total_leaves;
-      max_queue = !max_queue;
-    }
-  in
+  let stats () = { total_nodes = !total_nodes } in
   ( Sched.Policy.with_probe (Sched.Policy.make ~name:(name config) ~decide)
       probe,
     stats )

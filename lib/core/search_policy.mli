@@ -42,16 +42,12 @@ val dds_lxf_dynb : budget:int -> config
 
 val name : config -> string
 
-type stats = {
-  decisions : int;  (** decision points at which the search ran *)
-  total_nodes : int;  (** nodes visited across all decisions *)
-  total_leaves : int;
-  max_queue : int;  (** largest waiting-queue length seen *)
-}
+type stats = { total_nodes : int  (** nodes visited across all decisions *) }
 
 val policy : config -> Sched.Policy.t * (unit -> stats)
-(** The scheduling policy plus an accessor for cumulative search
-    statistics (used by the overhead experiment).  The policy carries
+(** The scheduling policy plus an accessor for the nodes it has
+    visited so far, over all its decisions (the benchmark's
+    reproduction check reads it).  The policy carries
     a per-instance search-effort probe ([Sched.Policy.probe]) holding
     the last decision's effort, local-search nodes included; the
     engine turns it into the decision log and the [schedsim_search_*]

@@ -4,9 +4,8 @@ type t = {
   jobs : Workload.Job.t array;
   durations : float array;
   thresholds : float array;
-  work : Cluster.Profile.t;  (* the single mutable profile *)
+  work : Cluster.Profile.t;  (* the single mutable profile, owned *)
   marks : Cluster.Profile.mark array;  (* one trail mark per depth *)
-  used : bool array;
   (* Circular doubly-linked list of unused job indices in increasing
      order, with sentinel [n]: the heuristic child (rank 0) and each next
      sibling are one step away.  Removal and LIFO re-insertion
@@ -42,9 +41,8 @@ let create ?(secondary = Objective.Bounded_slowdown) ?on_place ~now ~profile
       jobs;
       durations;
       thresholds;
-      work = Cluster.Profile.copy profile;
+      work = profile;
       marks = Array.make n 0;
-      used = Array.make n false;
       unext = Array.make (n + 1) 0;
       uprev = Array.make (n + 1) 0;
       chosen = Array.make n (-1);
@@ -63,7 +61,9 @@ let job_count t = Array.length t.jobs
 let nodes_visited t = t.visited
 
 let place t ~depth ~job =
-  assert (not t.used.(job));
+  (* [job] is on the unused list iff its predecessor links back to it:
+     removal unlinks a job from both neighbours but keeps its own links *)
+  assert (t.unext.(t.uprev.(job)) = job);
   let j = t.jobs.(job) in
   (* local compares instead of [Float.max]: its out-of-line calls box
      both float arguments and the result, three times per node *)
@@ -88,7 +88,6 @@ let place t ~depth ~job =
         let denom = if d > Simcore.Units.minute then d else Simcore.Units.minute in
         1.0 +. (wait /. denom)
     | Objective.Avg_wait -> wait);
-  t.used.(job) <- true;
   t.unext.(t.uprev.(job)) <- t.unext.(job);
   t.uprev.(t.unext.(job)) <- t.uprev.(job);
   t.chosen.(depth) <- job;
@@ -100,9 +99,8 @@ let place t ~depth ~job =
 
 let unplace t ~depth =
   let job = t.chosen.(depth) in
-  assert (job >= 0 && t.used.(job));
+  assert (job >= 0 && t.unext.(t.uprev.(job)) <> job);
   Cluster.Profile.undo_to t.work t.marks.(depth);
-  t.used.(job) <- false;
   (* dancing-links re-insertion: valid because unplacements mirror
      placements in LIFO order *)
   t.unext.(t.uprev.(job)) <- job;
@@ -111,7 +109,6 @@ let unplace t ~depth =
 
 let reset t =
   let n = Array.length t.jobs in
-  Array.fill t.used 0 n false;
   Array.fill t.chosen 0 n (-1);
   Array.fill t.starts 0 n 0.0;
   Array.fill t.p_excess 0 n 0.0;
@@ -135,10 +132,8 @@ let first_unused t = t.unext.(Array.length t.jobs)
 let next_unused t job = t.unext.(job)
 
 let start_now_set t ~order ~starts =
-  let eps = 1e-6 in
   let picked = ref [] in
   Array.iteri
-    (fun d job ->
-      if starts.(d) <= t.now +. eps then picked := t.jobs.(job) :: !picked)
+    (fun d job -> if starts.(d) = t.now then picked := t.jobs.(job) :: !picked)
     order;
   List.rev !picked

@@ -6,10 +6,11 @@
     (Section 2.2: "the start time of each job is computed in the order
     it appears on the path").
 
-    Backtracking uses one working profile plus a reverse-delta trail:
-    {!place} marks the trail before reserving and {!unplace} rolls back
-    exactly the segments the reservation touched, so a place/unplace
-    pair costs O(segments touched), not O(profile).  The test suite
+    Backtracking uses one profile, the one handed to {!create}, plus
+    its reverse-delta trail: {!place} marks the trail before reserving
+    and {!unplace} rolls back exactly the segments the reservation
+    touched, so a place/unplace pair costs O(segments touched), not
+    O(profile).  The test suite
     checks every placement against a snapshot replay of its path
     prefix on a fresh copy of the base profile.  The hot path
     allocates nothing per node.
@@ -17,7 +18,8 @@
     Jobs are indexed 0 .. n-1 in *heuristic order* (see {!Branching});
     child rank 0 of any node is the lowest-indexed unused job.  The
     unused set is a doubly-linked list, so the heuristic child and each
-    next sibling are found in O(1) — no per-child rescans. *)
+    next sibling are found in O(1) — no per-child rescans.  That list
+    is the one record of which jobs are placed. *)
 
 type t
 
@@ -31,14 +33,17 @@ val create :
   thresholds:float array ->
   unit ->
   t
-(** [profile] is the availability profile of the running set at [now]
-    (never mutated — the state works on copies); [durations.(i)] is the
-    scheduler-visible runtime of [jobs.(i)]; [thresholds.(i)] its
-    excessive-wait bound.  [secondary] selects the tie-breaking goal
-    (default: the paper's bounded slowdown).  [on_place] is an
-    instrumentation hook invoked after every placement — used by the
-    oracle tests to record visit sequences; leave unset on the hot
-    path.
+(** [profile] is the availability profile of the running set at [now].
+    The state takes ownership of it: every placement reserves on it,
+    every unplacement rolls it back through its trail, and {!reset}
+    returns it to its state at [create].  The caller must pass a
+    profile it has never marked and must not mutate it afterwards.
+    [durations.(i)] is the scheduler-visible runtime of [jobs.(i)];
+    [thresholds.(i)] its excessive-wait bound.  [secondary] selects the
+    tie-breaking goal (default: the paper's bounded slowdown).
+    [on_place] is an instrumentation hook invoked after every placement
+    — used by the oracle tests to record visit sequences; leave unset
+    on the hot path.
     @raise Invalid_argument on array length mismatch. *)
 
 val secondary : t -> Objective.secondary
@@ -58,9 +63,9 @@ val unplace : t -> depth:int -> unit
 (** Undo the placement at [depth] (must be the deepest placement). *)
 
 val reset : t -> unit
-(** Unplace everything: clears used flags, chosen jobs, recorded starts
-    and partial objectives, rebuilds the unused list, and rewinds the
-    working profile to its base state — safe after a
+(** Unplace everything: clears chosen jobs, recorded starts and
+    partial objectives, rebuilds the unused list, and rewinds the
+    profile to its state at {!create} — safe after a
     search unwound through an exception ({!Search.Budget_spent}) and
     left placements behind.  Does not reset the node counter. *)
 
@@ -83,5 +88,8 @@ val next_unused : t -> int -> int
 
 val start_now_set : t -> order:int array -> starts:float array -> Workload.Job.t list
 (** Given a recorded best path (job indices + start times), the jobs
-    whose start time equals the decision time (within 1 µs), in path
-    order — the jobs the policy starts immediately. *)
+    whose start time is exactly the decision time, in path order — the
+    jobs the policy starts immediately.  The test is exact because every
+    start is a segment boundary of the profile, and none lies just after
+    [now]: {!Cluster.Running_set.profile} releases nothing before [now]
+    plus its overdue grace, and every placement lasts at least 1 s. *)

@@ -20,8 +20,6 @@ let average_wait t ~runtime_class ~node_class =
   if n = 0 then None
   else Some (t.totals.(runtime_class).(node_class) /. float_of_int n)
 
-let count t ~runtime_class ~node_class = t.counts.(runtime_class).(node_class)
-
 let pp fmt t =
   Format.fprintf fmt "%-8s" "T \\ N";
   for c = 0 to 4 do

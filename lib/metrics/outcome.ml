@@ -7,8 +7,6 @@ let v ~job ~start ~finish =
   { job; start; finish }
 
 let wait t = t.start -. t.job.Workload.Job.submit
-let turnaround t = t.finish -. t.job.Workload.Job.submit
-let slowdown t = turnaround t /. t.job.Workload.Job.runtime
 
 (* 1 + wait / max(T, 1min): for T >= 1 min this is turnaround / T; for
    shorter jobs it degrades to 1 + wait-in-minutes, exactly the paper's
@@ -18,7 +16,3 @@ let bounded_slowdown t =
   1.0 +. (wait t /. floor_runtime)
 
 let excess_wait t ~threshold = Float.max 0.0 (wait t -. threshold)
-
-let pp fmt t =
-  Format.fprintf fmt "%a wait=%a slowdown=%.2f" Workload.Job.pp t.job
-    Simcore.Units.pp_duration (wait t) (bounded_slowdown t)

@@ -15,12 +15,6 @@ val v : job:Workload.Job.t -> start:float -> finish:float -> t
 val wait : t -> float
 (** Queueing delay, seconds. *)
 
-val turnaround : t -> float
-(** Submit-to-completion time, seconds. *)
-
-val slowdown : t -> float
-(** Turnaround divided by actual runtime. *)
-
 val bounded_slowdown : t -> float
 (** The paper's measure: actual runtime is lower-bounded by one minute,
     so very short jobs do not blow up the average.  For a job with
@@ -28,5 +22,3 @@ val bounded_slowdown : t -> float
 
 val excess_wait : t -> threshold:float -> float
 (** Wait time in excess of [threshold] (>= 0), seconds. *)
-
-val pp : Format.formatter -> t -> unit

@@ -32,8 +32,6 @@ let compute outcomes =
     outcomes;
   t
 
-let user_count t = Hashtbl.length t.table
-
 let users t =
   Hashtbl.fold (fun user e acc -> (user, e.demand) :: acc) t.table []
   |> List.sort (fun (_, a) (_, b) -> Float.compare b a)

@@ -11,7 +11,6 @@ type t
 val compute : Outcome.t list -> t
 (** Jobs with user [<= 0] are ignored. *)
 
-val user_count : t -> int
 val users : t -> int list
 (** Users sorted by descending processor demand. *)
 

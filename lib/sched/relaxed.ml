@@ -34,19 +34,17 @@ let policy ?(relaxation = 0.5) () =
                      ~duration:d
                 then begin
                   (* tentatively start it and check the head's new
-                     earliest start against the relaxed deadline *)
-                  let trial = Cluster.Profile.copy profile in
-                  Cluster.Profile.reserve trial ~at:now ~nodes:j.nodes
+                     earliest start against the relaxed deadline; the
+                     trail rolls a rejected trial back *)
+                  let before = Cluster.Profile.mark profile in
+                  Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes
                     ~duration:d;
                   let delayed =
-                    Cluster.Profile.earliest_start trial ~nodes:head.nodes
+                    Cluster.Profile.earliest_start profile ~nodes:head.nodes
                       ~duration:head_d
                   in
-                  if delayed <= deadline +. 1e-6 then begin
-                    Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes
-                      ~duration:d;
-                    started := j :: !started
-                  end
+                  if delayed <= deadline +. 1e-6 then started := j :: !started
+                  else Cluster.Profile.undo_to profile before
                 end)
               rest;
             List.rev !started

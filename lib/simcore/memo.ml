@@ -47,18 +47,6 @@ let get t key thunk =
       | Failed e -> raise e
       | Pending -> assert false)
 
-let find_opt t key =
-  Mutex.lock t.lock;
-  let cell = Hashtbl.find_opt t.table key in
-  Mutex.unlock t.lock;
-  match cell with
-  | None -> None
-  | Some cell -> (
-      Mutex.lock cell.m;
-      let s = cell.state in
-      Mutex.unlock cell.m;
-      match s with Ready v -> Some v | Pending | Failed _ -> None)
-
 let bindings t =
   Mutex.lock t.lock;
   let cells = Hashtbl.fold (fun k cell acc -> (k, cell) :: acc) t.table [] in

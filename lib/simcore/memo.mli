@@ -16,9 +16,6 @@ val create : ?size:int -> unit -> ('k, 'v) t
 
 val get : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** [None] if the key is absent, still computing, or failed. *)
-
 val bindings : ('k, 'v) t -> ('k * 'v) list
 (** All [Ready] bindings, unspecified order (sort by key for a
     deterministic listing).  In-flight and failed keys are skipped. *)

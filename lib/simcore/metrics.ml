@@ -95,16 +95,12 @@ let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 
 let set g v = g.g_cell.(0) <- v
-let gauge_value g = g.g_cell.(0)
 
 let observe h v =
   let b = bucket_of v in
   h.h_counts.(b) <- h.h_counts.(b) + 1;
   h.h_count <- h.h_count + 1;
   h.h_total <- h.h_total + v
-
-let histogram_count h = h.h_count
-let histogram_total h = h.h_total
 
 let histogram_percentile h p =
   if p < 0.0 || p > 100.0 then

@@ -63,15 +63,8 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> int -> unit
-
-val histogram_count : histogram -> int
-(** Observations recorded. *)
-
-val histogram_total : histogram -> int
-(** Sum of observed values. *)
 
 val histogram_percentile : histogram -> float -> float
 (** [histogram_percentile h p] ([0 <= p <= 100]) estimates the p-th

@@ -28,7 +28,6 @@ let bits64 t =
   mix state
 
 let split t = of_state (mix (bits64 t))
-let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -47,4 +46,3 @@ let unit_float t =
   Int64.to_float bits *. 0x1p-53
 
 let float t x = unit_float t *. x
-let bool t = Int64.logand (bits64 t) 1L = 1L

@@ -17,10 +17,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing
     [t] by one draw. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (both then produce the same
-    stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -33,6 +29,3 @@ val float : t -> float -> float
 
 val unit_float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val bool : t -> bool
-(** Fair coin flip. *)

@@ -1,40 +1,3 @@
-module Running = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; sum = 0.0;
-      min = Float.infinity; max = Float.neg_infinity }
-
-  let add t x =
-    t.count <- t.count + 1;
-    t.sum <- t.sum +. x;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.count
-  let sum t = t.sum
-  let mean t = if t.count = 0 then 0.0 else t.mean
-
-  let min t =
-    if t.count = 0 then invalid_arg "Stats.Running.min: empty" else t.min
-
-  let max t =
-    if t.count = 0 then invalid_arg "Stats.Running.max: empty" else t.max
-
-  let stddev t =
-    if t.count < 2 then 0.0 else sqrt (t.m2 /. float_of_int t.count)
-end
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n

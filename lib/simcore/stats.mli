@@ -1,31 +1,7 @@
-(** Summary statistics.
-
-    Two flavours: a constant-space running accumulator ({!Running}) for
-    means and extrema, and whole-sample helpers (percentiles, etc.) on
-    float arrays.  A {!Timeline} accumulator computes time-weighted
-    averages of a step function, used for average queue length. *)
-
-module Running : sig
-  type t
-  (** Constant-space accumulator for count / mean / min / max / sum.
-      Mean uses Welford's update for numerical stability. *)
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
-  (** [mean t] is 0.0 when empty. *)
-
-  val min : t -> float
-  (** @raise Invalid_argument when empty. *)
-
-  val max : t -> float
-  (** @raise Invalid_argument when empty. *)
-
-  val stddev : t -> float
-  (** Population standard deviation; 0.0 when fewer than 2 samples. *)
-end
+(** Summary statistics: whole-sample helpers (mean, percentiles,
+    maximum) on float arrays, and a {!Timeline} accumulator for the
+    time-weighted average of a step function, used for average queue
+    length. *)
 
 val mean : float array -> float
 (** 0.0 on the empty array. *)

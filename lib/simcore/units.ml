@@ -1,4 +1,3 @@
-let second = 1.0
 let minute = 60.0
 let hour = 3600.0
 let day = 86_400.0
@@ -6,7 +5,6 @@ let week = 604_800.0
 let minutes m = m *. minute
 let hours h = h *. hour
 let days d = d *. day
-let weeks w = w *. week
 let to_minutes s = s /. minute
 let to_hours s = s /. hour
 let to_days s = s /. day

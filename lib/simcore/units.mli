@@ -4,9 +4,6 @@
     simulated period.  These helpers keep unit conversions explicit and
     avoid magic constants scattered through the code base. *)
 
-val second : float
-(** One second, the base unit (= 1.0). *)
-
 val minute : float
 (** Seconds in one minute. *)
 
@@ -27,9 +24,6 @@ val hours : float -> float
 
 val days : float -> float
 (** [days d] is [d] days expressed in seconds. *)
-
-val weeks : float -> float
-(** [weeks w] is [w] weeks expressed in seconds. *)
 
 val to_minutes : float -> float
 (** [to_minutes s] converts [s] seconds to minutes. *)

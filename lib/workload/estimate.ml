@@ -36,8 +36,3 @@ let draw ?(params = default) rng ~limit ~runtime =
   (* Keep the invariant R >= T even when T itself exceeds the last grid
      point below the limit. *)
   Float.max rounded (Float.min runtime limit) |> Float.max runtime
-
-let attach ?params ~seed ~limit trace =
-  let rng = Rng.create ~seed in
-  Trace.map_jobs trace (fun j ->
-      { j with Job.requested = draw ?params rng ~limit ~runtime:j.Job.runtime })

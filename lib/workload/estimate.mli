@@ -2,10 +2,11 @@
 
     Real user estimates are notoriously inaccurate: a sizeable fraction
     of jobs request far more time than they use, and requests cluster
-    on round values (1h, 2h, 4h, ...).  This module attaches synthetic
-    requested runtimes R to jobs with known actual runtime T, following
+    on round values (1h, 2h, 4h, ...).  This module draws a synthetic
+    requested runtime R for a job with known actual runtime T, following
     the overestimation mixture reported for these workloads (Chiang,
-    Arpaci-Dusseau & Vernon, JSSPP 2002):
+    Arpaci-Dusseau & Vernon, JSSPP 2002); {!Generator} and {!Model}
+    draw one per generated job:
 
     - with probability [p_exact] the user is accurate (R rounds T up to
       the next grid value);
@@ -37,8 +38,3 @@ val draw : ?params:params -> Simcore.Rng.t -> limit:float -> runtime:float -> fl
 (** [draw rng ~limit ~runtime] samples a requested runtime for a job
     with actual runtime [runtime].  Result is in
     [\[runtime, max limit runtime\]]. *)
-
-val attach :
-  ?params:params -> seed:int -> limit:float -> Trace.t -> Trace.t
-(** Rewrite every job's [requested] field with a fresh draw;
-    deterministic in [seed]. *)

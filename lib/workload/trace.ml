@@ -90,10 +90,6 @@ let scale_load t ~capacity ~target =
     ~measure_start:(squeeze t.measure_start)
     ~measure_end:(squeeze t.measure_end)
 
-let map_jobs t f =
-  of_array (Array.map f t.jobs) ~measure_start:t.measure_start
-    ~measure_end:t.measure_end
-
 let concat_stats t =
   Printf.sprintf "%d jobs (%d measured), window [%.1fd, %.1fd), demand %.3e node-s"
     (length t)

@@ -13,8 +13,8 @@ val v : ?measure_start:float -> ?measure_end:float -> Job.t list -> t
 val of_array : ?measure_start:float -> ?measure_end:float -> Job.t array -> t
 (** [of_array jobs] builds a trace and takes ownership of [jobs]: the
     trace keeps the array itself, and the caller must neither mutate nor
-    reuse it.  This is the one construction path; {!v}, {!scale_load}
-    and {!map_jobs} all end here.
+    reuse it.  This is the one construction path; {!v} and
+    {!scale_load} both end here.
 
     Jobs end up in {!Job.compare_submit} order.  One O(n) pass checks
     that order, and [Array.sort] runs only when it fails.  Ids must be
@@ -55,11 +55,6 @@ val scale_load : t -> capacity:int -> target:float -> t
     only when it rounds submits into ties between jobs whose ids run
     against submit order.  @raise Invalid_argument if the trace has no
     load or [target <= 0]. *)
-
-val map_jobs : t -> (Job.t -> Job.t) -> t
-(** Apply a per-job transformation (e.g. attach requested runtimes),
-    keeping the window.  [f] runs on the jobs in submit order; the
-    result is validated as by {!of_array}. *)
 
 val concat_stats : t -> string
 (** One-line human-readable summary. *)

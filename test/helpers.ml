@@ -9,6 +9,14 @@ let contains haystack needle =
   in
   nn = 0 || scan 0
 
+(* The OpenMetrics exposition of [reg], one line per element. *)
+let openmetrics_lines reg =
+  let buf = Buffer.create 1024 in
+  let fmt = Format.formatter_of_buffer buf in
+  Simcore.Metrics.pp_openmetrics fmt reg;
+  Format.pp_print_flush fmt ();
+  String.split_on_char '\n' (Buffer.contents buf)
+
 let job ?(id = 0) ?(submit = 0.0) ?(nodes = 1) ?(runtime = 3600.0) ?requested
     () =
   Workload.Job.v ~id ~submit ~nodes ~runtime
@@ -27,6 +35,14 @@ let mini_trace ?(n = 40) ?(capacity = 16) ?(horizon = 7200.0) ~seed () =
         Workload.Job.v ~id ~submit ~nodes ~runtime ~requested)
   in
   Workload.Trace.v jobs
+
+(* [trace] with its jobs shared round-robin among users 1 .. [users]. *)
+let with_users ~users trace =
+  Workload.Trace.v
+    (List.map
+       (fun (j : Workload.Job.t) ->
+         Workload.Job.with_user (1 + (j.id mod users)) j)
+       (Array.to_list (Workload.Trace.jobs trace)))
 
 (* Like [mini_trace], but submit times, runtimes and requested limits
    are whole minutes: every decision point lies on a 60 s grid.  Jobs

@@ -73,10 +73,7 @@ let prop_all_policies_sound =
       let trace =
         Helpers.mini_trace ~seed:(seed + 1) ~n ~capacity:16 ~horizon:4000.0 ()
       in
-      let trace =
-        Workload.Trace.map_jobs trace (fun j ->
-            Workload.Job.with_user (1 + (j.Workload.Job.id mod 3)) j)
-      in
+      let trace = Helpers.with_users ~users:3 trace in
       List.for_all
         (fun policy ->
           let result =
@@ -132,15 +129,9 @@ let prop_tie_heavy_schedules_validate =
                (all_policies ()))
         [ false; true ])
 
-let test_profile_pp () =
-  let p = Cluster.Profile.of_running ~now:0.0 ~capacity:128 [ (3600.0, 64) ] in
-  Alcotest.(check string) "rendered" "[0.0s:64 1.00h:128]"
-    (Format.asprintf "%a" Cluster.Profile.pp p)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_all_policies_sound;
     QCheck_alcotest.to_alcotest prop_estimators_sound;
     QCheck_alcotest.to_alcotest prop_tie_heavy_schedules_validate;
-    Alcotest.test_case "profile pp" `Quick test_profile_pp;
   ]

@@ -66,7 +66,6 @@ let test_user_stats () =
     ]
   in
   let stats = Metrics.User_stats.compute outcomes in
-  Alcotest.(check int) "two users" 2 (Metrics.User_stats.user_count stats);
   Alcotest.(check (list int)) "ordered by demand" [ 1; 2 ]
     (Metrics.User_stats.users stats);
   Alcotest.(check int) "job count" 2
@@ -82,8 +81,8 @@ let test_user_stats () =
 
 let test_user_stats_ignores_anonymous () =
   let outcomes = [ outcome ~user:0 ~wait:0.0 ~nodes:1 ~runtime:60.0 0 ] in
-  Alcotest.(check int) "anonymous dropped" 0
-    (Metrics.User_stats.user_count (Metrics.User_stats.compute outcomes))
+  Alcotest.(check (list int)) "anonymous dropped" []
+    (Metrics.User_stats.users (Metrics.User_stats.compute outcomes))
 
 let test_jain_extremes () =
   let even =
@@ -191,11 +190,7 @@ let test_fairshare_flips_a_decision () =
 
 let test_fairshare_policy_completes_workload () =
   let trace = Helpers.mini_trace ~seed:33 ~n:40 () in
-  (* attach users round-robin *)
-  let trace =
-    Workload.Trace.map_jobs trace (fun j ->
-        Workload.Job.with_user (1 + (j.Workload.Job.id mod 4)) j)
-  in
+  let trace = Helpers.with_users ~users:4 trace in
   let config =
     { (Core.Search_policy.dds_lxf_dynb ~budget:300) with
       Core.Search_policy.fairshare = Some 2.0 }

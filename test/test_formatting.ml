@@ -10,13 +10,6 @@ let test_job_pp () =
   Alcotest.(check bool) "nodes shown" true (Helpers.contains s "N=16");
   Alcotest.(check bool) "runtime in hours" true (Helpers.contains s "2.00h")
 
-let test_outcome_pp () =
-  let o =
-    Metrics.Outcome.v ~job:(Helpers.job ()) ~start:1800.0 ~finish:5400.0
-  in
-  let s = asprintf "%a" Metrics.Outcome.pp o in
-  Alcotest.(check bool) "wait shown" true (Helpers.contains s "wait=30.0m")
-
 let test_aggregate_pp () =
   let a =
     Metrics.Aggregate.compute
@@ -26,15 +19,6 @@ let test_aggregate_pp () =
   Alcotest.(check bool) "n shown" true (Helpers.contains s "n=1");
   Alcotest.(check bool) "avg wait shown" true
     (Helpers.contains s "avg_wait=1.00h")
-
-let test_objective_pp () =
-  let o =
-    Core.Objective.add Core.Objective.zero ~wait:7200.0 ~threshold:3600.0
-      ~est_runtime:3600.0
-  in
-  let s = asprintf "%a" Core.Objective.pp o in
-  Alcotest.(check bool) "excess in hours" true
-    (Helpers.contains s "excess=1.00h")
 
 let test_month_profile_pp () =
   let s =
@@ -72,9 +56,7 @@ let test_trace_concat_stats () =
 let suite =
   [
     Alcotest.test_case "job pp" `Quick test_job_pp;
-    Alcotest.test_case "outcome pp" `Quick test_outcome_pp;
     Alcotest.test_case "aggregate pp" `Quick test_aggregate_pp;
-    Alcotest.test_case "objective pp" `Quick test_objective_pp;
     Alcotest.test_case "month profile pp" `Quick test_month_profile_pp;
     Alcotest.test_case "negative duration" `Quick test_pp_duration_negative;
     Alcotest.test_case "backfill reservation name" `Quick

@@ -19,8 +19,6 @@ let test_outcome_validation () =
 let test_outcome_measures () =
   let o = outcome ~wait:1800.0 ~runtime:3600.0 () in
   Alcotest.(check (float 1e-9)) "wait" 1800.0 (Outcome.wait o);
-  Alcotest.(check (float 1e-9)) "turnaround" 5400.0 (Outcome.turnaround o);
-  Alcotest.(check (float 1e-9)) "slowdown" 1.5 (Outcome.slowdown o);
   Alcotest.(check (float 1e-9)) "bounded slowdown" 1.5
     (Outcome.bounded_slowdown o)
 
@@ -28,8 +26,7 @@ let test_bounded_slowdown_short_jobs () =
   (* 10-second job waiting 120 s: raw slowdown 13, bounded 1 + 2 = 3 *)
   let o = outcome ~runtime:10.0 ~wait:120.0 () in
   Alcotest.(check (float 1e-9)) "bounded uses 1-min floor" 3.0
-    (Outcome.bounded_slowdown o);
-  Alcotest.(check (float 1e-9)) "raw is much larger" 13.0 (Outcome.slowdown o)
+    (Outcome.bounded_slowdown o)
 
 let test_excess_wait () =
   let o = outcome ~wait:7200.0 () in
@@ -92,8 +89,6 @@ let test_class_matrix () =
     ]
   in
   let m = Class_matrix.compute outcomes in
-  Alcotest.(check int) "count cell" 2
-    (Class_matrix.count m ~runtime_class:1 ~node_class:0);
   (match Class_matrix.average_wait m ~runtime_class:1 ~node_class:0 with
   | Some w -> Alcotest.(check (float 1e-9)) "avg of cell" 5400.0 w
   | None -> Alcotest.fail "expected a populated cell");

@@ -1,29 +1,83 @@
-(* Tests for Core.Objective and Core.Bound. *)
+(* Tests for Core.Objective and Core.Bound.  The objective's per-job
+   formula lives in Search_state.place, so it is checked there, by
+   placing jobs on a search state and reading its partial objectives. *)
 
 open Core
 
+(* A search state at [now] on an empty 8-node machine, one 1-node job
+   per [(wait, threshold, est_runtime)]: each was submitted [wait]
+   seconds before [now], so placing it starts it at [now] and its wait
+   is exactly [wait]. *)
+let state ?secondary specs =
+  let now = 2e6 in
+  let jobs =
+    Array.of_list
+      (List.mapi
+         (fun id (wait, _, _) -> Helpers.job ~id ~submit:(now -. wait) ())
+         specs)
+  in
+  let column f = Array.of_list (List.map f specs) in
+  Search_state.create ?secondary ~now
+    ~profile:(Cluster.Profile.create ~now ~capacity:8)
+    ~jobs
+    ~durations:(column (fun (_, _, r) -> r))
+    ~thresholds:(column (fun (_, th, _) -> th))
+    ()
+
+(* Place the jobs in index order; the partial objectives, one per depth. *)
+let partials st =
+  List.init (Search_state.job_count st) (fun depth ->
+      Search_state.place st ~depth ~job:depth;
+      Search_state.partial st ~depth)
+
 let test_zero () =
-  Alcotest.(check int) "no jobs" 0 Objective.zero.Objective.jobs;
+  let empty = { Objective.excess = 0.0; secondary_sum = 0.0; jobs = 0 } in
   Alcotest.(check (float 1e-9)) "avg slowdown empty" 0.0
-    (Objective.avg_secondary Objective.zero)
+    (Objective.avg_secondary empty)
 
 let test_add () =
-  let o =
-    Objective.add Objective.zero ~wait:7200.0 ~threshold:3600.0
-      ~est_runtime:3600.0
-  in
-  Alcotest.(check (float 1e-9)) "excess" 3600.0 o.Objective.excess;
-  Alcotest.(check (float 1e-9)) "slowdown" 3.0 o.Objective.secondary_sum;
-  let o2 = Objective.add o ~wait:0.0 ~threshold:3600.0 ~est_runtime:3600.0 in
-  Alcotest.(check (float 1e-9)) "excess unchanged" 3600.0 o2.Objective.excess;
-  Alcotest.(check (float 1e-9)) "avg slowdown" 2.0 (Objective.avg_secondary o2)
+  match
+    partials (state [ (7200.0, 3600.0, 3600.0); (0.0, 3600.0, 3600.0) ])
+  with
+  | [ o; o2 ] ->
+      Alcotest.(check (float 1e-9)) "excess" 3600.0 o.Objective.excess;
+      Alcotest.(check (float 1e-9)) "slowdown" 3.0 o.Objective.secondary_sum;
+      Alcotest.(check (float 1e-9)) "excess unchanged" 3600.0
+        o2.Objective.excess;
+      Alcotest.(check (float 1e-9)) "avg slowdown" 2.0
+        (Objective.avg_secondary o2);
+      Alcotest.(check int) "jobs" 2 o2.Objective.jobs
+  | _ -> assert false
 
 let test_add_short_job_floor () =
-  let o =
-    Objective.add Objective.zero ~wait:120.0 ~threshold:1e9 ~est_runtime:10.0
-  in
+  let o = List.hd (partials (state [ (120.0, 1e9, 10.0) ])) in
   (* one-minute floor: 1 + 120/60 = 3 *)
   Alcotest.(check (float 1e-9)) "floored slowdown" 3.0 o.Objective.secondary_sum
+
+(* The wait is to the start the path gives the job, not to [now]: the
+   second full-machine job waits behind the first. *)
+let test_wait_to_placed_start () =
+  let now = 1000.0 in
+  let jobs =
+    [| Helpers.job ~id:0 ~submit:now ~nodes:8 ();
+       Helpers.job ~id:1 ~submit:(now -. 600.0) ~nodes:8 () |]
+  in
+  let st =
+    Search_state.create ~now
+      ~profile:(Cluster.Profile.create ~now ~capacity:8)
+      ~jobs ~durations:[| 3600.0; 3600.0 |] ~thresholds:[| 1000.0; 1000.0 |]
+      ()
+  in
+  match partials st with
+  | [ _; o ] ->
+      Alcotest.(check (float 1e-9)) "start" (now +. 3600.0)
+        (Search_state.start_at st ~depth:1);
+      Alcotest.(check (float 1e-9)) "excess of the 4200 s wait" 3200.0
+        o.Objective.excess;
+      Alcotest.(check (float 1e-9)) "slowdowns"
+        (1.0 +. 1.0 +. (4200.0 /. 3600.0))
+        o.Objective.secondary_sum
+  | _ -> assert false
 
 let test_hierarchical_compare () =
   let mk excess slowdown =
@@ -45,13 +99,12 @@ let test_hierarchical_compare () =
 
 let test_secondary_avg_wait () =
   let o =
-    Objective.add ~secondary:Objective.Avg_wait Objective.zero ~wait:7200.0
-      ~threshold:1e9 ~est_runtime:3600.0
+    List.hd
+      (partials
+         (state ~secondary:Objective.Avg_wait [ (7200.0, 1e9, 3600.0) ]))
   in
   Alcotest.(check (float 1e-9)) "wait accumulated raw" 7200.0
     o.Objective.secondary_sum;
-  Alcotest.(check string) "names" "avgW"
-    (Objective.secondary_name Objective.Avg_wait);
   Alcotest.(check (float 1e-9)) "min contribution slowdown" 1.0
     (Objective.min_contribution Objective.Bounded_slowdown);
   Alcotest.(check (float 1e-9)) "min contribution wait" 0.0
@@ -107,24 +160,53 @@ let test_bound_names () =
   Alcotest.(check string) "fixed" "w=50h" (Bound.name (Bound.fixed_hours 50.0))
 
 let prop_add_monotone =
-  QCheck.Test.make ~name:"objective components are monotone" ~count:300
+  let spec =
     QCheck.(triple (float_bound_inclusive 1e6) (float_bound_inclusive 1e6)
               (float_bound_exclusive 1e5))
-    (fun (wait, threshold, runtime) ->
-      let runtime = runtime +. 1.0 in
-      let base =
-        { Objective.excess = 5.0; secondary_sum = 7.0; jobs = 3 }
+  in
+  QCheck.Test.make ~name:"objective components are monotone" ~count:300
+    (QCheck.pair spec spec)
+    (fun ((w0, th0, r0), (wait, threshold, runtime)) ->
+      match
+        partials
+          (state [ (w0, th0, r0 +. 1.0); (wait, threshold, runtime +. 1.0) ])
+      with
+      | [ base; o ] ->
+          o.Objective.excess >= base.Objective.excess
+          && o.Objective.secondary_sum >= base.Objective.secondary_sum +. 1.0
+          && o.Objective.jobs = base.Objective.jobs + 1
+      | _ -> false)
+
+(* Jobs that all start at [now] contribute independently: the leaf
+   objective is the sum of one-job objectives. *)
+let prop_leaf_sums_jobs =
+  let spec =
+    QCheck.(triple (float_bound_inclusive 1e5) (float_bound_inclusive 1e5)
+              (float_bound_inclusive 1e4))
+  in
+  QCheck.Test.make ~name:"leaf objective sums one-job objectives" ~count:200
+    QCheck.(list_of_size Gen.(1 -- 8) spec)
+    (fun specs ->
+      let st = state specs in
+      ignore (partials st);
+      let leaf = Search_state.leaf_objective st in
+      let ones = List.map (fun sp -> List.hd (partials (state [ sp ]))) specs in
+      let sum f = List.fold_left (fun acc o -> acc +. f o) 0.0 ones in
+      let close a b =
+        Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs a)
       in
-      let o = Objective.add base ~wait ~threshold ~est_runtime:runtime in
-      o.Objective.excess >= base.Objective.excess
-      && o.Objective.secondary_sum >= base.Objective.secondary_sum +. 1.0
-      && o.Objective.jobs = 4)
+      leaf.Objective.jobs = List.length specs
+      && close leaf.Objective.excess (sum (fun o -> o.Objective.excess))
+      && close leaf.Objective.secondary_sum
+           (sum (fun o -> o.Objective.secondary_sum)))
 
 let suite =
   [
     Alcotest.test_case "zero" `Quick test_zero;
     Alcotest.test_case "add" `Quick test_add;
     Alcotest.test_case "short-job floor" `Quick test_add_short_job_floor;
+    Alcotest.test_case "wait to the placed start" `Quick
+      test_wait_to_placed_start;
     Alcotest.test_case "hierarchical compare" `Quick test_hierarchical_compare;
     Alcotest.test_case "secondary = avg wait" `Quick test_secondary_avg_wait;
     Alcotest.test_case "fixed bound" `Quick test_bound_fixed;
@@ -134,4 +216,5 @@ let suite =
     Alcotest.test_case "runtime-scaled bound" `Quick test_bound_runtime_scaled;
     Alcotest.test_case "bound names" `Quick test_bound_names;
     QCheck_alcotest.to_alcotest prop_add_monotone;
+    QCheck_alcotest.to_alcotest prop_leaf_sums_jobs;
   ]

@@ -6,7 +6,8 @@ let test_create () =
   let p = Profile.create ~now:10.0 ~capacity:128 in
   Alcotest.(check int) "one segment" 1 (Profile.segment_count p);
   Alcotest.(check int) "all free" 128 (Profile.free_at p 10.0);
-  Alcotest.(check (float 1e-9)) "start" 10.0 (Profile.start_time p);
+  Alcotest.(check (list (pair (float 1e-9) int))) "starts at now"
+    [ (10.0, 128) ] (Profile.segments p);
   Alcotest.(check bool) "invariant" true (Profile.invariant p)
 
 let test_of_running () =

@@ -126,6 +126,42 @@ let test_start_now_set () =
   in
   Alcotest.(check int) "exactly one starts now" 1 (List.length started)
 
+(* An overdue running job's nodes come back at [now + overdue_grace]:
+   the job placed there is not started now; the one placed at [now]
+   is. *)
+let test_start_now_set_exact () =
+  let now = 500.0 in
+  let running =
+    Cluster.Running_set.create ~machine:(Cluster.Machine.v ~nodes:8)
+  in
+  Cluster.Running_set.add running
+    {
+      Cluster.Running_set.job = Helpers.job ~id:9 ~nodes:4 ~runtime:560.0 ();
+      start = 0.0;
+      finish = now +. 60.0;
+      est_finish = now -. 100.0;
+    };
+  let jobs =
+    [| Helpers.job ~id:0 ~nodes:4 ~runtime:100.0 ();
+       Helpers.job ~id:1 ~submit:1.0 ~nodes:4 ~runtime:100.0 () |]
+  in
+  let state =
+    Search_state.create ~now
+      ~profile:(Cluster.Running_set.profile running ~now)
+      ~jobs ~durations:(Array.map r_star jobs)
+      ~thresholds:(Array.make 2 1e9) ()
+  in
+  Search_state.place state ~depth:0 ~job:0;
+  Search_state.place state ~depth:1 ~job:1;
+  let starts = Array.init 2 (fun depth -> Search_state.start_at state ~depth) in
+  Alcotest.(check (float 0.0)) "first job now" now starts.(0);
+  Alcotest.(check (float 0.0)) "second job at the grace's end"
+    (now +. Cluster.Running_set.overdue_grace) starts.(1);
+  Alcotest.(check (list int)) "only the job placed at now starts" [ 0 ]
+    (List.map
+       (fun (j : Workload.Job.t) -> j.id)
+       (Search_state.start_now_set state ~order:[| 0; 1 |] ~starts))
+
 (* --- Search algorithm tests --- *)
 
 let random_jobs rng n =
@@ -139,6 +175,59 @@ let random_jobs rng n =
 let random_releases rng =
   List.init (Simcore.Rng.int rng 3) (fun _ ->
       (1200.0 +. Simcore.Rng.float rng 5000.0, 1 + Simcore.Rng.int rng 3))
+
+(* [create] takes the profile it is given and [Search.run] hands it back
+   as it was, aborted or exhausted. *)
+let test_search_restores_owned_profile () =
+  let rng = Simcore.Rng.create ~seed:5 in
+  let jobs = random_jobs rng 6 in
+  List.iter
+    (fun budget ->
+      let now = 1100.0 in
+      let profile =
+        Cluster.Profile.of_running ~now ~capacity:8 (random_releases rng)
+      in
+      let before = Cluster.Profile.segments profile in
+      let ordered = Branching.order Branching.Lxf ~now ~r_star jobs in
+      let state =
+        Search_state.create ~now ~profile ~jobs:ordered
+          ~durations:(Array.map r_star ordered)
+          ~thresholds:(Array.make 6 1800.0) ()
+      in
+      ignore (Search.run Search.Dds ~budget state);
+      Alcotest.(check bool)
+        (Printf.sprintf "budget %d segments restored" budget)
+        true
+        (Cluster.Profile.segments profile = before);
+      Alcotest.(check int) "trail unwound" 0
+        (Cluster.Profile.trail_length profile))
+    [ 50; max_int ]
+
+(* In a build with asserts (dev), the unused list alone catches placing
+   a job twice and unplacing an empty depth. *)
+let test_misuse_asserts () =
+  let asserts_on =
+    try assert (Sys.opaque_identity false); false
+    with Assert_failure _ -> true
+  in
+  if asserts_on then begin
+    let state =
+      make_state ~heuristic:Branching.Fcfs
+        [ Helpers.job ~id:0 (); Helpers.job ~id:1 ~submit:1.0 () ]
+    in
+    let trips f =
+      match f () with () -> false | exception Assert_failure _ -> true
+    in
+    Alcotest.(check bool) "unplace of an empty depth" true
+      (trips (fun () -> Search_state.unplace state ~depth:0));
+    Search_state.place state ~depth:0 ~job:1;
+    Alcotest.(check bool) "place of a placed job" true
+      (trips (fun () -> Search_state.place state ~depth:1 ~job:1));
+    Search_state.place state ~depth:1 ~job:0;
+    Search_state.unplace state ~depth:1;
+    Search_state.unplace state ~depth:0;
+    Alcotest.(check int) "both unused again" 0 (Search_state.first_unused state)
+  end
 
 let exhaustive_equals_bruteforce algo seed =
   let rng = Simcore.Rng.create ~seed in
@@ -419,6 +508,80 @@ let test_dds_beats_lds_to_root_discrepancies () =
   Alcotest.(check bool) "DDS at least as good under tiny budget" true
     (Objective.compare dds.Search.best lds.Search.best <= 0)
 
+(* --- starts never fall just after the decision time --- *)
+
+(* [Search_state.start_now_set] starts exactly the jobs placed at
+   [now].  That is sound only if no placement starts inside
+   [(now, now + overdue_grace)]: starts are segment boundaries, the
+   running set releases nothing before [now + overdue_grace], and each
+   placement lasts at least 1 s.  Running sets mix overdue jobs,
+   estimated ends at or just after [now], and later ones; queues mix
+   sub-second and long runtimes. *)
+let starts_clear_of_now seed =
+  let rng = Simcore.Rng.create ~seed in
+  let now = 1000.0 +. Simcore.Rng.float rng 1000.0 in
+  let machine = Cluster.Machine.v ~nodes:16 in
+  let running = Cluster.Running_set.create ~machine in
+  for id = 0 to Simcore.Rng.int rng 6 do
+    let nodes = 1 + Simcore.Rng.int rng 4 in
+    if nodes <= Cluster.Running_set.free_nodes running then begin
+      let est_finish =
+        match Simcore.Rng.int rng 5 with
+        | 0 -> now -. Simcore.Rng.float rng 500.0 (* overdue *)
+        | 1 -> now
+        | 2 -> now +. Simcore.Rng.float rng 1e-3 (* inside the grace *)
+        | 3 -> now +. Simcore.Rng.float rng 1.0
+        | _ -> now +. Simcore.Rng.float rng 5000.0
+      in
+      let start = now -. 1000.0 in
+      Cluster.Running_set.add running
+        {
+          Cluster.Running_set.job =
+            Helpers.job ~id:(100 + id) ~nodes ~submit:start ~runtime:5000.0 ();
+          start;
+          finish = now +. 1.0;
+          est_finish;
+        }
+    end
+  done;
+  let n = 1 + Simcore.Rng.int rng 7 in
+  let jobs =
+    List.init n (fun id ->
+        Helpers.job ~id
+          ~submit:(Simcore.Rng.float rng now)
+          ~nodes:(1 + Simcore.Rng.int rng 16)
+          ~runtime:
+            (if Simcore.Rng.int rng 3 = 0 then Simcore.Rng.float rng 1.0
+             else 1.0 +. Simcore.Rng.float rng 7200.0)
+          ())
+  in
+  let ordered = Branching.order Branching.Lxf ~now ~r_star jobs in
+  let clear = ref true in
+  let check s =
+    if not (s = now || s >= now +. Cluster.Running_set.overdue_grace) then
+      clear := false
+  in
+  let state =
+    Search_state.create
+      ~on_place:(fun ~depth:_ ~job:_ ~start -> check start)
+      ~now
+      ~profile:(Cluster.Running_set.profile running ~now)
+      ~jobs:ordered ~durations:(Array.map r_star ordered)
+      ~thresholds:(Bound.thresholds Bound.dynamic ~now ~r_star ordered)
+      ()
+  in
+  let algo =
+    [| Search.Dfs; Search.Lds; Search.Lds_original; Search.Dds |].(
+      Simcore.Rng.int rng 4)
+  in
+  let result = Search.run algo ~budget:(1 + Simcore.Rng.int rng 500) state in
+  Array.iter check result.Search.best_starts;
+  !clear
+
+let prop_starts_clear_of_now =
+  QCheck.Test.make ~name:"starts are now or past the overdue grace"
+    ~count:300 QCheck.small_int starts_clear_of_now
+
 let suite =
   [
     Alcotest.test_case "place semantics" `Quick test_place_semantics;
@@ -445,4 +608,9 @@ let suite =
     Alcotest.test_case "DDS vs LDS under tiny budget" `Quick
       test_dds_beats_lds_to_root_discrepancies;
     QCheck_alcotest.to_alcotest prop_visit_order_matches_spec;
+    Alcotest.test_case "start_now_set is exact" `Quick test_start_now_set_exact;
+    Alcotest.test_case "search restores its profile" `Quick
+      test_search_restores_owned_profile;
+    Alcotest.test_case "misuse trips asserts" `Quick test_misuse_asserts;
+    QCheck_alcotest.to_alcotest prop_starts_clear_of_now;
   ]

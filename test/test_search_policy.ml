@@ -42,7 +42,7 @@ let test_empty_queue () =
   let policy, stats = Search_policy.policy (Search_policy.dds_lxf_dynb ~budget:100) in
   let started = policy.Sched.Policy.decide (context ~waiting:[] ()) in
   Alcotest.(check int) "nothing to start" 0 (List.length started);
-  Alcotest.(check int) "no decision recorded" 0 (stats ()).Search_policy.decisions
+  Alcotest.(check int) "no search ran" 0 (stats ()).Search_policy.total_nodes
 
 let test_starts_fitting_jobs () =
   let waiting =
@@ -53,10 +53,8 @@ let test_starts_fitting_jobs () =
   in
   let started = policy.Sched.Policy.decide (context ~waiting ()) in
   Alcotest.(check int) "both fit and start" 2 (List.length started);
-  let s = stats () in
-  Alcotest.(check int) "one decision" 1 s.Search_policy.decisions;
-  Alcotest.(check bool) "nodes counted" true (s.Search_policy.total_nodes >= 2);
-  Alcotest.(check int) "queue length recorded" 2 s.Search_policy.max_queue
+  Alcotest.(check bool) "nodes counted" true
+    ((stats ()).Search_policy.total_nodes >= 2)
 
 let probe_of (policy : Sched.Policy.t) = Option.get policy.Sched.Policy.probe
 

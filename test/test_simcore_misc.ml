@@ -13,7 +13,6 @@ let test_units () =
   feq "minutes" 90.0 (Units.minutes 1.5);
   feq "hours" 7200.0 (Units.hours 2.0);
   feq "days" 86400.0 (Units.days 1.0);
-  feq "weeks" (7.0 *. 86400.0) (Units.weeks 1.0);
   feq "to_hours" 2.0 (Units.to_hours 7200.0);
   feq "to_minutes" 2.0 (Units.to_minutes 120.0);
   feq "to_days" 0.5 (Units.to_days 43200.0)
@@ -45,12 +44,6 @@ let test_rng_split_independent () =
   let child = Rng.split parent in
   Alcotest.(check bool) "child differs from parent" true
     (Rng.bits64 child <> Rng.bits64 parent)
-
-let test_rng_copy () =
-  let a = Rng.create ~seed:9 in
-  let _ = Rng.bits64 a in
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy same next" (Rng.bits64 a) (Rng.bits64 b)
 
 let prop_rng_int_range =
   QCheck.Test.make ~name:"Rng.int in [0, n)" ~count:500
@@ -122,22 +115,6 @@ let test_dist_bernoulli_extremes () =
 
 (* --- Stats --- *)
 
-let test_running_stats () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.Running.count r);
-  feq "mean" 2.5 (Stats.Running.mean r);
-  feq "sum" 10.0 (Stats.Running.sum r);
-  feq "min" 1.0 (Stats.Running.min r);
-  feq "max" 4.0 (Stats.Running.max r);
-  feq ~eps:1e-6 "stddev" (sqrt 1.25) (Stats.Running.stddev r)
-
-let test_running_empty () =
-  let r = Stats.Running.create () in
-  feq "mean of empty" 0.0 (Stats.Running.mean r);
-  Alcotest.check_raises "min of empty" (Invalid_argument "Stats.Running.min: empty")
-    (fun () -> ignore (Stats.Running.min r))
-
 let test_percentile () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   feq "p0" 1.0 (Stats.percentile xs 0.0);
@@ -177,7 +154,6 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
-    Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "rng invalid bound" `Quick test_rng_int_invalid;
     QCheck_alcotest.to_alcotest prop_rng_int_range;
     QCheck_alcotest.to_alcotest prop_rng_unit_float;
@@ -186,8 +162,6 @@ let suite =
     Alcotest.test_case "categorical" `Quick test_dist_categorical;
     Alcotest.test_case "categorical invalid" `Quick test_dist_categorical_invalid;
     Alcotest.test_case "bernoulli extremes" `Quick test_dist_bernoulli_extremes;
-    Alcotest.test_case "running stats" `Quick test_running_stats;
-    Alcotest.test_case "running stats empty" `Quick test_running_empty;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "percentile pure" `Quick test_percentile_does_not_mutate;
     Alcotest.test_case "timeline average" `Quick test_timeline;

@@ -119,13 +119,6 @@ let test_trace_scale_load () =
   let j = (Trace.jobs scaled).(3) in
   Alcotest.(check (float 1e-9)) "runtimes unchanged" 3600.0 j.Job.runtime
 
-let test_trace_map_jobs () =
-  let t = Trace.v [ job ~id:0 (); job ~id:1 ~submit:2.0 () ] in
-  let t' = Trace.map_jobs t (fun j -> { j with Job.nodes = 7 }) in
-  Array.iter
-    (fun (j : Job.t) -> Alcotest.(check int) "mapped" 7 j.nodes)
-    (Trace.jobs t')
-
 (* Random job lists in four shapes, so that each of [Trace.v]'s fast
    paths and fallbacks runs: already in submit order or not, ids
    increasing along submit order or shuffled.  Submits sit on a coarse
@@ -250,16 +243,15 @@ let test_estimate_draw_bounds () =
       (r <= Float.max limit runtime +. 1e-9)
   done
 
-let test_estimate_attach_deterministic () =
-  let t = Trace.v [ job ~id:0 (); job ~id:1 ~submit:1.0 ~runtime:7200.0 () ] in
+let test_estimate_draw_deterministic () =
   let limit = Simcore.Units.hours 12.0 in
-  let a = Estimate.attach ~seed:3 ~limit t in
-  let b = Estimate.attach ~seed:3 ~limit t in
-  Array.iteri
-    (fun i (j : Job.t) ->
-      Alcotest.(check (float 1e-9)) "deterministic" j.requested
-        (Trace.jobs b).(i).Job.requested)
-    (Trace.jobs a)
+  let draws seed =
+    let rng = Simcore.Rng.create ~seed in
+    List.map
+      (fun runtime -> Estimate.draw rng ~limit ~runtime)
+      [ 3600.0; 7200.0; 60.0; 40000.0 ]
+  in
+  Alcotest.(check (list (float 0.0))) "deterministic" (draws 3) (draws 3)
 
 (* --- Month_profile --- *)
 
@@ -340,7 +332,6 @@ let suite =
     Alcotest.test_case "trace measured window" `Quick test_trace_measured_window;
     Alcotest.test_case "trace offered load" `Quick test_trace_offered_load;
     Alcotest.test_case "trace scale_load" `Quick test_trace_scale_load;
-    Alcotest.test_case "trace map_jobs" `Quick test_trace_map_jobs;
     QCheck_alcotest.to_alcotest prop_trace_v_matches_reference;
     Alcotest.test_case "scale_load re-sorts squeezed ties" `Quick
       test_scale_load_ties_resorted;
@@ -349,7 +340,7 @@ let suite =
       test_estimate_round_up_matches_grid;
     Alcotest.test_case "estimate draw bounds" `Quick test_estimate_draw_bounds;
     Alcotest.test_case "estimate deterministic" `Quick
-      test_estimate_attach_deterministic;
+      test_estimate_draw_deterministic;
     Alcotest.test_case "month profiles complete" `Quick
       test_month_profiles_complete;
     Alcotest.test_case "month find" `Quick test_month_find;
