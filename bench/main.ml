@@ -56,12 +56,16 @@
                           REPRO_SCALE=0.1 quick config, and write
                           them as JSON (default
                           BENCH_search_hotpath.json)
-     --perf-smoke [path]  re-measure the L=8000 / 30-job point and
+     --perf-smoke path profile
+                          re-measure the L=8000 / 30-job point and
                           fail (exit 1) if it regressed more than 30%
-                          below the committed baseline JSON, or if the
+                          below the baseline JSON at path, or if the
                           parallel rendering of the smoke figure
                           differs byte-for-byte from the sequential
-                          one *)
+                          one.  profile names the dune profile this
+                          binary was built with; the baseline is
+                          recorded from release, so any other profile
+                          is refused (exit 2) before measuring *)
 
 open Bechamel
 open Toolkit
@@ -401,7 +405,15 @@ let parallel_determinism_smoke () =
     exit 1
   end
 
-let perf_smoke path =
+let perf_smoke path ~profile =
+  if profile <> "release" then begin
+    Printf.eprintf
+      "perf-smoke: main.exe was built in the %s profile, but the baseline \
+       is recorded from release; run dune build --profile release \
+       @perf-smoke\n"
+      profile;
+    exit 2
+  end;
   match baseline_value path smoke_key with
   | None ->
       Printf.eprintf "perf-smoke: no %s in %s\n" smoke_key path;
@@ -626,12 +638,11 @@ let () =
       if !validate_flag then report_validation Format.err_formatter
   | [| _; "--perf-json" |] -> perf_json "BENCH_search_hotpath.json"
   | [| _; "--perf-json"; path |] -> perf_json path
-  | [| _; "--perf-smoke" |] -> perf_smoke "BENCH_search_hotpath.json"
-  | [| _; "--perf-smoke"; path |] -> perf_smoke path
+  | [| _; "--perf-smoke"; path; profile |] -> perf_smoke path ~profile
   | _ ->
       prerr_endline
         "usage: main.exe [-j N] [--trace[=path]] [--report[=dir]] \
          [--validate] [--progress] [--perf-json [path] | --perf-smoke \
-         [path]]";
+         path profile]";
       exit 2);
   Experiments.Common.shutdown_pool ()

@@ -3,13 +3,13 @@ let exponential rng ~mean =
   let u = 1.0 -. Rng.unit_float rng in
   -.mean *. log u
 
-let uniform rng ~lo ~hi =
-  if hi < lo then invalid_arg "Dist.uniform: hi < lo";
-  lo +. Rng.float rng (hi -. lo)
-
-let log_uniform rng ~lo ~hi =
-  if lo <= 0.0 || hi < lo then invalid_arg "Dist.log_uniform: need 0 < lo <= hi";
-  exp (uniform rng ~lo:(log lo) ~hi:(log hi))
+(* Checked in the positive form: every comparison with NaN is false. *)
+let log_uniform ~lo ~hi =
+  if not (lo > 0.0 && lo <= hi && Float.is_finite hi) then
+    invalid_arg "Dist.log_uniform: need finite 0 < lo <= hi";
+  let log_lo = log lo in
+  let log_width = log hi -. log_lo in
+  fun rng -> exp (log_lo +. Rng.float rng log_width)
 
 let normal rng ~mean ~stddev =
   let u1 = 1.0 -. Rng.unit_float rng in
@@ -19,28 +19,28 @@ let normal rng ~mean ~stddev =
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mean:mu ~stddev:sigma)
 
-(* Loops over local float refs rather than a fold and a recursive scan,
-   so that neither the sum nor the running total is boxed per weight. *)
-let categorical rng ~weights =
+(* Summed left to right, so the table holds the very running totals a
+   per-draw sum would build, and a draw picks the same index. *)
+let categorical ~weights =
   let n = Array.length weights in
+  let cumulative = Array.make n 0.0 in
   let total = ref 0.0 in
   for i = 0 to n - 1 do
     let w = weights.(i) in
     if w < 0.0 then invalid_arg "Dist.categorical: negative weight";
-    total := !total +. w
+    total := !total +. w;
+    (* false for a NaN or infinite [w], or an overflowing sum *)
+    if not (Float.is_finite !total) then
+      invalid_arg "Dist.categorical: non-finite weight";
+    cumulative.(i) <- !total
   done;
   if !total <= 0.0 then invalid_arg "Dist.categorical: all weights zero";
-  let target = Rng.float rng !total in
-  let chosen = ref (n - 1) and acc = ref 0.0 and i = ref 0 in
-  while !i < n - 1 do
-    acc := !acc +. weights.(!i);
-    if target < !acc then begin
-      chosen := !i;
-      i := n
-    end
-    else incr i
-  done;
-  !chosen
+  let total = !total in
+  fun rng ->
+    let target = Rng.float rng total in
+    let i = ref 0 in
+    while !i < n - 1 && not (target < cumulative.(!i)) do incr i done;
+    !i
 
 let bernoulli rng ~p =
   let p = Float.max 0.0 (Float.min 1.0 p) in

@@ -7,12 +7,11 @@ val exponential : Rng.t -> mean:float -> float
 (** [exponential rng ~mean] draws from Exp with the given mean.
     @raise Invalid_argument if [mean <= 0]. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** Uniform in [\[lo, hi)].  @raise Invalid_argument if [hi < lo]. *)
-
-val log_uniform : Rng.t -> lo:float -> hi:float -> float
+val log_uniform : lo:float -> hi:float -> Rng.t -> float
 (** Log-uniform in [\[lo, hi)]: uniform in log-space, so each decade is
-    equally likely.  Requires [0 < lo <= hi]. *)
+    equally likely.  [log_uniform ~lo ~hi] takes the logs once; keep the
+    function it returns.  @raise Invalid_argument unless
+    [0 < lo <= hi] and [hi] is finite (so NaN bounds are refused). *)
 
 val normal : Rng.t -> mean:float -> stddev:float -> float
 (** Gaussian via Box–Muller. *)
@@ -20,10 +19,13 @@ val normal : Rng.t -> mean:float -> stddev:float -> float
 val lognormal : Rng.t -> mu:float -> sigma:float -> float
 (** [exp] of a Gaussian with parameters [mu], [sigma]. *)
 
-val categorical : Rng.t -> weights:float array -> int
-(** [categorical rng ~weights] draws index [i] with probability
-    proportional to [weights.(i)].  Weights must be non-negative and
-    not all zero.  @raise Invalid_argument otherwise. *)
+val categorical : weights:float array -> Rng.t -> int
+(** [categorical ~weights] validates [weights] and builds their
+    cumulative table once; the function it returns draws index [i] with
+    probability proportional to [weights.(i)] by one {!Rng.float}.
+    @raise Invalid_argument ["Dist.categorical: negative weight"],
+    ["...: non-finite weight"] (NaN, infinity, an overflowing sum) or
+    ["...: all weights zero"] (also for no weights). *)
 
 val bernoulli : Rng.t -> p:float -> bool
 (** True with probability [p] (clamped to [\[0,1\]]). *)

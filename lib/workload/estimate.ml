@@ -23,13 +23,15 @@ let rec first_at_least ~limit r = function
 
 let round_up ~limit r = first_at_least ~limit r base
 
+let small_factor = Dist.log_uniform ~lo:1.0 ~hi:2.0
+let large_factor = Dist.log_uniform ~lo:2.0 ~hi:20.0
+
 let draw ?(params = default) rng ~limit ~runtime =
   let u = Rng.unit_float rng in
   let factor =
     if u < params.p_exact then 1.0
-    else if u < params.p_exact +. params.p_small then
-      Dist.log_uniform rng ~lo:1.0 ~hi:2.0
-    else Dist.log_uniform rng ~lo:2.0 ~hi:20.0
+    else if u < params.p_exact +. params.p_small then small_factor rng
+    else large_factor rng
   in
   let raw = runtime *. factor in
   let rounded = round_up ~limit (Float.min raw limit) in

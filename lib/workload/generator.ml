@@ -27,40 +27,54 @@ let rate t =
   in
   weekly *. diurnal
 
+(* Merge sort on float arrays, so no comparison boxes an element as
+   [Array.stable_sort]'s closure does.  [sort src dst lo hi] sorts
+   [\[lo, hi)] into [dst] using [src], equal there, as scratch. *)
+let sort_floats (a : float array) =
+  let rec sort (src : float array) (dst : float array) lo hi =
+    if hi - lo > 1 then begin
+      let mid = (lo + hi) / 2 in
+      sort dst src lo mid;
+      sort dst src mid hi;
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !i < mid && (!j >= hi || src.(!i) <= src.(!j)) then (
+          dst.(k) <- src.(!i);
+          incr i)
+        else (
+          dst.(k) <- src.(!j);
+          incr j)
+      done
+    end
+  in
+  sort (Array.copy a) a 0 (Array.length a)
+
 let arrival_times rng ~origin ~span ~count =
-  if count = 0 then [||]
-  else begin
-    (* Hourly piecewise-constant rate; inverse-CDF sampling gives exactly
-       [count] arrivals with the right temporal profile. *)
-    let bin = Units.hour in
-    let n_bins = max 1 (int_of_float (Float.ceil (span /. bin))) in
-    let cumulative = Array.make (n_bins + 1) 0.0 in
-    for i = 0 to n_bins - 1 do
-      let t = origin +. ((float_of_int i +. 0.5) *. bin) in
-      cumulative.(i + 1) <- cumulative.(i) +. rate t
-    done;
-    let total = cumulative.(n_bins) in
-    let invert target =
-      (* binary search for the bin with cumulative.(i) <= target *)
-      let rec search lo hi =
-        if hi - lo <= 1 then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if cumulative.(mid) <= target then search mid hi else search lo mid
-      in
-      let i = search 0 n_bins in
-      let slack = cumulative.(i + 1) -. cumulative.(i) in
-      let frac = if slack <= 0.0 then 0.0 else (target -. cumulative.(i)) /. slack in
-      Float.min (span -. 1.0) ((float_of_int i +. frac) *. bin)
-    in
-    let times =
-      Array.init count (fun _ -> origin +. invert (Rng.float rng total))
-    in
-    (* a merge sort beats [Array.sort]'s heap sort here, and floats
-       that compare equal are interchangeable *)
-    Array.stable_sort Float.compare times;
-    times
-  end
+  (* Hourly piecewise-constant rate; inverse-CDF sampling gives exactly
+     [count] arrivals with the right temporal profile. *)
+  let bin = Units.hour in
+  let n_bins = max 1 (int_of_float (Float.ceil (span /. bin))) in
+  let cumulative = Array.make (n_bins + 1) 0.0 in
+  for i = 0 to n_bins - 1 do
+    let t = origin +. ((float_of_int i +. 0.5) *. bin) in
+    cumulative.(i + 1) <- cumulative.(i) +. rate t
+  done;
+  let total = cumulative.(n_bins) in
+  let times = Array.init count (fun _ -> Rng.float rng total) in
+  (* The inverse CDF is monotone, so sorted targets map to sorted times
+     in one forward sweep to the last bin with [cumulative.(i) <= target]. *)
+  sort_floats times;
+  let i = ref 0 in
+  for k = 0 to count - 1 do
+    let target = times.(k) in
+    while !i < n_bins - 1 && cumulative.(!i + 1) <= target do incr i done;
+    let lo = cumulative.(!i) in
+    let slack = cumulative.(!i + 1) -. lo in
+    let frac = if slack <= 0.0 then 0.0 else (target -. lo) /. slack in
+    times.(k) <-
+      origin +. Float.min (span -. 1.0) ((float_of_int !i +. frac) *. bin)
+  done;
+  times
 
 (* ------------------------------------------------------------------ *)
 (* Node counts                                                         *)
@@ -100,10 +114,6 @@ let draw_bucket rng profile node_class =
   let u = Rng.unit_float rng in
   if u < p_short then 0 else if u < p_short +. p_long then 2 else 1
 
-let draw_runtime rng ~limit bucket =
-  let lo, hi = bucket_bounds ~limit bucket in
-  Dist.log_uniform rng ~lo ~hi
-
 (* ------------------------------------------------------------------ *)
 (* Demand calibration                                                  *)
 
@@ -121,14 +131,20 @@ let draw_protos rng profile ~limit count =
     { nodes = Array.make count 0; range = Array.make count 0;
       bucket = Array.make count 0; runtime = Array.make count 0.0 }
   in
+  let draw_range = Dist.categorical ~weights:profile.Month_profile.jobs8 in
+  let draw_runtime =
+    Array.init 3 (fun b ->
+        let lo, hi = bucket_bounds ~limit b in
+        Dist.log_uniform ~lo ~hi)
+  in
   for i = 0 to count - 1 do
-    let range = Dist.categorical rng ~weights:profile.Month_profile.jobs8 in
+    let range = draw_range rng in
     let nodes = draw_nodes rng ~range in
     let bucket = draw_bucket rng profile (Job.node_class5 nodes) in
     protos.range.(i) <- range;
     protos.nodes.(i) <- nodes;
     protos.bucket.(i) <- bucket;
-    protos.runtime.(i) <- draw_runtime rng ~limit bucket
+    protos.runtime.(i) <- draw_runtime.(bucket) rng
   done;
   protos
 
@@ -206,11 +222,24 @@ let month ?(config = default_config) profile =
     *. whole_span
   in
   calibrate ~profile ~total_target protos;
+  (* Bucket clamping in [calibrate] can leave the total load a few
+     percent off the Table 3 target (e.g. months whose demand sits in
+     long wide jobs near the bucket bounds).  A final compression of
+     the time axis fixes the offered load exactly without touching the
+     job mix or the runtime-class shares, so each job is built at its
+     final submit. *)
+  let squeeze =
+    Trace.load_squeeze ~capacity:Month_profile.capacity
+      ~target:profile.Month_profile.load ~measure_start:warmup
+      ~measure_end:(warmup +. span) ~submit:submits ~nodes:protos.nodes
+      ~runtime:protos.runtime
+  in
   let user_rng = Rng.split rng in
   let user_weights =
     (* Zipf-like popularity: user k+1 has weight 1/(k+1) *)
     Array.init (max 1 config.users) (fun k -> 1.0 /. float_of_int (k + 1))
   in
+  let draw_user = Dist.categorical ~weights:user_weights in
   let jobs =
     Array.mapi
       (fun id submit ->
@@ -218,18 +247,9 @@ let month ?(config = default_config) profile =
         let requested =
           Estimate.draw ~params:config.estimate estimate_rng ~limit ~runtime
         in
-        let user = 1 + Dist.categorical user_rng ~weights:user_weights in
-        Job.v ~id ~submit ~nodes:protos.nodes.(id) ~runtime ~requested
-        |> Job.with_user user)
+        Job.make ~id ~submit:(squeeze submit) ~nodes:protos.nodes.(id)
+          ~runtime ~requested ~user:(1 + draw_user user_rng))
       submits
   in
-  let raw =
-    Trace.of_array jobs ~measure_start:warmup ~measure_end:(warmup +. span)
-  in
-  (* Bucket clamping in [calibrate] can leave the total load a few
-     percent off the Table 3 target (e.g. months whose demand sits in
-     long wide jobs near the bucket bounds).  A final compression of
-     the time axis fixes the offered load exactly without touching the
-     job mix or the runtime-class shares. *)
-  Trace.scale_load raw ~capacity:Month_profile.capacity
-    ~target:profile.Month_profile.load
+  Trace.of_array jobs ~measure_start:(squeeze warmup)
+    ~measure_end:(squeeze (warmup +. span))

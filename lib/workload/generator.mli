@@ -5,7 +5,8 @@
 
     + arrival times follow a non-homogeneous Poisson-like process with
       diurnal and weekly modulation, sampled by inverse-CDF so the job
-      count is exact;
+      count is exact: the uniform targets are sorted once and mapped
+      through the monotone inverse in one sweep;
     + node counts are drawn from the Table 3 per-range job fractions,
       preferring "round" sizes (powers of two) within a range;
     + runtimes are drawn per node class from a three-bucket mixture
@@ -13,8 +14,10 @@
       Table 4, log-uniform within a bucket;
     + per-range runtime scaling (clamped to the bucket, iterated)
       calibrates the per-range processor-demand fractions and total
-      offered load toward the Table 3 targets;
-    + requested runtimes are attached with {!Estimate}.
+      offered load toward the Table 3 targets, and a final compression
+      of the time axis ({!Trace.load_squeeze}) makes the load exact;
+    + each job is built once, with its {!Estimate} requested runtime
+      and its user, at its final submit.
 
     Everything is deterministic in the seed.  A one-week warm-up and
     cool-down flank the measured month, as in the paper's methodology. *)
@@ -54,3 +57,7 @@ val arrival_times :
   Simcore.Rng.t -> origin:float -> span:float -> count:int -> float array
 (** Diurnally-modulated arrival times, ascending, within
     [\[origin, origin + span)] (exposed for testing). *)
+
+val sort_floats : float array -> unit
+(** Sorts a NaN-free array in place exactly as
+    [Array.stable_sort Float.compare] does (exposed for testing). *)

@@ -7,7 +7,7 @@ type t = {
   user : int;
 }
 
-let v ~id ~submit ~nodes ~runtime ~requested =
+let make ~id ~submit ~nodes ~runtime ~requested ~user =
   (* every comparison below is false for NaN, so check finiteness first *)
   if not (Float.is_finite submit && Float.is_finite runtime
           && Float.is_finite requested)
@@ -16,7 +16,10 @@ let v ~id ~submit ~nodes ~runtime ~requested =
   if runtime <= 0.0 then invalid_arg "Job.v: runtime must be positive";
   if requested < runtime then invalid_arg "Job.v: requested < runtime";
   if submit < 0.0 then invalid_arg "Job.v: negative submit time";
-  { id; submit; nodes; runtime; requested; user = 0 }
+  if user < 0 then invalid_arg "Job.v: negative user";
+  { id; submit; nodes; runtime; requested; user }
+
+let v = make ~user:0
 
 let with_user user j =
   if user < 0 then invalid_arg "Job.with_user: negative user";

@@ -21,9 +21,15 @@ val v :
   id:int -> submit:float -> nodes:int -> runtime:float -> requested:float -> t
 (** Smart constructor; validates that [submit], [runtime] and
     [requested] are finite, [nodes >= 1], [runtime > 0],
-    [requested >= runtime] and [submit >= 0].  [user] is 0; attach a
-    real user with {!with_user}.
+    [requested >= runtime] and [submit >= 0].  [user] is 0; build
+    with {!make} or attach one with {!with_user} to give a real user.
     @raise Invalid_argument on violation. *)
+
+val make :
+  id:int -> submit:float -> nodes:int -> runtime:float -> requested:float ->
+  user:int -> t
+(** {!v} with the submitting user, validated with the rest, so one
+    record is built.  @raise Invalid_argument also for [user < 0]. *)
 
 val with_user : int -> t -> t
 (** [with_user u j] is [j] submitted by user [u].

@@ -61,25 +61,36 @@ let measured t = List.filter (in_window t) (Array.to_list t.jobs)
 let total_demand t =
   Array.fold_left (fun acc j -> acc +. Job.area j) 0.0 t.jobs
 
-let measured_demand t =
-  Array.fold_left
-    (fun acc j -> if in_window t j then acc +. Job.area j else acc)
-    0.0 t.jobs
-
-let offered_load t ~capacity =
-  let window = t.measure_end -. t.measure_start in
-  if window <= 0.0 then 0.0
-  else measured_demand t /. (float_of_int capacity *. window)
-
-let scale_load t ~capacity ~target =
+(* The offered-load arithmetic, on columns so that the generator can
+   use it before any record exists: demand N x T of the jobs submitted
+   inside the window over capacity x window length. *)
+let load_squeeze ~capacity ~target ~measure_start ~measure_end ~submit
+    ~nodes ~runtime =
   if target <= 0.0 then invalid_arg "Trace.scale_load: target <= 0";
-  let current = offered_load t ~capacity in
+  let window = measure_end -. measure_start in
+  let demand = ref 0.0 in
+  for i = 0 to Array.length submit - 1 do
+    if submit.(i) >= measure_start && submit.(i) < measure_end then
+      demand := !demand +. (float_of_int nodes.(i) *. runtime.(i))
+  done;
+  let current =
+    if window <= 0.0 then 0.0 else !demand /. (float_of_int capacity *. window)
+  in
   if current <= 0.0 then invalid_arg "Trace.scale_load: trace has no load";
   (* Compressing all submit times by [factor < 1] multiplies the load by
      [1/factor]; the window shrinks by the same factor. *)
   let factor = current /. target in
-  let origin = if Array.length t.jobs = 0 then 0.0 else t.jobs.(0).Job.submit in
-  let squeeze time = origin +. ((time -. origin) *. factor) in
+  let origin = if Array.length submit = 0 then 0.0 else submit.(0) in
+  fun time -> origin +. ((time -. origin) *. factor)
+
+let scale_load t ~capacity ~target =
+  let squeeze =
+    load_squeeze ~capacity ~target ~measure_start:t.measure_start
+      ~measure_end:t.measure_end
+      ~submit:(Array.map (fun (j : Job.t) -> j.submit) t.jobs)
+      ~nodes:(Array.map (fun (j : Job.t) -> j.nodes) t.jobs)
+      ~runtime:(Array.map (fun (j : Job.t) -> j.runtime) t.jobs)
+  in
   (* [squeeze] is monotone, so the order check normally passes; only
      submits it rounds into ties between jobs whose ids run against
      submit order make [of_array] sort. *)

@@ -41,13 +41,20 @@ val in_window : t -> Job.t -> bool
 val total_demand : t -> float
 (** Sum of N x T over all jobs, node-seconds. *)
 
-val offered_load : t -> capacity:int -> float
-(** [offered_load t ~capacity] is total demand of *measured* jobs
-    divided by capacity x measurement-window length. *)
+val load_squeeze :
+  capacity:int -> target:float -> measure_start:float -> measure_end:float ->
+  submit:float array -> nodes:int array -> runtime:float array ->
+  float -> float
+(** {!scale_load}'s map on times, for jobs given as columns in submit
+    order (job [i] runs [runtime.(i)] s on [nodes.(i)] nodes from
+    [submit.(i)]), so that a generator can build each job once, at its
+    squeezed submit, equal bit for bit to what [scale_load] makes.
+    @raise Invalid_argument as {!scale_load} does. *)
 
 val scale_load : t -> capacity:int -> target:float -> t
 (** [scale_load t ~capacity ~target] compresses inter-arrival times by
     a constant factor so that the offered load of the measured window
+    (the N x T demand of its jobs over capacity x window length)
     becomes [target] (the paper's rho = 0.9 construction).  Runtimes
     and node counts are unchanged; the measurement window is compressed
     by the same factor.  The jobs are mapped into a fresh array with no

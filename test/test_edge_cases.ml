@@ -54,7 +54,7 @@ let test_empty_trace () =
   Alcotest.(check int) "length" 0 (Workload.Trace.length t);
   Alcotest.(check (float 1e-9)) "no demand" 0.0 (Workload.Trace.total_demand t);
   Alcotest.(check (float 1e-9)) "no load" 0.0
-    (Workload.Trace.offered_load t ~capacity:8)
+    (Workload.Mix_report.of_trace t ~capacity:8).load
 
 let test_empty_trace_simulation () =
   let t = Workload.Trace.v [] in

@@ -84,7 +84,18 @@ let test_dist_log_uniform_bounds () =
   for _ = 1 to 1000 do
     let v = Dist.log_uniform rng ~lo:10.0 ~hi:1000.0 in
     Alcotest.(check bool) "in bounds" true (v >= 10.0 && v < 1000.0 +. 1e-9)
-  done
+  done;
+  (* every comparison with NaN is false, so a NaN bound must be caught
+     by a check stated positively; an infinite one would draw infinity *)
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "lo %g hi %g" lo hi)
+        (Invalid_argument "Dist.log_uniform: need finite 0 < lo <= hi")
+        (fun () -> ignore (Dist.log_uniform rng ~lo ~hi)))
+    [ (0.0, 1.0); (2.0, 1.0); (Float.nan, 1.0); (1.0, Float.nan);
+      (Float.nan, Float.nan); (1.0, Float.infinity);
+      (Float.infinity, Float.infinity) ]
 
 let test_dist_categorical () =
   let rng = Rng.create ~seed:17 in
@@ -104,7 +115,16 @@ let test_dist_categorical_invalid () =
       ignore (Dist.categorical rng ~weights:[| 0.0; 0.0 |]));
   Alcotest.check_raises "negative"
     (Invalid_argument "Dist.categorical: negative weight") (fun () ->
-      ignore (Dist.categorical rng ~weights:[| 1.0; -1.0 |]))
+      ignore (Dist.categorical rng ~weights:[| 1.0; -1.0 |]));
+  (* a NaN weight once made the total NaN, and every draw silently
+     returned the last category *)
+  List.iter
+    (fun weights ->
+      Alcotest.check_raises "non-finite"
+        (Invalid_argument "Dist.categorical: non-finite weight") (fun () ->
+          ignore (Dist.categorical rng ~weights)))
+    [ [| 1.0; Float.nan |]; [| Float.nan; 1.0 |]; [| Float.infinity; 1.0 |];
+      [| 1.0; Float.max_float; Float.max_float |] ]
 
 let test_dist_bernoulli_extremes () =
   let rng = Rng.create ~seed:19 in

@@ -28,7 +28,15 @@ let test_job_validation () =
       ("nan runtime", fun () -> job ~runtime:Float.nan ());
       ("inf runtime", fun () -> job ~runtime:Float.infinity ());
       ("nan requested", fun () -> job ~requested:Float.nan ());
-      ("inf requested", fun () -> job ~requested:Float.infinity ()) ]
+      ("inf requested", fun () -> job ~requested:Float.infinity ()) ];
+  Alcotest.check_raises "user >= 0" (Invalid_argument "Job.v: negative user")
+    (fun () ->
+      ignore
+        (Job.make ~id:0 ~submit:0.0 ~nodes:1 ~runtime:1.0 ~requested:1.0
+           ~user:(-1)));
+  Alcotest.(check int) "make keeps the user" 7
+    (Job.make ~id:0 ~submit:0.0 ~nodes:1 ~runtime:1.0 ~requested:1.0 ~user:7)
+      .user
 
 let test_job_area () =
   Alcotest.(check (float 1e-9)) "area" 7200.0
@@ -104,17 +112,19 @@ let test_trace_offered_load () =
     Trace.v [ job ~nodes:4 ~runtime:100.0 () ] ~measure_start:0.0
       ~measure_end:100.0
   in
-  Alcotest.(check (float 1e-9)) "load" 1.0 (Trace.offered_load t ~capacity:4)
+  Alcotest.(check (float 1e-9)) "load" 1.0
+    (Mix_report.of_trace t ~capacity:4).Mix_report.load
 
 let test_trace_scale_load () =
   let jobs =
     List.init 10 (fun i -> job ~id:i ~submit:(float_of_int i *. 10.0) ())
   in
   let t = Trace.v jobs ~measure_start:0.0 ~measure_end:100.0 in
-  let load0 = Trace.offered_load t ~capacity:16 in
+  let load t = (Mix_report.of_trace t ~capacity:16).Mix_report.load in
+  let load0 = load t in
   let scaled = Trace.scale_load t ~capacity:16 ~target:(2.0 *. load0) in
   Alcotest.(check (float 1e-6)) "load doubled" (2.0 *. load0)
-    (Trace.offered_load scaled ~capacity:16);
+    (load scaled);
   Alcotest.(check int) "same jobs" 10 (Trace.length scaled);
   let j = (Trace.jobs scaled).(3) in
   Alcotest.(check (float 1e-9)) "runtimes unchanged" 3600.0 j.Job.runtime
