@@ -27,7 +27,7 @@ let () =
       Sched.Backfill.lxf;
       Sched.Backfill.sjf;
       Sched.Selective.policy ();
-      Sched.Conservative.policy ();
+      Sched.Conservative.policy;
       search (Core.Search_policy.dds_lxf_dynb ~budget:1000);
       search
         (Core.Search_policy.v ~algorithm:Core.Search.Lds

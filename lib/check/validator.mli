@@ -70,8 +70,8 @@ val expectation_of_policy : string -> expectation
 (** Derive the expectation from a policy name: ["FCFS-backfill"],
     ["LXF-backfill"], ["SJF-backfill"] (optionally with a ["/res=K"]
     suffix) map to [Easy_backfill]; everything else — search policies,
-    conservative/selective/lookahead variants, unknown names — maps to
-    [Generic]. *)
+    the conservative/selective/multi-queue variants, run-now, unknown
+    names — maps to [Generic]. *)
 
 val validate :
   ?machine:Cluster.Machine.t ->

@@ -270,8 +270,6 @@ let locate t time =
     invalid_arg "Profile.locate: time before profile start";
   search t time 0 t.len
 
-let free_at t time = t.free.(locate t time)
-
 (* Carve [nodes] out of segments [i, stop) whose run has already been
    validated (every free count >= nodes), ensuring a boundary at the
    window finish first.  The finish time is read from [scratch.(1)]

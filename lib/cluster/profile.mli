@@ -47,17 +47,14 @@ val of_sorted_releases :
 val capacity : t -> int
 val segment_count : t -> int
 
-val free_at : t -> float -> int
-(** Free nodes at a given instant (no earlier than the [now] the
-    profile was built for). *)
-
 val segments : t -> (float * int) list
 (** [(start, free)] list for inspection and tests. *)
 
 val earliest_start : t -> nodes:int -> duration:float -> float
 (** First time [s], no earlier than the [now] the profile was built
     for, such that at least [nodes] nodes are free during the whole of
-    [\[s, s + duration)].
+    [\[s, s + duration)].  No policy calls it: it is the read-only
+    oracle the tests hold {!place_earliest} to.
     @raise Invalid_argument if [nodes] exceeds capacity or
     [duration <= 0]. *)
 

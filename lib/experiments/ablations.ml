@@ -23,10 +23,8 @@ let extra_baselines fmt =
       simple "LXF-backfill" Sched.Backfill.lxf;
       simple "SJF-backfill" Sched.Backfill.sjf;
       simple "selective-backfill" (Sched.Selective.policy ());
-      simple "conservative-fcfs" (Sched.Conservative.policy ());
-      simple "lookahead-backfill" (Sched.Lookahead.policy ());
-      simple "relaxed-backfill" (Sched.Relaxed.policy ());
-      simple "multi-queue-backfill" (Sched.Multi_queue.policy ());
+      simple "conservative-fcfs" Sched.Conservative.policy;
+      simple "multi-queue-backfill" Sched.Multi_queue.policy;
       simple "run-now (greedy)" Sched.Backfill.run_now;
       search "DDS/lxf/dynB(1K)" (Core.Search_policy.dds_lxf_dynb ~budget:1000);
     ]

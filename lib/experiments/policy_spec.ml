@@ -1,7 +1,7 @@
 let known =
   [
     "fcfs-bf"; "lxf-bf"; "sjf-bf"; "lxfw-bf"; "conservative"; "selective";
-    "lookahead"; "relaxed"; "multi-queue"; "run-now"; "dds/lxf/dynb"; "dds/fcfs/dynb"; "lds/lxf/dynb";
+    "multi-queue"; "run-now"; "dds/lxf/dynb"; "dds/fcfs/dynb"; "lds/lxf/dynb";
     "dds/lxf/w=50"; "dds/lxf/rt=1:2"; "dds/lxf/dynb+bnb"; "dds/lxf/dynb+ls"; "dds/lxf/dynb+fair";
   ]
 
@@ -76,10 +76,8 @@ let parse ~budget spec =
   | "sjf-bf" -> Ok Sched.Backfill.sjf
   | "lxfw-bf" ->
       Ok (Sched.Backfill.policy (Sched.Priority.lxf_w ~weight_per_hour:0.01))
-  | "conservative" -> Ok (Sched.Conservative.policy ())
+  | "conservative" -> Ok Sched.Conservative.policy
   | "selective" -> Ok (Sched.Selective.policy ())
-  | "lookahead" -> Ok (Sched.Lookahead.policy ())
-  | "relaxed" -> Ok (Sched.Relaxed.policy ())
-  | "multi-queue" -> Ok (Sched.Multi_queue.policy ())
+  | "multi-queue" -> Ok Sched.Multi_queue.policy
   | "run-now" -> Ok Sched.Backfill.run_now
   | lowered -> parse_search ~budget lowered

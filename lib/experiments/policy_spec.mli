@@ -2,7 +2,8 @@
 
     Grammar (case-insensitive):
     - backfill family: ["fcfs-bf"], ["lxf-bf"], ["sjf-bf"],
-      ["lxfw-bf"], ["conservative"], ["selective"], ["run-now"];
+      ["lxfw-bf"], ["conservative"], ["selective"], ["multi-queue"],
+      ["run-now"];
     - search family: ["ALGO/HEUR/BOUND"], e.g. ["dds/lxf/dynb"],
       ["lds/fcfs/w=50"] (fixed bound in hours), ["dds/lxf/rt=1:2"]
       (runtime-scaled bound: floor hours and factor).  Suffix options

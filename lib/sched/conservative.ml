@@ -1,5 +1,3 @@
-let policy ?(priority = Priority.fcfs) () =
-  let inner = Backfill.policy ~reservations:max_int priority in
-  Policy.make
-    ~name:(Printf.sprintf "conservative-%s" priority.Priority.name)
-    ~decide:inner.Policy.decide
+let policy =
+  Policy.make ~name:"conservative-fcfs"
+    ~decide:(Backfill.policy ~reservations:max_int Priority.fcfs).Policy.decide

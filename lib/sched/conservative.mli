@@ -3,5 +3,6 @@
     classic low-risk/low-reward end of the backfill spectrum, included
     as an extra baseline for the ablation benches. *)
 
-val policy : ?priority:Priority.t -> unit -> Policy.t
-(** Defaults to FCFS priority. *)
+val policy : Policy.t
+(** ["conservative-fcfs"]: {!Backfill.policy} over the FCFS order with
+    a reservation for every blocked job. *)

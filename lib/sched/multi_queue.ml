@@ -15,10 +15,6 @@ let priority ?(boundaries = default_boundaries) () =
         -.float_of_int (queue_rank ~boundaries (r_star j)));
   }
 
-let policy ?(boundaries = default_boundaries) ?(reservations = 1) () =
-  let priority = priority ~boundaries () in
-  let inner = Backfill.policy ~reservations priority in
-  Policy.make
-    ~name:(Printf.sprintf "multi-queue-backfill(%d queues)"
-             (List.length boundaries + 1))
-    ~decide:inner.Policy.decide
+let policy =
+  Policy.make ~name:"multi-queue-backfill(3 queues)"
+    ~decide:(Backfill.policy (priority ())).Policy.decide

@@ -17,6 +17,7 @@ val priority : ?boundaries:float list -> unit -> Priority.t
 (** The queue order: lower {!queue_rank} first (the key is the negated
     rank), FCFS within a queue. *)
 
-val policy : ?boundaries:float list -> ?reservations:int -> unit -> Policy.t
-(** Default boundaries: 1 hour and 5 hours (three queues); one
-    reservation. *)
+val policy : Policy.t
+(** ["multi-queue-backfill(3 queues)"]: {!Backfill.policy} with one
+    reservation over {!priority} at the default boundaries, 1 hour and
+    5 hours. *)

@@ -21,10 +21,6 @@ let make ~id ~submit ~nodes ~runtime ~requested ~user =
 
 let v = make ~user:0
 
-let with_user user j =
-  if user < 0 then invalid_arg "Job.with_user: negative user";
-  { j with user }
-
 let area j = float_of_int j.nodes *. j.runtime
 
 let compare_submit a b =

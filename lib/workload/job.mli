@@ -22,7 +22,7 @@ val v :
 (** Smart constructor; validates that [submit], [runtime] and
     [requested] are finite, [nodes >= 1], [runtime > 0],
     [requested >= runtime] and [submit >= 0].  [user] is 0; build
-    with {!make} or attach one with {!with_user} to give a real user.
+    with {!make} to give a real user.
     @raise Invalid_argument on violation. *)
 
 val make :
@@ -30,10 +30,6 @@ val make :
   user:int -> t
 (** {!v} with the submitting user, validated with the rest, so one
     record is built.  @raise Invalid_argument also for [user < 0]. *)
-
-val with_user : int -> t -> t
-(** [with_user u j] is [j] submitted by user [u].
-    @raise Invalid_argument if [u] is negative. *)
 
 val area : t -> float
 (** [area j] is N x T, the processor-time demand of the job in

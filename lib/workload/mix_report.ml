@@ -30,13 +30,9 @@ let of_trace ~capacity trace =
     else Array.map (fun v -> 100.0 *. v /. total) arr
   in
   let window = Trace.measure_end trace -. Trace.measure_start trace in
-  let load =
-    if window <= 0.0 then 0.0
-    else !total_area /. (float_of_int capacity *. window)
-  in
   {
     n_jobs = n;
-    load;
+    load = Trace.load ~capacity ~window !total_area;
     jobs8 = to_pct (float_of_int n) jobs8;
     demand8 = to_pct !total_area demand8;
     short5 = to_pct (float_of_int n) short5;

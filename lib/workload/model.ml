@@ -77,8 +77,8 @@ let generate ?(params = default) ~seed ~days () =
           Estimate.draw ~params:params.estimate estimate_rng
             ~limit:params.runtime_limit ~runtime
         in
-        Job.v ~id ~submit ~nodes ~runtime ~requested
-        |> Job.with_user (1 + (id mod 23)))
+        Job.make ~id ~submit ~nodes ~runtime ~requested
+          ~user:(1 + (id mod 23)))
       submits
   in
   Trace.of_array jobs ~measure_start:warm ~measure_end:(warm +. span)

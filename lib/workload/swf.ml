@@ -52,11 +52,10 @@ let parse_line ~line_number ~id line =
         if (not finite) || runtime <= 0.0 || nodes <= 0 || submit < 0.0 then
           Ok None
         else
-          let job =
-            Job.v ~id ~submit ~nodes ~runtime
-              ~requested:(Float.max requested runtime)
-          in
-          Ok (Some (if user > 0 then Job.with_user user job else job))
+          Ok
+            (Some
+               (Job.make ~id ~submit ~nodes ~runtime
+                  ~requested:(Float.max requested runtime) ~user:(max user 0)))
     | _ ->
         Error
           (Printf.sprintf "line %d: expected >= 9 fields, got %d" line_number

@@ -61,21 +61,20 @@ let measured t = List.filter (in_window t) (Array.to_list t.jobs)
 let total_demand t =
   Array.fold_left (fun acc j -> acc +. Job.area j) 0.0 t.jobs
 
-(* The offered-load arithmetic, on columns so that the generator can
-   use it before any record exists: demand N x T of the jobs submitted
-   inside the window over capacity x window length. *)
+let load ~capacity ~window demand =
+  if window <= 0.0 then 0.0 else demand /. (float_of_int capacity *. window)
+
+(* The offered load on columns, so that the generator can use it before
+   any record exists. *)
 let load_squeeze ~capacity ~target ~measure_start ~measure_end ~submit
     ~nodes ~runtime =
   if target <= 0.0 then invalid_arg "Trace.scale_load: target <= 0";
-  let window = measure_end -. measure_start in
   let demand = ref 0.0 in
   for i = 0 to Array.length submit - 1 do
     if submit.(i) >= measure_start && submit.(i) < measure_end then
       demand := !demand +. (float_of_int nodes.(i) *. runtime.(i))
   done;
-  let current =
-    if window <= 0.0 then 0.0 else !demand /. (float_of_int capacity *. window)
-  in
+  let current = load ~capacity ~window:(measure_end -. measure_start) !demand in
   if current <= 0.0 then invalid_arg "Trace.scale_load: trace has no load";
   (* Compressing all submit times by [factor < 1] multiplies the load by
      [1/factor]; the window shrinks by the same factor. *)

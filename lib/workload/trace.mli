@@ -41,6 +41,11 @@ val in_window : t -> Job.t -> bool
 val total_demand : t -> float
 (** Sum of N x T over all jobs, node-seconds. *)
 
+val load : capacity:int -> window:float -> float -> float
+(** [load ~capacity ~window demand] is the offered load of [demand]
+    node-seconds over [capacity] nodes for [window] seconds; 0 when the
+    window is empty. *)
+
 val load_squeeze :
   capacity:int -> target:float -> measure_start:float -> measure_end:float ->
   submit:float array -> nodes:int array -> runtime:float array ->

@@ -18,9 +18,9 @@ let openmetrics_lines reg =
   String.split_on_char '\n' (Buffer.contents buf)
 
 let job ?(id = 0) ?(submit = 0.0) ?(nodes = 1) ?(runtime = 3600.0) ?requested
-    () =
-  Workload.Job.v ~id ~submit ~nodes ~runtime
-    ~requested:(Option.value requested ~default:runtime)
+    ?(user = 0) () =
+  Workload.Job.make ~id ~submit ~nodes ~runtime
+    ~requested:(Option.value requested ~default:runtime) ~user
 
 (* Deterministic mini-workload: [n] jobs with pseudo-random sizes and
    runtimes, arriving over [horizon] seconds. *)
@@ -40,8 +40,7 @@ let mini_trace ?(n = 40) ?(capacity = 16) ?(horizon = 7200.0) ~seed () =
 let with_users ~users trace =
   Workload.Trace.v
     (List.map
-       (fun (j : Workload.Job.t) ->
-         Workload.Job.with_user (1 + (j.id mod users)) j)
+       (fun (j : Workload.Job.t) -> { j with user = 1 + (j.id mod users) })
        (Array.to_list (Workload.Trace.jobs trace)))
 
 (* Like [mini_trace], but submit times, runtimes and requested limits

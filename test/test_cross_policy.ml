@@ -13,11 +13,9 @@ let all_policies () =
     Sched.Backfill.lxf;
     Sched.Backfill.sjf;
     Sched.Backfill.policy (Sched.Priority.lxf_w ~weight_per_hour:0.02);
-    Sched.Conservative.policy ();
+    Sched.Conservative.policy;
     Sched.Selective.policy ();
-    Sched.Lookahead.policy ();
-    Sched.Relaxed.policy ();
-    Sched.Multi_queue.policy ();
+    Sched.Multi_queue.policy;
     Sched.Backfill.run_now;
     search (Core.Search_policy.dds_lxf_dynb ~budget:150);
     search

@@ -5,10 +5,14 @@ open Cluster
 
 (* --- Profile boundaries --- *)
 
+let check_segments msg expected p =
+  Alcotest.(check (list (pair (float 1e-12) int))) msg expected
+    (Profile.segments p)
+
 let test_profile_release_exactly_now () =
   (* a release at exactly [now] is already free *)
   let p = Profile.of_running ~now:100.0 ~capacity:8 [ (100.0, 4) ] in
-  Alcotest.(check int) "released" 8 (Profile.free_at p 100.0)
+  check_segments "released" [ (100.0, 8) ] p
 
 let test_profile_reserve_at_boundary_merges () =
   let p = Profile.create ~now:0.0 ~capacity:8 in
@@ -17,19 +21,18 @@ let test_profile_reserve_at_boundary_merges () =
   (* same free count in both intervals: segments must merge *)
   Alcotest.(check bool) "invariant (merged)" true (Profile.invariant p);
   Alcotest.(check int) "two segments" 2 (Profile.segment_count p);
-  Alcotest.(check int) "free during" 4 (Profile.free_at p 5.0);
-  Alcotest.(check int) "free after" 8 (Profile.free_at p 20.0)
+  check_segments "free during, after" [ (0.0, 4); (20.0, 8) ] p
 
 let test_profile_locate_before_start () =
   let p = Profile.create ~now:100.0 ~capacity:8 in
   Alcotest.check_raises "before start"
     (Invalid_argument "Profile.locate: time before profile start") (fun () ->
-      ignore (Profile.free_at p 50.0))
+      ignore (Profile.fits_at p ~at:50.0 ~nodes:1 ~duration:1.0))
 
 let test_profile_full_machine_reservation () =
   let p = Profile.create ~now:0.0 ~capacity:8 in
   Profile.reserve p ~at:0.0 ~nodes:8 ~duration:100.0;
-  Alcotest.(check int) "zero free" 0 (Profile.free_at p 50.0);
+  check_segments "zero free" [ (0.0, 0); (100.0, 8) ] p;
   Alcotest.(check (float 1e-9)) "next start after release" 100.0
     (Profile.earliest_start p ~nodes:1 ~duration:10.0)
 
@@ -88,7 +91,6 @@ let test_single_job_whole_machine () =
             0.0 (Metrics.Outcome.wait o)
       | _ -> Alcotest.fail "expected one outcome")
     [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Backfill.run_now;
-      Sched.Lookahead.policy ();
       fst (Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:10)) ]
 
 let test_simultaneous_arrivals () =

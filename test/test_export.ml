@@ -1,8 +1,7 @@
 (* Tests for outcome export to CSV. *)
 
 let outcome ?(id = 0) ?(user = 0) ?(submit = 0.0) ~wait () =
-  let job = Helpers.job ~id ~submit ~nodes:4 ~runtime:600.0 () in
-  let job = if user > 0 then Workload.Job.with_user user job else job in
+  let job = Helpers.job ~id ~submit ~nodes:4 ~runtime:600.0 ~user () in
   Metrics.Outcome.v ~job ~start:(submit +. wait)
     ~finish:(submit +. wait +. 600.0)
 

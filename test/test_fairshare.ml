@@ -1,14 +1,6 @@
 (* Tests for the fairshare extension: per-user usage accounting,
    per-user metrics, user attribution in the generator and SWF. *)
 
-let test_job_with_user () =
-  let j = Workload.Job.with_user 7 (Helpers.job ()) in
-  Alcotest.(check int) "user attached" 7 j.Workload.Job.user;
-  Alcotest.(check int) "default user" 0 (Helpers.job ()).Workload.Job.user;
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Job.with_user: negative user") (fun () ->
-      ignore (Workload.Job.with_user (-1) (Helpers.job ())))
-
 (* --- Fairshare accounting --- *)
 
 let test_usage_accumulates () =
@@ -52,9 +44,7 @@ let test_untracked_users_ignored () =
 (* --- User_stats --- *)
 
 let outcome ~user ~wait ~nodes ~runtime id =
-  let job =
-    Workload.Job.with_user user (Helpers.job ~id ~nodes ~runtime ())
-  in
+  let job = Helpers.job ~id ~nodes ~runtime ~user () in
   Metrics.Outcome.v ~job ~start:wait ~finish:(wait +. runtime)
 
 let test_user_stats () =
@@ -111,7 +101,7 @@ let test_generator_assigns_users () =
   Alcotest.(check bool) "several users used" true (Hashtbl.length seen >= 5)
 
 let test_swf_roundtrips_user () =
-  let job = Workload.Job.with_user 17 (Helpers.job ~nodes:4 ()) in
+  let job = Helpers.job ~nodes:4 ~user:17 () in
   let trace = Workload.Trace.v [ job ] in
   let path = Filename.temp_file "swf_user" ".swf" in
   Fun.protect
@@ -154,10 +144,7 @@ let test_fairshare_flips_a_decision () =
   let first_started policy_config =
     let policy = fst (Core.Search_policy.policy policy_config) in
     (* decision 1: establish user 1 as the heavy user *)
-    let warm =
-      Workload.Job.with_user 1
-        (Helpers.job ~id:9 ~submit:0.0 ~nodes:8 ~runtime:3600.0 ())
-    in
+    let warm = Helpers.job ~id:9 ~submit:0.0 ~nodes:8 ~runtime:3600.0 ~user:1 () in
     let ctx1 =
       { Sched.Policy.now = 0.0; waiting = [ warm ];
         running = Cluster.Running_set.create ~machine;
@@ -166,14 +153,10 @@ let test_fairshare_flips_a_decision () =
     let (_ : Workload.Job.t list) = policy.Sched.Policy.decide ctx1 in
     (* decision 2: heavy (id 0) vs light (id 1), identical otherwise *)
     let now = 10800.0 in
-    let heavy =
-      Workload.Job.with_user 1
-        (Helpers.job ~id:0 ~submit:(now -. 7200.0) ~nodes:8 ~runtime:1800.0 ())
+    let job id user =
+      Helpers.job ~id ~submit:(now -. 7200.0) ~nodes:8 ~runtime:1800.0 ~user ()
     in
-    let light =
-      Workload.Job.with_user 2
-        (Helpers.job ~id:1 ~submit:(now -. 7200.0) ~nodes:8 ~runtime:1800.0 ())
-    in
+    let heavy = job 0 1 and light = job 1 2 in
     let ctx2 =
       { Sched.Policy.now; waiting = [ heavy; light ];
         running = Cluster.Running_set.create ~machine;
@@ -205,7 +188,6 @@ let test_fairshare_policy_completes_workload () =
 
 let suite =
   [
-    Alcotest.test_case "job with_user" `Quick test_job_with_user;
     Alcotest.test_case "usage accumulates" `Quick test_usage_accumulates;
     Alcotest.test_case "usage decays" `Quick test_usage_decays;
     Alcotest.test_case "share and factor" `Quick test_share_and_factor;

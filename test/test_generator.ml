@@ -379,8 +379,8 @@ let test_pinned_rng () =
    without building a grid, and builds each job as one record at its
    load-corrected submit, with no list or [Set]: about 130 minor words
    per job in the dev profile, against 204 when every user draw re-sumed
-   its weights and each job was built three times (by [Job.v],
-   [Job.with_user] and [Trace.scale_load]), and 875 when every stage
+   its weights and each job was built three times (by [Job.v], a copy
+   with its user and [Trace.scale_load]), and 875 when every stage
    rebuilt a list.  The bound is the measured value plus 25%. *)
 let test_month_allocation () =
   let profile = Month_profile.find "1/04" in

@@ -2,30 +2,30 @@
 
 open Cluster
 
+let check_segments msg expected p =
+  Alcotest.(check (list (pair (float 1e-12) int))) msg expected
+    (Profile.segments p)
+
 let test_create () =
   let p = Profile.create ~now:10.0 ~capacity:128 in
   Alcotest.(check int) "one segment" 1 (Profile.segment_count p);
-  Alcotest.(check int) "all free" 128 (Profile.free_at p 10.0);
-  Alcotest.(check (list (pair (float 1e-9) int))) "starts at now"
-    [ (10.0, 128) ] (Profile.segments p);
+  check_segments "all free from now" [ (10.0, 128) ] p;
   Alcotest.(check bool) "invariant" true (Profile.invariant p)
 
 let test_of_running () =
   (* capacity 10, jobs releasing 4 nodes at t=100 and 2 at t=50 *)
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4); (50.0, 2) ] in
-  Alcotest.(check int) "free now" 4 (Profile.free_at p 0.0);
-  Alcotest.(check int) "free after first release" 6 (Profile.free_at p 50.0);
-  Alcotest.(check int) "free after both" 10 (Profile.free_at p 100.0);
+  check_segments "free now, after the first release, after both"
+    [ (0.0, 4); (50.0, 6); (100.0, 10) ] p;
   Alcotest.(check bool) "invariant" true (Profile.invariant p)
 
 let test_of_running_merges_equal_times () =
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (50.0, 2); (50.0, 3) ] in
-  Alcotest.(check int) "two segments" 2 (Profile.segment_count p);
-  Alcotest.(check int) "free after merge" 10 (Profile.free_at p 50.0)
+  check_segments "one release of both" [ (0.0, 5); (50.0, 10) ] p
 
 let test_of_running_past_release_ignored () =
   let p = Profile.of_running ~now:100.0 ~capacity:8 [ (50.0, 4) ] in
-  Alcotest.(check int) "released already" 8 (Profile.free_at p 100.0)
+  check_segments "released already" [ (100.0, 8) ] p
 
 let test_of_running_oversubscribed () =
   Alcotest.check_raises "oversubscription rejected"
@@ -56,9 +56,8 @@ let test_earliest_start_hole_too_short () =
 let test_reserve_splits_segments () =
   let p = Profile.create ~now:0.0 ~capacity:10 in
   Profile.reserve p ~at:10.0 ~nodes:4 ~duration:20.0;
-  Alcotest.(check int) "free before" 10 (Profile.free_at p 5.0);
-  Alcotest.(check int) "free during" 6 (Profile.free_at p 15.0);
-  Alcotest.(check int) "free after" 10 (Profile.free_at p 30.0);
+  check_segments "free before, during, after"
+    [ (0.0, 10); (10.0, 6); (30.0, 10) ] p;
   Alcotest.(check bool) "invariant" true (Profile.invariant p)
 
 let test_reserve_insufficient () =
@@ -80,13 +79,9 @@ let test_copy_independent () =
   let p = Profile.create ~now:0.0 ~capacity:10 in
   let q = Profile.copy p in
   Profile.reserve p ~at:0.0 ~nodes:5 ~duration:100.0;
-  Alcotest.(check int) "copy untouched" 10 (Profile.free_at q 0.0)
+  check_segments "copy untouched" [ (0.0, 10) ] q
 
 (* --- trail-based backtracking --- *)
-
-let check_segments msg expected p =
-  Alcotest.(check (list (pair (float 1e-12) int))) msg expected
-    (Profile.segments p)
 
 let test_trail_undo_restores () =
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in

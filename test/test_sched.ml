@@ -128,8 +128,8 @@ let test_policy_names () =
   Alcotest.(check string) "fcfs name" "FCFS-backfill"
     Backfill.fcfs.Policy.name;
   Alcotest.(check string) "lxf name" "LXF-backfill" Backfill.lxf.Policy.name;
-  Alcotest.(check bool) "conservative name" true
-    (Helpers.contains (Conservative.policy ()).Policy.name "conservative")
+  Alcotest.(check string) "conservative name" "conservative-fcfs"
+    Conservative.policy.Policy.name
 
 let test_run_now_policy () =
   let waiting =
@@ -369,63 +369,7 @@ let prop_no_reservation_backfill_is_run_now =
 let prop_selective_zero_is_conservative =
   decides_as ~name:"selective(xf>=0) decides as conservative"
     (Selective.policy ~threshold:0.0 ())
-    (Conservative.policy ())
-
-(* Relaxed backfill with each trial on its own snapshot: a candidate is
-   reserved on a [Profile.copy] of the decision profile, and on the
-   decision profile itself only once accepted.  [Relaxed] rolls a
-   rejected trial back through the trail instead, and must decide the
-   same. *)
-let relaxed_by_snapshots ~relaxation (ctx : Policy.context) =
-  match ctx.waiting with
-  | [] -> []
-  | head :: rest ->
-      let now = ctx.now in
-      let duration (j : Workload.Job.t) = Float.max (ctx.r_star j) 1.0 in
-      let profile = Policy.profile_of ctx in
-      let head_d = duration head in
-      let unobstructed =
-        Cluster.Profile.earliest_start profile ~nodes:head.nodes
-          ~duration:head_d
-      in
-      if unobstructed <= now then
-        (Backfill.pass profile ~now ~r_star:ctx.r_star
-           ~reserve:(fun _ -> false) ctx.waiting)
-          .start_now
-      else
-        let deadline = unobstructed +. (relaxation *. head_d) in
-        List.rev
-          (List.fold_left
-             (fun started (j : Workload.Job.t) ->
-               let d = duration j in
-               if not (Cluster.Profile.fits_at profile ~at:now ~nodes:j.nodes
-                         ~duration:d)
-               then started
-               else begin
-                 let trial = Cluster.Profile.copy profile in
-                 Cluster.Profile.reserve trial ~at:now ~nodes:j.nodes
-                   ~duration:d;
-                 if Cluster.Profile.earliest_start trial ~nodes:head.nodes
-                      ~duration:head_d
-                    <= deadline +. 1e-6
-                 then begin
-                   Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes
-                     ~duration:d;
-                   j :: started
-                 end
-                 else started
-               end)
-             [] rest)
-
-let prop_relaxed_matches_snapshots =
-  QCheck.Test.make ~name:"relaxed trail = per-trial snapshots" ~count:300
-    QCheck.small_int (fun seed ->
-      let rng = Simcore.Rng.create ~seed in
-      let relaxation = [| 0.0; 0.1; 0.5; 2.0 |].(Simcore.Rng.int rng 4) in
-      let ctx = random_decision_context rng in
-      let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
-      ids ((Relaxed.policy ~relaxation ()).Policy.decide ctx)
-      = ids (relaxed_by_snapshots ~relaxation ctx))
+    Conservative.policy
 
 (* Allocation guard: one FCFS-backfill decision over a fixed 30-job
    submit-ordered queue and 20 running jobs.  The profile is built from
@@ -489,7 +433,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_selective_unreachable_is_run_now;
     QCheck_alcotest.to_alcotest prop_no_reservation_backfill_is_run_now;
     QCheck_alcotest.to_alcotest prop_selective_zero_is_conservative;
-    QCheck_alcotest.to_alcotest prop_relaxed_matches_snapshots;
     Alcotest.test_case "FCFS decide allocation bound" `Quick
       test_fcfs_decide_allocation;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the related-work scheduler variants (Lookahead, Relaxed)
-   and the on-line runtime predictor. *)
+(* Tests for the multi-queue scheduler variant and the on-line runtime
+   predictor. *)
 
 open Sched
 
@@ -25,80 +25,6 @@ let context ?(now = 0.0) ?(capacity = 16) ~waiting ~running () =
 
 let ids = List.map (fun (j : Workload.Job.t) -> j.id)
 
-(* --- Lookahead --- *)
-
-let test_lookahead_maximizes_nodes () =
-  (* 10 free nodes; queue-order backfill would start the 6-node job and
-     strand 4 nodes; the knapsack picks 6+4 or 10 exactly *)
-  let waiting =
-    [ Helpers.job ~id:0 ~nodes:6 ();
-      Helpers.job ~id:1 ~submit:1.0 ~nodes:7 ();
-      Helpers.job ~id:2 ~submit:2.0 ~nodes:4 () ]
-  in
-  let ctx =
-    context ~now:0.0 ~waiting ~running:[ (99, 6, -10.0, 1000.0) ] ()
-  in
-  let started = (Lookahead.policy ()).Policy.decide ctx in
-  Alcotest.(check (list int)) "picks the node-maximizing set" [ 0; 2 ]
-    (ids started)
-
-let test_lookahead_protects_head () =
-  (* head needs 12 (free 10): it gets a reservation; the knapsack must
-     not pick backfill jobs that would delay it *)
-  let waiting =
-    [ Helpers.job ~id:0 ~nodes:12 ~runtime:100.0 ();
-      (* this one would run past the release and block the head *)
-      Helpers.job ~id:1 ~submit:1.0 ~nodes:10 ~runtime:10000.0 ();
-      (* this one finishes before the release *)
-      Helpers.job ~id:2 ~submit:2.0 ~nodes:10 ~runtime:50.0 () ]
-  in
-  let ctx =
-    context ~now:0.0 ~waiting ~running:[ (99, 6, -10.0, 100.0) ] ()
-  in
-  let started = (Lookahead.policy ()).Policy.decide ctx in
-  Alcotest.(check (list int)) "only the short filler starts" [ 2 ]
-    (ids started)
-
-let test_lookahead_head_starts_when_fits () =
-  let waiting = [ Helpers.job ~id:0 ~nodes:16 () ] in
-  let ctx = context ~now:0.0 ~waiting ~running:[] () in
-  let started = (Lookahead.policy ()).Policy.decide ctx in
-  Alcotest.(check (list int)) "head starts" [ 0 ] (ids started)
-
-let test_lookahead_empty_queue () =
-  let ctx = context ~now:0.0 ~waiting:[] ~running:[] () in
-  Alcotest.(check int) "no jobs" 0
-    (List.length ((Lookahead.policy ()).Policy.decide ctx))
-
-(* --- Relaxed --- *)
-
-let test_relaxed_allows_bounded_delay () =
-  (* head (12 nodes, 1h estimate) blocked until t=100.  A 10-node
-     backfill of 140 s delays it to t=140: allowed with relaxation 0.5
-     (deadline 100 + 1800), rejected with relaxation 0. *)
-  let head = Helpers.job ~id:0 ~nodes:12 ~runtime:3600.0 () in
-  let filler = Helpers.job ~id:1 ~submit:1.0 ~nodes:10 ~runtime:140.0 () in
-  let running = [ (99, 6, -10.0, 100.0) ] in
-  let ctx = context ~now:0.0 ~waiting:[ head; filler ] ~running () in
-  let relaxed = (Relaxed.policy ~relaxation:0.5 ()).Policy.decide ctx in
-  Alcotest.(check (list int)) "relaxed starts the filler" [ 1 ] (ids relaxed);
-  let ctx2 = context ~now:0.0 ~waiting:[ head; filler ] ~running () in
-  let strict = (Relaxed.policy ~relaxation:0.0 ()).Policy.decide ctx2 in
-  Alcotest.(check (list int)) "strict rejects it" [] (ids strict)
-
-let test_relaxed_easy_when_head_fits () =
-  let waiting =
-    [ Helpers.job ~id:0 ~nodes:8 (); Helpers.job ~id:1 ~submit:1.0 ~nodes:8 () ]
-  in
-  let ctx = context ~now:0.0 ~waiting ~running:[] () in
-  let started = (Relaxed.policy ()).Policy.decide ctx in
-  Alcotest.(check (list int)) "both start" [ 0; 1 ] (ids started)
-
-let test_relaxed_invalid () =
-  Alcotest.check_raises "negative relaxation"
-    (Invalid_argument "Relaxed.policy: negative relaxation") (fun () ->
-      ignore (Relaxed.policy ~relaxation:(-1.0) ()))
-
 (* --- Multi-queue --- *)
 
 let test_queue_rank () =
@@ -118,13 +44,13 @@ let test_multi_queue_prefers_short_queue () =
     context ~now:200.0 ~waiting:[ long_job; short_job ]
       ~running:[ (99, 8, 0.0, 100000.0) ] ()
   in
-  let started = (Multi_queue.policy ()).Policy.decide ctx in
+  let started = Multi_queue.policy.Policy.decide ctx in
   Alcotest.(check (list int)) "short queue first" [ 1 ] (ids started)
 
 let test_multi_queue_name () =
   Alcotest.(check string) "name shows queue count"
     "multi-queue-backfill(3 queues)"
-    (Multi_queue.policy ()).Policy.name
+    Multi_queue.policy.Policy.name
 
 (* --- engine-level sanity for the variants and the predictor --- *)
 
@@ -132,18 +58,12 @@ let machine16 = Cluster.Machine.v ~nodes:16
 
 let test_variants_complete_all_jobs () =
   let trace = Helpers.mini_trace ~seed:21 ~n:50 () in
-  List.iter
-    (fun policy ->
-      let result =
-        Sim.Engine.run ~machine:machine16 ~r_star:Sim.Engine.Actual ~policy
-          trace
-      in
-      Alcotest.(check int)
-        (policy.Policy.name ^ " completes all jobs")
-        50
-        (List.length result.Sim.Engine.outcomes))
-    [ Lookahead.policy (); Relaxed.policy (); Relaxed.policy ~relaxation:2.0 ();
-      Multi_queue.policy () ]
+  let result =
+    Sim.Engine.run ~machine:machine16 ~r_star:Sim.Engine.Actual
+      ~policy:Multi_queue.policy trace
+  in
+  Alcotest.(check int) "multi-queue completes all jobs" 50
+    (List.length result.Sim.Engine.outcomes)
 
 let test_predictor_runs_and_learns () =
   let trace = Helpers.mini_trace ~seed:22 ~n:60 () in
@@ -174,18 +94,6 @@ let test_rstar_names () =
 
 let suite =
   [
-    Alcotest.test_case "lookahead maximizes nodes" `Quick
-      test_lookahead_maximizes_nodes;
-    Alcotest.test_case "lookahead protects head" `Quick
-      test_lookahead_protects_head;
-    Alcotest.test_case "lookahead starts fitting head" `Quick
-      test_lookahead_head_starts_when_fits;
-    Alcotest.test_case "lookahead empty queue" `Quick test_lookahead_empty_queue;
-    Alcotest.test_case "relaxed bounded delay" `Quick
-      test_relaxed_allows_bounded_delay;
-    Alcotest.test_case "relaxed = EASY when head fits" `Quick
-      test_relaxed_easy_when_head_fits;
-    Alcotest.test_case "relaxed validates" `Quick test_relaxed_invalid;
     Alcotest.test_case "queue rank" `Quick test_queue_rank;
     Alcotest.test_case "multi-queue prefers short queue" `Quick
       test_multi_queue_prefers_short_queue;

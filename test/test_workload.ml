@@ -36,7 +36,9 @@ let test_job_validation () =
            ~user:(-1)));
   Alcotest.(check int) "make keeps the user" 7
     (Job.make ~id:0 ~submit:0.0 ~nodes:1 ~runtime:1.0 ~requested:1.0 ~user:7)
-      .user
+      .user;
+  Alcotest.(check int) "v gives user 0" 0
+    (Job.v ~id:0 ~submit:0.0 ~nodes:1 ~runtime:1.0 ~requested:1.0).user
 
 let test_job_area () =
   Alcotest.(check (float 1e-9)) "area" 7200.0
