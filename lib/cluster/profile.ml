@@ -44,7 +44,7 @@ let make ~now ~capacity ~room =
     t_time = [||];
     t_free = [||];
     t_len = 0;
-    scratch = Array.make 3 0.0;
+    scratch = [| 0.0; 0.0; 0.0 |];
     scan_stop = 0;
   }
 
@@ -199,25 +199,15 @@ let undo_to t m =
   done;
   t.t_len <- m
 
-(* Merge adjacent segments with equal free counts (in place, O(n)).
-   Only used off the hot path ([of_sorted_releases]); [reserve] merges
-   locally and records its merges on the trail. *)
-let normalize t =
-  let w = ref 0 in
-  for r = 1 to t.len - 1 do
-    if t.free.(r) <> t.free.(!w) then begin
-      incr w;
-      t.times.(!w) <- t.times.(r);
-      t.free.(!w) <- t.free.(r)
-    end
-  done;
-  t.len <- !w + 1
-
 (* The one segment builder.  Each end is raised to [not_before] by an
    explicit comparison rather than [Float.max], whose out-of-line call
    would box its result once per release.  Raising to a floor is
    monotone, so the raised ends stay ascending and the releases at or
-   before [now] (which free their nodes already) form a prefix. *)
+   before [now] (which free their nodes already) form a prefix.  The
+   segments come out normalized: every later end is after [now], a
+   release of equal end joins the last segment, and any other release
+   frees at least one node, so free counts strictly grow from segment
+   to segment. *)
 let of_sorted_releases ~now ~capacity ~not_before ends nodes n =
   let first = ref 0 in
   while !first < n && ends.(!first) <= now && not_before <= now do
@@ -225,6 +215,8 @@ let of_sorted_releases ~now ~capacity ~not_before ends nodes n =
   done;
   let busy = ref 0 in
   for k = !first to n - 1 do
+    if nodes.(k) < 1 then
+      invalid_arg "Profile.of_running: a release of fewer than one node";
     busy := !busy + nodes.(k)
   done;
   if !busy > capacity then
@@ -243,7 +235,6 @@ let of_sorted_releases ~now ~capacity ~not_before ends nodes n =
       t.len <- t.len + 1
     end
   done;
-  normalize t;
   t
 
 let of_running ~now ~capacity releases =
@@ -355,6 +346,8 @@ let rec scan_from t nodes i =
     else scan_from t nodes (-r)
   end
 
+let free_at t time = t.free.(locate t time)
+
 let fits_at t ~at ~nodes ~duration =
   let i = locate t at in
   Array.unsafe_set t.scratch 1 (at +. duration);
@@ -407,7 +400,7 @@ let copy t =
     t_time = [||];
     t_free = [||];
     t_len = 0;
-    scratch = Array.make 3 0.0;
+    scratch = [| 0.0; 0.0; 0.0 |];
     scan_stop = 0;
   }
 

@@ -25,7 +25,8 @@ val of_running :
     the currently running jobs; [releases] are [(end_time, nodes)]
     pairs (estimated ends).  End times at or before [now] release
     immediately.  @raise Invalid_argument if running jobs oversubscribe
-    the machine. *)
+    the machine, or if a release after [now] frees fewer than one
+    node. *)
 
 val of_sorted_releases :
   now:float ->
@@ -41,7 +42,10 @@ val of_sorted_releases :
     sort, no list.  Raising every end to a floor keeps them ascending,
     so {!Running_set.profile} passes its maintained release order with
     the overdue clamp as [not_before]; {!of_running} sorts its list
-    into arrays and passes [neg_infinity].
+    into arrays and passes [neg_infinity].  The segments come out
+    normalized in that one pass: every release after [now] frees at
+    least one node, so free counts strictly grow from one segment to
+    the next, and the first segment starts at [now].
     @raise Invalid_argument as {!of_running}. *)
 
 val capacity : t -> int
@@ -57,6 +61,12 @@ val earliest_start : t -> nodes:int -> duration:float -> float
     oracle the tests hold {!place_earliest} to.
     @raise Invalid_argument if [nodes] exceeds capacity or
     [duration <= 0]. *)
+
+val free_at : t -> float -> int
+(** Free nodes at an instant: the free count of the segment holding
+    it.  A job wider than [free_at t at] cannot fit at [at] for any
+    duration.  @raise Invalid_argument if the instant is before the
+    profile's start. *)
 
 val fits_at : t -> at:float -> nodes:int -> duration:float -> bool
 (** Whether [nodes] nodes are free during [\[at, at + duration)]. *)

@@ -3,24 +3,35 @@ type plan = {
   reserved : (Workload.Job.t * float) list;
 }
 
+(* Top level, so a decision allocates no closure for them. *)
+let duration r_star j = Float.max (r_star j) 1.0
+
+let reservation profile (j : Workload.Job.t) duration =
+  (j, Cluster.Profile.place_earliest profile ~nodes:j.nodes ~duration)
+
+(* [free] is the nodes free at [now], lowered by each start; the .mli
+   says why it is exact. *)
 let pass profile ~now ~r_star ~reserve jobs =
-  let rec go start_now reserved = function
+  let rec go free start_now reserved = function
     | [] -> { start_now = List.rev start_now; reserved = List.rev reserved }
     | (j : Workload.Job.t) :: rest ->
-        let duration = Float.max (r_star j) 1.0 in
-        if Cluster.Profile.fits_at profile ~at:now ~nodes:j.nodes ~duration
-        then begin
-          Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes ~duration;
-          go (j :: start_now) reserved rest
-        end
-        else if reserve j then
-          let at =
-            Cluster.Profile.place_earliest profile ~nodes:j.nodes ~duration
-          in
-          go start_now ((j, at) :: reserved) rest
-        else go start_now reserved rest
+        if j.nodes > free then
+          if reserve j then
+            let held = reservation profile j (duration r_star j) in
+            go free start_now (held :: reserved) rest
+          else go free start_now reserved rest
+        else
+          let duration = duration r_star j in
+          if Cluster.Profile.fits_at profile ~at:now ~nodes:j.nodes ~duration
+          then begin
+            Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes ~duration;
+            go (free - j.nodes) (j :: start_now) reserved rest
+          end
+          else if reserve j then
+            go free start_now (reservation profile j duration :: reserved) rest
+          else go free start_now reserved rest
   in
-  go [] [] jobs
+  go (Cluster.Profile.free_at profile now) [] [] jobs
 
 let plan ~reservations ~priority (ctx : Policy.context) =
   let ordered =

@@ -31,7 +31,20 @@ val pass :
     is carved into the profile there; a job that does not fit is carved
     in at its earliest start, and listed in [reserved], when [reserve
     job] says so, and is otherwise skipped.  [reserve] is asked once
-    per blocked job, in list order.  Every policy here is a queue order
+    per blocked job, in list order.
+
+    A decision pays little for jobs that cannot start now.  The pass
+    reads the nodes free at [now] once ({!Cluster.Profile.free_at}) and
+    lowers that count by each start; a job wider than it is blocked
+    without a call to [r_star] or a profile scan, and only a job that
+    [reserve] grants gets its duration and its earliest start.  On the
+    profile of a running set ({!Policy.profile_of}) the count is exact:
+    {!Cluster.Running_set.profile} reports no release sooner than
+    [now +. overdue_grace], so its first segment starts at [now] with
+    [Running_set.free_nodes] free, and a reservation, being for a job
+    that does not fit at [now], begins after it.  On any profile the
+    count is never below the true one, so the plan is the same as a
+    pass that scans every job.  Every policy here is a queue order
     plus a [reserve] rule over this pass: {!plan} reserves the first
     [reservations] blocked jobs, {!Selective} the starved ones, and
     {!run_now} none. *)

@@ -11,8 +11,9 @@ let priority ?(boundaries = default_boundaries) () =
   {
     Priority.name = "multi-queue";
     key =
-      (fun ~now:_ ~r_star j ->
-        -.float_of_int (queue_rank ~boundaries (r_star j)));
+      Keyed
+        (fun ~now:_ ~r_star j ->
+          -.float_of_int (queue_rank ~boundaries (r_star j)));
   }
 
 let policy =

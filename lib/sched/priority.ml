@@ -1,49 +1,60 @@
-type t = {
-  name : string;
-  key :
-    now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float;
-}
+type key =
+  | Submit_order
+  | Keyed of
+      (now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float)
+
+type t = { name : string; key : key }
 
 let compare p ~now ~r_star a b =
-  let c = Float.compare (p.key ~now ~r_star b) (p.key ~now ~r_star a) in
-  if c <> 0 then c else Workload.Job.compare_submit a b
+  match p.key with
+  | Submit_order -> Workload.Job.compare_submit a b
+  | Keyed key ->
+      let c = Float.compare (key ~now ~r_star b) (key ~now ~r_star a) in
+      if c <> 0 then c else Workload.Job.compare_submit a b
 
-let fcfs = { name = "fcfs"; key = (fun ~now:_ ~r_star:_ _ -> 0.0) }
-let sjf = { name = "sjf"; key = (fun ~now:_ ~r_star j -> -.r_star j) }
+let fcfs = { name = "fcfs"; key = Submit_order }
+let sjf = { name = "sjf"; key = Keyed (fun ~now:_ ~r_star j -> -.r_star j) }
 
 let expansion_factor ~now ~r_star (j : Workload.Job.t) =
   let wait = Float.max 0.0 (now -. j.submit) in
   let runtime = Float.max (r_star j) Simcore.Units.minute in
   1.0 +. (wait /. runtime)
 
-let lxf = { name = "lxf"; key = expansion_factor }
+let lxf = { name = "lxf"; key = Keyed expansion_factor }
 
 let lxf_w ~weight_per_hour =
   {
     name = Printf.sprintf "lxf&w(%.3g)" weight_per_hour;
     key =
-      (fun ~now ~r_star j ->
-        let wait_hours =
-          Simcore.Units.to_hours (Float.max 0.0 (now -. j.Workload.Job.submit))
-        in
-        expansion_factor ~now ~r_star j +. (weight_per_hour *. wait_hours));
+      Keyed
+        (fun ~now ~r_star j ->
+          let wait_hours =
+            Simcore.Units.to_hours
+              (Float.max 0.0 (now -. j.Workload.Job.submit))
+          in
+          expansion_factor ~now ~r_star j +. (weight_per_hour *. wait_hours));
   }
+
+(* Whether [prev] goes before [j] in submit order.  Plain float
+   comparisons, not [Job.compare_submit]: they are cheaper on this
+   per-decision path, and a NaN makes them fail, so at worst an ordered
+   queue gets sorted by the total order below. *)
+let submit_before (prev : Workload.Job.t) (j : Workload.Job.t) =
+  prev.submit < j.submit || (prev.submit = j.submit && prev.id <= j.id)
+
+let rec submit_ordered prev = function
+  | [] -> true
+  | j :: rest -> submit_before prev j && submit_ordered j rest
 
 (* Whether [jobs], preceded by [prev] with key [kprev], is already in
    order.  Computes each key once and allocates nothing beyond the
-   keys' boxes (none for a constant key such as [fcfs]'s).  Plain float
-   comparisons, not [Float.compare] and [Job.compare_submit]: they are
-   cheaper on this per-decision path, and a NaN makes them fail, so at
-   worst an ordered queue gets sorted by the total order below. *)
-let rec in_order p ~now ~r_star (prev : Workload.Job.t) kprev = function
+   keys' boxes. *)
+let rec in_order key ~now ~r_star prev kprev = function
   | [] -> true
-  | (j : Workload.Job.t) :: rest ->
-      let k = p.key ~now ~r_star j in
-      (k < kprev
-      || k = kprev
-         && (prev.submit < j.submit
-            || (prev.submit = j.submit && prev.id <= j.id)))
-      && in_order p ~now ~r_star j k rest
+  | j :: rest ->
+      let k = key ~now ~r_star j in
+      (k < kprev || (k = kprev && submit_before prev j))
+      && in_order key ~now ~r_star j k rest
 
 (* Job [a] precedes job [b]: higher key first, equal keys in submit
    order.  The [float array] annotation keeps the key reads unboxed; a
@@ -85,20 +96,26 @@ let rec merge_sort keys jobs src dst width =
 let rec collect jobs (perm : int array) i acc =
   if i < 0 then acc else collect jobs perm (i - 1) (jobs.(perm.(i)) :: acc)
 
-let order p ~now ~r_star waiting =
-  match waiting with
-  | [] -> waiting
-  | first :: rest when in_order p ~now ~r_star first (p.key ~now ~r_star first) rest
-    ->
-      waiting
-  | _ ->
-      let jobs = Array.of_list waiting in
-      let n = Array.length jobs in
-      let keys : float array = Array.make n 0.0 in
+(* The queue sorted by its keys; under [Submit_order] every key is the
+   same, so the sort is by submission alone. *)
+let sorted p ~now ~r_star waiting =
+  let jobs = Array.of_list waiting in
+  let n = Array.length jobs in
+  let keys : float array = Array.make n 0.0 in
+  (match p.key with
+  | Submit_order -> ()
+  | Keyed key ->
       for i = 0 to n - 1 do
-        keys.(i) <- p.key ~now ~r_star jobs.(i)
-      done;
-      let perm =
-        merge_sort keys jobs (Array.init n Fun.id) (Array.make n 0) 1
-      in
-      collect jobs perm (n - 1) []
+        keys.(i) <- key ~now ~r_star jobs.(i)
+      done);
+  let perm = merge_sort keys jobs (Array.init n Fun.id) (Array.make n 0) 1 in
+  collect jobs perm (n - 1) []
+
+let order p ~now ~r_star waiting =
+  match (p.key, waiting) with
+  | _, [] -> waiting
+  | Submit_order, first :: rest when submit_ordered first rest -> waiting
+  | Keyed key, first :: rest
+    when in_order key ~now ~r_star first (key ~now ~r_star first) rest ->
+      waiting
+  | _ -> sorted p ~now ~r_star waiting

@@ -1,18 +1,20 @@
 (** Job priority functions for priority-backfill policies.
 
-    A priority orders the waiting queue by a per-job [key]: higher key
-    first, equal keys in submission order (and finally job id), so
-    queue orders are total and deterministic.  Every priority fits this
-    shape: FCFS has a constant key, SJF the negated estimated runtime,
-    LXF and LXF&W their scores. *)
+    A priority orders the waiting queue: higher key first, equal keys
+    in submission order (and finally job id), so queue orders are total
+    and deterministic.  FCFS has no key at all: its order is
+    {!Submit_order}, the submission order itself.  SJF is keyed by the
+    negated estimated runtime, LXF and LXF&W by their scores. *)
 
-type t = {
-  name : string;
-  key :
-    now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float;
+type key =
+  | Submit_order
+      (** no per-job key: the queue in submission order (FCFS) *)
+  | Keyed of
+      (now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float)
       (** the job's priority at decision time [now]; a pure function
           of its arguments *)
-}
+
+type t = { name : string; key : key }
 
 val order :
   t ->
@@ -20,12 +22,14 @@ val order :
   r_star:(Workload.Job.t -> float) ->
   Workload.Job.t list ->
   Workload.Job.t list
-(** The queue in priority order.  An already-ordered queue (the
-    engine's submit-ordered queue under FCFS) is detected in one pass
-    and returned as is, without allocating.  Otherwise each job's key
-    is computed once into a float array and an index permutation is
-    merge-sorted on it, so a decision costs n key computations, not
-    two per comparison. *)
+(** The queue in priority order.  An already-ordered queue is detected
+    in one pass and returned as is, without allocating; under
+    {!Submit_order} that pass compares submit times and ids only and
+    calls no key, so the engine's submit-ordered queue costs FCFS no
+    key work at all.  Otherwise each job's key is computed once into a
+    float array (all equal under {!Submit_order}) and an index
+    permutation is merge-sorted on it, so a decision costs n key
+    computations, not two per comparison. *)
 
 val compare :
   t ->

@@ -207,37 +207,63 @@ let test_catches_slipped_reservation () =
 
 (* --- differential oracle: Backfill.plan vs naive reference --- *)
 
+(* A decision point on a 8-64 node machine.  A third of the cases pack
+   the running set to leave 0-2 nodes free.  Running jobs start within
+   the hour before [now], so many estimated ends are already past and
+   their releases are floored to [now + overdue_grace]; a quarter of
+   the running jobs truly run past [now] as well, as an overdue job
+   does.  Up to 40 jobs wait, half of them 1-3 nodes wide, so most
+   decisions meet jobs wider than the free nodes next to jobs that
+   backfill.  The reservation count is one of 0, 1, 2 and [max_int]. *)
 let random_context rng =
   let capacity = 8 + Simcore.Rng.int rng 57 in
   let machine = Cluster.Machine.v ~nodes:capacity in
   let now = 3600.0 in
   let running = Cluster.Running_set.create ~machine in
-  let n_running = Simcore.Rng.int rng 5 in
-  for i = 0 to n_running - 1 do
-    let nodes = 1 + Simcore.Rng.int rng (capacity / 2) in
-    if nodes <= Cluster.Running_set.free_nodes running then begin
-      let runtime = 60.0 +. Simcore.Rng.float rng 7200.0 in
-      let start = Simcore.Rng.float rng now in
-      let job =
-        Workload.Job.v ~id:(1000 + i) ~submit:start ~nodes ~runtime
-          ~requested:runtime
-      in
-      Cluster.Running_set.add running
-        { job; start; finish = start +. runtime;
-          est_finish = start +. runtime }
-    end
-  done;
-  let n_waiting = 1 + Simcore.Rng.int rng 8 in
+  let add i nodes =
+    let runtime = 60.0 +. Simcore.Rng.float rng 7200.0 in
+    let start = Simcore.Rng.float rng now in
+    let job =
+      Workload.Job.v ~id:(1000 + i) ~submit:start ~nodes ~runtime
+        ~requested:runtime
+    in
+    let est_finish = start +. runtime in
+    let finish =
+      if Simcore.Rng.int rng 4 = 0 then
+        Float.max est_finish (now +. 60.0 +. Simcore.Rng.float rng 3600.0)
+      else est_finish
+    in
+    Cluster.Running_set.add running { job; start; finish; est_finish }
+  in
+  if Simcore.Rng.int rng 3 = 0 then begin
+    let left = Simcore.Rng.int rng 3 in
+    let i = ref 0 in
+    while Cluster.Running_set.free_nodes running > left do
+      let room = Cluster.Running_set.free_nodes running - left in
+      add !i (1 + Simcore.Rng.int rng (min room (max 1 (capacity / 3))));
+      incr i
+    done
+  end
+  else
+    for i = 0 to Simcore.Rng.int rng 5 - 1 do
+      let nodes = 1 + Simcore.Rng.int rng (capacity / 2) in
+      if nodes <= Cluster.Running_set.free_nodes running then add i nodes
+    done;
+  let n_waiting = 1 + Simcore.Rng.int rng 40 in
   let waiting =
     List.init n_waiting (fun i ->
         let runtime = 60.0 +. Simcore.Rng.float rng 7200.0 in
+        let nodes =
+          if Simcore.Rng.int rng 2 = 0 then 1 + Simcore.Rng.int rng 3
+          else 1 + Simcore.Rng.int rng capacity
+        in
         Workload.Job.v ~id:i
           ~submit:(Simcore.Rng.float rng now)
-          ~nodes:(1 + Simcore.Rng.int rng capacity)
-          ~runtime
+          ~nodes ~runtime
           ~requested:(runtime *. (1.0 +. Simcore.Rng.float rng 2.0)))
   in
-  { Sched.Policy.now; waiting; running; r_star }
+  let reservations = [| 0; 1; 2; max_int |].(Simcore.Rng.int rng 4) in
+  ({ Sched.Policy.now; waiting; running; r_star }, reservations)
 
 let plans_agree (plan : Sched.Backfill.plan) (ref_plan : Oracle.reference_plan)
     =
@@ -250,18 +276,81 @@ let plans_agree (plan : Sched.Backfill.plan) (ref_plan : Oracle.reference_plan)
          (fun ((j : Workload.Job.t), s) -> (j.id, s))
          ref_plan.Oracle.reserved
 
+let reference_priorities =
+  [ Sched.Priority.fcfs; Sched.Priority.lxf; Sched.Priority.sjf ]
+
 let prop_backfill_matches_reference =
   QCheck.Test.make ~name:"Backfill.plan = naive reference backfill"
-    ~count:200 QCheck.small_int (fun seed ->
+    ~count:200 QCheck.int (fun seed ->
       let rng = Simcore.Rng.create ~seed in
-      let ctx = random_context rng in
-      let reservations = 1 + Simcore.Rng.int rng 3 in
+      let ctx, reservations = random_context rng in
       List.for_all
         (fun priority ->
           plans_agree
             (Sched.Backfill.plan ~reservations ~priority ctx)
             (Oracle.reference_backfill ~reservations ~priority ctx))
-        [ Sched.Priority.fcfs; Sched.Priority.lxf; Sched.Priority.sjf ])
+        reference_priorities)
+
+(* The reference plan's blocked jobs that were wider than the nodes
+   still free at their turn (those [Backfill.pass] rejects on width
+   alone), and how many of them it reserved. *)
+let width_rejected ~priority (ctx : Sched.Policy.context) ref_plan =
+  let mem (j : Workload.Job.t) =
+    List.exists (fun (k : Workload.Job.t) -> k.id = j.id)
+  in
+  let ordered =
+    List.stable_sort
+      (Sched.Priority.compare priority ~now:ctx.now ~r_star:ctx.r_star)
+      ctx.waiting
+  in
+  let reserved = List.map fst ref_plan.Oracle.reserved in
+  let rec go free rejected held = function
+    | [] -> (rejected, held)
+    | (j : Workload.Job.t) :: rest ->
+        if mem j ref_plan.Oracle.start_now then
+          go (free - j.nodes) rejected held rest
+        else if j.nodes > free then
+          let held = if mem j reserved then held + 1 else held in
+          go free (rejected + 1) held rest
+        else go free rejected held rest
+  in
+  go (Cluster.Running_set.free_nodes ctx.running) 0 0 ordered
+
+(* The generator reaches what the width check in [Backfill.pass]
+   depends on: over seeds 0-199 and the three priorities, some plans
+   reject a job on width, some reserve such a job, some start on a
+   machine with 0-2 free nodes, and some floor an overdue release. *)
+let test_reference_cases_reach_width_check () =
+  let plans = ref 0 and rejecting = ref 0 and reserving = ref 0 in
+  let packed = ref 0 and overdue = ref 0 in
+  for seed = 0 to 199 do
+    let ctx, reservations = random_context (Simcore.Rng.create ~seed) in
+    if Cluster.Running_set.free_nodes ctx.running <= 2 then incr packed;
+    if
+      List.exists
+        (fun (release, _) ->
+          release = ctx.now +. Cluster.Running_set.overdue_grace)
+        (Cluster.Running_set.releases ctx.running ~now:ctx.now)
+    then incr overdue;
+    List.iter
+      (fun priority ->
+        let rejected, held =
+          width_rejected ~priority ctx
+            (Oracle.reference_backfill ~reservations ~priority ctx)
+        in
+        incr plans;
+        if rejected > 0 then incr rejecting;
+        if held > 0 then incr reserving)
+      reference_priorities
+  done;
+  let summary =
+    Printf.sprintf
+      "%d of %d plans width-reject a job, %d reserve one; %d of 200 cases \
+       leave <= 2 nodes free, %d floor an overdue release"
+      !rejecting !plans !reserving !packed !overdue
+  in
+  Alcotest.(check bool) summary true
+    (!rejecting > 0 && !reserving > 0 && !packed > 0 && !overdue > 0)
 
 (* --- differential oracle: search vs exhaustive enumeration --- *)
 
@@ -383,4 +472,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_backfill_matches_reference;
     QCheck_alcotest.to_alcotest prop_search_matches_enumeration;
     QCheck_alcotest.to_alcotest prop_profile_trail_matches_snapshots;
+    Alcotest.test_case "reference cases reach the width check" `Quick
+      test_reference_cases_reach_width_check;
   ]

@@ -233,8 +233,17 @@ let prop_maintained_profile_matches_reference =
           Profile.of_running ~now:!now ~capacity
             (Running_set.releases rs ~now:!now)
         in
-        Profile.segments (Sched.Policy.profile_of ctx)
-        = Profile.segments reference
+        let maintained = Sched.Policy.profile_of ctx in
+        (* both profiles come from [of_sorted_releases], so also check
+           what it promises without the other: normalized segments, and
+           a first segment at [now] with the free nodes free (the
+           premise of [Backfill.pass]'s width check) *)
+        Profile.segments maintained = Profile.segments reference
+        && Profile.invariant maintained
+        && (match Profile.segments maintained with
+           | (start, free) :: _ ->
+               start = !now && free = Running_set.free_nodes rs
+           | [] -> false)
         && Running_set.count rs = List.length !live
         && Running_set.busy_nodes rs
            = List.fold_left (fun acc (_, n, _) -> acc + n) 0 !live

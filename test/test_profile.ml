@@ -33,6 +33,18 @@ let test_of_running_oversubscribed () =
     (fun () ->
       ignore (Profile.of_running ~now:0.0 ~capacity:4 [ (10.0, 3); (10.0, 2) ]))
 
+(* The builder writes normalized segments only because every release
+   after [now] frees a node; one that frees none is refused, while a
+   past one is dropped as before. *)
+let test_of_running_empty_release () =
+  Alcotest.check_raises "zero-node release rejected"
+    (Invalid_argument "Profile.of_running: a release of fewer than one node")
+    (fun () ->
+      ignore (Profile.of_running ~now:0.0 ~capacity:4 [ (10.0, 3); (20.0, 0) ]));
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "past release dropped" [ (50.0, 4) ]
+    (Profile.segments (Profile.of_running ~now:50.0 ~capacity:4 [ (10.0, 0) ]))
+
 let test_earliest_start_immediate () =
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
   Alcotest.(check (float 1e-9)) "fits now" 0.0
@@ -498,4 +510,6 @@ let suite =
       test_shift_deletes_at_every_index;
     Alcotest.test_case "shift: across buffer growth" `Quick
       test_shift_across_buffer_growth;
+    Alcotest.test_case "of_running rejects an empty release" `Quick
+      test_of_running_empty_release;
   ]

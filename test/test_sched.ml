@@ -408,6 +408,63 @@ let test_fcfs_decide_allocation () =
     (Printf.sprintf "%.0f minor words per decision < 400" per_decision)
     true (per_decision < 400.0)
 
+(* Mechanism guard for the width check in [Backfill.pass], by count,
+   not by timing: one FCFS-backfill decision asks for the estimated
+   runtime of the jobs it may start and of the job it reserves, never
+   of a job wider than the nodes free now.  The FCFS order itself asks
+   for none.  A pass that scans every queued job makes 30 calls. *)
+let test_wide_jobs_skip_r_star () =
+  let waiting =
+    List.init 30 (fun id ->
+        Helpers.job ~id
+          ~submit:(Float.of_int (10 * id))
+          ~nodes:(1 + (id * 17 mod 48))
+          ~runtime:(300.0 +. Float.of_int (97 * id))
+          ())
+  in
+  let calls ~free =
+    let asked = ref [] in
+    let ctx =
+      context ~now:1000.0 ~capacity:128 ~waiting
+        ~running:[ (100, 128 - free, 0.0, 3600.0) ]
+        ()
+    in
+    let r_star (j : Workload.Job.t) =
+      asked := j.id :: !asked;
+      j.runtime
+    in
+    let started = Backfill.fcfs.Policy.decide { ctx with r_star } in
+    (List.rev !asked, started)
+  in
+  let asked, started = calls ~free:0 in
+  Alcotest.(check (list int)) "full machine: the reserved head only" [ 0 ]
+    asked;
+  Alcotest.(check int) "full machine: nothing starts" 0 (List.length started);
+  List.iter
+    (fun free ->
+      let asked, started = calls ~free in
+      let head =
+        List.find
+          (fun (j : Workload.Job.t) -> not (List.memq j started))
+          waiting
+      in
+      let expected =
+        List.filter_map
+          (fun (j : Workload.Job.t) ->
+            if j.nodes <= free || j == head then Some j.id else None)
+          waiting
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d free: asked [%s] within the head and jobs <= %d wide"
+           free
+           (String.concat "," (List.map string_of_int asked))
+           free)
+        true
+        (List.for_all (fun id -> List.mem id expected) asked
+        && List.sort_uniq compare asked = List.sort compare asked
+        && List.mem head.id asked))
+    [ 1; 4; 9; 30 ]
+
 let suite =
   [
     Alcotest.test_case "fcfs priority" `Quick test_fcfs_priority;
@@ -435,4 +492,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_selective_zero_is_conservative;
     Alcotest.test_case "FCFS decide allocation bound" `Quick
       test_fcfs_decide_allocation;
+    Alcotest.test_case "wide jobs skip estimated runtime" `Quick
+      test_wide_jobs_skip_r_star;
   ]
