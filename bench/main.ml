@@ -299,17 +299,14 @@ let telemetry_entries () =
       let improvements =
         field (fun d -> float_of_int d.Sim.Decision_log.improvements)
       in
-      let mean a =
-        if Array.length a = 0 then 0.0
-        else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
-      in
       let pct a p =
         if Array.length a = 0 then 0.0 else Simcore.Stats.percentile a p
       in
       [ ("telemetry_decisions", float_of_int (List.length searched));
         ("telemetry_nodes_p50", pct nodes 50.0);
         ("telemetry_nodes_p99", pct nodes 99.0);
-        ("telemetry_improvements_per_decision", mean improvements) ]
+        ("telemetry_improvements_per_decision",
+         Simcore.Stats.mean improvements) ]
 
 let perf_json path =
   (* warm up code paths and the branch predictor before measuring *)

@@ -27,7 +27,7 @@ let () =
     (fun (label, bound) ->
       let config =
         Core.Search_policy.v ~algorithm:Core.Search.Dds
-          ~heuristic:Core.Branching.Lxf ~bound ~budget:1000 ()
+          ~heuristic:Sched.Priority.lxf ~bound ~budget:1000 ()
       in
       let policy = fst (Core.Search_policy.policy config) in
       let run = Sim.Run.simulate ~r_star:Sim.Engine.Actual ~policy trace in

@@ -31,7 +31,7 @@ let () =
       search (Core.Search_policy.dds_lxf_dynb ~budget:1000);
       search
         (Core.Search_policy.v ~algorithm:Core.Search.Lds
-           ~heuristic:Core.Branching.Lxf ~bound:Core.Bound.dynamic
+           ~heuristic:Sched.Priority.lxf ~bound:Core.Bound.dynamic
            ~budget:1000 ());
     ]
   in

@@ -22,11 +22,8 @@ let pp_violation fmt v =
     (String.concat "," (List.map string_of_int v.jobs))
     v.detail
 
-let summary t =
-  Printf.sprintf "%s: %d jobs, %d decisions, %d violations" t.subject
-    t.jobs_checked t.decisions_checked
-    (List.length t.violations)
-
 let pp fmt t =
-  Format.fprintf fmt "%s" (summary t);
+  Format.fprintf fmt "%s: %d jobs, %d decisions, %d violations" t.subject
+    t.jobs_checked t.decisions_checked
+    (List.length t.violations);
   List.iter (fun v -> Format.fprintf fmt "@.  %a" pp_violation v) t.violations

@@ -37,8 +37,6 @@ val v :
   t
 
 val pp : Format.formatter -> t -> unit
-(** Header line plus one line per violation. *)
-
-val summary : t -> string
-(** The header line alone, e.g.
-    ["FCFS-backfill: 40 jobs, 78 decisions, 0 violations"]. *)
+(** A header line, e.g.
+    ["FCFS-backfill: 40 jobs, 78 decisions, 0 violations"], plus one
+    line per violation. *)

@@ -3,7 +3,7 @@ let sprintf = Printf.sprintf
 (* Comparison slack for promised starts, which the reference plan
    derives from estimated durations.  Submit, start and finish times
    are compared exactly: the engine groups events by float equality
-   and computes every finish as [start +. min T R]. *)
+   and computes every finish as [start +. T]. *)
 let tol = 1e-6
 
 type expectation =
@@ -66,8 +66,7 @@ let each_instant ~(jobs : Workload.Job.t array)
   go 0 0 0
 
 let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
-    ?(r_star =
-      fun (j : Workload.Job.t) -> Float.min j.runtime j.requested)
+    ?(r_star = fun (j : Workload.Job.t) -> j.runtime)
     ~subject ~trace ~(outcomes : Metrics.Outcome.t list) () =
   let capacity = machine.Cluster.Machine.nodes in
   let violations = ref [] in
@@ -109,10 +108,10 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
       if o.start < j.submit then
         violate "start-after-submit" ~time:o.start ~jobs:[ j.id ]
           (sprintf "started %g s before its submission" (j.submit -. o.start));
-      let expected = o.start +. Float.min j.runtime j.requested in
+      let expected = o.start +. j.runtime in
       if o.finish <> expected then
         violate "exact-runtime" ~time:o.start ~jobs:[ j.id ]
-          (sprintf "finished at %.17g, expected start + min(T, R) = %.17g"
+          (sprintf "finished at %.17g, expected start + T = %.17g"
              o.finish expected))
     outcomes;
   (* --- capacity and start-at-decision-point, in one walk over the
@@ -177,11 +176,17 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
           (fun now ~arrive:(a0, a1) ~depart:(d0, d1) ~start:(s0, s1) ->
             if a1 > a0 then
               waiting := !waiting @ Array.to_list (Array.sub jobs a0 (a1 - a0));
+            (* [by_finish] is a stable sort of the start order, in which
+               the replay adds jobs, and the running set lets equal
+               finishes leave in the order they were added: its pops
+               come in [by_finish] order. *)
             for i = d0 to d1 - 1 do
-              let (_ : Cluster.Running_set.entry) =
-                Cluster.Running_set.remove running ~id:by_finish.(i).job.id
-              in
-              ()
+              let gone = (Cluster.Running_set.pop_finished running).job.id
+              and expected = by_finish.(i).job.id in
+              if gone <> expected then
+                failwith
+                  (sprintf "job %d departed where job %d finishes" gone
+                     expected)
             done;
             let ctx =
               { Sched.Policy.now; waiting = !waiting; running; r_star }

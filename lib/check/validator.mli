@@ -14,8 +14,8 @@
     - ["job-fits-machine"]: no job is wider than the machine;
     - ["start-after-submit"]: no job starts before its arrival;
     - ["exact-runtime"]: a started job finishes at exactly
-      [start +. min T R], the engine's own expression — non-preemption,
-      no early kill, no overrun;
+      [start +. T], the engine's own expression — non-preemption, no
+      early end, no overrun;
     - ["capacity"]: instantaneous node usage never exceeds machine
       capacity (releases at an instant free nodes for starts at the
       same instant, as the engine applies an instant's events before
@@ -47,8 +47,9 @@
       starts later than its promised start — the one-reservation EASY
       guarantee Dutot & Mounié's bi-criteria analysis relies on;
     - ["replay-failed"]: the differential replay itself raised (a
-      schedule so malformed the running set rejects it) — reported as
-      a violation rather than escaping as an exception.
+      schedule so malformed the running set rejects it, or a departure
+      the running set pops that is not the schedule's next finish) —
+      reported as a violation rather than escaping as an exception.
 
     The replay runs only when every generic invariant passed: an
     illegal schedule cannot be reconstructed faithfully, and the
@@ -88,5 +89,5 @@ val validate :
     against the invariants above.  [machine] defaults to
     {!Cluster.Machine.titan}; [expect] to [Generic]; [r_star] — the
     scheduler-visible runtime used to rebuild availability profiles
-    during differential replay — to actual runtimes
-    ([min(T, R)], the engine's [R* = T]). *)
+    during differential replay — to actual runtimes T (the engine's
+    [R* = T]). *)

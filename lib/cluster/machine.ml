@@ -4,5 +4,5 @@ let v ~nodes =
   if nodes < 1 then invalid_arg "Machine.v: nodes must be >= 1";
   { nodes }
 
-let titan = v ~nodes:128
+let titan = v ~nodes:Workload.Month_profile.capacity
 let fits t (j : Workload.Job.t) = j.nodes <= t.nodes

@@ -10,7 +10,8 @@ val v : nodes:int -> t
 (** @raise Invalid_argument if [nodes < 1]. *)
 
 val titan : t
-(** The paper's machine: 128 nodes (Table 2). *)
+(** The paper's machine: {!Workload.Month_profile.capacity} (128)
+    nodes (Table 2). *)
 
 val fits : t -> Workload.Job.t -> bool
 (** Whether the job can ever run on this machine. *)

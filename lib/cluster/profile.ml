@@ -28,8 +28,8 @@ type t = {
 
 type mark = int
 
-let capacity t = t.capacity
 let segment_count t = t.len
+
 (* A fully-free profile with room for [room] segments before its
    buffers first grow. *)
 let make ~now ~capacity ~room =

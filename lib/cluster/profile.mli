@@ -48,7 +48,6 @@ val of_sorted_releases :
     the next, and the first segment starts at [now].
     @raise Invalid_argument as {!of_running}. *)
 
-val capacity : t -> int
 val segment_count : t -> int
 
 val segments : t -> (float * int) list

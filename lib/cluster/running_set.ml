@@ -13,7 +13,8 @@ type t = {
      releases in ascending [est_finish] order, which [profile] reads in
      one pass; [by_finish] is the departure order, ascending true
      [finish].  [add] inserts into both by shifting, so ties keep
-     insertion (start) order; removals close the gap with a blit. *)
+     insertion (start) order; a departure closes the gap with a
+     blit. *)
   mutable ends : float array;
   mutable widths : int array;
   mutable ids : int array;
@@ -84,11 +85,13 @@ let add t entry =
   t.by_finish.(!k) <- entry;
   t.len <- t.len + 1
 
-(* Drop the entry at [by_finish] slot [k] from both orders. *)
-let remove_at t k =
-  let entry = t.by_finish.(k) in
+let next_finish t = if t.len = 0 then infinity else t.by_finish.(0).finish
+
+let pop_finished t =
+  if t.len = 0 then invalid_arg "Running_set.pop_finished: nothing running";
+  let entry = t.by_finish.(0) in
   let id = entry.job.Workload.Job.id in
-  Array.blit t.by_finish (k + 1) t.by_finish k (t.len - k - 1);
+  Array.blit t.by_finish 1 t.by_finish 0 (t.len - 1);
   let k = ref 0 in
   while t.ids.(!k) <> id do
     incr k
@@ -100,20 +103,6 @@ let remove_at t k =
   t.len <- t.len - 1;
   t.busy <- t.busy - entry.job.Workload.Job.nodes;
   entry
-
-let next_finish t = if t.len = 0 then infinity else t.by_finish.(0).finish
-
-let pop_finished t =
-  if t.len = 0 then invalid_arg "Running_set.pop_finished: nothing running";
-  remove_at t 0
-
-let remove t ~id =
-  let k = ref 0 in
-  while !k < t.len && t.by_finish.(!k).job.Workload.Job.id <> id do
-    incr k
-  done;
-  if !k = t.len then raise Not_found;
-  remove_at t !k
 
 (* A job that outlives its estimate (possible only with an
    undershooting predictor, R*=pred) still holds its nodes: report its

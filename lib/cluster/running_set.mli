@@ -13,7 +13,7 @@
 type entry = {
   job : Workload.Job.t;
   start : float;
-  finish : float;  (** true end: start + min(T, R) *)
+  finish : float;  (** true end: start + T *)
   est_finish : float;  (** scheduler-visible end: start + R* *)
 }
 
@@ -39,10 +39,6 @@ val pop_finished : t -> entry
 (** Remove and return the job with the earliest true [finish].  Jobs
     with equal finishes leave in the order they were added (start
     order).  @raise Invalid_argument if nothing runs. *)
-
-val remove : t -> id:int -> entry
-(** Remove a job by id, wherever it stands in the departure order.
-    @raise Not_found if absent. *)
 
 val overdue_grace : float
 (** 1 ms: {!releases} and {!profile} report no release sooner than

@@ -1,6 +1,6 @@
 type config = {
   algorithm : Search.algorithm;
-  heuristic : Branching.t;
+  heuristic : Sched.Priority.t;
   bound : Bound.t;
   budget : int;
   prune : bool;
@@ -16,7 +16,7 @@ let v ?(prune = false) ?(local_search = false) ?fairshare
   { algorithm; heuristic; bound; budget; prune; local_search; fairshare; goal }
 
 let dds_lxf_dynb ~budget =
-  v ~algorithm:Search.Dds ~heuristic:Branching.Lxf ~bound:Bound.dynamic
+  v ~algorithm:Search.Dds ~heuristic:Sched.Priority.lxf ~bound:Bound.dynamic
     ~budget ()
 
 let pp_budget budget =
@@ -26,7 +26,7 @@ let pp_budget budget =
 let name config =
   Printf.sprintf "%s/%s/%s(L=%s)%s%s%s%s"
     (String.uppercase_ascii (Search.algorithm_name config.algorithm))
-    (Branching.name config.heuristic)
+    config.heuristic.Sched.Priority.name
     (Bound.name config.bound) (pp_budget config.budget)
     (if config.prune then "+bnb" else "")
     (if config.local_search then "+ls" else "")
@@ -42,8 +42,9 @@ type stats = { total_nodes : int }
 let state_of ?usage config (ctx : Sched.Policy.context) =
   let profile = Sched.Policy.profile_of ctx in
   let jobs =
-    Branching.order config.heuristic ~now:ctx.now ~r_star:ctx.r_star
-      ctx.waiting
+    Array.of_list
+      (Sched.Priority.order config.heuristic ~now:ctx.now ~r_star:ctx.r_star
+         ctx.waiting)
   in
   let durations = Array.map ctx.r_star jobs in
   let thresholds =

@@ -12,7 +12,11 @@
 
 type config = {
   algorithm : Search.algorithm;
-  heuristic : Branching.t;
+  heuristic : Sched.Priority.t;
+      (** the branching heuristic (Section 2.2): the queue order the
+          left-most branch follows at every tree node, any other
+          branch being a discrepancy; the paper's are
+          {!Sched.Priority.fcfs} and {!Sched.Priority.lxf} *)
   bound : Bound.t;
   budget : int;  (** the paper's L: max nodes visited per decision *)
   prune : bool;  (** branch-and-bound extension (off = paper) *)
@@ -31,7 +35,7 @@ val v :
   ?fairshare:float ->
   ?goal:Objective.secondary ->
   algorithm:Search.algorithm ->
-  heuristic:Branching.t ->
+  heuristic:Sched.Priority.t ->
   bound:Bound.t ->
   budget:int ->
   unit ->

@@ -15,11 +15,12 @@
     prefix on a fresh copy of the base profile.  The hot path
     allocates nothing per node.
 
-    Jobs are indexed 0 .. n-1 in *heuristic order* (see {!Branching});
-    child rank 0 of any node is the lowest-indexed unused job.  The
-    unused set is a doubly-linked list, so the heuristic child and each
-    next sibling are found in O(1) — no per-child rescans.  That list
-    is the one record of which jobs are placed. *)
+    Jobs are indexed 0 .. n-1 in *heuristic order* (the branching
+    heuristic of {!Search_policy.config}); child rank 0 of any node is
+    the lowest-indexed unused job.  The unused set is a doubly-linked
+    list, so the heuristic child and each next sibling are found in
+    O(1) — no per-child rescans.  That list is the one record of which
+    jobs are placed. *)
 
 type t
 

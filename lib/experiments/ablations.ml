@@ -143,7 +143,7 @@ let runtime_bound fmt =
       search "DDS/lxf/dynB" (Core.Search_policy.dds_lxf_dynb ~budget:1000);
       search "DDS/lxf/rtB"
         (Core.Search_policy.v ~algorithm:Core.Search.Dds
-           ~heuristic:Core.Branching.Lxf ~bound:rt_bound ~budget:1000 ());
+           ~heuristic:Sched.Priority.lxf ~bound:rt_bound ~budget:1000 ());
     ]
   in
   three_panels fmt ~months ~policies

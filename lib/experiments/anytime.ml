@@ -9,20 +9,19 @@ let algorithms =
     (Core.Search.Dfs, "DFS");
   ]
 
-let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let run fmt =
   Common.section fmt ~id:"anytime"
     "Anytime search quality on 30-job decision points (mean over 20 states)";
   (* mean objective of the heuristic path alone, as the baseline *)
   let heuristic_excess =
-    mean
-      (Common.par_map
-         (fun seed ->
-           let state = Overhead.synthetic_state ~seed () in
-           let r = Core.Search.run Core.Search.Dds ~budget:1 state in
-           Simcore.Units.to_hours r.Core.Search.best.Core.Objective.excess)
-         seeds)
+    Simcore.Stats.mean
+      (Array.of_list
+         (Common.par_map
+            (fun seed ->
+              let state = Overhead.synthetic_state ~seed () in
+              let r = Core.Search.run Core.Search.Dds ~budget:1 state in
+              Simcore.Units.to_hours r.Core.Search.best.Core.Objective.excess)
+            seeds))
   in
   Format.fprintf fmt
     "heuristic path alone: mean total excess %.1f h (budget too small to improve)@."
@@ -47,7 +46,9 @@ let run fmt =
   let cells =
     Common.par_map
       (fun (algo, budget) ->
-        mean (List.map (fun seed -> excess_of (algo, budget, seed)) seeds))
+        Simcore.Stats.mean
+          (Array.of_list
+             (List.map (fun seed -> excess_of (algo, budget, seed)) seeds)))
       grid
   in
   let value =

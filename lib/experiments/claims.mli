@@ -5,6 +5,3 @@
     hold for the reproduction to count. *)
 
 val run : Format.formatter -> unit
-
-val evaluate : unit -> (string * bool) list
-(** (claim description, holds?) pairs, for tests. *)

@@ -1,7 +1,7 @@
 let policy_for omega =
   let config =
     Core.Search_policy.v ~algorithm:Core.Search.Dds
-      ~heuristic:Core.Branching.Lxf
+      ~heuristic:Sched.Priority.lxf
       ~bound:(Core.Bound.fixed_hours omega)
       ~budget:1000 ()
   in

@@ -1,5 +1,7 @@
-(* read per call, not at module init, so harnesses can re-point
-   REPRO_MAXL in-process (perf-json quick config, determinism tests) *)
+(* The swept budgets; [REPRO_MAXL] truncates the sweep (e.g.
+   REPRO_MAXL=10000 drops the 100K point for quick runs).  Read per
+   call, not at module init, so harnesses can re-point REPRO_MAXL
+   in-process (perf-json quick config, determinism tests). *)
 let budgets () =
   let all = [ 1000; 2000; 4000; 8000; 10_000; 100_000 ] in
   match Sys.getenv_opt "REPRO_MAXL" with

@@ -2,7 +2,3 @@
     DDS/lxf/dynB, January 2004, rho = 0.9, R* = T. *)
 
 val run : Format.formatter -> unit
-
-val budgets : unit -> int list
-(** The swept budgets; [REPRO_MAXL] truncates the sweep (e.g.
-    REPRO_MAXL=10000 drops the 100K point for quick runs). *)

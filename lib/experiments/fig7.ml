@@ -16,17 +16,17 @@ let run fmt =
   let months = Common.months () in
   let policies =
     [
-      variant ~algorithm:Core.Search.Dds ~heuristic:Core.Branching.Fcfs
+      variant ~algorithm:Core.Search.Dds ~heuristic:Sched.Priority.fcfs
         "DDS/fcfs/dynB";
-      variant ~algorithm:Core.Search.Dds ~heuristic:Core.Branching.Lxf
+      variant ~algorithm:Core.Search.Dds ~heuristic:Sched.Priority.lxf
         "DDS/lxf/dynB";
-      variant ~algorithm:Core.Search.Lds ~heuristic:Core.Branching.Lxf
+      variant ~algorithm:Core.Search.Lds ~heuristic:Sched.Priority.lxf
         "LDS/lxf/dynB";
       (* extensions beyond the paper's comparison: the original
          (revisiting) LDS and plain chronological DFS *)
-      variant ~algorithm:Core.Search.Lds_original ~heuristic:Core.Branching.Lxf
+      variant ~algorithm:Core.Search.Lds_original ~heuristic:Sched.Priority.lxf
         "LDS0/lxf/dynB (ext)";
-      variant ~algorithm:Core.Search.Dfs ~heuristic:Core.Branching.Lxf
+      variant ~algorithm:Core.Search.Dfs ~heuristic:Sched.Priority.lxf
         "DFS/lxf/dynB (ext)";
     ]
   in

@@ -3,7 +3,7 @@ open Simcore
 let synthetic_state ?(n_waiting = 30) ~seed () =
   let rng = Rng.create ~seed in
   let now = Units.days 100.0 in
-  let capacity = 128 in
+  let capacity = Workload.Month_profile.capacity in
   (* ~16 running jobs filling most of the machine, releasing over the
      next twelve hours. *)
   let releases = ref [] in
@@ -29,8 +29,9 @@ let synthetic_state ?(n_waiting = 30) ~seed () =
   in
   let r_star (j : Workload.Job.t) = j.runtime in
   let ordered =
-    Core.Branching.order Core.Branching.Lxf ~now ~r_star
-      (Array.to_list jobs)
+    Array.of_list
+      (Sched.Priority.order Sched.Priority.lxf ~now ~r_star
+         (Array.to_list jobs))
   in
   let durations = Array.map r_star ordered in
   let thresholds =

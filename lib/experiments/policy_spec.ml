@@ -15,8 +15,8 @@ let parse_algorithm = function
   | s -> Error (Printf.sprintf "unknown search algorithm %S" s)
 
 let parse_heuristic = function
-  | "fcfs" -> Ok Core.Branching.Fcfs
-  | "lxf" -> Ok Core.Branching.Lxf
+  | "fcfs" -> Ok Sched.Priority.fcfs
+  | "lxf" -> Ok Sched.Priority.lxf
   | s -> Error (Printf.sprintf "unknown branching heuristic %S" s)
 
 let parse_bound s =

@@ -8,7 +8,7 @@ let scenario ~seed ~rho =
       (fun () ->
         Workload.Trace.scale_load
           (Workload.Model.generate ~seed ~days ())
-          ~capacity:128 ~target:rho);
+          ~capacity:Workload.Month_profile.capacity ~target:rho);
   }
 
 let run fmt =

@@ -9,7 +9,19 @@
 
     Policies must be deterministic functions of their arguments (plus
     any internal state they carry); the engine may call [decide] any
-    number of times. *)
+    number of times.
+
+    Every policy plans on {!profile_of}, and its guarantees hold on
+    that profile:
+    - {!profile_of} releases no nodes before
+      [now +. Cluster.Running_set.overdue_grace] (1 ms): a running
+      job's estimated end earlier than that, overdue or not, is read
+      at that instant;
+    - so a release 0.5 ns after [now] is seen at [now +. 1 ms] by every
+      policy, and a reservation promised at it reads [now +. 1 ms];
+    - every policy compares a start with [now] exactly: a job starts
+      now only on the nodes free at [now], so no policy starts a job
+      on nodes a running job still holds. *)
 
 type context = {
   now : float;
@@ -36,4 +48,6 @@ val with_probe : t -> Simcore.Telemetry.Probe.t -> t
 (** Attach the search-effort record the policy's [decide] fills. *)
 
 val profile_of : context -> Cluster.Profile.t
-(** Availability profile implied by the running set at [ctx.now]. *)
+(** Availability profile implied by the running set at [ctx.now], with
+    every release floored at [now +. Cluster.Running_set.overdue_grace]
+    ({!Cluster.Running_set.profile}). *)

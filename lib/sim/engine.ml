@@ -33,7 +33,7 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
   let ratio_count = ref 1 in
   let estimator (j : Workload.Job.t) =
     match r_star with
-    | Actual -> Float.min j.runtime j.requested
+    | Actual -> j.runtime
     | Requested -> j.requested
     | Predicted ->
         let ratio = !ratio_sum /. float_of_int !ratio_count in
@@ -41,7 +41,7 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
   in
   let learn (j : Workload.Job.t) =
     if r_star = Predicted then begin
-      ratio_sum := !ratio_sum +. (Float.min j.runtime j.requested /. j.requested);
+      ratio_sum := !ratio_sum +. (j.runtime /. j.requested);
       incr ratio_count
     end
   in
@@ -77,8 +77,7 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
       | w :: rest -> if Workload.Job.equal w j then rest else w :: without rest
     in
     let rest = without !waiting in
-    let duration = Float.min j.runtime j.requested in
-    let finish = now +. duration in
+    let finish = now +. j.runtime in
     Cluster.Running_set.add running
       { job = j; start = now; finish; est_finish = now +. estimator j };
     waiting := rest;
@@ -147,22 +146,11 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
   }
 
 let windowed_queue_average samples ~from_ ~upto =
-  if upto <= from_ then 0.0
-  else begin
-    let integral = ref 0.0 in
-    let last_time = ref from_ in
-    let last_value = ref 0.0 in
-    List.iter
-      (fun { time; length } ->
-        let t = Float.max from_ (Float.min upto time) in
-        if t > !last_time then
-          integral := !integral +. (!last_value *. (t -. !last_time));
-        if time <= upto then begin
-          last_time := Float.max from_ (Float.min upto time);
-          last_value := float_of_int length
-        end)
-      samples;
-    if upto > !last_time then
-      integral := !integral +. (!last_value *. (upto -. !last_time));
-    !integral /. (upto -. from_)
-  end
+  let timeline = Simcore.Stats.Timeline.create ~start:from_ in
+  List.iter
+    (fun { time; length } ->
+      if time <= upto then
+        Simcore.Stats.Timeline.record timeline ~now:(Float.max from_ time)
+          ~value:(float_of_int length))
+    samples;
+  Simcore.Stats.Timeline.average timeline ~upto

@@ -3,8 +3,9 @@
     Replays a trace against a scheduling policy: scheduling decisions
     happen exactly at job arrivals and departures (as in the paper);
     all events at one instant are drained before the policy is
-    consulted once.  Jobs run for [min(T, R)] — the system kills a job
-    at its requested limit — and hold their nodes for the whole time.
+    consulted once.  A job runs for its actual runtime T, which never
+    exceeds its requested limit R ({!Workload.Job.t}), and holds its
+    nodes for the whole time.
 
     The engine validates every start the policy requests (the job must
     be waiting and fit the free nodes) and raises [Invalid_argument] on
@@ -91,4 +92,7 @@ val run :
 
 val windowed_queue_average :
   queue_sample list -> from_:float -> upto:float -> float
-(** Time-weighted average queue length within a window. *)
+(** Time-weighted average queue length over [[from_, upto]]: each
+    sample's length holds until the next sample; the last sample at or
+    before [from_] sets the value at [from_] (0 before any sample), and
+    samples after [upto] do not count.  0.0 when [upto <= from_]. *)

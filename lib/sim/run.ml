@@ -38,12 +38,12 @@ let validate_schedule ~machine ~expect ~r_star ~policy ~trace outcomes =
     if r_star = Engine.Predicted then Schedcheck.Validator.Generic
     else expect
   in
-  let replay_r_star (j : Workload.Job.t) =
+  let r_star =
     match r_star with
-    | Engine.Requested -> j.requested
-    | Engine.Actual | Engine.Predicted -> Float.min j.runtime j.requested
+    | Engine.Requested -> Some (fun (j : Workload.Job.t) -> j.requested)
+    | Engine.Actual | Engine.Predicted -> None
   in
-  Schedcheck.Validator.validate ~machine ~expect ~r_star:replay_r_star
+  Schedcheck.Validator.validate ~machine ~expect ?r_star
     ~subject:policy.Sched.Policy.name ~trace ~outcomes ()
 
 let simulate ?(machine = Cluster.Machine.titan) ?observe ?validate ~r_star

@@ -87,7 +87,7 @@ let range_bounds = function
   | 4 -> (9, 16)
   | 5 -> (17, 32)
   | 6 -> (33, 64)
-  | 7 -> (65, 128)
+  | 7 -> (65, Month_profile.capacity)
   | i -> invalid_arg (Printf.sprintf "Generator.range_bounds: %d" i)
 
 let draw_nodes rng ~range =

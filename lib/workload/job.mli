@@ -5,7 +5,12 @@
     it actually runs for [runtime] (T).  A node is the smallest
     allocation unit (NCSA IA-64: 128 dual-processor nodes).  Jobs are
     rigid and non-preemptible: once started on [nodes] nodes a job holds
-    them for exactly [runtime] seconds. *)
+    them for exactly [runtime] seconds.
+
+    Every job satisfies [runtime <= requested]: {!make} rejects any
+    other, and {!Swf} raises a logged R to T before building the job.
+    So no job reaches its requested limit, and T is its run length;
+    nothing needs [min(T, R)]. *)
 
 type t = {
   id : int;  (** unique within a trace, assigned in submit order *)

@@ -17,7 +17,7 @@ type params = {
 
 let default =
   {
-    capacity = 128;
+    capacity = Month_profile.capacity;
     serial_fraction = 0.25;
     power2_fraction = 0.75;
     max_log2_nodes = 7;

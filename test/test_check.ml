@@ -357,7 +357,9 @@ let test_reference_cases_reach_width_check () =
 let make_state ~releases ~heuristic jobs =
   let now = 1100.0 in
   let profile = Cluster.Profile.of_running ~now ~capacity:8 releases in
-  let ordered = Core.Branching.order heuristic ~now ~r_star jobs in
+  let ordered =
+    Array.of_list (Sched.Priority.order heuristic ~now ~r_star jobs)
+  in
   let durations = Array.map r_star ordered in
   let thresholds =
     Core.Bound.thresholds (Core.Bound.fixed_hours 0.5) ~now ~r_star ordered
@@ -383,18 +385,18 @@ let random_queue rng =
 
 let prop_search_matches_enumeration =
   QCheck.Test.make ~name:"exhausted search = Oracle.enumerate_best"
-    ~count:100 QCheck.small_int (fun seed ->
+    ~count:100 QCheck.int (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let jobs, releases = random_queue rng in
       List.for_all
         (fun algo ->
           let result =
             Core.Search.run algo ~budget:max_int
-              (make_state ~releases ~heuristic:Core.Branching.Lxf jobs)
+              (make_state ~releases ~heuristic:Sched.Priority.lxf jobs)
           in
           let best =
             Oracle.enumerate_best
-              (make_state ~releases ~heuristic:Core.Branching.Lxf jobs)
+              (make_state ~releases ~heuristic:Sched.Priority.lxf jobs)
           in
           result.Core.Search.exhausted
           && Core.Objective.compare result.Core.Search.best best = 0)
@@ -408,7 +410,7 @@ let prop_search_matches_enumeration =
    segment, and unwinding the trail must restore the original. *)
 let prop_profile_trail_matches_snapshots =
   QCheck.Test.make ~name:"profile trail = snapshot chain" ~count:200
-    QCheck.small_int (fun seed ->
+    QCheck.int (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let capacity = 4 + Simcore.Rng.int rng 61 in
       let releases =

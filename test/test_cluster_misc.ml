@@ -32,7 +32,8 @@ let test_running_set_accounting () =
   Alcotest.(check int) "busy" 12 (Running_set.busy_nodes rs);
   Alcotest.(check int) "free" 4 (Running_set.free_nodes rs);
   Alcotest.(check int) "count" 2 (Running_set.count rs);
-  let e = Running_set.remove rs ~id:0 in
+  (* equal finishes: the first added leaves first *)
+  let e = Running_set.pop_finished rs in
   Alcotest.(check int) "removed job id" 0 e.Running_set.job.Workload.Job.id;
   Alcotest.(check int) "free after remove" 8 (Running_set.free_nodes rs)
 
@@ -44,9 +45,7 @@ let test_running_set_rejects () =
       Running_set.add rs (entry ~id:0 ~nodes:1 ()));
   Alcotest.check_raises "oversubscription"
     (Invalid_argument "Running_set.add: job 1 oversubscribes machine")
-    (fun () -> Running_set.add rs (entry ~id:1 ~nodes:1 ()));
-  Alcotest.check_raises "remove missing" Not_found (fun () ->
-      ignore (Running_set.remove rs ~id:99))
+    (fun () -> Running_set.add rs (entry ~id:1 ~nodes:1 ()))
 
 let test_releases () =
   let rs = Running_set.create ~machine:(Machine.v ~nodes:16) in
@@ -106,34 +105,6 @@ let test_next_finish_and_empty_pop () =
     (Invalid_argument "Running_set.pop_finished: nothing running") (fun () ->
       ignore (Running_set.pop_finished rs))
 
-(* [remove ~id] of a job that is not the next departure (the
-   validator's EASY replay removes in its own order) must leave both
-   orders intact: later pops still come in finish order, and the
-   maintained profile still equals the [releases] reference. *)
-let test_remove_keeps_both_orders () =
-  let rs = Running_set.create ~machine:(Machine.v ~nodes:32) in
-  List.iter
-    (fun (id, runtime, est) ->
-      Running_set.add rs (entry ~id ~nodes:(id + 1) ~runtime ~est ()))
-    [ (0, 40.0, 10.0); (1, 20.0, 50.0); (2, 30.0, 30.0); (3, 10.0, 20.0) ];
-  let removed = Running_set.remove rs ~id:2 in
-  Alcotest.(check (float 0.0)) "removed entry" 30.0 removed.Running_set.finish;
-  let profile_matches () =
-    Profile.segments (Running_set.profile rs ~now:0.0)
-    = Profile.segments
-        (Profile.of_running ~now:0.0 ~capacity:32
-           (Running_set.releases rs ~now:0.0))
-  in
-  Alcotest.(check bool) "profile after remove" true (profile_matches ());
-  Alcotest.(check int) "busy" 7 (Running_set.busy_nodes rs);
-  let popped =
-    List.init 3 (fun _ ->
-        let id = pop_id rs in
-        Alcotest.(check bool) "profile after pop" true (profile_matches ());
-        id)
-  in
-  Alcotest.(check (list int)) "remaining finish order" [ 3; 1; 0 ] popped
-
 (* The engine polls [next_finish] and pops at every departure: once
    the set's arrays have grown, that path allocates nothing, so no
    per-event record or per-poll option can creep back in. *)
@@ -165,7 +136,7 @@ let test_departure_path_allocates_nothing () =
   Alcotest.(check int) "still running" 40 (Running_set.count rs);
   Alcotest.(check (float 0.0)) "minor words for 1000 add + pop" 0.0 words
 
-(* Property: after every step of a random start/pop/remove/advance
+(* Property: after every step of a random start/pop/advance
    sequence, (1) the profile built from the maintained release order
    ([Policy.profile_of], via [Running_set.profile]) equals the
    reference built from [releases], floats included; (2) each
@@ -175,7 +146,7 @@ let test_departure_path_allocates_nothing () =
    finishes sit on coarse grids so many tie, the clock advances past
    estimates so overdue jobs exercise the R*=pred clamp, and narrow
    jobs let more than 32 run at once so the arrays grow. *)
-type op = Start of int * int * int | Pop | Finish of int | Advance of int
+type op = Start of int * int * int | Pop | Advance of int
 
 let ops_arbitrary =
   let gen =
@@ -190,8 +161,7 @@ let ops_arbitrary =
                 ( 2,
                   map3 (fun n e f -> Start (n, e, f)) (1 -- 32) (0 -- 12)
                     (1 -- 6) );
-                (2, return Pop);
-                (2, map (fun k -> Finish k) (0 -- 1000));
+                (4, return Pop);
                 (2, map (fun d -> Advance d) (0 -- 8));
               ])))
   in
@@ -202,7 +172,6 @@ let ops_arbitrary =
             (function
               | Start (n, e, f) -> Printf.sprintf "Start(%d,%d,%d)" n e f
               | Pop -> "Pop"
-              | Finish k -> Printf.sprintf "Finish %d" k
               | Advance d -> Printf.sprintf "Advance %d" d)
             ops))
   in
@@ -284,16 +253,6 @@ let prop_maintained_profile_matches_reference =
                   live := List.filter (( != ) expected) !live;
                   e.Running_set.job.Workload.Job.id = id
                   && e.Running_set.finish = finish)
-          | Finish k -> (
-              match !live with
-              | [] -> true
-              | jobs ->
-                  let ((id, _, _) as gone) =
-                    List.nth jobs (k mod List.length jobs)
-                  in
-                  let e = Running_set.remove rs ~id in
-                  live := List.filter (( != ) gone) jobs;
-                  e.Running_set.job.Workload.Job.id = id)
           | Advance d ->
               now := !now +. (50.0 *. Float.of_int d);
               true)
@@ -316,8 +275,6 @@ let suite =
       test_equal_finishes_in_start_order;
     Alcotest.test_case "next_finish and empty pop" `Quick
       test_next_finish_and_empty_pop;
-    Alcotest.test_case "remove keeps both orders" `Quick
-      test_remove_keeps_both_orders;
     Alcotest.test_case "departure path allocates nothing" `Quick
       test_departure_path_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_maintained_profile_matches_reference;

@@ -20,15 +20,15 @@ let all_policies () =
     search (Core.Search_policy.dds_lxf_dynb ~budget:150);
     search
       (Core.Search_policy.v ~algorithm:Core.Search.Lds
-         ~heuristic:Core.Branching.Fcfs ~bound:(Core.Bound.fixed_hours 1.0)
+         ~heuristic:Sched.Priority.fcfs ~bound:(Core.Bound.fixed_hours 1.0)
          ~budget:150 ());
     search
       (Core.Search_policy.v ~algorithm:Core.Search.Lds_original
-         ~heuristic:Core.Branching.Lxf ~bound:Core.Bound.dynamic ~budget:150
+         ~heuristic:Sched.Priority.lxf ~bound:Core.Bound.dynamic ~budget:150
          ());
     search
       (Core.Search_policy.v ~prune:true ~local_search:true ~fairshare:1.5
-         ~algorithm:Core.Search.Dds ~heuristic:Core.Branching.Lxf
+         ~algorithm:Core.Search.Dds ~heuristic:Sched.Priority.lxf
          ~bound:Core.Bound.dynamic ~budget:150 ());
   ]
 
@@ -65,7 +65,7 @@ let never_oversubscribed (result : Sim.Engine.result) =
 
 let prop_all_policies_sound =
   QCheck.Test.make ~name:"all policies: complete, causal, within capacity"
-    ~count:15 QCheck.small_int
+    ~count:15 QCheck.int
     (fun seed ->
       let n = 30 in
       let trace =
@@ -82,7 +82,7 @@ let prop_all_policies_sound =
 
 let prop_estimators_sound =
   QCheck.Test.make ~name:"all estimators: complete and causal" ~count:15
-    QCheck.small_int
+    QCheck.int
     (fun seed ->
       let n = 30 in
       let trace = Helpers.mini_trace ~seed:(seed + 100) ~n ~capacity:16 () in
@@ -103,7 +103,7 @@ let prop_estimators_sound =
    decision of its own, and a job may start there, at its submit. *)
 let prop_tie_heavy_schedules_validate =
   QCheck.Test.make ~name:"grid-aligned traces: schedules validate"
-    ~count:10 QCheck.small_int
+    ~count:10 QCheck.int
     (fun seed ->
       List.for_all
         (fun jitter ->

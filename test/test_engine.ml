@@ -60,12 +60,11 @@ let test_jobs_start_after_submit () =
     result.Sim.Engine.outcomes
 
 let test_requested_runtime_kills () =
-  (* a job whose requested limit is below its runtime is cut short *)
+  (* a job that uses its whole requested limit runs to it; [Job.v]
+     rejects a runtime above the limit *)
   let job = Workload.Job.v ~id:0 ~submit:0.0 ~nodes:1 ~runtime:100.0
       ~requested:100.0
   in
-  (* simulate via SWF-style trace where requested < runtime is possible:
-     construct directly through Engine with min() semantics *)
   let trace = Workload.Trace.v [ job ] in
   let result = simulate ~policy:Sched.Backfill.fcfs trace in
   match result.Sim.Engine.outcomes with
@@ -123,7 +122,15 @@ let test_windowed_queue_average () =
   Alcotest.(check (float 1e-9)) "straddling window" 2.0
     (Sim.Engine.windowed_queue_average samples ~from_:15.0 ~upto:25.0);
   Alcotest.(check (float 1e-9)) "empty" 0.0
-    (Sim.Engine.windowed_queue_average [] ~from_:0.0 ~upto:10.0)
+    (Sim.Engine.windowed_queue_average [] ~from_:0.0 ~upto:10.0);
+  (* decisions after the window add nothing *)
+  Alcotest.(check (float 1e-9)) "samples past the window" 3.0
+    (Sim.Engine.windowed_queue_average
+       [ { Sim.Engine.time = 0.0; length = 2 };
+         { Sim.Engine.time = 10.0; length = 4 };
+         { Sim.Engine.time = 30.0; length = 0 };
+         { Sim.Engine.time = 40.0; length = 0 } ]
+       ~from_:0.0 ~upto:20.0)
 
 let test_run_wrapper_windows () =
   let trace = Helpers.mini_trace ~seed:6 ~n:40 ~horizon:7200.0 () in
@@ -421,6 +428,56 @@ let test_outcomes_in_start_order () =
        result.outcomes);
   Alcotest.(check bool) "starts non-decreasing" true (starts_sorted result)
 
+(* The reported average queue length against an independent count: a
+   job waits over [submit, start), so the time-weighted queue over the
+   window is the sum of those spans' overlaps with it, over its length.
+   The window ends well before the last decision. *)
+let test_queue_average_is_waiting_count () =
+  let trace = Helpers.mini_trace ~seed:11 ~n:60 () in
+  let from_ = 1000.0 and upto = 5000.0 in
+  let windowed =
+    Workload.Trace.v
+      (Array.to_list (Workload.Trace.jobs trace))
+      ~measure_start:from_ ~measure_end:upto
+  in
+  List.iter
+    (fun make ->
+      let policy = make () in
+      let outcomes =
+        (Sim.Engine.run ~machine:machine16 ~r_star:Sim.Engine.Actual
+           ~policy:(make ()) windowed)
+          .outcomes
+      in
+      let waiting =
+        List.fold_left
+          (fun acc (o : Metrics.Outcome.t) ->
+            let submit = o.job.Workload.Job.submit in
+            let overlap = Float.min upto o.start -. Float.max from_ submit in
+            acc +. Float.max 0.0 overlap)
+          0.0 outcomes
+      in
+      let run =
+        Sim.Run.simulate ~machine:machine16 ~r_star:Sim.Engine.Actual ~policy
+          windowed
+      in
+      Alcotest.(check bool)
+        (policy.Sched.Policy.name ^ ": decisions after the window")
+        true
+        (List.exists
+           (fun (o : Metrics.Outcome.t) -> o.start > upto)
+           outcomes);
+      Alcotest.(check (float 1e-9))
+        (policy.Sched.Policy.name ^ ": submitted minus started")
+        (waiting /. (upto -. from_))
+        run.Sim.Run.aggregate.Metrics.Aggregate.avg_queue_length)
+    [
+      (fun () -> Sched.Backfill.fcfs);
+      (fun () ->
+        fst
+          (Core.Search_policy.policy
+             (Core.Search_policy.dds_lxf_dynb ~budget:1000)));
+    ]
+
 let suite =
   [
     Alcotest.test_case "every job runs once" `Quick test_every_job_runs_once;
@@ -460,4 +517,6 @@ let suite =
       test_outcomes_in_start_order;
     Alcotest.test_case "non-waiting start rejected" `Quick
       test_non_waiting_start_rejected;
+    Alcotest.test_case "queue average = submitted minus started" `Quick
+      test_queue_average_is_waiting_count;
   ]

@@ -133,12 +133,12 @@ let test_fairshare_flips_a_decision () =
   let machine = Cluster.Machine.v ~nodes:8 in
   let config =
     Core.Search_policy.v ~fairshare:2.0 ~algorithm:Core.Search.Dds
-      ~heuristic:Core.Branching.Lxf
+      ~heuristic:Sched.Priority.lxf
       ~bound:(Core.Bound.fixed_hours 1.0) ~budget:100 ()
   in
   let plain =
     Core.Search_policy.v ~algorithm:Core.Search.Dds
-      ~heuristic:Core.Branching.Lxf
+      ~heuristic:Sched.Priority.lxf
       ~bound:(Core.Bound.fixed_hours 1.0) ~budget:100 ()
   in
   let first_started policy_config =

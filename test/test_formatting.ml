@@ -39,7 +39,7 @@ let test_backfill_reservation_name () =
 let test_lds0_policy_name () =
   let config =
     Core.Search_policy.v ~algorithm:Core.Search.Lds_original
-      ~heuristic:Core.Branching.Lxf ~bound:Core.Bound.dynamic ~budget:2000 ()
+      ~heuristic:Sched.Priority.lxf ~bound:Core.Bound.dynamic ~budget:2000 ()
   in
   Alcotest.(check string) "lds0 label" "LDS0/lxf/dynB(L=2K)"
     (Core.Search_policy.name config)

@@ -145,7 +145,7 @@ let test_run_now_policy () =
    job beyond its reservation. *)
 let prop_backfill_preserves_reservation =
   QCheck.Test.make ~name:"backfill never delays the reservation" ~count:200
-    QCheck.(small_int)
+    QCheck.int
     (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let capacity = 16 in
@@ -182,7 +182,7 @@ let prop_backfill_preserves_reservation =
    submit-ordered and shuffled queues under every priority. *)
 let prop_sort_skip_matches_sort =
   QCheck.Test.make ~name:"plan with sort skip = plan after stable_sort"
-    ~count:200 QCheck.small_int (fun seed ->
+    ~count:200 QCheck.int (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let capacity = 16 + Simcore.Rng.int rng 113 in
       let now = 5000.0 in
@@ -349,7 +349,7 @@ let random_decision_context rng =
 (* Properties: policies that differ only in which blocked jobs they
    reserve decide identically when their reservation rules coincide. *)
 let decides_as ~name a b =
-  QCheck.Test.make ~name ~count:200 QCheck.small_int (fun seed ->
+  QCheck.Test.make ~name ~count:200 QCheck.int (fun seed ->
       let ctx = random_decision_context (Simcore.Rng.create ~seed) in
       let ids p =
         List.map (fun (j : Workload.Job.t) -> j.id) (p.Policy.decide ctx)

@@ -8,7 +8,9 @@ let r_star (j : Workload.Job.t) = j.runtime
 let make_state ?(now = 0.0) ?(capacity = 8) ?(releases = [])
     ?(bound = Bound.fixed_hours 1e6) ?on_place ~heuristic jobs =
   let profile = Cluster.Profile.of_running ~now ~capacity releases in
-  let ordered = Branching.order heuristic ~now ~r_star jobs in
+  let ordered =
+    Array.of_list (Sched.Priority.order heuristic ~now ~r_star jobs)
+  in
   let durations = Array.map r_star ordered in
   let thresholds = Bound.thresholds bound ~now ~r_star ordered in
   Search_state.create ?on_place ~now ~profile ~jobs:ordered
@@ -43,7 +45,7 @@ let test_place_semantics () =
     [ Helpers.job ~id:0 ~nodes:8 ~runtime:100.0 ();
       Helpers.job ~id:1 ~submit:1.0 ~nodes:8 ~runtime:50.0 () ]
   in
-  let state = make_state ~heuristic:Branching.Fcfs jobs in
+  let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
   Search_state.place state ~depth:0 ~job:0;
   let s0 = Search_state.start_at state ~depth:0 in
   Search_state.place state ~depth:1 ~job:1;
@@ -59,7 +61,7 @@ let test_place_order_changes_starts () =
     [ Helpers.job ~id:0 ~nodes:8 ~runtime:100.0 ();
       Helpers.job ~id:1 ~submit:1.0 ~nodes:8 ~runtime:50.0 () ]
   in
-  let state = make_state ~heuristic:Branching.Fcfs jobs in
+  let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
   Search_state.place state ~depth:0 ~job:1;
   let s1 = Search_state.start_at state ~depth:0 in
   Search_state.place state ~depth:1 ~job:0;
@@ -77,7 +79,7 @@ let test_backfill_within_path () =
       Helpers.job ~id:2 ~submit:2.0 ~nodes:8 ~runtime:10.0 () ]
   in
   let state =
-    make_state ~capacity:16 ~heuristic:Branching.Fcfs jobs
+    make_state ~capacity:16 ~heuristic:Sched.Priority.fcfs jobs
   in
   Search_state.place state ~depth:0 ~job:0;
   Search_state.place state ~depth:1 ~job:1;
@@ -91,7 +93,7 @@ let test_unplace_restores () =
   let jobs =
     [ Helpers.job ~id:0 ~nodes:4 (); Helpers.job ~id:1 ~submit:1.0 ~nodes:4 () ]
   in
-  let state = make_state ~heuristic:Branching.Fcfs jobs in
+  let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
   Search_state.place state ~depth:0 ~job:0;
   Search_state.place state ~depth:1 ~job:1;
   Search_state.unplace state ~depth:1;
@@ -104,7 +106,7 @@ let test_unused_walk () =
   let jobs =
     List.init 3 (fun id -> Helpers.job ~id ~submit:(float_of_int id) ())
   in
-  let state = make_state ~heuristic:Branching.Fcfs jobs in
+  let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
   Search_state.place state ~depth:0 ~job:1;
   let first = Search_state.first_unused state in
   Alcotest.(check int) "rank 0" 0 first;
@@ -118,7 +120,7 @@ let test_start_now_set () =
     [ Helpers.job ~id:0 ~nodes:8 ~runtime:100.0 ();
       Helpers.job ~id:1 ~submit:1.0 ~nodes:8 ~runtime:50.0 () ]
   in
-  let state = make_state ~heuristic:Branching.Fcfs jobs in
+  let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
   let result = Search.run Search.Dfs ~budget:max_int state in
   let started =
     Search_state.start_now_set state ~order:result.Search.best_order
@@ -188,7 +190,10 @@ let test_search_restores_owned_profile () =
         Cluster.Profile.of_running ~now ~capacity:8 (random_releases rng)
       in
       let before = Cluster.Profile.segments profile in
-      let ordered = Branching.order Branching.Lxf ~now ~r_star jobs in
+      let ordered =
+        Array.of_list
+          (Sched.Priority.order Sched.Priority.lxf ~now ~r_star jobs)
+      in
       let state =
         Search_state.create ~now ~profile ~jobs:ordered
           ~durations:(Array.map r_star ordered)
@@ -212,7 +217,7 @@ let test_misuse_asserts () =
   in
   if asserts_on then begin
     let state =
-      make_state ~heuristic:Branching.Fcfs
+      make_state ~heuristic:Sched.Priority.fcfs
         [ Helpers.job ~id:0 (); Helpers.job ~id:1 ~submit:1.0 () ]
     in
     let trips f =
@@ -236,7 +241,7 @@ let exhaustive_equals_bruteforce algo seed =
   let releases = random_releases rng in
   let make () =
     make_state ~now:1100.0 ~releases ~bound:(Bound.fixed_hours 0.5)
-      ~heuristic:Branching.Lxf jobs
+      ~heuristic:Sched.Priority.lxf jobs
   in
   let result = Search.run algo ~budget:max_int (make ()) in
   let brute = brute_force_best (make ()) in
@@ -244,34 +249,34 @@ let exhaustive_equals_bruteforce algo seed =
 
 let prop_dfs_optimal =
   QCheck.Test.make ~name:"exhaustive DFS = brute force" ~count:60
-    QCheck.small_int
+    QCheck.int
     (exhaustive_equals_bruteforce Search.Dfs)
 
 let prop_lds_optimal =
   QCheck.Test.make ~name:"exhaustive LDS = brute force" ~count:60
-    QCheck.small_int
+    QCheck.int
     (exhaustive_equals_bruteforce Search.Lds)
 
 let prop_dds_optimal =
   QCheck.Test.make ~name:"exhaustive DDS = brute force" ~count:60
-    QCheck.small_int
+    QCheck.int
     (exhaustive_equals_bruteforce Search.Dds)
 
 let prop_lds_original_optimal =
   QCheck.Test.make ~name:"exhaustive original LDS = brute force" ~count:40
-    QCheck.small_int
+    QCheck.int
     (exhaustive_equals_bruteforce Search.Lds_original)
 
 let prop_prune_preserves_best =
   QCheck.Test.make ~name:"branch-and-bound preserves the optimum" ~count:60
-    QCheck.small_int
+    QCheck.int
     (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let n = 2 + Simcore.Rng.int rng 4 in
       let jobs = random_jobs rng n in
       let make () =
         make_state ~now:1100.0 ~bound:(Bound.fixed_hours 0.5)
-          ~heuristic:Branching.Lxf jobs
+          ~heuristic:Sched.Priority.lxf jobs
       in
       let plain = Search.run Search.Dds ~budget:max_int (make ()) in
       let pruned =
@@ -302,7 +307,9 @@ let trail_matches_snapshot_replay seed =
     (fun algo ->
       List.for_all
         (fun heuristic ->
-          let ordered = Branching.order heuristic ~now ~r_star jobs in
+          let ordered =
+            Array.of_list (Sched.Priority.order heuristic ~now ~r_star jobs)
+          in
           let shape i =
             (ordered.(i).Workload.Job.nodes, Float.max 1.0 (r_star ordered.(i)))
           in
@@ -326,13 +333,13 @@ let trail_matches_snapshot_replay seed =
           in
           ignore (Search.run algo ~budget state);
           !agreed)
-        [ Branching.Fcfs; Branching.Lxf ])
+        [ Sched.Priority.fcfs; Sched.Priority.lxf ])
     [ Search.Dfs; Search.Lds; Search.Lds_original; Search.Dds ]
 
 let prop_trail_snapshot_equivalent =
   QCheck.Test.make
     ~name:"trail = snapshot (4 algorithms x 2 heuristics, n <= 12)"
-    ~count:40 QCheck.small_int trail_matches_snapshot_replay
+    ~count:40 QCheck.int trail_matches_snapshot_replay
 
 (* --- visit order vs the Tree_enum specification --- *)
 
@@ -370,7 +377,7 @@ let visit_order_matches_spec seed =
       let placed = ref [] in
       let on_place ~depth ~job ~start:_ = placed := (depth, job) :: !placed in
       let state =
-        make_state ~now:1100.0 ~on_place ~heuristic:Branching.Lxf jobs
+        make_state ~now:1100.0 ~on_place ~heuristic:Sched.Priority.lxf jobs
       in
       ignore (Search.run algo ~budget:max_int state);
       let heuristic_path = List.init n Fun.id in
@@ -391,7 +398,7 @@ let visit_order_matches_spec seed =
 
 let prop_visit_order_matches_spec =
   QCheck.Test.make ~name:"visit order = Tree_enum (4 algorithms, n <= 6)"
-    ~count:60 QCheck.small_int visit_order_matches_spec
+    ~count:60 QCheck.int visit_order_matches_spec
 
 let test_reset_after_budget_spent () =
   (* A budget abort unwinds through Budget_spent and Search.run resets
@@ -401,7 +408,7 @@ let test_reset_after_budget_spent () =
      objectives stale. *)
   let rng = Simcore.Rng.create ~seed:11 in
   let jobs = random_jobs rng 8 in
-  let reused = make_state ~heuristic:Branching.Lxf jobs in
+  let reused = make_state ~heuristic:Sched.Priority.lxf jobs in
   let r1 = Search.run Search.Dds ~budget:100 reused in
   Alcotest.(check bool) "first run aborted" false r1.Search.exhausted;
   for depth = 0 to 7 do
@@ -418,7 +425,8 @@ let test_reset_after_budget_spent () =
   Alcotest.(check int) "unused list rebuilt" 0 (Search_state.first_unused reused);
   let r2 = Search.run Search.Dds ~budget:200 reused in
   let control =
-    Search.run Search.Dds ~budget:100 (make_state ~heuristic:Branching.Lxf jobs)
+    Search.run Search.Dds ~budget:100
+      (make_state ~heuristic:Sched.Priority.lxf jobs)
   in
   Alcotest.(check int) "same nodes as a fresh state" 200
     r2.Search.nodes_visited;
@@ -432,7 +440,7 @@ let test_reset_after_budget_spent () =
 let test_budget_enforced () =
   let rng = Simcore.Rng.create ~seed:3 in
   let jobs = random_jobs rng 7 in
-  let state = make_state ~heuristic:Branching.Lxf jobs in
+  let state = make_state ~heuristic:Sched.Priority.lxf jobs in
   let result = Search.run Search.Dds ~budget:50 state in
   Alcotest.(check bool) "stops at the budget" true
     (result.Search.nodes_visited <= 50);
@@ -441,7 +449,7 @@ let test_budget_enforced () =
 let test_iteration0_exempt_from_budget () =
   let rng = Simcore.Rng.create ~seed:4 in
   let jobs = random_jobs rng 6 in
-  let state = make_state ~heuristic:Branching.Fcfs jobs in
+  let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
   (* budget smaller than one full path: the heuristic path must still
      be evaluated *)
   let result = Search.run Search.Dds ~budget:2 state in
@@ -455,7 +463,7 @@ let test_exhausted_leaf_count () =
   let jobs = random_jobs rng 4 in
   List.iter
     (fun (algo, expected) ->
-      let state = make_state ~heuristic:Branching.Fcfs jobs in
+      let state = make_state ~heuristic:Sched.Priority.fcfs jobs in
       let result = Search.run algo ~budget:max_int state in
       Alcotest.(check int)
         (Search.algorithm_name algo ^ " visits all leaves")
@@ -469,7 +477,7 @@ let test_search_deterministic () =
   let rng = Simcore.Rng.create ~seed:6 in
   let jobs = random_jobs rng 8 in
   let run () =
-    let state = make_state ~heuristic:Branching.Lxf jobs in
+    let state = make_state ~heuristic:Sched.Priority.lxf jobs in
     Search.run Search.Dds ~budget:500 state
   in
   let a = run () and b = run () in
@@ -482,7 +490,7 @@ let test_search_deterministic () =
     (Objective.compare a.Search.best b.Search.best)
 
 let test_empty_state_rejected () =
-  let state = make_state ~heuristic:Branching.Fcfs [] in
+  let state = make_state ~heuristic:Sched.Priority.fcfs [] in
   Alcotest.check_raises "no jobs" (Invalid_argument "Search.run: no waiting jobs")
     (fun () -> ignore (Search.run Search.Dds ~budget:10 state))
 
@@ -500,7 +508,7 @@ let test_dds_beats_lds_to_root_discrepancies () =
   in
   let state () =
     make_state ~now:10.0 ~capacity:8 ~bound:(Bound.Fixed 0.0)
-      ~heuristic:Branching.Fcfs jobs
+      ~heuristic:Sched.Priority.fcfs jobs
   in
   (* budget: heuristic path (6) + one more path (<= 6 nodes) *)
   let dds = Search.run Search.Dds ~budget:13 (state ()) in
@@ -555,7 +563,9 @@ let starts_clear_of_now seed =
              else 1.0 +. Simcore.Rng.float rng 7200.0)
           ())
   in
-  let ordered = Branching.order Branching.Lxf ~now ~r_star jobs in
+  let ordered =
+    Array.of_list (Sched.Priority.order Sched.Priority.lxf ~now ~r_star jobs)
+  in
   let clear = ref true in
   let check s =
     if not (s = now || s >= now +. Cluster.Running_set.overdue_grace) then
@@ -580,7 +590,7 @@ let starts_clear_of_now seed =
 
 let prop_starts_clear_of_now =
   QCheck.Test.make ~name:"starts are now or past the overdue grace"
-    ~count:300 QCheck.small_int starts_clear_of_now
+    ~count:300 QCheck.int starts_clear_of_now
 
 let suite =
   [

@@ -14,7 +14,7 @@ let test_names () =
   Alcotest.(check string) "headline policy name" "DDS/lxf/dynB(L=1K)"
     (Search_policy.name (Search_policy.dds_lxf_dynb ~budget:1000));
   let lds =
-    Search_policy.v ~algorithm:Search.Lds ~heuristic:Branching.Fcfs
+    Search_policy.v ~algorithm:Search.Lds ~heuristic:Sched.Priority.fcfs
       ~bound:(Bound.fixed_hours 50.0) ~budget:2000 ()
   in
   Alcotest.(check string) "lds fixed-bound name" "LDS/fcfs/w=50h(L=2K)"
@@ -35,7 +35,7 @@ let test_invalid_budget () =
   Alcotest.check_raises "budget >= 1"
     (Invalid_argument "Search_policy.v: budget must be >= 1") (fun () ->
       ignore
-        (Search_policy.v ~algorithm:Search.Dds ~heuristic:Branching.Lxf
+        (Search_policy.v ~algorithm:Search.Dds ~heuristic:Sched.Priority.lxf
            ~bound:Bound.dynamic ~budget:0 ()))
 
 let test_empty_queue () =
@@ -84,7 +84,7 @@ let test_empty_queue_resets_probe () =
    state clean. *)
 let prop_local_search_never_worse =
   QCheck.Test.make ~name:"local search never worsens the schedule" ~count:60
-    QCheck.small_int
+    QCheck.int
     (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let n = 3 + Simcore.Rng.int rng 5 in
@@ -98,7 +98,8 @@ let prop_local_search_never_worse =
       in
       let profile = Cluster.Profile.create ~now:600.0 ~capacity:8 in
       let ordered =
-        Branching.order Branching.Lxf ~now:600.0 ~r_star jobs
+        Array.of_list
+          (Sched.Priority.order Sched.Priority.lxf ~now:600.0 ~r_star jobs)
       in
       let durations = Array.map r_star ordered in
       let thresholds =
@@ -125,7 +126,10 @@ let test_local_search_finds_swap () =
       Helpers.job ~id:1 ~submit:1.0 ~nodes:1 ~runtime:60.0 () ]
   in
   let profile = Cluster.Profile.create ~now:10.0 ~capacity:8 in
-  let ordered = Branching.order Branching.Fcfs ~now:10.0 ~r_star jobs in
+  let ordered =
+    Array.of_list
+      (Sched.Priority.order Sched.Priority.fcfs ~now:10.0 ~r_star jobs)
+  in
   let durations = Array.map r_star ordered in
   let thresholds = Bound.thresholds (Bound.Fixed 0.0) ~now:10.0 ~r_star ordered in
   let state =
@@ -146,7 +150,7 @@ let test_local_search_finds_swap () =
    through a polymorphic array with polymorphic compare measured 29,
    and [Array.sort] with a comparator that recomputes the expansion
    factors 40, so the bound of 16 fails either.  An already
-   FCFS-ordered queue comes back as is, so [Branching.order] allocates
+   FCFS-ordered queue comes back as is, so the search's order allocates
    exactly what [Array.of_list] does for its returned array. *)
 let test_order_allocation () =
   let n = 64 in
@@ -165,7 +169,9 @@ let test_order_allocation () =
     Gc.minor_words () -. before
   in
   let lxf_words =
-    words_of (fun () -> Branching.order Branching.Lxf ~now ~r_star queue)
+    words_of (fun () ->
+        Array.of_list
+          (Sched.Priority.order Sched.Priority.lxf ~now ~r_star queue))
   in
   let per_job = lxf_words /. Float.of_int n in
   Alcotest.(check bool)
@@ -173,7 +179,9 @@ let test_order_allocation () =
     true (per_job <= 16.0);
   Alcotest.(check (float 0.0)) "FCFS order: only the returned array"
     (words_of (fun () -> Array.of_list queue))
-    (words_of (fun () -> Branching.order Branching.Fcfs ~now ~r_star queue));
+    (words_of (fun () ->
+         Array.of_list
+           (Sched.Priority.order Sched.Priority.fcfs ~now ~r_star queue)));
   Alcotest.(check (float 0.0)) "FCFS Priority.order: nothing" 0.0
     (words_of (fun () -> Sched.Priority.order Sched.Priority.fcfs ~now ~r_star queue))
 

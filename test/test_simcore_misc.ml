@@ -47,7 +47,7 @@ let test_rng_split_independent () =
 
 let prop_rng_int_range =
   QCheck.Test.make ~name:"Rng.int in [0, n)" ~count:500
-    QCheck.(pair small_int (int_bound 1000))
+    QCheck.(pair int (int_bound 1000))
     (fun (seed, n) ->
       let n = n + 1 in
       let rng = Rng.create ~seed in
@@ -55,7 +55,7 @@ let prop_rng_int_range =
       v >= 0 && v < n)
 
 let prop_rng_unit_float =
-  QCheck.Test.make ~name:"Rng.unit_float in [0,1)" ~count:500 QCheck.small_int
+  QCheck.Test.make ~name:"Rng.unit_float in [0,1)" ~count:500 QCheck.int
     (fun seed ->
       let rng = Rng.create ~seed in
       let v = Rng.unit_float rng in

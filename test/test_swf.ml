@@ -198,7 +198,7 @@ let prop_roundtrip =
   (* of_file (to_file t) = t modulo the writer's whole-second rounding
      and id renumbering *)
   QCheck.Test.make ~name:"SWF roundtrip preserves every job" ~count:50
-    QCheck.small_int (fun seed ->
+    QCheck.int (fun seed ->
       let t = Helpers.mini_trace ~n:25 ~capacity:64 ~seed () in
       let path = Filename.temp_file "swf_prop" ".swf" in
       Fun.protect

@@ -95,8 +95,9 @@ let test_probe_matches_result () =
   let ctx = context ~seed:5 ~n:12 in
   ignore (policy.Sched.Policy.decide ctx);
   let jobs =
-    Core.Branching.order Core.Branching.Lxf ~now:ctx.now ~r_star:ctx.r_star
-      ctx.waiting
+    Array.of_list
+      (Sched.Priority.order Sched.Priority.lxf ~now:ctx.now ~r_star:ctx.r_star
+         ctx.waiting)
   in
   let state =
     Core.Search_state.create ~now:ctx.now
@@ -163,7 +164,7 @@ let test_probe_counts_local_search () =
   let policy, stats =
     Core.Search_policy.policy
       (Core.Search_policy.v ~local_search:true ~algorithm:Core.Search.Dds
-         ~heuristic:Core.Branching.Lxf ~bound:Core.Bound.dynamic ~budget ())
+         ~heuristic:Sched.Priority.lxf ~bound:Core.Bound.dynamic ~budget ())
   in
   let log = Sim.Decision_log.create ~policy:policy.Sched.Policy.name () in
   let metrics = M.create () in

@@ -138,7 +138,7 @@ let test_trace_scale_load () =
    planted duplicate id. *)
 let prop_trace_v_matches_reference =
   QCheck.Test.make ~name:"Trace.v = sort + Set duplicate check" ~count:500
-    QCheck.small_int (fun seed ->
+    QCheck.int (fun seed ->
       let rng = Simcore.Rng.create ~seed in
       let n = Simcore.Rng.int rng 40 in
       let shuffle a =
