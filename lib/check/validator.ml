@@ -47,7 +47,7 @@ let each_instant ~(jobs : Workload.Job.t array)
   and finish (o : Metrics.Outcome.t) = o.finish
   and start (o : Metrics.Outcome.t) = o.start in
   let head a time i = if i < Array.length a then time a.(i) else infinity in
-  let rec upto a time t i =
+  let rec upto a time (t : float) i =
     if i < Array.length a && time a.(i) = t then upto a time t (i + 1) else i
   in
   let rec go a d s =
@@ -147,7 +147,7 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
           violate "capacity" ~time:t ~jobs:[ o.job.id ]
             (sprintf "%d nodes in use on a %d-node machine" !used capacity)
       done);
-  let legal = !violations = [] in
+  let legal = List.is_empty !violations in
   (* --- differential replay of the EASY backfill engine, over the same
      instants: on a legal schedule each one is a decision point.  The
      replay calls [Sched.Backfill.plan] itself, so it checks that a
@@ -201,9 +201,9 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
             let actual_ids =
               List.map (fun (o : Metrics.Outcome.t) -> o.job.id) actual
             in
-            if planned_ids <> actual_ids then
+            if not (List.equal Int.equal planned_ids actual_ids) then
               violate "backfill-differential" ~time:now
-                ~jobs:(List.sort_uniq compare (planned_ids @ actual_ids))
+                ~jobs:(List.sort_uniq Int.compare (planned_ids @ actual_ids))
                 (sprintf "reference plan starts [%s], schedule starts [%s]"
                    (pp_ids planned_ids) (pp_ids actual_ids));
             (* A promise [p] inside the running set's grace after [now]
@@ -226,10 +226,11 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                              promised);
                       Hashtbl.replace promises j.id (Float.min p promised))
                 plan.Sched.Backfill.reserved;
-            if actual <> [] then
+            if not (List.is_empty actual) then
               waiting :=
                 List.filter
-                  (fun (w : Workload.Job.t) -> not (List.mem w.id actual_ids))
+                  (fun (w : Workload.Job.t) ->
+                    not (List.exists (Int.equal w.id) actual_ids))
                   !waiting;
             List.iter
               (fun (o : Metrics.Outcome.t) ->

@@ -1,4 +1,4 @@
-let queue_rank ~boundaries r =
+let queue_rank ~boundaries (r : float) =
   let rec scan i = function
     | [] -> i
     | b :: rest -> if r <= b then i else scan (i + 1) rest

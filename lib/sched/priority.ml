@@ -48,8 +48,10 @@ let rec submit_ordered prev = function
 
 (* Whether [jobs], preceded by [prev] with key [kprev], is already in
    order.  Computes each key once and allocates nothing beyond the
-   keys' boxes. *)
-let rec in_order key ~now ~r_star prev kprev = function
+   keys' boxes.  [kprev] is typed [float] so that the key compares are
+   float compares, not calls to the polymorphic [caml_lessthan] and
+   [caml_equal]. *)
+let rec in_order key ~now ~r_star prev (kprev : float) = function
   | [] -> true
   | j :: rest ->
       let k = key ~now ~r_star j in

@@ -16,7 +16,10 @@ let base =
 let grid ~limit =
   Array.of_list (List.filter (fun v -> v < limit) base @ [ limit ])
 
-let rec first_at_least ~limit r = function
+(* [limit] and [r] are typed [float] so that each step compares floats
+   inline; untyped, both compares are calls to the polymorphic
+   [caml_lessthan] and [caml_greaterequal]. *)
+let rec first_at_least ~(limit : float) (r : float) = function
   | b :: rest when b < limit ->
       if b >= r then b else first_at_least ~limit r rest
   | _ -> limit

@@ -27,27 +27,67 @@ let rate t =
   in
   weekly *. diurnal
 
-(* Merge sort on float arrays, so no comparison boxes an element as
-   [Array.stable_sort]'s closure does.  [sort src dst lo hi] sorts
-   [\[lo, hi)] into [dst] using [src], equal there, as scratch. *)
+(* Stable sort of a NaN-free float array, equal to [Array.stable_sort
+   Float.compare].  The arrival targets are uniform, so one stable
+   counting pass into [n] equal-width buckets over [\[lo, hi\]] leaves
+   a few elements per bucket, and an insertion sort over the whole
+   array then moves elements only within their bucket: the bucket index
+   is monotone in the value, so an element of a lower bucket is
+   strictly smaller than any of a higher one.  Equal values ([-0.] and
+   [0.] too) share a bucket and never pass each other.  Returns [false],
+   with [a] untouched, when a bucket holds more than [crowded]
+   elements: the insertion sort would be quadratic. *)
+let bucket_sort (a : float array) ~lo ~scale =
+  let n = Array.length a in
+  let crowded = 64 in
+  let bucket x = Int.min (n - 1) (int_of_float ((x -. lo) *. scale)) in
+  (* [next.(b + 1)] counts bucket [b]; after the prefix sums [next.(b)]
+     is the next free slot of bucket [b]. *)
+  let next = Array.make (n + 1) 0 in
+  let even = ref true in
+  for i = 0 to n - 1 do
+    let b = bucket a.(i) + 1 in
+    next.(b) <- next.(b) + 1;
+    if next.(b) > crowded then even := false
+  done;
+  if !even then begin
+    for b = 1 to n do
+      next.(b) <- next.(b) + next.(b - 1)
+    done;
+    let src = Array.copy a in
+    for i = 0 to n - 1 do
+      let x = src.(i) in
+      let b = bucket x in
+      a.(next.(b)) <- x;
+      next.(b) <- next.(b) + 1
+    done;
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  end;
+  !even
+
+(* An array of equal values is already sorted.  A range too wide or
+   too narrow for a finite, positive bucket scale, and a crowded
+   bucket, take the library sort. *)
 let sort_floats (a : float array) =
-  let rec sort (src : float array) (dst : float array) lo hi =
-    if hi - lo > 1 then begin
-      let mid = (lo + hi) / 2 in
-      sort dst src lo mid;
-      sort dst src mid hi;
-      let i = ref lo and j = ref mid in
-      for k = lo to hi - 1 do
-        if !i < mid && (!j >= hi || src.(!i) <= src.(!j)) then (
-          dst.(k) <- src.(!i);
-          incr i)
-        else (
-          dst.(k) <- src.(!j);
-          incr j)
-      done
-    end
-  in
-  sort (Array.copy a) a 0 (Array.length a)
+  let lo = ref infinity and hi = ref neg_infinity in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) in
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
+  done;
+  if !hi > !lo then begin
+    let scale = float_of_int (Array.length a) /. (!hi -. !lo) in
+    if not (scale > 0.0 && scale < infinity && bucket_sort a ~lo:!lo ~scale)
+    then Array.stable_sort Float.compare a
+  end
 
 let arrival_times rng ~origin ~span ~count =
   (* Hourly piecewise-constant rate; inverse-CDF sampling gives exactly
@@ -108,9 +148,9 @@ let bucket_bounds ~limit = function
   | 2 -> (Units.hours 5.0, limit)
   | i -> invalid_arg (Printf.sprintf "Generator.bucket_bounds: %d" i)
 
-let draw_bucket rng profile node_class =
-  let p_short = Month_profile.short_given_class profile node_class in
-  let p_long = Month_profile.long_given_class profile node_class in
+(* [short] and [long] are the month's {!Month_profile.class_tables}. *)
+let draw_bucket rng ~(short : float array) ~(long : float array) node_class =
+  let p_short = short.(node_class) and p_long = long.(node_class) in
   let u = Rng.unit_float rng in
   if u < p_short then 0 else if u < p_short +. p_long then 2 else 1
 
@@ -137,10 +177,11 @@ let draw_protos rng profile ~limit count =
         let lo, hi = bucket_bounds ~limit b in
         Dist.log_uniform ~lo ~hi)
   in
+  let short, long = Month_profile.class_tables profile in
   for i = 0 to count - 1 do
     let range = draw_range rng in
     let nodes = draw_nodes rng ~range in
-    let bucket = draw_bucket rng profile (Job.node_class5 nodes) in
+    let bucket = draw_bucket rng ~short ~long (Job.node_class5 nodes) in
     protos.range.(i) <- range;
     protos.nodes.(i) <- nodes;
     protos.bucket.(i) <- bucket;
@@ -167,10 +208,13 @@ let calibrate ~profile ~total_target p =
       achieved.(r) <-
         achieved.(r) +. (float_of_int p.nodes.(i) *. p.runtime.(i))
     done;
+    let factors =
+      Array.init 8 (fun r -> fractions.(r) *. total_target /. achieved.(r))
+    in
     for i = 0 to Array.length p.runtime - 1 do
       let r = p.range.(i) in
       if achieved.(r) > 0.0 then begin
-        let factor = fractions.(r) *. total_target /. achieved.(r) in
+        let factor = factors.(r) in
         let b = p.bucket.(i) in
         p.runtime.(i) <-
           Float.max lows.(b) (Float.min highs.(b) (p.runtime.(i) *. factor))

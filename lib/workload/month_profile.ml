@@ -97,6 +97,9 @@ let long_given_class m c =
   let long = conditional m.long5.(c) (jobs5 m).(c) in
   Float.min long (1.0 -. short)
 
+let class_tables m =
+  (Array.init 5 (short_given_class m), Array.init 5 (long_given_class m))
+
 let pp fmt m =
   Format.fprintf fmt "%s: %d jobs, load %.0f%%, limit %a" m.label m.n_jobs
     (100.0 *. m.load) Simcore.Units.pp_duration m.runtime_limit

@@ -41,4 +41,10 @@ val long_given_class : t -> int -> float
 (** [long_given_class m c] is P(T > 5h | node class c), clamped so that
     together with {!short_given_class} it never exceeds 1. *)
 
+val class_tables : t -> float array * float array
+(** [class_tables m] is [(short, long)] with [short.(c) =
+    short_given_class m c] and [long.(c) = long_given_class m c] for
+    the five classes: the generator builds them once per month and
+    reads one entry of each per job. *)
+
 val pp : Format.formatter -> t -> unit

@@ -9,6 +9,25 @@ let contains haystack needle =
   in
   nn = 0 || scan 0
 
+(* Every qcheck property draws its cases from one fixed seed, so each
+   run of the suite checks the same cases; [QCHECK_SEED=n] draws them
+   from seed [n] instead.  The seed is printed once.  Each property
+   gets a fresh state from the seed, so its cases do not depend on
+   which properties ran before it. *)
+let qcheck_seed =
+  lazy
+    (let seed =
+       Option.value ~default:20050627
+         (Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt)
+     in
+     Printf.printf "qcheck seed: %d (QCHECK_SEED=n to change)\n%!" seed;
+     seed)
+
+let qcheck test =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| Lazy.force qcheck_seed |])
+    test
+
 (* The OpenMetrics exposition of [reg], one line per element. *)
 let openmetrics_lines reg =
   let buf = Buffer.create 1024 in

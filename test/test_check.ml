@@ -471,9 +471,9 @@ let suite =
       test_catches_impostor_backfill;
     Alcotest.test_case "catches a slipped reservation" `Quick
       test_catches_slipped_reservation;
-    QCheck_alcotest.to_alcotest prop_backfill_matches_reference;
-    QCheck_alcotest.to_alcotest prop_search_matches_enumeration;
-    QCheck_alcotest.to_alcotest prop_profile_trail_matches_snapshots;
+    Helpers.qcheck prop_backfill_matches_reference;
+    Helpers.qcheck prop_search_matches_enumeration;
+    Helpers.qcheck prop_profile_trail_matches_snapshots;
     Alcotest.test_case "reference cases reach the width check" `Quick
       test_reference_cases_reach_width_check;
   ]

@@ -277,5 +277,5 @@ let suite =
       test_next_finish_and_empty_pop;
     Alcotest.test_case "departure path allocates nothing" `Quick
       test_departure_path_allocates_nothing;
-    QCheck_alcotest.to_alcotest prop_maintained_profile_matches_reference;
+    Helpers.qcheck prop_maintained_profile_matches_reference;
   ]

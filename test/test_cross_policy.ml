@@ -129,7 +129,7 @@ let prop_tie_heavy_schedules_validate =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_all_policies_sound;
-    QCheck_alcotest.to_alcotest prop_estimators_sound;
-    QCheck_alcotest.to_alcotest prop_tie_heavy_schedules_validate;
+    Helpers.qcheck prop_all_policies_sound;
+    Helpers.qcheck prop_estimators_sound;
+    Helpers.qcheck prop_tie_heavy_schedules_validate;
   ]

@@ -135,14 +135,35 @@ let test_arrival_times_ordered_and_bounded () =
 
 (* --- exactness against the per-draw forms they replaced --- *)
 
-(* Many repeated values, [-0.] beside [0.], and lengths that reach
-   several merge passes. *)
+(* Four shapes.  Many repeated values, [-0.] beside [0.] and a few
+   outliers, which crowd a bucket and take the library sort.  The
+   shape of the arrival targets, which takes the bucket path: up to a
+   few thousand values uniform on [\[0, x)], with exact duplicates
+   (about 40 copies of each) and [-0.]/[0.] among them, too few to
+   crowd a bucket.  Arrays of one value, and of [-0.]/[0.] alone,
+   which need no move. *)
 let float_array_gen =
   QCheck.Gen.(
-    array_size (int_range 0 700)
-      (frequency
-         [ (4, map float_of_int (int_range (-3) 3)); (1, return (-0.0));
-           (2, float_range (-1e6) 1e6) ]))
+    let mixed =
+      array_size (int_range 0 700)
+        (frequency
+           [ (4, map float_of_int (int_range (-3) 3)); (1, return (-0.0));
+             (2, float_range (-1e6) 1e6) ])
+    in
+    let uniform =
+      float_range 1e-3 1e9 >>= fun x ->
+      array_size (int_range 0 3000)
+        (frequency
+           [ (80, float_bound_exclusive x);
+             (19, map (fun k -> x *. float_of_int k /. 16.0) (int_range 1 15));
+             (1, oneofl [ -0.0; 0.0 ]) ])
+    in
+    let constant =
+      float_range (-1e6) 1e6 >>= fun v ->
+      array_size (int_range 0 3000) (return v)
+    in
+    let zeros = array_size (int_range 0 3000) (oneofl [ -0.0; 0.0 ]) in
+    frequency [ (2, mixed); (3, uniform); (1, constant); (1, zeros) ])
 
 let prop_sort_floats_is_stable_sort =
   QCheck.Test.make ~name:"sort_floats = Array.stable_sort Float.compare"
@@ -395,6 +416,28 @@ let test_month_allocation () =
     (Printf.sprintf "%.0f minor words per job <= 163" per_job)
     true (per_job <= 163.0)
 
+(* The generator reads each job's runtime-class probabilities from
+   tables built once per month; they must be the per-call values bit
+   for bit, or every month's runtimes move. *)
+let test_class_tables () =
+  Array.iter
+    (fun (m : Month_profile.t) ->
+      let short, long = Month_profile.class_tables m in
+      Alcotest.(check int) (m.label ^ " short classes") 5 (Array.length short);
+      Alcotest.(check int) (m.label ^ " long classes") 5 (Array.length long);
+      for c = 0 to 4 do
+        let bits = Int64.bits_of_float in
+        Alcotest.(check int64)
+          (Printf.sprintf "%s short %d" m.label c)
+          (bits (Month_profile.short_given_class m c))
+          (bits short.(c));
+        Alcotest.(check int64)
+          (Printf.sprintf "%s long %d" m.label c)
+          (bits (Month_profile.long_given_class m c))
+          (bits long.(c))
+      done)
+    Month_profile.all
+
 let suite =
   [
     Alcotest.test_case "deterministic in seed" `Quick test_deterministic;
@@ -417,9 +460,11 @@ let suite =
     Alcotest.test_case "pinned model fingerprint" `Quick test_pinned_model;
     Alcotest.test_case "pinned rng streams" `Quick test_pinned_rng;
     Alcotest.test_case "month allocation bound" `Quick test_month_allocation;
-    QCheck_alcotest.to_alcotest prop_sort_floats_is_stable_sort;
-    QCheck_alcotest.to_alcotest prop_categorical_table_is_linear_draw;
-    QCheck_alcotest.to_alcotest prop_arrivals_match_binary_search;
+    Helpers.qcheck prop_sort_floats_is_stable_sort;
+    Helpers.qcheck prop_categorical_table_is_linear_draw;
+    Helpers.qcheck prop_arrivals_match_binary_search;
     Alcotest.test_case "pinned backfill-long month" `Quick
       test_pinned_backfill_month;
+    Alcotest.test_case "class tables = per-class draws" `Quick
+      test_class_tables;
   ]

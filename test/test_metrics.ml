@@ -118,5 +118,5 @@ let suite =
     Alcotest.test_case "aggregate empty" `Quick test_aggregate_empty;
     Alcotest.test_case "aggregate p98" `Quick test_aggregate_p98;
     Alcotest.test_case "class matrix" `Quick test_class_matrix;
-    QCheck_alcotest.to_alcotest prop_bounded_slowdown_at_least_one;
+    Helpers.qcheck prop_bounded_slowdown_at_least_one;
   ]

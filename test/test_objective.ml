@@ -215,6 +215,6 @@ let suite =
       test_bound_dynamic_empty_queue;
     Alcotest.test_case "runtime-scaled bound" `Quick test_bound_runtime_scaled;
     Alcotest.test_case "bound names" `Quick test_bound_names;
-    QCheck_alcotest.to_alcotest prop_add_monotone;
-    QCheck_alcotest.to_alcotest prop_leaf_sums_jobs;
+    Helpers.qcheck prop_add_monotone;
+    Helpers.qcheck prop_leaf_sums_jobs;
   ]

@@ -496,12 +496,12 @@ let suite =
     Alcotest.test_case "trail invalid mark" `Quick test_trail_invalid_mark;
     Alcotest.test_case "place_earliest = two-step" `Quick
       test_place_earliest_matches_two_step;
-    QCheck_alcotest.to_alcotest prop_invariant_under_reserves;
-    QCheck_alcotest.to_alcotest prop_earliest_start_is_feasible;
-    QCheck_alcotest.to_alcotest prop_earliest_start_is_minimal;
-    QCheck_alcotest.to_alcotest prop_free_never_negative;
-    QCheck_alcotest.to_alcotest prop_trail_matches_copy_oracle;
-    QCheck_alcotest.to_alcotest prop_place_earliest_equals_two_step;
+    Helpers.qcheck prop_invariant_under_reserves;
+    Helpers.qcheck prop_earliest_start_is_feasible;
+    Helpers.qcheck prop_earliest_start_is_minimal;
+    Helpers.qcheck prop_free_never_negative;
+    Helpers.qcheck prop_trail_matches_copy_oracle;
+    Helpers.qcheck prop_place_earliest_equals_two_step;
     Alcotest.test_case "window scans allocate nothing" `Quick
       test_window_scans_allocate_nothing;
     Alcotest.test_case "shift: insert at every index" `Quick

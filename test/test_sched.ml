@@ -484,12 +484,12 @@ let suite =
       test_backfill_priority_order_matters;
     Alcotest.test_case "policy names" `Quick test_policy_names;
     Alcotest.test_case "run-now policy" `Quick test_run_now_policy;
-    QCheck_alcotest.to_alcotest prop_backfill_preserves_reservation;
-    QCheck_alcotest.to_alcotest prop_sort_skip_matches_sort;
-    QCheck_alcotest.to_alcotest prop_keyed_order_matches_compare;
-    QCheck_alcotest.to_alcotest prop_selective_unreachable_is_run_now;
-    QCheck_alcotest.to_alcotest prop_no_reservation_backfill_is_run_now;
-    QCheck_alcotest.to_alcotest prop_selective_zero_is_conservative;
+    Helpers.qcheck prop_backfill_preserves_reservation;
+    Helpers.qcheck prop_sort_skip_matches_sort;
+    Helpers.qcheck prop_keyed_order_matches_compare;
+    Helpers.qcheck prop_selective_unreachable_is_run_now;
+    Helpers.qcheck prop_no_reservation_backfill_is_run_now;
+    Helpers.qcheck prop_selective_zero_is_conservative;
     Alcotest.test_case "FCFS decide allocation bound" `Quick
       test_fcfs_decide_allocation;
     Alcotest.test_case "wide jobs skip estimated runtime" `Quick

@@ -601,12 +601,12 @@ let suite =
     Alcotest.test_case "unplace restores" `Quick test_unplace_restores;
     Alcotest.test_case "unused-list walk" `Quick test_unused_walk;
     Alcotest.test_case "start_now_set" `Quick test_start_now_set;
-    QCheck_alcotest.to_alcotest prop_dfs_optimal;
-    QCheck_alcotest.to_alcotest prop_lds_optimal;
-    QCheck_alcotest.to_alcotest prop_dds_optimal;
-    QCheck_alcotest.to_alcotest prop_lds_original_optimal;
-    QCheck_alcotest.to_alcotest prop_prune_preserves_best;
-    QCheck_alcotest.to_alcotest prop_trail_snapshot_equivalent;
+    Helpers.qcheck prop_dfs_optimal;
+    Helpers.qcheck prop_lds_optimal;
+    Helpers.qcheck prop_dds_optimal;
+    Helpers.qcheck prop_lds_original_optimal;
+    Helpers.qcheck prop_prune_preserves_best;
+    Helpers.qcheck prop_trail_snapshot_equivalent;
     Alcotest.test_case "reset after budget abort" `Quick
       test_reset_after_budget_spent;
     Alcotest.test_case "budget enforced" `Quick test_budget_enforced;
@@ -617,10 +617,10 @@ let suite =
     Alcotest.test_case "empty state rejected" `Quick test_empty_state_rejected;
     Alcotest.test_case "DDS vs LDS under tiny budget" `Quick
       test_dds_beats_lds_to_root_discrepancies;
-    QCheck_alcotest.to_alcotest prop_visit_order_matches_spec;
+    Helpers.qcheck prop_visit_order_matches_spec;
     Alcotest.test_case "start_now_set is exact" `Quick test_start_now_set_exact;
     Alcotest.test_case "search restores its profile" `Quick
       test_search_restores_owned_profile;
     Alcotest.test_case "misuse trips asserts" `Quick test_misuse_asserts;
-    QCheck_alcotest.to_alcotest prop_starts_clear_of_now;
+    Helpers.qcheck prop_starts_clear_of_now;
   ]

@@ -195,7 +195,7 @@ let suite =
       test_probe_after_decide;
     Alcotest.test_case "empty queue resets probe" `Quick
       test_empty_queue_resets_probe;
-    QCheck_alcotest.to_alcotest prop_local_search_never_worse;
+    Helpers.qcheck prop_local_search_never_worse;
     Alcotest.test_case "local search finds a swap" `Quick
       test_local_search_finds_swap;
     Alcotest.test_case "order allocation bound" `Quick test_order_allocation;

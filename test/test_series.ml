@@ -478,7 +478,7 @@ let suite =
       test_series_time_backwards;
     Alcotest.test_case "excess threshold and summaries" `Quick
       test_series_excess_and_summary;
-    QCheck_alcotest.to_alcotest downsampling_qcheck;
+    Helpers.qcheck downsampling_qcheck;
     Alcotest.test_case "halving to stride 8 matches the model" `Quick
       test_series_halving_exact;
     Alcotest.test_case "engine feeds series and instruments" `Quick

@@ -175,8 +175,8 @@ let suite =
     Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng invalid bound" `Quick test_rng_int_invalid;
-    QCheck_alcotest.to_alcotest prop_rng_int_range;
-    QCheck_alcotest.to_alcotest prop_rng_unit_float;
+    Helpers.qcheck prop_rng_int_range;
+    Helpers.qcheck prop_rng_unit_float;
     Alcotest.test_case "exponential mean" `Quick test_dist_mean_exponential;
     Alcotest.test_case "log-uniform bounds" `Quick test_dist_log_uniform_bounds;
     Alcotest.test_case "categorical" `Quick test_dist_categorical;
@@ -185,5 +185,5 @@ let suite =
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "percentile pure" `Quick test_percentile_does_not_mutate;
     Alcotest.test_case "timeline average" `Quick test_timeline;
-    QCheck_alcotest.to_alcotest prop_percentile_bounds;
+    Helpers.qcheck prop_percentile_bounds;
   ]

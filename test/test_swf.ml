@@ -260,5 +260,5 @@ let suite =
       test_numeric_error_has_line_number;
     Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
     Alcotest.test_case "to_file waits" `Quick test_to_file_waits;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
+    Helpers.qcheck prop_roundtrip;
   ]

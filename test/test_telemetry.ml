@@ -339,7 +339,7 @@ let test_trace_export_jobs_invariant () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest bucket_boundaries_qcheck;
+    Helpers.qcheck bucket_boundaries_qcheck;
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
     Alcotest.test_case "histogram observe/percentile estimate" `Quick
       test_histogram_observe_percentile;

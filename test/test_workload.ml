@@ -344,7 +344,7 @@ let suite =
     Alcotest.test_case "trace measured window" `Quick test_trace_measured_window;
     Alcotest.test_case "trace offered load" `Quick test_trace_offered_load;
     Alcotest.test_case "trace scale_load" `Quick test_trace_scale_load;
-    QCheck_alcotest.to_alcotest prop_trace_v_matches_reference;
+    Helpers.qcheck prop_trace_v_matches_reference;
     Alcotest.test_case "scale_load re-sorts squeezed ties" `Quick
       test_scale_load_ties_resorted;
     Alcotest.test_case "estimate round_up" `Quick test_estimate_round_up;
