@@ -11,9 +11,8 @@
 type violation = {
   invariant : string;
       (** stable identifier, e.g. ["capacity"], ["start-after-submit"],
-          ["exact-runtime"], ["backfill-differential"],
-          ["easy-reservation-bound"] (see {!Validator} for the full
-          inventory) *)
+          ["backfill-differential"], ["easy-reservation-bound"] (see
+          {!Validator} for the full inventory) *)
   time : float;  (** simulated decision time of the detection, seconds *)
   jobs : int list;  (** offending job ids (may be empty) *)
   detail : string;  (** human-readable specifics *)

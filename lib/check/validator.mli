@@ -13,9 +13,6 @@
       and no outcome is for an unknown job;
     - ["job-fits-machine"]: no job is wider than the machine;
     - ["start-after-submit"]: no job starts before its arrival;
-    - ["exact-runtime"]: a started job finishes at exactly
-      [start +. T], the engine's own expression — non-preemption, no
-      early end, no overrun;
     - ["capacity"]: instantaneous node usage never exceeds machine
       capacity (releases at an instant free nodes for starts at the
       same instant, as the engine applies an instant's events before
@@ -23,6 +20,9 @@
     - ["start-at-decision-point"]: every start happens at a scheduling
       decision point (a job arrival or departure) — the paper's
       decision model.
+
+    Non-preemption holds by construction: an outcome's only end is
+    {!Metrics.Outcome.finish}, at which the engine releases its nodes.
 
     An instant is one float: events are grouped, and submit, start and
     finish times compared, by exact equality, as {!Sim.Engine} does.

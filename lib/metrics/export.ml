@@ -5,7 +5,7 @@ let csv_row (o : Outcome.t) =
   let j = o.job in
   Printf.sprintf "%d,%d,%d,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.4f"
     j.Workload.Job.id j.Workload.Job.user j.Workload.Job.nodes
-    j.Workload.Job.submit o.start o.finish j.Workload.Job.runtime
+    j.Workload.Job.submit o.start (Outcome.finish o) j.Workload.Job.runtime
     j.Workload.Job.requested (Outcome.wait o) (Outcome.bounded_slowdown o)
 
 let to_csv path outcomes =

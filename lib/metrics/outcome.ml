@@ -1,10 +1,13 @@
-type t = { job : Workload.Job.t; start : float; finish : float }
+type t = { job : Workload.Job.t; start : float }
 
-let v ~job ~start ~finish =
+let finish t = t.start +. t.job.Workload.Job.runtime
+
+let v ~job ~start =
   if start < job.Workload.Job.submit then
     invalid_arg "Outcome.v: started before submission";
-  if finish <= start then invalid_arg "Outcome.v: finish <= start";
-  { job; start; finish }
+  let t = { job; start } in
+  if finish t <= start then invalid_arg "Outcome.v: finish <= start";
+  t
 
 let wait t = t.start -. t.job.Workload.Job.submit
 

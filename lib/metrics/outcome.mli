@@ -3,14 +3,15 @@
     The simulator produces one outcome per completed job; every
     reported measure in the paper derives from these records. *)
 
-type t = {
-  job : Workload.Job.t;
-  start : float;  (** time the job began executing *)
-  finish : float;  (** time the job completed *)
-}
+type t = { job : Workload.Job.t; start : float  (** time it began *) }
 
-val v : job:Workload.Job.t -> start:float -> finish:float -> t
-(** @raise Invalid_argument unless [submit <= start < finish]. *)
+val finish : t -> float
+(** [start +. T], derived: the one definition of a job's end, at which
+    the engine releases its nodes (a job runs for exactly T). *)
+
+val v : job:Workload.Job.t -> start:float -> t
+(** @raise Invalid_argument if [start < submit] or [finish <= start]
+    (T absorbed by a large [start], e.g. submit 2{^53} and T = 0.5). *)
 
 val wait : t -> float
 (** Queueing delay, seconds. *)

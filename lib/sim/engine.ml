@@ -77,12 +77,13 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
       | w :: rest -> if Workload.Job.equal w j then rest else w :: without rest
     in
     let rest = without !waiting in
-    let finish = now +. j.runtime in
+    let o = Metrics.Outcome.v ~job:j ~start:now in
+    let finish = Metrics.Outcome.finish o in
     Cluster.Running_set.add running
       { job = j; start = now; finish; est_finish = now +. estimator j };
     waiting := rest;
     decr n_waiting;
-    outcomes := Metrics.Outcome.v ~job:j ~start:now ~finish :: !outcomes
+    outcomes := o :: !outcomes
   in
   (* The next arrival's submit time, [infinity] once all have arrived. *)
   let next_submit () =

@@ -44,7 +44,8 @@ type result = {
   outcomes : Metrics.Outcome.t list;
       (** one per job, in start order (starts non-decreasing); a
           backfilled job comes before the earlier-submitted jobs it
-          overtook *)
+          overtook.  A job's running-set entry takes its [finish] from
+          {!Metrics.Outcome.finish}, so it departs at its outcome's end. *)
   queue_samples : queue_sample list;
       (** waiting-queue length after each decision, time order *)
   decisions : int;

@@ -1,7 +1,9 @@
+let finish = Metrics.Outcome.finish
+
 let time_bounds outcomes =
   List.fold_left
     (fun (lo, hi) (o : Metrics.Outcome.t) ->
-      (Float.min lo o.job.Workload.Job.submit, Float.max hi o.finish))
+      (Float.min lo o.job.Workload.Job.submit, Float.max hi (finish o)))
     (Float.infinity, Float.neg_infinity)
     outcomes
 
@@ -30,7 +32,7 @@ let jobs_chart ?(columns = 72) ?(max_jobs = 40) fmt outcomes =
             let row = Bytes.make columns ' ' in
             let submit_col = col o.job.Workload.Job.submit in
             let start_col = col o.start in
-            let finish_col = Stdlib.max (col o.finish) (start_col + 1) in
+            let finish_col = Stdlib.max (col (finish o)) (start_col + 1) in
             for c = submit_col to start_col - 1 do
               Bytes.set row c '.'
             done;
@@ -60,7 +62,7 @@ let utilization_chart ?(columns = 72) ~capacity fmt outcomes =
               let b_lo = lo +. (float_of_int c *. bucket) in
               let b_hi = b_lo +. bucket in
               let overlap =
-                Float.min b_hi o.finish -. Float.max b_lo o.start
+                Float.min b_hi (finish o) -. Float.max b_lo o.start
               in
               if overlap > 0.0 then
                 busy.(c) <-

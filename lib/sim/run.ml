@@ -20,7 +20,7 @@ let utilization_of ~machine ~from_ ~upto outcomes =
       List.fold_left
         (fun acc (o : Metrics.Outcome.t) ->
           let overlap =
-            Float.min upto o.finish -. Float.max from_ o.start
+            Float.min upto (Metrics.Outcome.finish o) -. Float.max from_ o.start
           in
           if overlap > 0.0 then
             acc +. (overlap *. float_of_int o.job.Workload.Job.nodes)

@@ -8,7 +8,9 @@ open Schedcheck
 let r_star (j : Workload.Job.t) = Float.min j.runtime j.requested
 let machine16 = Cluster.Machine.v ~nodes:16
 
-let outcome job start finish : Metrics.Outcome.t = { job; start; finish }
+(* A record, not [Outcome.v]: some seeded faults start a job before
+   its submission, which the constructor rejects. *)
+let outcome job start : Metrics.Outcome.t = { job; start }
 
 let find_violation report invariant =
   List.find_opt
@@ -107,31 +109,22 @@ let j0, j1 =
 let test_catches_capacity () =
   (* both 8-node jobs at t=0 on an 8-node machine *)
   let report =
-    validate_raw two_jobs [ outcome j0 0.0 100.0; outcome j1 0.0 100.0 ]
+    validate_raw two_jobs [ outcome j0 0.0; outcome j1 0.0 ]
   in
   check_violation report "capacity" ~time:0.0
 
 let test_catches_start_before_submit () =
   let j = Helpers.job ~id:0 ~submit:100.0 ~runtime:100.0 () in
-  let report = validate_raw [ j ] [ outcome j 50.0 150.0 ] in
+  let report = validate_raw [ j ] [ outcome j 50.0 ] in
   check_violation report "start-after-submit" ~time:50.0
 
-let test_catches_preemption () =
-  (* job runs 500 s longer than min(T, R): nodes held too long *)
-  let j = Helpers.job ~id:0 ~runtime:100.0 () in
-  let report = validate_raw [ j ] [ outcome j 0.0 600.0 ] in
-  check_violation report "exact-runtime" ~time:0.0
-
 let test_catches_lost_and_phantom_jobs () =
-  let report = validate_raw two_jobs [ outcome j0 0.0 100.0 ] in
+  let report = validate_raw two_jobs [ outcome j0 0.0 ] in
   check_violation report "job-completeness" ~time:0.0;
   let phantom = Helpers.job ~id:9 ~runtime:50.0 () in
   let report =
     validate_raw two_jobs
-      [
-        outcome j0 0.0 100.0; outcome j1 100.0 200.0;
-        outcome phantom 0.0 50.0;
-      ]
+      [ outcome j0 0.0; outcome j1 100.0; outcome phantom 0.0 ]
   in
   check_violation report "job-completeness" ~time:0.0
 
@@ -139,7 +132,7 @@ let test_catches_off_decision_start () =
   (* legal in every other respect, but started at t=42 when the only
      events are the arrival (t=0) and its own finish *)
   let j = Helpers.job ~id:0 ~submit:0.0 ~runtime:100.0 () in
-  let report = validate_raw [ j ] [ outcome j 42.0 142.0 ] in
+  let report = validate_raw [ j ] [ outcome j 42.0 ] in
   check_violation report "start-at-decision-point" ~time:42.0
 
 let test_catches_sub_ns_start_shift () =
@@ -147,7 +140,7 @@ let test_catches_sub_ns_start_shift () =
      start is at neither an arrival nor a departure *)
   let t = 100.0 +. 0.5e-9 in
   let report =
-    validate_raw two_jobs [ outcome j0 0.0 100.0; outcome j1 t (t +. 100.0) ]
+    validate_raw two_jobs [ outcome j0 0.0; outcome j1 t ]
   in
   check_violation report "start-at-decision-point" ~time:t;
   (* the printed report names the exact instant, not a rounded one *)
@@ -159,7 +152,7 @@ let test_catches_sub_ns_start_shift () =
 
 let test_catches_wide_job () =
   let j = Helpers.job ~id:0 ~nodes:9 ~runtime:100.0 () in
-  let report = validate_raw [ j ] [ outcome j 0.0 100.0 ] in
+  let report = validate_raw [ j ] [ outcome j 0.0 ] in
   check_violation report "job-fits-machine" ~time:0.0
 
 (* An impostor greedy policy wearing the FCFS-backfill name: the
@@ -198,7 +191,7 @@ let test_catches_slipped_reservation () =
       ~subject:"bad backfill" ~r_star
       ~trace:(Workload.Trace.v [ j0; j1; j2 ])
       ~outcomes:
-        [ outcome j0 0.0 100.0; outcome j2 0.0 300.0; outcome j1 300.0 400.0 ]
+        [ outcome j0 0.0; outcome j2 0.0; outcome j1 300.0 ]
       ()
   in
   check_violation report "backfill-differential" ~time:0.0;
@@ -458,8 +451,6 @@ let suite =
     Alcotest.test_case "catches oversubscription" `Quick test_catches_capacity;
     Alcotest.test_case "catches start before submit" `Quick
       test_catches_start_before_submit;
-    Alcotest.test_case "catches runtime tampering" `Quick
-      test_catches_preemption;
     Alcotest.test_case "catches lost and phantom jobs" `Quick
       test_catches_lost_and_phantom_jobs;
     Alcotest.test_case "catches off-decision starts" `Quick

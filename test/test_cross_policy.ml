@@ -39,7 +39,7 @@ let outcomes_ok n (result : Sim.Engine.result) =
        (fun (o : Metrics.Outcome.t) ->
          o.start >= o.job.Workload.Job.submit
          && Float.abs
-              (o.finish -. o.start
+              (Metrics.Outcome.finish o -. o.start
               -. Float.min o.job.Workload.Job.runtime
                    o.job.Workload.Job.requested)
             < 1e-6)
@@ -50,7 +50,7 @@ let never_oversubscribed (result : Sim.Engine.result) =
     List.concat_map
       (fun (o : Metrics.Outcome.t) ->
         [ (o.start, o.job.Workload.Job.nodes);
-          (o.finish, -o.job.Workload.Job.nodes) ])
+          (Metrics.Outcome.finish o, -o.job.Workload.Job.nodes) ])
       result.Sim.Engine.outcomes
     |> List.sort (fun (ta, da) (tb, db) ->
            let c = Float.compare ta tb in
@@ -127,9 +127,55 @@ let prop_tie_heavy_schedules_validate =
                (all_policies ()))
         [ false; true ])
 
+(* Nodes are held for exactly T.  An outcome records only its start,
+   so the engine's departures are checked against the schedule it
+   returns: every [Outcome.finish] is a reported decision instant, and
+   each report's running jobs and busy nodes are those of the outcomes
+   whose [start, finish) holds [now]. *)
+let prop_nodes_held_for_runtime =
+  QCheck.Test.make ~name:"nodes held for exactly T" ~count:10 QCheck.int
+    (fun seed ->
+      List.for_all
+        (fun jitter ->
+          let trace = Helpers.grid_trace ~jitter ~seed:(seed + 300) () in
+          List.for_all
+            (fun policy ->
+              let reports = ref [] in
+              let result =
+                Sim.Engine.run ~machine
+                  ~observe:(fun d -> reports := d :: !reports)
+                  ~r_star:Sim.Engine.Actual ~policy trace
+              in
+              let reported t =
+                List.exists
+                  (fun (d : Sim.Engine.decision) -> Float.equal d.now t)
+                  !reports
+              in
+              let rebuilt (d : Sim.Engine.decision) =
+                let held =
+                  List.filter
+                    (fun (o : Metrics.Outcome.t) ->
+                      o.start <= d.now && d.now < Metrics.Outcome.finish o)
+                    result.Sim.Engine.outcomes
+                in
+                d.running = List.length held
+                && d.busy
+                   = List.fold_left
+                       (fun acc (o : Metrics.Outcome.t) ->
+                         acc + o.job.Workload.Job.nodes)
+                       0 held
+              in
+              List.for_all
+                (fun o -> reported (Metrics.Outcome.finish o))
+                result.Sim.Engine.outcomes
+              && List.for_all rebuilt !reports)
+            (all_policies ()))
+        [ false; true ])
+
 let suite =
   [
     Helpers.qcheck prop_all_policies_sound;
     Helpers.qcheck prop_estimators_sound;
     Helpers.qcheck prop_tie_heavy_schedules_validate;
+    Helpers.qcheck prop_nodes_held_for_runtime;
   ]

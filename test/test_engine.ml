@@ -29,7 +29,7 @@ let test_no_oversubscription () =
         List.concat_map
           (fun (o : Metrics.Outcome.t) ->
             [ (o.start, o.job.Workload.Job.nodes);
-              (o.finish, -o.job.Workload.Job.nodes) ])
+              (Metrics.Outcome.finish o, -o.job.Workload.Job.nodes) ])
           result.Sim.Engine.outcomes
         |> List.sort (fun (ta, da) (tb, db) ->
                let c = Float.compare ta tb in
@@ -56,7 +56,7 @@ let test_jobs_start_after_submit () =
         (o.start >= o.job.Workload.Job.submit);
       Alcotest.(check (float 1e-6)) "runs for min(T,R)"
         (Float.min o.job.Workload.Job.runtime o.job.Workload.Job.requested)
-        (o.finish -. o.start))
+        (Metrics.Outcome.finish o -. o.start))
     result.Sim.Engine.outcomes
 
 let test_requested_runtime_kills () =
@@ -69,7 +69,7 @@ let test_requested_runtime_kills () =
   let result = simulate ~policy:Sched.Backfill.fcfs trace in
   match result.Sim.Engine.outcomes with
   | [ o ] -> Alcotest.(check (float 1e-9)) "runs full time" 100.0
-               (o.Metrics.Outcome.finish -. o.Metrics.Outcome.start)
+               (Metrics.Outcome.finish o -. o.Metrics.Outcome.start)
   | _ -> Alcotest.fail "expected one outcome"
 
 let test_fcfs_backfill_vs_run_now_head_wait () =
@@ -242,7 +242,7 @@ let test_observe_each_decision () =
               (fun (o : Metrics.Outcome.t) -> o.start > d.now)
               (List.filter
                  (fun (o : Metrics.Outcome.t) ->
-                   o.job.submit <= d.now && o.finish > d.now)
+                   o.job.submit <= d.now && Metrics.Outcome.finish o > d.now)
                  result.outcomes)
           in
           let nodes l =
@@ -478,6 +478,22 @@ let test_queue_average_is_waiting_count () =
              (Core.Search_policy.dds_lxf_dynb ~budget:1000)));
     ]
 
+(* Memory guard: an outcome is a two-field record and its boxed start,
+   5 words beyond its job (3 if the start shares a box with the
+   submit).  A stored, boxed finish would make it 8. *)
+let test_outcome_words () =
+  let trace = Helpers.mini_trace ~seed:1 () in
+  let result = simulate ~policy:Sched.Backfill.fcfs trace in
+  List.iter
+    (fun (o : Metrics.Outcome.t) ->
+      let words =
+        Obj.reachable_words (Obj.repr o) - Obj.reachable_words (Obj.repr o.job)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d: %d words beyond its job <= 5" o.job.id words)
+        true (words <= 5))
+    result.Sim.Engine.outcomes
+
 let suite =
   [
     Alcotest.test_case "every job runs once" `Quick test_every_job_runs_once;
@@ -519,4 +535,6 @@ let suite =
       test_non_waiting_start_rejected;
     Alcotest.test_case "queue average = submitted minus started" `Quick
       test_queue_average_is_waiting_count;
+    Alcotest.test_case "outcome words beyond its job" `Quick
+      test_outcome_words;
   ]

@@ -3,7 +3,6 @@
 let outcome ?(id = 0) ?(user = 0) ?(submit = 0.0) ~wait () =
   let job = Helpers.job ~id ~submit ~nodes:4 ~runtime:600.0 ~user () in
   Metrics.Outcome.v ~job ~start:(submit +. wait)
-    ~finish:(submit +. wait +. 600.0)
 
 let test_csv_row () =
   let row = Metrics.Export.csv_row (outcome ~id:3 ~user:7 ~wait:120.0 ()) in

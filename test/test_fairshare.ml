@@ -45,7 +45,7 @@ let test_untracked_users_ignored () =
 
 let outcome ~user ~wait ~nodes ~runtime id =
   let job = Helpers.job ~id ~nodes ~runtime ~user () in
-  Metrics.Outcome.v ~job ~start:wait ~finish:(wait +. runtime)
+  Metrics.Outcome.v ~job ~start:wait
 
 let test_user_stats () =
   let outcomes =

@@ -13,7 +13,7 @@ let test_job_pp () =
 let test_aggregate_pp () =
   let a =
     Metrics.Aggregate.compute
-      [ Metrics.Outcome.v ~job:(Helpers.job ()) ~start:3600.0 ~finish:7200.0 ]
+      [ Metrics.Outcome.v ~job:(Helpers.job ()) ~start:3600.0 ]
   in
   let s = asprintf "%a" Metrics.Aggregate.pp a in
   Alcotest.(check bool) "n shown" true (Helpers.contains s "n=1");

@@ -3,7 +3,7 @@
 let outcome ?(id = 0) ?(submit = 0.0) ?(nodes = 4) ~start ~finish () =
   Metrics.Outcome.v
     ~job:(Helpers.job ~id ~submit ~nodes ~runtime:(finish -. start) ())
-    ~start ~finish
+    ~start
 
 let render f outcomes =
   let buffer = Buffer.create 1024 in

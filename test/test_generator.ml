@@ -416,6 +416,23 @@ let test_month_allocation () =
     (Printf.sprintf "%.0f minor words per job <= 163" per_job)
     true (per_job <= 163.0)
 
+(* Memory guard: a generated job is a 7-word record with its [submit]
+   and [runtime] boxes (2 words each), plus its slot in the trace's
+   array.  [requested] takes few distinct values and shares its box
+   with [Estimate.round_up]'s grid in almost every job; re-boxing it
+   would add 2 words per job. *)
+let test_month_words () =
+  let profile = Month_profile.find "1/04" in
+  let config = { Generator.default_config with scale = 1.0 } in
+  let trace = Generator.month ~config profile in
+  let per_job =
+    Float.of_int (Obj.reachable_words (Obj.repr trace))
+    /. Float.of_int (Trace.length trace)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per job <= 12.1" per_job)
+    true (per_job <= 12.1)
+
 (* The generator reads each job's runtime-class probabilities from
    tables built once per month; they must be the per-call values bit
    for bit, or every month's runtimes move. *)
@@ -460,6 +477,7 @@ let suite =
     Alcotest.test_case "pinned model fingerprint" `Quick test_pinned_model;
     Alcotest.test_case "pinned rng streams" `Quick test_pinned_rng;
     Alcotest.test_case "month allocation bound" `Quick test_month_allocation;
+    Alcotest.test_case "month words per job" `Quick test_month_words;
     Helpers.qcheck prop_sort_floats_is_stable_sort;
     Helpers.qcheck prop_categorical_table_is_linear_draw;
     Helpers.qcheck prop_arrivals_match_binary_search;

@@ -5,16 +5,20 @@ open Metrics
 let outcome ?(id = 0) ?(submit = 0.0) ?(nodes = 1) ?(runtime = 3600.0)
     ?(wait = 0.0) () =
   let job = Helpers.job ~id ~submit ~nodes ~runtime () in
-  Outcome.v ~job ~start:(submit +. wait) ~finish:(submit +. wait +. runtime)
+  Outcome.v ~job ~start:(submit +. wait)
 
 let test_outcome_validation () =
   let job = Helpers.job ~submit:100.0 () in
   Alcotest.check_raises "start before submit"
     (Invalid_argument "Outcome.v: started before submission") (fun () ->
-      ignore (Outcome.v ~job ~start:50.0 ~finish:200.0));
+      ignore (Outcome.v ~job ~start:50.0));
+  (* at 2^53 the spacing of floats is 2, so a 0.5 s runtime is absorbed
+     and the run would end where it starts *)
+  let big = Float.ldexp 1.0 53 in
+  let job = Helpers.job ~submit:big ~runtime:0.5 () in
   Alcotest.check_raises "finish after start"
     (Invalid_argument "Outcome.v: finish <= start") (fun () ->
-      ignore (Outcome.v ~job ~start:100.0 ~finish:100.0))
+      ignore (Outcome.v ~job ~start:big))
 
 let test_outcome_measures () =
   let o = outcome ~wait:1800.0 ~runtime:3600.0 () in
