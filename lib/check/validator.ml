@@ -144,9 +144,12 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
      instants: on a legal schedule each one is a decision point.  The
      replay calls [Sched.Backfill.plan] itself, so it checks that a
      run followed the EASY engine, not that the engine is right: a bug
-     inside [Backfill.pass] appears on both sides.  The independent
-     check of the engine is the test oracle [Oracle.reference_backfill];
-     the benchmark's schedule hashes show a schedule did not move. --- *)
+     inside [Backfill.pass], its floor-based start test included,
+     appears on both sides.  The independent checks of the engine are
+     the test oracle [Oracle.reference_backfill] (EASY, conservative and
+     selective plans on running-set profiles) and the test-side window
+     scan that [Backfill.pass] is held to on arbitrary profiles; the
+     benchmark's schedule hashes show a schedule did not move. --- *)
   (match expect with
   | Generic -> ()
   | Easy_backfill _ when not legal ->

@@ -348,10 +348,23 @@ let rec scan_from t nodes i =
 
 let free_at t time = t.free.(locate t time)
 
-let fits_at t ~at ~nodes ~duration =
+(* One pass from the segment holding [at]; a step of 0 free nodes is
+   the last, since no later count can be lower. *)
+let floor t ~at times free =
   let i = locate t at in
-  Array.unsafe_set t.scratch 1 (at +. duration);
-  t.free.(i) >= nodes && scan_check t nodes (i + 1) >= 0
+  times.(0) <- at;
+  free.(0) <- t.free.(i);
+  let steps = ref 1 in
+  let k = ref (i + 1) in
+  while !k < t.len && free.(!steps - 1) > 0 do
+    if t.free.(!k) < free.(!steps - 1) then begin
+      times.(!steps) <- t.times.(!k);
+      free.(!steps) <- t.free.(!k);
+      incr steps
+    end;
+    incr k
+  done;
+  !steps
 
 let earliest_start t ~nodes ~duration =
   if nodes > t.capacity then

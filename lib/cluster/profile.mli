@@ -67,8 +67,22 @@ val free_at : t -> float -> int
     duration.  @raise Invalid_argument if the instant is before the
     profile's start. *)
 
-val fits_at : t -> at:float -> nodes:int -> duration:float -> bool
-(** Whether [nodes] nodes are free during [\[at, at + duration)]. *)
+val floor : t -> at:float -> float array -> int array -> int
+(** [floor t ~at times free] writes the {e floor} of [t] from [at] —
+    the running minimum of its free nodes, [m(s) = min] of the free
+    count over [\[at, s\]] — as steps, and returns their number [n]:
+    [m(s) = free.(k)] for [times.(k) <= s < times.(k+1)], [times.(0) =
+    at], the last step extending to infinity.  The free counts strictly
+    decrease from step to step, and each step [k > 0] begins at a
+    segment boundary of [t].  The first step below [nodes] is where a
+    job of that width first meets too few free nodes, so [nodes] nodes
+    are free during all of [\[at, at + d)] iff no step is below
+    [nodes], or the first one that is has [k > 0] and [times.(k) >= at
+    +. d]: one answer per width for every duration, where a scan of
+    the window costs one pass per job ([Sched.Backfill.pass] keeps
+    the floor for its start test).  The arrays need at least
+    {!segment_count} slots.
+    @raise Invalid_argument if [at] is before the profile's start. *)
 
 val place_earliest : t -> nodes:int -> duration:float -> float
 (** Fused {!earliest_start} + {!reserve}: find the earliest feasible
@@ -100,7 +114,7 @@ val reserve : t -> at:float -> nodes:int -> duration:float -> unit
     renormalization); when trailing is on, every mutation is recorded
     so the reservation can be undone exactly.
     @raise Invalid_argument if this would drive any segment negative
-    (i.e. the caller did not check {!fits_at} / {!earliest_start}). *)
+    (i.e. the caller did not check {!floor} / {!earliest_start}). *)
 
 (** {2 Trail-based backtracking}
 

@@ -65,10 +65,8 @@ let place t ~depth ~job =
      removal unlinks a job from both neighbours but keeps its own links *)
   assert (t.unext.(t.uprev.(job)) = job);
   let j = t.jobs.(job) in
-  (* local compares instead of [Float.max]: its out-of-line calls box
-     both float arguments and the result, three times per node *)
   let d = t.durations.(job) in
-  let duration = if d > 1.0 then d else 1.0 in
+  let duration = Sched.Policy.planned_duration d in
   t.marks.(depth) <- Cluster.Profile.mark t.work;
   Cluster.Profile.stage_duration t.work duration;
   Cluster.Profile.place_earliest_staged t.work ~nodes:j.Workload.Job.nodes;

@@ -27,7 +27,8 @@ val pass :
   plan
 (** [pass profile ~now ~r_star ~reserve jobs] is the backfill family's
     one start loop.  In list order, each job that fits [profile] at
-    [now] for its estimated duration ([max (r_star j) 1 s]) starts and
+    [now] for its estimated duration ({!Policy.planned_duration}
+    [(r_star j)], at least 1 s) starts and
     is carved into the profile there; a job that does not fit is carved
     in at its earliest start, and listed in [reserved], when [reserve
     job] says so, and is otherwise skipped.  [reserve] is asked once
@@ -36,18 +37,35 @@ val pass :
     A decision pays little for jobs that cannot start now.  The pass
     reads the nodes free at [now] once ({!Cluster.Profile.free_at}) and
     lowers that count by each start; a job wider than it is blocked
-    without a call to [r_star] or a profile scan, and only a job that
-    [reserve] grants gets its duration and its earliest start.  On the
-    profile of a running set ({!Policy.profile_of}) the count is exact:
-    {!Cluster.Running_set.profile} reports no release sooner than
-    [now +. overdue_grace], so its first segment starts at [now] with
-    [Running_set.free_nodes] free, and a reservation, being for a job
-    that does not fit at [now], begins after it.  On any profile the
-    count is never below the true one, so the plan is the same as a
-    pass that scans every job.  Every policy here is a queue order
-    plus a [reserve] rule over this pass: {!plan} reserves the first
-    [reservations] blocked jobs, {!Selective} the starved ones, and
-    {!run_now} none. *)
+    without a call to [r_star] or a look at the profile, and only a
+    job that [reserve] grants gets its duration and its earliest
+    start.  On any profile the count is never below the true one (a
+    reservation lowers only the true one), so it only sorts out jobs
+    that cannot fit.
+
+    Every other job gets one start test, against the {e floor} of the
+    profile from [now] ({!Cluster.Profile.floor}): the running minimum
+    of its free nodes, as steps [(t_k, m_k)] with [m_k] strictly
+    decreasing and [t_0 = now].  A job of width [w] and duration [d]
+    fits iff no step has [m_k < w], or the first such step has [k > 0]
+    and [t_k >= now +. d].  That is exact on any profile, for any
+    [reserve] rule: the first step below [w] begins at the first
+    segment from [now] with fewer than [w] free nodes, so it is the one
+    a scan of [\[now, now + d)] would stop at, and the plan is that of
+    a pass scanning the window for every job.  The floor is built at
+    the first job that passes the width check and again after each
+    reservation (a reservation can lower it anywhere); a start over
+    [\[now, now + d)] instead lowers the steps that begin before
+    [now + d] by its width and drops the later ones no lower than the
+    last lowered step.  So a pass scans the profile once, plus once per
+    reservation, not once per job; a job's test reads only the steps
+    down to its width.  The floor's arrays are reused by every pass on
+    a domain, so a decision allocates none; [r_star] and [reserve]
+    must not call [pass].
+
+    Every policy here is a queue order plus a [reserve] rule over this
+    pass: {!plan} reserves the first [reservations] blocked jobs,
+    {!Selective} the starved ones, and {!run_now} none. *)
 
 val plan :
   reservations:int ->

@@ -15,3 +15,5 @@ let make ~name ~decide = { name; decide; probe = None }
 let with_probe t probe = { t with probe = Some probe }
 
 let profile_of ctx = Cluster.Running_set.profile ctx.running ~now:ctx.now
+
+let planned_duration (r : float) = if r > 1.0 then r else 1.0

@@ -51,3 +51,11 @@ val profile_of : context -> Cluster.Profile.t
 (** Availability profile implied by the running set at [ctx.now], with
     every release floored at [now +. Cluster.Running_set.overdue_grace]
     ({!Cluster.Running_set.profile}). *)
+
+val planned_duration : float -> float
+(** [planned_duration r] is how long a plan holds a job's nodes when
+    its estimated runtime is [r]: [r], and at least 1 s.  Every
+    backfill pass and every search placement uses it.  A typed compare,
+    so it inlines and calls nothing; for every [r] but NaN it equals
+    [Float.max r 1.0], whose [-0.0] test is an out-of-line
+    [caml_signbit] call. *)

@@ -15,10 +15,17 @@ let compare p ~now ~r_star a b =
 let fcfs = { name = "fcfs"; key = Submit_order }
 let sjf = { name = "sjf"; key = Keyed (fun ~now:_ ~r_star j -> -.r_star j) }
 
+(* Typed compares in place of [Float.max], whose [-0.0] test calls the
+   out-of-line [caml_signbit]: they give the same bits for every
+   operand but NaN, and a job's runtimes are finite ([Job.v]). *)
+let[@inline] waited ~now (j : Workload.Job.t) =
+  let w = now -. j.submit in
+  if w > 0.0 then w else 0.0
+
 let expansion_factor ~now ~r_star (j : Workload.Job.t) =
-  let wait = Float.max 0.0 (now -. j.submit) in
-  let runtime = Float.max (r_star j) Simcore.Units.minute in
-  1.0 +. (wait /. runtime)
+  let r = r_star j in
+  let runtime = if r > Simcore.Units.minute then r else Simcore.Units.minute in
+  1.0 +. (waited ~now j /. runtime)
 
 let lxf = { name = "lxf"; key = Keyed expansion_factor }
 
@@ -28,10 +35,7 @@ let lxf_w ~weight_per_hour =
     key =
       Keyed
         (fun ~now ~r_star j ->
-          let wait_hours =
-            Simcore.Units.to_hours
-              (Float.max 0.0 (now -. j.Workload.Job.submit))
-          in
+          let wait_hours = Simcore.Units.to_hours (waited ~now j) in
           expansion_factor ~now ~r_star j +. (weight_per_hour *. wait_hours));
   }
 

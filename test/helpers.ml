@@ -89,3 +89,59 @@ let grid_trace ?(n = 30) ?(capacity = 16) ?(horizon = 1800.0)
         Workload.Job.v ~id ~submit ~nodes ~runtime ~requested)
   in
   Workload.Trace.v jobs
+
+(* Whether [nodes] nodes are free during all of [at, at + duration) on
+   [p], read off its segment list: every segment that overlaps the
+   window has that many free.  The naive reference for the floor-based
+   start test in [Sched.Backfill.pass]. *)
+let fits_window p ~at ~nodes ~duration =
+  let until = at +. duration in
+  let rec go = function
+    | [] -> true
+    | (start, free) :: rest ->
+        let next = match rest with (t, _) :: _ -> t | [] -> infinity in
+        (start >= until || next <= at || free >= nodes) && go rest
+  in
+  at >= fst (List.hd (Cluster.Profile.segments p))
+  && go (Cluster.Profile.segments p)
+
+(* [policy] over [trace], with the engine's decision reports in time
+   order. *)
+let run_observed ?(r_star = Sim.Engine.Actual) ~machine ~policy trace =
+  let reports = ref [] in
+  let result =
+    Sim.Engine.run ~machine
+      ~observe:(fun d -> reports := d :: !reports)
+      ~r_star ~policy trace
+  in
+  (result, List.rev !reports)
+
+(* Whether the outcomes hold nodes as the engine reported them held.
+   An outcome records only its start, so its finish is [start + T] by
+   definition; the engine's real departures show only in its reports.
+   Every [Outcome.finish] must be a reported decision instant, and each
+   report's running jobs and busy nodes those of the outcomes whose
+   [start, finish) holds [now], at most [capacity].  Usage changes only
+   at decision instants, so the schedule the outcomes describe then
+   holds each job's nodes for exactly T and never oversubscribes. *)
+let held_as_reported ~capacity (result : Sim.Engine.result) reports =
+  let outcomes = result.Sim.Engine.outcomes in
+  let reported t =
+    List.exists (fun (d : Sim.Engine.decision) -> Float.equal d.now t) reports
+  in
+  let rebuilt (d : Sim.Engine.decision) =
+    let held =
+      List.filter
+        (fun (o : Metrics.Outcome.t) ->
+          o.start <= d.now && d.now < Metrics.Outcome.finish o)
+        outcomes
+    in
+    d.busy <= capacity
+    && d.running = List.length held
+    && d.busy
+       = List.fold_left
+           (fun acc (o : Metrics.Outcome.t) -> acc + o.job.Workload.Job.nodes)
+           0 held
+  in
+  List.for_all (fun o -> reported (Metrics.Outcome.finish o)) outcomes
+  && List.for_all rebuilt reports

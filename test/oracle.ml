@@ -26,7 +26,14 @@ type reference_plan = {
 
 (* Busy intervals [(from, until, nodes)], half-open [from, until). *)
 
-let reference_backfill ~reservations ~priority (ctx : Sched.Policy.context) =
+let first k =
+  let left = ref k in
+  fun _ ->
+    let grant = !left > 0 in
+    if grant then decr left;
+    grant
+
+let reference_backfill ~reserve ~priority (ctx : Sched.Policy.context) =
   let capacity =
     (Cluster.Running_set.machine ctx.running).Cluster.Machine.nodes
   in
@@ -68,7 +75,6 @@ let reference_backfill ~reservations ~priority (ctx : Sched.Policy.context) =
       (Sched.Priority.compare priority ~now ~r_star:ctx.r_star)
       ctx.waiting
   in
-  let remaining = ref reservations in
   let start_now = ref [] in
   let reserved = ref [] in
   List.iter
@@ -78,11 +84,10 @@ let reference_backfill ~reservations ~priority (ctx : Sched.Policy.context) =
         intervals := (now, now +. duration, j.nodes) :: !intervals;
         start_now := j :: !start_now
       end
-      else if !remaining > 0 then begin
+      else if reserve j then begin
         let s = earliest_start ~duration ~nodes:j.nodes in
         intervals := (s, s +. duration, j.nodes) :: !intervals;
-        reserved := (j, s) :: !reserved;
-        decr remaining
+        reserved := (j, s) :: !reserved
       end)
     ordered;
   { start_now = List.rev !start_now; reserved = List.rev !reserved }

@@ -33,12 +33,19 @@ type reference_plan = {
   reserved : (Workload.Job.t * float) list;
 }
 
+val first : int -> Workload.Job.t -> bool
+(** [first k] is a fresh reservation rule granting the first [k] jobs it
+    is asked about: {!Sched.Backfill.plan}'s rule for [~reservations:k]. *)
+
 val reference_backfill :
-  reservations:int ->
+  reserve:(Workload.Job.t -> bool) ->
   priority:Sched.Priority.t ->
   Sched.Policy.context ->
   reference_plan
-(** Same contract as {!Sched.Backfill.plan}, computed naively: node
+(** Same contract as {!Sched.Backfill.pass} over the queue in priority
+    order, which is {!Sched.Backfill.plan} when [reserve] is [first k]
+    and {!Sched.Selective} when it is the starved rule over FCFS;
+    [reserve] is asked once per blocked job, in order.  Computed naively: node
     usage is a list of busy [(from, until, nodes)] intervals (running
     jobs and carved reservations); a job fits at [t] iff at every
     interval boundary within its span the summed overlap leaves enough

@@ -281,8 +281,36 @@ let prop_backfill_matches_reference =
         (fun priority ->
           plans_agree
             (Sched.Backfill.plan ~reservations ~priority ctx)
-            (Oracle.reference_backfill ~reservations ~priority ctx))
+            (Oracle.reference_backfill ~reserve:(Oracle.first reservations)
+               ~priority ctx))
         reference_priorities)
+
+(* Selective backfill against the same oracle: the queue in submit
+   order (as the engine keeps it), jobs at or past the threshold
+   reserved.  A threshold of 1 reserves every blocked job and one of
+   infinity none. *)
+let prop_selective_matches_reference =
+  QCheck.Test.make ~name:"Selective = naive reference backfill" ~count:200
+    QCheck.int (fun seed ->
+      let rng = Simcore.Rng.create ~seed in
+      let ctx, _ = random_context rng in
+      let ctx =
+        { ctx with
+          waiting = List.stable_sort Workload.Job.compare_submit ctx.waiting }
+      in
+      List.for_all
+        (fun threshold ->
+          let starved j =
+            Sched.Priority.expansion_factor ~now:ctx.now ~r_star:ctx.r_star j
+            >= threshold
+          in
+          let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
+          ids ((Sched.Selective.policy ~threshold ()).Sched.Policy.decide ctx)
+          = ids
+              (Oracle.reference_backfill ~reserve:starved
+                 ~priority:Sched.Priority.fcfs ctx)
+                .Oracle.start_now)
+        [ 1.0; 3.0; 10.0; infinity ])
 
 (* The reference plan's blocked jobs that were wider than the nodes
    still free at their turn (those [Backfill.pass] rejects on width
@@ -329,7 +357,8 @@ let test_reference_cases_reach_width_check () =
       (fun priority ->
         let rejected, held =
           width_rejected ~priority ctx
-            (Oracle.reference_backfill ~reservations ~priority ctx)
+            (Oracle.reference_backfill ~reserve:(Oracle.first reservations)
+               ~priority ctx)
         in
         incr plans;
         if rejected > 0 then incr rejecting;
@@ -467,4 +496,5 @@ let suite =
     Helpers.qcheck prop_profile_trail_matches_snapshots;
     Alcotest.test_case "reference cases reach the width check" `Quick
       test_reference_cases_reach_width_check;
+    Helpers.qcheck prop_selective_matches_reference;
   ]

@@ -32,36 +32,19 @@ let all_policies () =
          ~bound:Core.Bound.dynamic ~budget:150 ());
   ]
 
+(* Every job ran once, and none before its submit.  How long each held
+   its nodes is [Helpers.held_as_reported]'s check. *)
 let outcomes_ok n (result : Sim.Engine.result) =
   let outcomes = result.Sim.Engine.outcomes in
   List.length outcomes = n
   && List.for_all
-       (fun (o : Metrics.Outcome.t) ->
-         o.start >= o.job.Workload.Job.submit
-         && Float.abs
-              (Metrics.Outcome.finish o -. o.start
-              -. Float.min o.job.Workload.Job.runtime
-                   o.job.Workload.Job.requested)
-            < 1e-6)
+       (fun (o : Metrics.Outcome.t) -> o.start >= o.job.Workload.Job.submit)
        outcomes
 
-let never_oversubscribed (result : Sim.Engine.result) =
-  let events =
-    List.concat_map
-      (fun (o : Metrics.Outcome.t) ->
-        [ (o.start, o.job.Workload.Job.nodes);
-          (Metrics.Outcome.finish o, -o.job.Workload.Job.nodes) ])
-      result.Sim.Engine.outcomes
-    |> List.sort (fun (ta, da) (tb, db) ->
-           let c = Float.compare ta tb in
-           if c <> 0 then c else Int.compare da db)
-  in
-  let current = ref 0 in
-  List.for_all
-    (fun (_, delta) ->
-      current := !current + delta;
-      !current <= machine.Cluster.Machine.nodes)
-    events
+let sound n (result, reports) =
+  outcomes_ok n result
+  && Helpers.held_as_reported ~capacity:machine.Cluster.Machine.nodes result
+       reports
 
 let prop_all_policies_sound =
   QCheck.Test.make ~name:"all policies: complete, causal, within capacity"
@@ -74,10 +57,7 @@ let prop_all_policies_sound =
       let trace = Helpers.with_users ~users:3 trace in
       List.for_all
         (fun policy ->
-          let result =
-            Sim.Engine.run ~machine ~r_star:Sim.Engine.Actual ~policy trace
-          in
-          outcomes_ok n result && never_oversubscribed result)
+          sound n (Helpers.run_observed ~machine ~policy trace))
         (all_policies ()))
 
 let prop_estimators_sound =
@@ -88,10 +68,9 @@ let prop_estimators_sound =
       let trace = Helpers.mini_trace ~seed:(seed + 100) ~n ~capacity:16 () in
       List.for_all
         (fun r_star ->
-          let result =
-            Sim.Engine.run ~machine ~r_star ~policy:Sched.Backfill.lxf trace
-          in
-          outcomes_ok n result && never_oversubscribed result)
+          sound n
+            (Helpers.run_observed ~machine ~r_star ~policy:Sched.Backfill.lxf
+               trace))
         [ Sim.Engine.Actual; Sim.Engine.Requested; Sim.Engine.Predicted ])
 
 (* Arrivals and departures on one 60 s grid: many decision points
@@ -127,11 +106,9 @@ let prop_tie_heavy_schedules_validate =
                (all_policies ()))
         [ false; true ])
 
-(* Nodes are held for exactly T.  An outcome records only its start,
-   so the engine's departures are checked against the schedule it
-   returns: every [Outcome.finish] is a reported decision instant, and
-   each report's running jobs and busy nodes are those of the outcomes
-   whose [start, finish) holds [now]. *)
+(* Nodes are held for exactly T, on grid traces whose arrivals and
+   departures share instants, with and without sub-nanosecond
+   near-ties. *)
 let prop_nodes_held_for_runtime =
   QCheck.Test.make ~name:"nodes held for exactly T" ~count:10 QCheck.int
     (fun seed ->
@@ -140,35 +117,11 @@ let prop_nodes_held_for_runtime =
           let trace = Helpers.grid_trace ~jitter ~seed:(seed + 300) () in
           List.for_all
             (fun policy ->
-              let reports = ref [] in
-              let result =
-                Sim.Engine.run ~machine
-                  ~observe:(fun d -> reports := d :: !reports)
-                  ~r_star:Sim.Engine.Actual ~policy trace
+              let result, reports =
+                Helpers.run_observed ~machine ~policy trace
               in
-              let reported t =
-                List.exists
-                  (fun (d : Sim.Engine.decision) -> Float.equal d.now t)
-                  !reports
-              in
-              let rebuilt (d : Sim.Engine.decision) =
-                let held =
-                  List.filter
-                    (fun (o : Metrics.Outcome.t) ->
-                      o.start <= d.now && d.now < Metrics.Outcome.finish o)
-                    result.Sim.Engine.outcomes
-                in
-                d.running = List.length held
-                && d.busy
-                   = List.fold_left
-                       (fun acc (o : Metrics.Outcome.t) ->
-                         acc + o.job.Workload.Job.nodes)
-                       0 held
-              in
-              List.for_all
-                (fun o -> reported (Metrics.Outcome.finish o))
-                result.Sim.Engine.outcomes
-              && List.for_all rebuilt !reports)
+              Helpers.held_as_reported ~capacity:machine.Cluster.Machine.nodes
+                result reports)
             (all_policies ()))
         [ false; true ])
 

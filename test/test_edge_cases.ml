@@ -27,7 +27,7 @@ let test_profile_locate_before_start () =
   let p = Profile.create ~now:100.0 ~capacity:8 in
   Alcotest.check_raises "before start"
     (Invalid_argument "Profile.locate: time before profile start") (fun () ->
-      ignore (Profile.fits_at p ~at:50.0 ~nodes:1 ~duration:1.0))
+      ignore (Profile.free_at p 50.0))
 
 let test_profile_full_machine_reservation () =
   let p = Profile.create ~now:0.0 ~capacity:8 in

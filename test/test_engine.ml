@@ -19,58 +19,55 @@ let test_every_job_runs_once () =
     ids
 
 let test_no_oversubscription () =
-  (* replay outcomes and verify instantaneous node usage never exceeds
-     the machine *)
+  (* the schedule's node usage, checked against the engine's reports,
+     never exceeds the machine *)
   let trace = Helpers.mini_trace ~seed:2 ~n:60 () in
   List.iter
     (fun policy ->
-      let result = simulate ~policy trace in
-      let events =
-        List.concat_map
-          (fun (o : Metrics.Outcome.t) ->
-            [ (o.start, o.job.Workload.Job.nodes);
-              (Metrics.Outcome.finish o, -o.job.Workload.Job.nodes) ])
-          result.Sim.Engine.outcomes
-        |> List.sort (fun (ta, da) (tb, db) ->
-               let c = Float.compare ta tb in
-               if c <> 0 then c else Int.compare da db)
+      let result, reports =
+        Helpers.run_observed ~machine:machine16 ~policy trace
       in
-      let peak = ref 0 and current = ref 0 in
-      List.iter
-        (fun (_, delta) ->
-          current := !current + delta;
-          peak := max !peak !current)
-        events;
       Alcotest.(check bool)
         (policy.Sched.Policy.name ^ " never oversubscribes")
-        true (!peak <= 16))
+        true
+        (Helpers.held_as_reported ~capacity:16 result reports))
     [ Sched.Backfill.fcfs; Sched.Backfill.lxf; Sched.Backfill.run_now;
       fst (Core.Search_policy.policy (Core.Search_policy.dds_lxf_dynb ~budget:200)) ]
 
 let test_jobs_start_after_submit () =
   let trace = Helpers.mini_trace ~seed:3 () in
-  let result = simulate ~policy:Sched.Backfill.lxf trace in
+  let result, reports =
+    Helpers.run_observed ~machine:machine16 ~policy:Sched.Backfill.lxf trace
+  in
   List.iter
     (fun (o : Metrics.Outcome.t) ->
       Alcotest.(check bool) "start >= submit" true
-        (o.start >= o.job.Workload.Job.submit);
-      Alcotest.(check (float 1e-6)) "runs for min(T,R)"
-        (Float.min o.job.Workload.Job.runtime o.job.Workload.Job.requested)
-        (Metrics.Outcome.finish o -. o.start))
-    result.Sim.Engine.outcomes
+        (o.start >= o.job.Workload.Job.submit))
+    result.Sim.Engine.outcomes;
+  (* T <= R, so min(T,R) = T: the reports show each job's nodes held
+     for exactly T *)
+  Alcotest.(check bool) "runs for min(T,R)" true
+    (Helpers.held_as_reported ~capacity:16 result reports)
 
 let test_requested_runtime_kills () =
-  (* a job that uses its whole requested limit runs to it; [Job.v]
-     rejects a runtime above the limit *)
-  let job = Workload.Job.v ~id:0 ~submit:0.0 ~nodes:1 ~runtime:100.0
-      ~requested:100.0
+  (* a job that uses its whole requested limit runs to it, and one that
+     stops short of it departs at its runtime; [Job.v] rejects a
+     runtime above the limit *)
+  let full =
+    Workload.Job.v ~id:0 ~submit:0.0 ~nodes:1 ~runtime:100.0 ~requested:100.0
+  and short =
+    Workload.Job.v ~id:1 ~submit:0.0 ~nodes:2 ~runtime:50.0 ~requested:100.0
   in
-  let trace = Workload.Trace.v [ job ] in
-  let result = simulate ~policy:Sched.Backfill.fcfs trace in
-  match result.Sim.Engine.outcomes with
-  | [ o ] -> Alcotest.(check (float 1e-9)) "runs full time" 100.0
-               (Metrics.Outcome.finish o -. o.Metrics.Outcome.start)
-  | _ -> Alcotest.fail "expected one outcome"
+  let _, reports =
+    Helpers.run_observed ~machine:machine16 ~policy:Sched.Backfill.fcfs
+      (Workload.Trace.v [ full; short ])
+  in
+  Alcotest.(check (list (triple (float 0.0) int int)))
+    "(now, running, busy) of each decision"
+    [ (0.0, 2, 3); (50.0, 1, 1); (100.0, 0, 0) ]
+    (List.map
+       (fun (d : Sim.Engine.decision) -> (d.now, d.running, d.busy))
+       reports)
 
 let test_fcfs_backfill_vs_run_now_head_wait () =
   (* under FCFS-backfill the queue head's start is never later than the

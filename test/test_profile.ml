@@ -78,14 +78,33 @@ let test_reserve_insufficient () =
     (Invalid_argument "Profile.reserve: insufficient free nodes") (fun () ->
       Profile.reserve p ~at:0.0 ~nodes:6 ~duration:10.0)
 
-let test_fits_at () =
+(* The floor of a profile with a dip: steps where the running minimum
+   falls, and the fit answers it gives. *)
+let test_floor () =
+  let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
+  Profile.reserve p ~at:200.0 ~nodes:7 ~duration:100.0;
+  Profile.reserve p ~at:400.0 ~nodes:9 ~duration:10.0;
+  let times = Array.make 8 nan and free = Array.make 8 (-1) in
+  let floor ~at =
+    let n = Profile.floor p ~at times free in
+    List.init n (fun k -> (times.(k), free.(k)))
+  in
+  let steps = Alcotest.(list (pair (float 0.0) int)) in
+  Alcotest.(check steps) "from the start" [ (0.0, 6); (200.0, 3); (400.0, 1) ]
+    (floor ~at:0.0);
+  Alcotest.(check steps) "from inside a segment" [ (150.0, 10); (200.0, 3);
+    (400.0, 1) ] (floor ~at:150.0);
+  Alcotest.(check steps) "from the dip" [ (250.0, 3); (400.0, 1) ]
+    (floor ~at:250.0);
+  Profile.reserve p ~at:150.0 ~nodes:10 ~duration:10.0;
+  Alcotest.(check steps) "stops at zero" [ (150.0, 0) ] (floor ~at:150.0);
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
   Alcotest.(check bool) "fits" true
-    (Profile.fits_at p ~at:0.0 ~nodes:6 ~duration:1e6);
+    (Helpers.fits_window p ~at:0.0 ~nodes:6 ~duration:1e6);
   Alcotest.(check bool) "does not fit" false
-    (Profile.fits_at p ~at:0.0 ~nodes:7 ~duration:200.0);
+    (Helpers.fits_window p ~at:0.0 ~nodes:7 ~duration:200.0);
   Alcotest.(check bool) "fits if short enough window later" true
-    (Profile.fits_at p ~at:100.0 ~nodes:10 ~duration:50.0)
+    (Helpers.fits_window p ~at:100.0 ~nodes:10 ~duration:50.0)
 
 let test_copy_independent () =
   let p = Profile.create ~now:0.0 ~capacity:10 in
@@ -202,7 +221,7 @@ let prop_earliest_start_is_feasible =
       List.for_all
         (fun (nodes, duration) ->
           let s = Profile.earliest_start p ~nodes ~duration in
-          let ok = Profile.fits_at p ~at:s ~nodes ~duration in
+          let ok = Helpers.fits_window p ~at:s ~nodes ~duration in
           Profile.reserve p ~at:s ~nodes ~duration;
           ok)
         plan)
@@ -218,7 +237,8 @@ let prop_earliest_start_is_minimal =
           let s = Profile.earliest_start p ~nodes ~duration in
           let earlier_fits =
             List.exists
-              (fun (b, _) -> b < s && Profile.fits_at p ~at:b ~nodes ~duration)
+              (fun (b, _) ->
+                b < s && Helpers.fits_window p ~at:b ~nodes ~duration)
               (Profile.segments p)
           in
           Profile.reserve p ~at:s ~nodes ~duration;
@@ -396,9 +416,9 @@ let test_shift_across_buffer_growth () =
   check_round_trip "growth at the end" p ~expected (fun () ->
       Profile.reserve p ~at:1000.0 ~nodes:1 ~duration:10.0)
 
-(* Allocation guard: the window scans behind [fits_at] and
+(* Allocation guard: the floor pass and the window scan behind
    [earliest_start] are top-level functions over ints and [t], so with
-   constant float arguments [fits_at] allocates nothing and
+   constant float arguments [floor] allocates nothing and
    [earliest_start] allocates only the box of its float result (an
    out-of-line call boxes a float result; test builds are opaque, so
    nothing inlines across modules).  A local closure capturing the
@@ -409,10 +429,11 @@ let test_window_scans_allocate_nothing () =
       [ (100.0, 64); (250.0, 32); (400.0, 16) ]
   in
   Profile.reserve p ~at:500.0 ~nodes:100 ~duration:100.0;
-  Alcotest.(check bool) "too few free now" false
-    (Profile.fits_at p ~at:0.0 ~nodes:40 ~duration:300.0);
-  Alcotest.(check bool) "fits later" true
-    (Profile.fits_at p ~at:150.0 ~nodes:8 ~duration:1000.0);
+  let times = Array.make 8 0.0 and free = Array.make 8 0 in
+  Alcotest.(check int) "floor from the start: one step" 1
+    (Profile.floor p ~at:0.0 times free);
+  Alcotest.(check int) "floor from inside: the dip" 2
+    (Profile.floor p ~at:150.0 times free);
   Alcotest.(check (float 0.0)) "after the reservation" 600.0
     (Profile.earliest_start p ~nodes:120 ~duration:120.0);
   let calls = 1000 in
@@ -423,11 +444,11 @@ let test_window_scans_allocate_nothing () =
     burn ();
     Gc.minor_words () -. before
   in
-  let fits_words =
+  let floor_words =
     words_of (fun () ->
         for _ = 1 to calls do
-          ignore (Profile.fits_at p ~at:0.0 ~nodes:40 ~duration:300.0);
-          ignore (Profile.fits_at p ~at:150.0 ~nodes:8 ~duration:1000.0)
+          ignore (Profile.floor p ~at:0.0 times free);
+          ignore (Profile.floor p ~at:150.0 times free)
         done)
   in
   let start_words =
@@ -436,8 +457,8 @@ let test_window_scans_allocate_nothing () =
           ignore (Profile.earliest_start p ~nodes:120 ~duration:120.0)
         done)
   in
-  Alcotest.(check (float 0.0)) "fits_at: 0 minor words per call" 0.0
-    fits_words;
+  Alcotest.(check (float 0.0)) "floor: 0 minor words per call" 0.0
+    floor_words;
   let boxed_float_words = 1 + (64 / Sys.word_size) in
   Alcotest.(check (float 0.0))
     "earliest_start: only its boxed result per call"
@@ -484,7 +505,7 @@ let suite =
       test_earliest_start_hole_too_short;
     Alcotest.test_case "reserve splits" `Quick test_reserve_splits_segments;
     Alcotest.test_case "reserve validates" `Quick test_reserve_insufficient;
-    Alcotest.test_case "fits_at" `Quick test_fits_at;
+    Alcotest.test_case "floor steps" `Quick test_floor;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     Alcotest.test_case "trail undo restores" `Quick test_trail_undo_restores;
     Alcotest.test_case "trail finish past last boundary" `Quick
