@@ -10,7 +10,7 @@
 let () =
   let profile = Workload.Month_profile.find "9/03" in
   let config =
-    { Workload.Generator.default_config with scale = 0.25; seed = 5; users = 6 }
+    { Workload.Generator.scale = 0.25; seed = 5; users = 6 }
   in
   let base = Workload.Generator.month ~config profile in
   let trace =

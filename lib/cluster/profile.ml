@@ -346,16 +346,20 @@ let rec scan_from t nodes i =
     else scan_from t nodes (-r)
   end
 
-let free_at t time = t.free.(locate t time)
+(* [now] arrives boxed and the result is an int, so the check costs a
+   load and a float compare. *)
+let free_now t ~now =
+  if t.times.(0) <> now then
+    invalid_arg "Profile.free_now: the profile does not begin at now";
+  t.free.(0)
 
-(* One pass from the segment holding [at]; a step of 0 free nodes is
-   the last, since no later count can be lower. *)
-let floor t ~at times free =
-  let i = locate t at in
-  times.(0) <- at;
-  free.(0) <- t.free.(i);
+(* One pass from segment 0; a step of 0 free nodes is the last, since
+   no later count can be lower. *)
+let floor t times free =
+  times.(0) <- t.times.(0);
+  free.(0) <- t.free.(0);
   let steps = ref 1 in
-  let k = ref (i + 1) in
+  let k = ref 1 in
   while !k < t.len && free.(!steps - 1) > 0 do
     if t.free.(!k) < free.(!steps - 1) then begin
       times.(!steps) <- t.times.(!k);
@@ -365,14 +369,6 @@ let floor t ~at times free =
     incr k
   done;
   !steps
-
-let earliest_start t ~nodes ~duration =
-  if nodes > t.capacity then
-    invalid_arg "Profile.earliest_start: job wider than machine";
-  if duration <= 0.0 then
-    invalid_arg "Profile.earliest_start: duration must be positive";
-  Array.unsafe_set t.scratch 0 duration;
-  t.times.(scan_from t nodes 0)
 
 (* The staged accessors are one expression each so the compiler
    inlines them at cross-module call sites, letting the duration in
@@ -385,7 +381,7 @@ let place_earliest_staged t ~nodes =
     invalid_arg "Profile.place_earliest: job wider than machine";
   if Array.unsafe_get t.scratch 0 <= 0.0 then
     invalid_arg "Profile.place_earliest: duration must be positive";
-  (* Fused [earliest_start] + [reserve]: the feasibility scan already
+  (* Earliest start and [reserve] in one: the feasibility scan already
      knows the start segment [i] and the extent [stop] of the window,
      so the reservation skips the binary search and — because every
      candidate start is a segment boundary — never splits at the start

@@ -53,44 +53,36 @@ val segment_count : t -> int
 val segments : t -> (float * int) list
 (** [(start, free)] list for inspection and tests. *)
 
-val earliest_start : t -> nodes:int -> duration:float -> float
-(** First time [s], no earlier than the [now] the profile was built
-    for, such that at least [nodes] nodes are free during the whole of
-    [\[s, s + duration)].  No policy calls it: it is the read-only
-    oracle the tests hold {!place_earliest} to.
-    @raise Invalid_argument if [nodes] exceeds capacity or
-    [duration <= 0]. *)
+val free_now : t -> now:float -> int
+(** The free count of the first segment, for a profile that begins at
+    [now] (every profile a policy builds, {!Sched.Policy.profile_of}).
+    A job wider than it cannot start now.
+    @raise Invalid_argument if the profile does not begin at [now]. *)
 
-val free_at : t -> float -> int
-(** Free nodes at an instant: the free count of the segment holding
-    it.  A job wider than [free_at t at] cannot fit at [at] for any
-    duration.  @raise Invalid_argument if the instant is before the
-    profile's start. *)
-
-val floor : t -> at:float -> float array -> int array -> int
-(** [floor t ~at times free] writes the {e floor} of [t] from [at] —
-    the running minimum of its free nodes, [m(s) = min] of the free
-    count over [\[at, s\]] — as steps, and returns their number [n]:
-    [m(s) = free.(k)] for [times.(k) <= s < times.(k+1)], [times.(0) =
-    at], the last step extending to infinity.  The free counts strictly
-    decrease from step to step, and each step [k > 0] begins at a
-    segment boundary of [t].  The first step below [nodes] is where a
-    job of that width first meets too few free nodes, so [nodes] nodes
-    are free during all of [\[at, at + d)] iff no step is below
-    [nodes], or the first one that is has [k > 0] and [times.(k) >= at
-    +. d]: one answer per width for every duration, where a scan of
-    the window costs one pass per job ([Sched.Backfill.pass] keeps
-    the floor for its start test).  The arrays need at least
-    {!segment_count} slots.
-    @raise Invalid_argument if [at] is before the profile's start. *)
+val floor : t -> float array -> int array -> int
+(** [floor t times free] writes the {e floor} of [t] from its start
+    [t0] — the running minimum of its free nodes, [m(s) = min] of the
+    free count over [\[t0, s\]] — as steps, and returns their number
+    [n]: [m(s) = free.(k)] for [times.(k) <= s < times.(k+1)],
+    [times.(0) = t0], the last step extending to infinity.  The free
+    counts strictly decrease from step to step, and each step [k > 0]
+    begins at a segment boundary of [t].  The first step below [nodes]
+    is where a job of that width first meets too few free nodes, so
+    [nodes] nodes are free during all of [\[t0, t0 + d)] iff no step is
+    below [nodes], or the first one that is has [k > 0] and
+    [times.(k) >= t0 +. d]: one answer per width for every duration,
+    where a scan of the window costs one pass per job
+    ([Sched.Backfill.pass] keeps the floor for its start test).  The
+    arrays need at least {!segment_count} slots. *)
 
 val place_earliest : t -> nodes:int -> duration:float -> float
-(** Fused {!earliest_start} + {!reserve}: find the earliest feasible
-    start, reserve there, and return the start time — one pass over
-    the profile, no re-location, and (starts being segment boundaries)
-    no start-side split.  Equivalent to
-    [let s = earliest_start t ... in reserve t ~at:s ...; s].
-    The search hot path. *)
+(** Find the earliest start [s] (a segment boundary, so never before
+    the profile's start) at which [nodes] nodes are free during the
+    whole of [\[s, s + duration)], reserve there, and return [s] — one
+    pass over the profile, no re-location, and no start-side split.
+    The search hot path.
+    @raise Invalid_argument if [nodes] exceeds capacity or
+    [duration <= 0]. *)
 
 val stage_duration : t -> float -> unit
 (** Stage the duration for {!place_earliest_staged}.  One expression,
@@ -114,7 +106,7 @@ val reserve : t -> at:float -> nodes:int -> duration:float -> unit
     renormalization); when trailing is on, every mutation is recorded
     so the reservation can be undone exactly.
     @raise Invalid_argument if this would drive any segment negative
-    (i.e. the caller did not check {!floor} / {!earliest_start}). *)
+    (i.e. the caller did not check {!floor}). *)
 
 (** {2 Trail-based backtracking}
 

@@ -1,17 +1,14 @@
 type account = { mutable value : float; mutable updated : float }
 
-type t = {
-  half_life : float;
-  accounts : (int, account) Hashtbl.t;
-}
+type t = (int, account) Hashtbl.t
 
-let create ?(half_life = Simcore.Units.week) () =
-  if half_life <= 0.0 then invalid_arg "Fairshare.create: half_life <= 0";
-  { half_life; accounts = Hashtbl.create 64 }
+let half_life = Simcore.Units.week
 
-let decay t account ~now =
+let create () : t = Hashtbl.create 64
+
+let decay account ~now =
   if now > account.updated then begin
-    let halvings = (now -. account.updated) /. t.half_life in
+    let halvings = (now -. account.updated) /. half_life in
     account.value <- account.value *. (2.0 ** -.halvings);
     account.updated <- now
   end
@@ -19,30 +16,30 @@ let decay t account ~now =
 let record_start t ~now ~nodes ~duration ~user =
   if user > 0 then begin
     let account =
-      match Hashtbl.find_opt t.accounts user with
+      match Hashtbl.find_opt t user with
       | Some a -> a
       | None ->
           let a = { value = 0.0; updated = now } in
-          Hashtbl.add t.accounts user a;
+          Hashtbl.add t user a;
           a
     in
-    decay t account ~now;
+    decay account ~now;
     account.value <- account.value +. (float_of_int nodes *. duration)
   end
 
 let usage t ~now user =
-  match Hashtbl.find_opt t.accounts user with
+  match Hashtbl.find_opt t user with
   | None -> 0.0
   | Some account ->
-      decay t account ~now;
+      decay account ~now;
       account.value
 
 let total t ~now =
   Hashtbl.fold
     (fun _ account acc ->
-      decay t account ~now;
+      decay account ~now;
       acc +. account.value)
-    t.accounts 0.0
+    t 0.0
 
 let share t ~now user =
   let all = total t ~now in

@@ -7,25 +7,20 @@
     their current share, so the first-level goal tolerates longer waits
     for users who already got more than their share of the machine.
 
-    Decay uses a half-life (default one week): usage recorded [h]
-    seconds ago counts at [2^(-h/half_life)] of its original weight. *)
+    Decay uses a half-life of one week: usage recorded [h] seconds ago
+    counts at [2^(-h/week)] of its original weight. *)
 
 type t
 
-val create : ?half_life:float -> unit -> t
+val create : unit -> t
 
 val record_start :
   t -> now:float -> nodes:int -> duration:float -> user:int -> unit
 (** Charge a job's full estimated area to its user at start time.
     Users [<= 0] (unknown) are not tracked. *)
 
-val usage : t -> now:float -> int -> float
-(** Decayed node-seconds currently attributed to the user. *)
-
-val share : t -> now:float -> int -> float
-(** The user's fraction of all decayed usage, in [0, 1]; 0 when nothing
-    has been recorded. *)
-
 val threshold_factor : t -> now:float -> penalty:float -> int -> float
-(** [1 + penalty * share]; multiply a job's excessive-wait threshold by
-    this to de-prioritize heavy users. *)
+(** [1 + penalty * share], where [share] is the user's fraction of all
+    decayed usage, in [\[0, 1\]] (0 when nothing has been recorded);
+    multiply a job's excessive-wait threshold by this to de-prioritize
+    heavy users. *)

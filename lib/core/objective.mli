@@ -25,12 +25,9 @@ type t = {
   jobs : int;  (** number of jobs accumulated *)
 }
 
-val avg_secondary : t -> float
-
-val compare : t -> t -> int
-(** Lexicographic: total excess first, then average slowdown.  Both
-    comparisons use a small relative tolerance so float noise does not
-    override the hierarchy. *)
-
 val is_better : candidate:t -> incumbent:t -> bool
-(** [compare candidate incumbent < 0]. *)
+(** Lexicographic: smaller total excess, or equal excess and a smaller
+    average secondary value ([secondary_sum / jobs], 0 for no jobs).
+    Both levels compare with a small relative tolerance, so float noise
+    does not override the hierarchy; values equal within it are
+    neither better. *)

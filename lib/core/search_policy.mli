@@ -44,12 +44,12 @@ val v :
 val dds_lxf_dynb : budget:int -> config
 (** The paper's best policy: DDS / lxf / dynamic bound. *)
 
-val name : config -> string
-
 type stats = { total_nodes : int  (** nodes visited across all decisions *) }
 
 val policy : config -> Sched.Policy.t * (unit -> stats)
-(** The scheduling policy plus an accessor for the nodes it has
+(** The scheduling policy, named as in the paper (e.g.
+    ["DDS/lxf/dynB(L=1K)"], with [+bnb], [@goal=avgW] or [+fair(p)]
+    suffixes), plus an accessor for the nodes it has
     visited so far, over all its decisions (the benchmark's
     reproduction check reads it).  The policy carries
     a per-instance search-effort probe ([Sched.Policy.probe]) holding

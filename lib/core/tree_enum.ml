@@ -65,16 +65,6 @@ let paths_in_iteration algorithm ~n ~iteration =
           | Some d -> d = iteration - 1)
         everything
 
-let all_paths algorithm ~n =
-  match algorithm with
-  | Search.Dfs -> all_paths_dfs n
-  | Search.Lds | Search.Lds_original | Search.Dds ->
-      (* For Lds_original the concatenation contains the repeats the
-         algorithm actually performs. *)
-      List.concat_map
-        (fun iteration -> paths_in_iteration algorithm ~n ~iteration)
-        (List.init n Fun.id)
-
 let path_count ~n =
   let rec fact k acc = if k <= 1 then acc else fact (k - 1) (acc *. float_of_int k) in
   fact n 1.0

@@ -9,24 +9,18 @@
     against: each iteration walked left to right, a path re-placing
     only what it does not share with the path before it.  The kernel
     walks the heuristic path first for every algorithm, DFS included,
-    so its DFS order is that path followed by [all_paths Dfs]. *)
+    so its DFS order is that path followed by iteration 0 of DFS. *)
 
 val paths_in_iteration :
   Search.algorithm -> n:int -> iteration:int -> int list list
 (** Paths (sequences of job indices, 0-based; index order = heuristic
     order) visited by the given iteration, left to right.  Iteration 0
     is the heuristic path for LDS and DDS; for DFS, iteration 0 is the
-    whole tree. *)
-
-val all_paths : Search.algorithm -> n:int -> int list list
-(** Concatenation over iterations: the complete visit order. *)
-
-val discrepancies : int list -> int
-(** Number of discrepancies of a path: positions where the chosen job
-    is not the smallest-index job still unused. *)
-
-val deepest_discrepancy : int list -> int option
-(** 0-based choice depth of the deepest discrepancy, if any. *)
+    whole tree.  A path's {e discrepancies} are the positions where the
+    chosen job is not the smallest-index job still unused: iteration
+    [k] of LDS holds the paths with exactly [k], of original LDS those
+    with at most [k]; iteration [k > 0] of DDS holds those whose
+    deepest discrepancy is at choice depth [k - 1]. *)
 
 val path_count : n:int -> float
 (** n! as a float (exact for the table's range). *)

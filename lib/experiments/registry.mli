@@ -11,7 +11,4 @@ val all : t list
 (** Paper experiments first (fig1..fig8, table3+4, overhead), then the
     ablations. *)
 
-val paper : t list
-(** Only the experiments reproducing a paper table or figure. *)
-
 val find : string -> t option

@@ -7,7 +7,7 @@ let scenario ~seed ~rho =
     build =
       (fun () ->
         Workload.Trace.scale_load
-          (Workload.Model.generate ~seed ~days ())
+          (Workload.Model.generate ~seed ~days)
           ~capacity:Workload.Month_profile.capacity ~target:rho);
   }
 

@@ -9,9 +9,6 @@ type t
 
 val compute : Outcome.t list -> t
 
-val average_wait : t -> runtime_class:int -> node_class:int -> float option
-(** Average wait (seconds) of the cell, or [None] if it has no jobs. *)
-
 val pp : Format.formatter -> t -> unit
 (** Render as a 5x5 table of average waits in hours ("-" for empty
     cells). *)

@@ -6,7 +6,3 @@
 
 val to_csv : string -> Outcome.t list -> unit
 (** Write outcomes to a CSV file (header included), in submit order. *)
-
-val csv_header : string
-
-val csv_row : Outcome.t -> string

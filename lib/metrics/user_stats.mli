@@ -11,19 +11,12 @@ type t
 val compute : Outcome.t list -> t
 (** Jobs with user [<= 0] are ignored. *)
 
-val users : t -> int list
-(** Users sorted by descending processor demand. *)
-
-val job_count : t -> user:int -> int
-val demand_share : t -> user:int -> float
-(** The user's fraction of total node-seconds demand. *)
-
-val avg_wait : t -> user:int -> float
-val avg_bounded_slowdown : t -> user:int -> float
-
 val jain_index : t -> float
 (** Jain's index over per-user average bounded slowdowns; 0 when there
     are no users. *)
 
 val pp_top : n:int -> Format.formatter -> t -> unit
-(** Table of the [n] heaviest users. *)
+(** Table of the [n] heaviest users, by descending node-seconds
+    demand: for each, its job count, its share of all demand (%), its
+    average wait (h) and its average bounded slowdown; then the Jain
+    index. *)

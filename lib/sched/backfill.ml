@@ -9,7 +9,7 @@ let duration r_star j = Policy.planned_duration (r_star j)
 let reservation profile (j : Workload.Job.t) duration =
   (j, Cluster.Profile.place_earliest profile ~nodes:j.nodes ~duration)
 
-(* The floor of the pass's profile from [now]
+(* The floor of the pass's profile, which begins at [now]
    ({!Cluster.Profile.floor}): [steps] steps, [times.(k)] and
    [free.(k)], free counts strictly decreasing. *)
 type floor = {
@@ -24,14 +24,14 @@ type floor = {
 let floors =
   Domain.DLS.new_key (fun () -> { times = [||]; free = [||]; steps = 0 })
 
-let build_floor fl profile ~now =
+let build_floor fl profile =
   let segments = Cluster.Profile.segment_count profile in
   if Array.length fl.free < segments then begin
     let room = max 16 (2 * segments) in
     fl.times <- Array.make room 0.0;
     fl.free <- Array.make room 0
   end;
-  fl.steps <- Cluster.Profile.floor profile ~at:now fl.times fl.free
+  fl.steps <- Cluster.Profile.floor profile fl.times fl.free
 
 let rec first_below fl nodes k =
   if k < fl.steps && fl.free.(k) >= nodes then first_below fl nodes (k + 1)
@@ -81,7 +81,7 @@ let pass profile ~now ~r_star ~reserve jobs =
             go free false start_now (held :: reserved) rest
           else go free fresh start_now reserved rest
         else begin
-          if not fresh then build_floor fl profile ~now;
+          if not fresh then build_floor fl profile;
           let duration = duration r_star j in
           if fits fl ~nodes:j.nodes ~now ~duration then begin
             Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes ~duration;
@@ -94,7 +94,7 @@ let pass profile ~now ~r_star ~reserve jobs =
           else go free true start_now reserved rest
         end
   in
-  go (Cluster.Profile.free_at profile now) false [] [] jobs
+  go (Cluster.Profile.free_now profile ~now) false [] [] jobs
 
 let plan ~reservations ~priority (ctx : Policy.context) =
   let ordered =

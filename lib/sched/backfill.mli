@@ -32,27 +32,29 @@ val pass :
     is carved into the profile there; a job that does not fit is carved
     in at its earliest start, and listed in [reserved], when [reserve
     job] says so, and is otherwise skipped.  [reserve] is asked once
-    per blocked job, in list order.
+    per blocked job, in list order.  The profile must begin at [now],
+    as {!Policy.profile_of} builds it, so no reservation starts before
+    [now].
 
     A decision pays little for jobs that cannot start now.  The pass
-    reads the nodes free at [now] once ({!Cluster.Profile.free_at}) and
-    lowers that count by each start; a job wider than it is blocked
+    reads the nodes free at [now] once ({!Cluster.Profile.free_now})
+    and lowers that count by each start; a job wider than it is blocked
     without a call to [r_star] or a look at the profile, and only a
     job that [reserve] grants gets its duration and its earliest
-    start.  On any profile the count is never below the true one (a
-    reservation lowers only the true one), so it only sorts out jobs
-    that cannot fit.
+    start.  The count is never below the true one (a reservation
+    lowers only the true one), so it only sorts out jobs that cannot
+    fit.
 
     Every other job gets one start test, against the {e floor} of the
-    profile from [now] ({!Cluster.Profile.floor}): the running minimum
-    of its free nodes, as steps [(t_k, m_k)] with [m_k] strictly
-    decreasing and [t_0 = now].  A job of width [w] and duration [d]
-    fits iff no step has [m_k < w], or the first such step has [k > 0]
-    and [t_k >= now +. d].  That is exact on any profile, for any
-    [reserve] rule: the first step below [w] begins at the first
-    segment from [now] with fewer than [w] free nodes, so it is the one
-    a scan of [\[now, now + d)] would stop at, and the plan is that of
-    a pass scanning the window for every job.  The floor is built at
+    profile ({!Cluster.Profile.floor}): the running minimum of its free
+    nodes, as steps [(t_k, m_k)] with [m_k] strictly decreasing and
+    [t_0 = now].  A job of width [w] and duration [d] fits iff no step
+    has [m_k < w], or the first such step has [k > 0] and
+    [t_k >= now +. d].  That is exact for any [reserve] rule: the first
+    step below [w] begins at the first segment with fewer than [w] free
+    nodes, so it is the one a scan of [\[now, now + d)] would stop at,
+    and the plan is that of a pass scanning the window for every
+    job.  The floor is built at
     the first job that passes the width check and again after each
     reservation (a reservation can lower it anywhere); a start over
     [\[now, now + d)] instead lowers the steps that begin before
@@ -65,7 +67,8 @@ val pass :
 
     Every policy here is a queue order plus a [reserve] rule over this
     pass: {!plan} reserves the first [reservations] blocked jobs,
-    {!Selective} the starved ones, and {!run_now} none. *)
+    {!Selective} the starved ones, and {!run_now} none.
+    @raise Invalid_argument if [profile] does not begin at [now]. *)
 
 val plan :
   reservations:int ->

@@ -8,16 +8,8 @@
     starve the long queue, which is exactly the failure mode the
     goal-oriented policies are designed to avoid. *)
 
-val queue_rank : boundaries:float list -> float -> int
-(** [queue_rank ~boundaries r] is the index of the queue for estimated
-    runtime [r]: the first boundary at or above it, or
-    [length boundaries] when none is. *)
-
-val priority : ?boundaries:float list -> unit -> Priority.t
-(** The queue order: lower {!queue_rank} first (the key is the negated
-    rank), FCFS within a queue. *)
-
 val policy : Policy.t
 (** ["multi-queue-backfill(3 queues)"]: {!Backfill.policy} with one
-    reservation over {!priority} at the default boundaries, 1 hour and
-    5 hours. *)
+    reservation over the queue order — short ([R* <= 1 h]) before
+    medium ([<= 5 h]) before long, a boundary value going to the
+    shorter queue, FCFS within a queue. *)

@@ -5,13 +5,6 @@ type key =
 
 type t = { name : string; key : key }
 
-let compare p ~now ~r_star a b =
-  match p.key with
-  | Submit_order -> Workload.Job.compare_submit a b
-  | Keyed key ->
-      let c = Float.compare (key ~now ~r_star b) (key ~now ~r_star a) in
-      if c <> 0 then c else Workload.Job.compare_submit a b
-
 let fcfs = { name = "fcfs"; key = Submit_order }
 let sjf = { name = "sjf"; key = Keyed (fun ~now:_ ~r_star j -> -.r_star j) }
 

@@ -31,17 +31,6 @@ val order :
     permutation is merge-sorted on it, so a decision costs n key
     computations, not two per comparison. *)
 
-val compare :
-  t ->
-  now:float ->
-  r_star:(Workload.Job.t -> float) ->
-  Workload.Job.t ->
-  Workload.Job.t ->
-  int
-(** The comparator {!order} sorts by (negative: the first job goes
-    first), recomputing both keys on every call.  The reference for
-    tests; the policies use {!order}. *)
-
 val fcfs : t
 (** First come, first served. *)
 

@@ -45,9 +45,6 @@ val create : ?capacity:int -> policy:string -> unit -> t
 (** Ring of at most [capacity] decisions (default 65536, clamped to
     >= 1). *)
 
-val schema : string
-(** The JSONL schema identifier, ["decision_trace/1"]. *)
-
 val observe : t -> Engine.decision -> unit
 (** The engine observer: append one decision event — its time, the
     queue length the policy saw, the number of jobs it started — and

@@ -1,5 +1,10 @@
 let finish = Metrics.Outcome.finish
 
+(* Both charts bucket time into [columns] columns; the jobs chart shows
+   at most [max_jobs] rows. *)
+let columns = 72
+let max_jobs = 40
+
 let time_bounds outcomes =
   List.fold_left
     (fun (lo, hi) (o : Metrics.Outcome.t) ->
@@ -7,7 +12,7 @@ let time_bounds outcomes =
     (Float.infinity, Float.neg_infinity)
     outcomes
 
-let jobs_chart ?(columns = 72) ?(max_jobs = 40) fmt outcomes =
+let jobs_chart fmt outcomes =
   match outcomes with
   | [] -> Format.fprintf fmt "(no jobs)@."
   | _ ->
@@ -47,7 +52,7 @@ let jobs_chart ?(columns = 72) ?(max_jobs = 40) fmt outcomes =
       if n > max_jobs then
         Format.fprintf fmt "... (%d more jobs not shown)@." (n - max_jobs)
 
-let utilization_chart ?(columns = 72) ~capacity fmt outcomes =
+let utilization_chart ~capacity fmt outcomes =
   match outcomes with
   | [] -> Format.fprintf fmt "(no jobs)@."
   | _ ->

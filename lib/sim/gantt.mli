@@ -8,21 +8,14 @@
     - {!utilization_chart}: busy-node counts over time rendered as a
       vertical-bar sparkline, usable for traces of any size.
 
-    Both are pure functions of the outcomes; time is bucketed into a
-    fixed number of columns. *)
+    Both are pure functions of the outcomes; time is bucketed into 72
+    columns. *)
 
-val jobs_chart :
-  ?columns:int ->
-  ?max_jobs:int ->
-  Format.formatter ->
-  Metrics.Outcome.t list ->
-  unit
+val jobs_chart : Format.formatter -> Metrics.Outcome.t list -> unit
 (** Render per-job rows in submit order: [.] waiting, [#] running.
-    Shows at most [max_jobs] (default 40) jobs; [columns] defaults
-    to 72.  Prints a note when jobs are elided. *)
+    Shows at most 40 jobs, and prints a note when jobs are elided. *)
 
 val utilization_chart :
-  ?columns:int ->
   capacity:int ->
   Format.formatter ->
   Metrics.Outcome.t list ->

@@ -59,8 +59,6 @@ val create :
     FCFS-derived E^max/E^98% thresholds, so trajectories of different
     policies compare directly). *)
 
-val capacity : t -> int
-
 val observed : t -> int
 (** Raw observations fed so far. *)
 

@@ -1,8 +1,3 @@
-let exponential rng ~mean =
-  if mean <= 0.0 then invalid_arg "Dist.exponential: mean must be positive";
-  let u = 1.0 -. Rng.unit_float rng in
-  -.mean *. log u
-
 (* Checked in the positive form: every comparison with NaN is false. *)
 let log_uniform ~lo ~hi =
   if not (lo > 0.0 && lo <= hi && Float.is_finite hi) then

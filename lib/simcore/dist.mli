@@ -3,21 +3,15 @@
     All samplers draw from an explicit {!Rng.t} so that workloads are
     reproducible and independent across generator streams. *)
 
-val exponential : Rng.t -> mean:float -> float
-(** [exponential rng ~mean] draws from Exp with the given mean.
-    @raise Invalid_argument if [mean <= 0]. *)
-
 val log_uniform : lo:float -> hi:float -> Rng.t -> float
 (** Log-uniform in [\[lo, hi)]: uniform in log-space, so each decade is
     equally likely.  [log_uniform ~lo ~hi] takes the logs once; keep the
     function it returns.  @raise Invalid_argument unless
     [0 < lo <= hi] and [hi] is finite (so NaN bounds are refused). *)
 
-val normal : Rng.t -> mean:float -> stddev:float -> float
-(** Gaussian via Box–Muller. *)
-
 val lognormal : Rng.t -> mu:float -> sigma:float -> float
-(** [exp] of a Gaussian with parameters [mu], [sigma]. *)
+(** [exp] of a Gaussian (Box–Muller) with mean [mu] and standard
+    deviation [sigma]. *)
 
 val categorical : weights:float array -> Rng.t -> int
 (** [categorical ~weights] validates [weights] and builds their

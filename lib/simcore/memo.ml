@@ -59,12 +59,6 @@ let bindings t =
       match s with Ready v -> Some (k, v) | Pending | Failed _ -> None)
     cells
 
-let length t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.lock;
-  n
-
 let clear t =
   Mutex.lock t.lock;
   Hashtbl.reset t.table;

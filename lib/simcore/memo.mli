@@ -20,9 +20,6 @@ val bindings : ('k, 'v) t -> ('k * 'v) list
 (** All [Ready] bindings, unspecified order (sort by key for a
     deterministic listing).  In-flight and failed keys are skipped. *)
 
-val length : ('k, 'v) t -> int
-(** Number of keys present (including in-flight and failed ones). *)
-
 val clear : ('k, 'v) t -> unit
 (** Drop every binding.  In-flight computations complete normally for
     callers already attached to them, but later [get]s recompute. *)

@@ -25,7 +25,9 @@ let create () = { items = [] }
    an unrepresentable lower bound (1 lsl 62 overflows). *)
 let buckets = 63
 
-(* floor(log2 v) + 1 for v >= 1; 0 for v <= 0.  The shift walk beats
+(* Bucket 0 holds values [<= 0]; bucket [b >= 1] holds values in
+   [2^(b-1) .. 2^b - 1], with the top bucket extending to [max_int].
+   floor(log2 v) + 1 for v >= 1; 0 for v <= 0.  The shift walk beats
    a float log and cannot disagree with the bucket bounds below. *)
 let bucket_of v =
   if v <= 0 then 0
@@ -38,8 +40,6 @@ let bucket_of v =
     done;
     if !b > buckets - 1 then buckets - 1 else !b
   end
-
-let bucket_lo b = if b <= 0 then min_int else 1 lsl (b - 1)
 
 let bucket_hi b =
   if b <= 0 then 0 else if b >= buckets - 1 then max_int else (1 lsl b) - 1
@@ -101,34 +101,6 @@ let observe h v =
   h.h_counts.(b) <- h.h_counts.(b) + 1;
   h.h_count <- h.h_count + 1;
   h.h_total <- h.h_total + v
-
-let histogram_percentile h p =
-  if p < 0.0 || p > 100.0 then
-    invalid_arg "Metrics.histogram_percentile: p out of [0, 100]";
-  if h.h_count = 0 then 0.0
-  else begin
-    let rank = p /. 100.0 *. float_of_int h.h_count in
-    let cum = ref 0 in
-    let result = ref 0.0 in
-    (try
-       for b = 0 to buckets - 1 do
-         let c = h.h_counts.(b) in
-         if c > 0 then begin
-           let below = float_of_int !cum in
-           cum := !cum + c;
-           if float_of_int !cum >= rank then begin
-             let inside = Float.max 0.0 (rank -. below) in
-             let frac = inside /. float_of_int c in
-             let lo = if b = 0 then 0.0 else float_of_int (bucket_lo b) in
-             let hi = float_of_int (bucket_hi b) in
-             result := lo +. (frac *. (hi -. lo));
-             raise Exit
-           end
-         end
-       done
-     with Exit -> ());
-    !result
-  end
 
 (* --- OpenMetrics text exposition --- *)
 

@@ -20,23 +20,6 @@ type t
 val create : unit -> t
 (** Fresh empty registry. *)
 
-(** {2 Histogram bucket geometry}
-
-    Bucket 0 holds values [<= 0]; bucket [b >= 1] holds values in
-    [2^(b-1) .. 2^b - 1], with the top bucket extending to [max_int]. *)
-
-val buckets : int
-(** Number of buckets (63: one per magnitude bit of an OCaml int,
-    plus bucket 0 for non-positive values). *)
-
-val bucket_of : int -> int
-(** [bucket_of v] is the bucket index [v] falls into (total map:
-    negatives also land in bucket 0). *)
-
-val bucket_lo : int -> int
-val bucket_hi : int -> int
-(** Inclusive value range covered by a bucket index. *)
-
 (** {2 Instruments}
 
     Metric names must match the OpenMetrics charset
@@ -56,7 +39,9 @@ val gauge : t -> ?help:string -> string -> gauge
 (** Last-write-wins float level (queue depth, busy nodes, ...). *)
 
 val histogram : t -> ?help:string -> string -> histogram
-(** Distribution of ints over the {!buckets} log2 buckets. *)
+(** Distribution of ints over 63 log2 buckets: bucket 0 holds values
+    [<= 0]; bucket [b >= 1] holds values in [2^(b-1) .. 2^b - 1], with
+    the top bucket extending to [max_int]. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -65,13 +50,6 @@ val counter_value : counter -> int
 val set : gauge -> float -> unit
 
 val observe : histogram -> int -> unit
-
-val histogram_percentile : histogram -> float -> float
-(** [histogram_percentile h p] ([0 <= p <= 100]) estimates the p-th
-    percentile by linear interpolation inside the bucket where the
-    cumulative count crosses the rank; 0.0 when empty.  Accurate to
-    within one bucket width by construction.
-    @raise Invalid_argument if [p] is out of range. *)
 
 (** {2 Exposition} *)
 

@@ -24,7 +24,6 @@ type batch = {
 }
 
 type t = {
-  width : int;
   m : Mutex.t;
   work_available : Condition.t; (* new batch posted, or shutdown *)
   batch_done : Condition.t; (* a batch completed / was cleared *)
@@ -99,7 +98,6 @@ let create ~jobs =
   let width = max jobs 1 in
   let t =
     {
-      width;
       m = Mutex.create ();
       work_available = Condition.create ();
       batch_done = Condition.create ();
@@ -116,8 +114,6 @@ let create ~jobs =
     Array.init (width - 1) (fun i ->
         Domain.spawn (fun () -> worker t ~who:(i + 1)));
   t
-
-let jobs t = t.width
 
 let set_tracing t v =
   Mutex.lock t.m;
@@ -202,7 +198,3 @@ let shutdown t =
   Condition.broadcast t.work_available;
   Mutex.unlock t.m;
   if first then Array.iter Domain.join t.workers
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -40,9 +40,6 @@ val create : jobs:int -> t
     must eventually be released with [shutdown] (idle workers block in
     a condition wait; they cost nothing but stay alive until then). *)
 
-val jobs : t -> int
-(** Concurrency width, including the calling domain; >= 1. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], clamped to >= 1 — one
     core is left for the OS / the caller's other work. *)
@@ -71,7 +68,3 @@ val spans : t -> Span.t list
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Subsequent
     [map]/[iter] calls raise [Invalid_argument]. *)
-
-val with_pool : jobs:int -> (t -> 'r) -> 'r
-(** [with_pool ~jobs f] runs [f] over a fresh pool and shuts it down
-    afterwards, also on exception. *)

@@ -25,9 +25,6 @@ val hours : float -> float
 val days : float -> float
 (** [days d] is [d] days expressed in seconds. *)
 
-val to_minutes : float -> float
-(** [to_minutes s] converts [s] seconds to minutes. *)
-
 val to_hours : float -> float
 (** [to_hours s] converts [s] seconds to hours. *)
 

@@ -8,33 +8,21 @@
     Arpaci-Dusseau & Vernon, JSSPP 2002); {!Generator} and {!Model}
     draw one per generated job:
 
-    - with probability [p_exact] the user is accurate (R rounds T up to
-      the next grid value);
-    - with probability [p_small] a mild overestimate, factor
-      log-uniform in [1, 2];
+    - with probability 0.2 the user is accurate (R rounds T up to the
+      next grid value);
+    - with probability 0.25 a mild overestimate, factor log-uniform in
+      [1, 2];
     - otherwise a large overestimate, factor log-uniform in [2, 20].
 
     R is always rounded up to a human "grid" value, clamped to the
     system runtime limit and kept >= T. *)
 
-type params = {
-  p_exact : float;
-  p_small : float;
-}
-
-val default : params
-(** [p_exact = 0.2], [p_small = 0.25]. *)
-
-val grid : limit:float -> float array
-(** Ascending grid of round request values up to and including
-    [limit]. *)
-
 val round_up : limit:float -> float -> float
-(** [round_up ~limit r] is the smallest grid value >= [r], capped at
-    [limit].  It scans the static round values in place of building
-    [grid ~limit], and allocates nothing. *)
+(** [round_up ~limit r] is the smallest round value (5 min to 48 h)
+    below [limit] that is >= [r], else [limit].  It scans a static
+    list and allocates nothing. *)
 
-val draw : ?params:params -> Simcore.Rng.t -> limit:float -> runtime:float -> float
+val draw : Simcore.Rng.t -> limit:float -> runtime:float -> float
 (** [draw rng ~limit ~runtime] samples a requested runtime for a job
     with actual runtime [runtime].  Result is in
     [\[runtime, max limit runtime\]]. *)

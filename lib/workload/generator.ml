@@ -1,17 +1,8 @@
 open Simcore
 
-type config = {
-  seed : int;
-  scale : float;
-  warmup : float;
-  cooldown : float;
-  estimate : Estimate.params;
-  users : int;
-}
+type config = { seed : int; scale : float; users : int }
 
-let default_config =
-  { seed = 42; scale = 1.0; warmup = Units.week; cooldown = Units.week;
-    estimate = Estimate.default; users = 40 }
+let default_config = { seed = 42; scale = 1.0; users = 40 }
 
 (* ------------------------------------------------------------------ *)
 (* Arrivals                                                            *)
@@ -232,8 +223,8 @@ let month ?(config = default_config) profile =
      scaled-down month keeps the offered load and queueing dynamics of
      the full month. *)
   let span = Month_profile.span *. config.scale in
-  let warmup = config.warmup *. config.scale in
-  let cooldown = config.cooldown *. config.scale in
+  let warmup = Units.week *. config.scale in
+  let cooldown = warmup in
   let rng = Rng.create ~seed:(config.seed + Hashtbl.hash profile.Month_profile.label) in
   let arrivals_rng = Rng.split rng in
   let shape_rng = Rng.split rng in
@@ -288,9 +279,7 @@ let month ?(config = default_config) profile =
     Array.mapi
       (fun id submit ->
         let runtime = protos.runtime.(id) in
-        let requested =
-          Estimate.draw ~params:config.estimate estimate_rng ~limit ~runtime
-        in
+        let requested = Estimate.draw estimate_rng ~limit ~runtime in
         Job.make ~id ~submit:(squeeze submit) ~nodes:protos.nodes.(id)
           ~runtime ~requested ~user:(1 + draw_user user_rng))
       submits

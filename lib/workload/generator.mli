@@ -28,9 +28,6 @@ type config = {
       (** scales the job count *and* the time axis together, so offered
           load and queueing dynamics are preserved; 1.0 = published
           month *)
-  warmup : float;  (** seconds of pre-month load (default one week) *)
-  cooldown : float;  (** seconds of post-month load (default one week) *)
-  estimate : Estimate.params;
   users : int;
       (** size of the user population; jobs are attributed to users
           1..users with a Zipf-like popularity (a few heavy users
@@ -39,11 +36,13 @@ type config = {
 }
 
 val default_config : config
-(** seed 42, scale 1.0, one-week warm-up/cool-down, default estimates. *)
+(** seed 42, scale 1.0, 40 users. *)
 
 val month : ?config:config -> Month_profile.t -> Trace.t
 (** [month profile] generates the trace for one month.  The measurement
-    window is [warmup, warmup + Month_profile.span). *)
+    window is [\[w, w + Month_profile.span)], after a warm-up of [w]
+    = one week; a cool-down of one week follows it, and [scale]
+    scales all three. *)
 
 val draw_nodes : Simcore.Rng.t -> range:int -> int
 (** Sample a node count within Table 3 range index [range] (exposed for

@@ -29,11 +29,6 @@ let compare_submit a b =
 
 let equal a b = a.id = b.id
 
-let pp fmt j =
-  Format.fprintf fmt "job#%d[N=%d T=%a R=%a @@%a]" j.id j.nodes
-    Simcore.Units.pp_duration j.runtime Simcore.Units.pp_duration j.requested
-    Simcore.Units.pp_duration j.submit
-
 let size_range8 n =
   if n <= 1 then 0
   else if n = 2 then 1

@@ -44,7 +44,6 @@ val compare_submit : t -> t -> int
 (** Order by submission time, ties by id — the FCFS order. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** {1 Job classes}
 

@@ -39,15 +39,6 @@ let of_trace ~capacity trace =
     long5 = to_pct (float_of_int n) long5;
   }
 
-let max_abs_diff a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Mix_report.max_abs_diff: length mismatch";
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i x -> worst := Float.max !worst (Float.abs (x -. b.(i))))
-    a;
-  !worst
-
 let pp_pcts fmt arr =
   Array.iter (fun v -> Format.fprintf fmt " %5.1f" v) arr
 

@@ -17,8 +17,6 @@ type t = {
 
 val of_trace : capacity:int -> Trace.t -> t
 
-val max_abs_diff : float array -> float array -> float
-(** Largest absolute element-wise difference (percentage points). *)
 
 val pp_table3_row : Format.formatter -> label:string -> t -> unit
 (** Two lines in the format of a Table 3 month entry. *)

@@ -9,31 +9,16 @@
     exists to check that the paper's policy relationships are not an
     artifact of the table-calibrated generator.
 
-    All knobs are explicit; {!default} resembles the literature's
-    medium-load academic machines. *)
+    The model resembles the literature's medium-load academic
+    machines: a 128-node machine ({!Month_profile.capacity}), about
+    115 jobs a day, a 12 h runtime limit; one job in four is serial,
+    and three parallel jobs in four are an exact power of two up to
+    128 nodes.  Runtimes are short (lognormal around 15 min) with
+    probability 0.65, else long (around 4 h), and lie in
+    [\[10 s, 12 h\]]. *)
 
-type params = {
-  capacity : int;  (** machine size the jobs must fit *)
-  serial_fraction : float;  (** probability of a one-node job *)
-  power2_fraction : float;
-      (** among parallel jobs, probability of an exact power of two *)
-  max_log2_nodes : int;  (** largest job is 2^this *)
-  short_fraction : float;  (** probability a job is "short" *)
-  short_mu : float;  (** lognormal location of short runtimes (log s) *)
-  short_sigma : float;
-  long_mu : float;  (** lognormal location of long runtimes (log s) *)
-  long_sigma : float;
-  runtime_limit : float;  (** hard cap, seconds *)
-  jobs_per_day : float;  (** average arrival rate *)
-  estimate : Estimate.params;
-}
-
-val default : params
-(** 128-node machine, ~115 jobs/day, 12 h limit. *)
-
-val generate :
-  ?params:params -> seed:int -> days:float -> unit -> Trace.t
-(** [generate ~seed ~days ()] produces a trace spanning [days] days
+val generate : seed:int -> days:float -> Trace.t
+(** [generate ~seed ~days] produces a trace spanning [days] days
     with a one-day warm-up and cool-down excluded from the measurement
     window.  Deterministic in [seed].
     @raise Invalid_argument if [days <= 0]. *)

@@ -87,8 +87,6 @@ let of_lines lines =
   in
   loop 1 0 [] 0 [] lines
 
-let of_string s = of_lines (String.split_on_char '\n' s)
-
 let of_channel ic =
   let rec read acc =
     match input_line ic with

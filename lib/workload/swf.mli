@@ -27,7 +27,6 @@ type parse_result = {
   comments : string list;  (** header comment lines, in order *)
 }
 
-val of_string : string -> (parse_result, string) result
 val of_file : string -> (parse_result, string) result
 
 val to_file :

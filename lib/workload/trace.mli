@@ -38,9 +38,6 @@ val measured : t -> Job.t list
 val in_window : t -> Job.t -> bool
 (** Whether a job is inside the measurement window. *)
 
-val total_demand : t -> float
-(** Sum of N x T over all jobs, node-seconds. *)
-
 val load : capacity:int -> window:float -> float -> float
 (** [load ~capacity ~window demand] is the offered load of [demand]
     node-seconds over [capacity] nodes for [window] seconds; 0 when the

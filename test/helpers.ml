@@ -28,6 +28,48 @@ let qcheck test =
     ~rand:(Random.State.make [| Lazy.force qcheck_seed |])
     test
 
+(* [Core.Objective]'s order, read through [is_better]: equal within its
+   tolerance, and no worse. *)
+let objective_equal a b =
+  not (Core.Objective.is_better ~candidate:a ~incumbent:b)
+  && not (Core.Objective.is_better ~candidate:b ~incumbent:a)
+
+let objective_no_worse a b = not (Core.Objective.is_better ~candidate:b ~incumbent:a)
+
+(* Largest absolute element-wise difference (percentage points). *)
+let max_abs_diff a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Helpers.max_abs_diff: length mismatch";
+  let worst = ref 0.0 in
+  Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. b.(i)))) a;
+  !worst
+
+(* [Swf.of_file] over a file holding [s]. *)
+let swf_of_string s =
+  let path = Filename.temp_file "swf" ".swf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      Workload.Swf.of_file path)
+
+(* The name of the search policy [config] builds. *)
+let search_policy_name config =
+  (fst (Core.Search_policy.policy config)).Sched.Policy.name
+
+(* [f] over a fresh pool, shut down afterwards, also on exception. *)
+let with_pool ~jobs f =
+  let pool = Simcore.Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Simcore.Pool.shutdown pool) (fun () -> f pool)
+
+(* Exp with the given mean, by inversion. *)
+let exponential rng ~mean = -.mean *. log (1.0 -. Simcore.Rng.unit_float rng)
+
+(* The non-empty lines [pp] renders [x] as. *)
+let pp_lines pp x =
+  Format.asprintf "%a" pp x |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
 (* The OpenMetrics exposition of [reg], one line per element. *)
 let openmetrics_lines reg =
   let buf = Buffer.create 1024 in
@@ -91,10 +133,9 @@ let grid_trace ?(n = 30) ?(capacity = 16) ?(horizon = 1800.0)
   Workload.Trace.v jobs
 
 (* Whether [nodes] nodes are free during all of [at, at + duration) on
-   [p], read off its segment list: every segment that overlaps the
-   window has that many free.  The naive reference for the floor-based
-   start test in [Sched.Backfill.pass]. *)
-let fits_window p ~at ~nodes ~duration =
+   the segment list [segments] (as [Profile.segments] gives it): every
+   segment that overlaps the window has that many free. *)
+let fits_segments segments ~at ~nodes ~duration =
   let until = at +. duration in
   let rec go = function
     | [] -> true
@@ -102,8 +143,31 @@ let fits_window p ~at ~nodes ~duration =
         let next = match rest with (t, _) :: _ -> t | [] -> infinity in
         (start >= until || next <= at || free >= nodes) && go rest
   in
-  at >= fst (List.hd (Cluster.Profile.segments p))
-  && go (Cluster.Profile.segments p)
+  at >= fst (List.hd segments) && go segments
+
+(* [fits_segments] on [p]'s segment list: the naive reference for the
+   floor-based start test in [Sched.Backfill.pass]. *)
+let fits_window p ~at ~nodes ~duration =
+  fits_segments (Cluster.Profile.segments p) ~at ~nodes ~duration
+
+(* The first segment start of [p] at which [fits_segments] holds: a
+   naive scan of the segment list, the reference [Profile.place_earliest]
+   is held to.  A start is always a segment boundary, and the last
+   segment has every node free. *)
+let earliest_start p ~nodes ~duration =
+  let segments = Cluster.Profile.segments p in
+  match
+    List.find_opt
+      (fun (at, _) -> fits_segments segments ~at ~nodes ~duration)
+      segments
+  with
+  | Some (at, _) -> at
+  | None -> invalid_arg "Helpers.earliest_start: wider than the machine"
+
+(* The start [Profile.place_earliest] picks on a copy of [p], leaving
+   [p] as it is. *)
+let placed p ~nodes ~duration =
+  Cluster.Profile.place_earliest (Cluster.Profile.copy p) ~nodes ~duration
 
 (* [policy] over [trace], with the engine's decision reports in time
    order. *)

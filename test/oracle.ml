@@ -1,3 +1,13 @@
+let all_paths algorithm ~n =
+  let iterations =
+    match algorithm with
+    | Core.Search.Dfs -> 1
+    | Core.Search.Lds | Core.Search.Lds_original | Core.Search.Dds -> n
+  in
+  List.concat_map
+    (fun iteration -> Core.Tree_enum.paths_in_iteration algorithm ~n ~iteration)
+    (List.init iterations Fun.id)
+
 let enumerate_best state =
   let n = Core.Search_state.job_count state in
   if n < 1 || n > 8 then
@@ -16,8 +26,15 @@ let enumerate_best state =
           if Core.Objective.is_better ~candidate:obj ~incumbent then
             best := Some obj);
       Core.Search_state.reset state)
-    (Core.Tree_enum.all_paths Core.Search.Dfs ~n);
+    (all_paths Core.Search.Dfs ~n);
   Option.get !best
+
+let compare_priority (p : Sched.Priority.t) ~now ~r_star a b =
+  match p.key with
+  | Submit_order -> Workload.Job.compare_submit a b
+  | Keyed key ->
+      let c = Float.compare (key ~now ~r_star b) (key ~now ~r_star a) in
+      if c <> 0 then c else Workload.Job.compare_submit a b
 
 type reference_plan = {
   start_now : Workload.Job.t list;
@@ -72,7 +89,7 @@ let reference_backfill ~reserve ~priority (ctx : Sched.Policy.context) =
   in
   let ordered =
     List.stable_sort
-      (Sched.Priority.compare priority ~now ~r_star:ctx.r_star)
+      (compare_priority priority ~now ~r_star:ctx.r_star)
       ctx.waiting
   in
   let start_now = ref [] in

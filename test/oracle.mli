@@ -11,7 +11,7 @@
     - {!reference_backfill} re-plans an EASY backfill decision on a
       plain busy-interval list (no availability profile, no segment
       merging), with the queue ordered by [List.stable_sort] over
-      {!Sched.Priority.compare}, against which {!Sched.Backfill.plan}
+      {!compare_priority}, against which {!Sched.Backfill.plan}
       (keyed order, profile) must agree exactly;
     - the trail-vs-snapshot oracle for {!Core.Search_state} is a
       test-side replay in [test/test_search.ml]: every placement's
@@ -21,12 +21,30 @@
     The qcheck suites in [test/test_check.ml] wire the first two to
     random workload generators. *)
 
+val all_paths : Core.Search.algorithm -> n:int -> int list list
+(** The complete visit order of [algorithm]'s iterations over [n]
+    jobs: {!Core.Tree_enum.paths_in_iteration} concatenated over
+    iterations [0 .. n-1] (DFS: its one iteration).  For original LDS
+    it holds the repeats the algorithm performs. *)
+
 val enumerate_best : Core.Search_state.t -> Core.Objective.t
 (** Best objective over all [n!] complete job orders, evaluated one
-    path at a time through {!Core.Tree_enum.all_paths}.  The state is
+    path at a time through {!all_paths} [Dfs].  The state is
     reset before and after.  Intended for tiny queues.
     @raise Invalid_argument if the state has no jobs or more than 8
     (factorial blow-up). *)
+
+val compare_priority :
+  Sched.Priority.t ->
+  now:float ->
+  r_star:(Workload.Job.t -> float) ->
+  Workload.Job.t ->
+  Workload.Job.t ->
+  int
+(** The order {!Sched.Priority.order} promises, as a comparator
+    (negative: the first job goes first): higher key first, equal keys
+    (and {!Sched.Priority.Submit_order}) in {!Workload.Job.compare_submit}
+    order.  It recomputes both keys on every call. *)
 
 type reference_plan = {
   start_now : Workload.Job.t list;  (** decision order, like the real plan *)

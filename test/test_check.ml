@@ -321,7 +321,7 @@ let width_rejected ~priority (ctx : Sched.Policy.context) ref_plan =
   in
   let ordered =
     List.stable_sort
-      (Sched.Priority.compare priority ~now:ctx.now ~r_star:ctx.r_star)
+      (Oracle.compare_priority priority ~now:ctx.now ~r_star:ctx.r_star)
       ctx.waiting
   in
   let reserved = List.map fst ref_plan.Oracle.reserved in
@@ -421,7 +421,7 @@ let prop_search_matches_enumeration =
               (make_state ~releases ~heuristic:Sched.Priority.lxf jobs)
           in
           result.Core.Search.exhausted
-          && Core.Objective.compare result.Core.Search.best best = 0)
+          && Helpers.objective_equal result.Core.Search.best best)
         [ Core.Search.Dfs; Core.Search.Lds; Core.Search.Dds ])
 
 (* --- differential oracle: trail vs snapshot profile mutation --- *)
@@ -457,7 +457,7 @@ let prop_profile_trail_matches_snapshots =
       for _ = 1 to steps do
         let nodes = 1 + Simcore.Rng.int rng capacity in
         let duration = 60.0 +. Simcore.Rng.float rng 7200.0 in
-        let at = Cluster.Profile.earliest_start p ~nodes ~duration in
+        let at = Helpers.earliest_start p ~nodes ~duration in
         Cluster.Profile.reserve p ~at ~nodes ~duration;
         snapshot := Cluster.Profile.copy !snapshot;
         Cluster.Profile.reserve !snapshot ~at ~nodes ~duration;

@@ -27,14 +27,14 @@ let test_profile_locate_before_start () =
   let p = Profile.create ~now:100.0 ~capacity:8 in
   Alcotest.check_raises "before start"
     (Invalid_argument "Profile.locate: time before profile start") (fun () ->
-      ignore (Profile.free_at p 50.0))
+      Profile.reserve p ~at:50.0 ~nodes:1 ~duration:10.0)
 
 let test_profile_full_machine_reservation () =
   let p = Profile.create ~now:0.0 ~capacity:8 in
   Profile.reserve p ~at:0.0 ~nodes:8 ~duration:100.0;
   check_segments "zero free" [ (0.0, 0); (100.0, 8) ] p;
   Alcotest.(check (float 1e-9)) "next start after release" 100.0
-    (Profile.earliest_start p ~nodes:1 ~duration:10.0)
+    (Helpers.placed p ~nodes:1 ~duration:10.0)
 
 let test_profile_adjacent_holes () =
   (* free: 8 in [0,10), 2 in [10,20), 8 in [20,30), 2 in [30,40), 8 after.
@@ -44,18 +44,17 @@ let test_profile_adjacent_holes () =
   Profile.reserve p ~at:10.0 ~nodes:6 ~duration:10.0;
   Profile.reserve p ~at:30.0 ~nodes:6 ~duration:10.0;
   Alcotest.(check (float 1e-9)) "short fits in first window" 0.0
-    (Profile.earliest_start p ~nodes:4 ~duration:10.0);
+    (Helpers.placed p ~nodes:4 ~duration:10.0);
   Alcotest.(check (float 1e-9)) "long must pass both holes" 40.0
-    (Profile.earliest_start p ~nodes:4 ~duration:15.0);
+    (Helpers.placed p ~nodes:4 ~duration:15.0);
   Alcotest.(check (float 1e-9)) "narrow job threads through the holes" 0.0
-    (Profile.earliest_start p ~nodes:2 ~duration:15.0)
+    (Helpers.placed p ~nodes:2 ~duration:15.0)
 
 (* --- Trace --- *)
 
 let test_empty_trace () =
   let t = Workload.Trace.v [] in
   Alcotest.(check int) "length" 0 (Workload.Trace.length t);
-  Alcotest.(check (float 1e-9)) "no demand" 0.0 (Workload.Trace.total_demand t);
   Alcotest.(check (float 1e-9)) "no load" 0.0
     (Workload.Mix_report.of_trace t ~capacity:8).load
 
@@ -112,14 +111,18 @@ let test_simultaneous_arrivals () =
 (* --- Estimate grid --- *)
 
 let test_estimate_grid_is_ascending_and_capped () =
+  (* the round values [round_up] yields, probed every 5 minutes up to
+     twice the limit, never fall, never pass the limit, and end at it *)
   let limit = Simcore.Units.hours 12.0 in
-  let g = Workload.Estimate.grid ~limit in
-  Array.iteri
+  let probes = List.init 289 (fun i -> Simcore.Units.minutes (5.0 *. float_of_int i)) in
+  let g = List.map (Workload.Estimate.round_up ~limit) probes in
+  List.iteri
     (fun i v ->
       Alcotest.(check bool) "within limit" true (v <= limit);
-      if i > 0 then Alcotest.(check bool) "ascending" true (v > g.(i - 1)))
+      if i > 0 then
+        Alcotest.(check bool) "ascending" true (v >= List.nth g (i - 1)))
     g;
-  Alcotest.(check (float 1e-9)) "last = limit" limit g.(Array.length g - 1)
+  Alcotest.(check (float 1e-9)) "last = limit" limit (List.nth g 288)
 
 (* --- Mix_report / Panels formatting --- *)
 

@@ -3,43 +3,49 @@
 
 (* --- Fairshare accounting --- *)
 
+(* A user's share read through the threshold factor at penalty 1. *)
+let share t ~now user =
+  Core.Fairshare.threshold_factor t ~now ~penalty:1.0 user -. 1.0
+
 let test_usage_accumulates () =
   let t = Core.Fairshare.create () in
   Core.Fairshare.record_start t ~now:0.0 ~nodes:4 ~duration:100.0 ~user:1;
   Core.Fairshare.record_start t ~now:0.0 ~nodes:2 ~duration:50.0 ~user:1;
-  Alcotest.(check (float 1e-6)) "sum of areas" 500.0
-    (Core.Fairshare.usage t ~now:0.0 1);
-  Alcotest.(check (float 1e-6)) "unknown user" 0.0
-    (Core.Fairshare.usage t ~now:0.0 99)
+  Core.Fairshare.record_start t ~now:0.0 ~nodes:1 ~duration:500.0 ~user:2;
+  Alcotest.(check (float 1e-9)) "sum of areas: 500 of 1000" 0.5
+    (share t ~now:0.0 1);
+  Alcotest.(check (float 1e-9)) "unknown user" 0.0 (share t ~now:0.0 99)
 
 let test_usage_decays () =
-  let t = Core.Fairshare.create ~half_life:100.0 () in
+  let week = Simcore.Units.week in
+  let t = Core.Fairshare.create () in
   Core.Fairshare.record_start t ~now:0.0 ~nodes:1 ~duration:1000.0 ~user:1;
-  Alcotest.(check (float 1e-6)) "full at t=0" 1000.0
-    (Core.Fairshare.usage t ~now:0.0 1);
-  Alcotest.(check (float 1e-3)) "halved after one half-life" 500.0
-    (Core.Fairshare.usage t ~now:100.0 1);
-  Alcotest.(check (float 1e-3)) "quartered after two" 250.0
-    (Core.Fairshare.usage t ~now:200.0 1)
+  Core.Fairshare.record_start t ~now:week ~nodes:1 ~duration:500.0 ~user:2;
+  Alcotest.(check (float 1e-9)) "halved after one half-life" 0.5
+    (share t ~now:week 1);
+  Core.Fairshare.record_start t ~now:(2.0 *. week) ~nodes:1 ~duration:250.0
+    ~user:3;
+  Alcotest.(check (float 1e-9)) "quartered after two" (1.0 /. 3.0)
+    (share t ~now:(2.0 *. week) 1)
 
 let test_share_and_factor () =
   let t = Core.Fairshare.create () in
   Core.Fairshare.record_start t ~now:0.0 ~nodes:3 ~duration:100.0 ~user:1;
   Core.Fairshare.record_start t ~now:0.0 ~nodes:1 ~duration:100.0 ~user:2;
-  Alcotest.(check (float 1e-6)) "share heavy" 0.75
-    (Core.Fairshare.share t ~now:0.0 1);
-  Alcotest.(check (float 1e-6)) "share light" 0.25
-    (Core.Fairshare.share t ~now:0.0 2);
+  Alcotest.(check (float 1e-6)) "share heavy" 0.75 (share t ~now:0.0 1);
+  Alcotest.(check (float 1e-6)) "share light" 0.25 (share t ~now:0.0 2);
   Alcotest.(check (float 1e-6)) "factor" 2.5
     (Core.Fairshare.threshold_factor t ~now:0.0 ~penalty:2.0 1);
   Alcotest.(check (float 1e-6)) "empty tracker share" 0.0
-    (Core.Fairshare.share (Core.Fairshare.create ()) ~now:0.0 1)
+    (share (Core.Fairshare.create ()) ~now:0.0 1)
 
 let test_untracked_users_ignored () =
   let t = Core.Fairshare.create () in
   Core.Fairshare.record_start t ~now:0.0 ~nodes:4 ~duration:100.0 ~user:0;
-  Alcotest.(check (float 1e-6)) "user 0 untracked" 0.0
-    (Core.Fairshare.usage t ~now:0.0 0)
+  Core.Fairshare.record_start t ~now:0.0 ~nodes:1 ~duration:100.0 ~user:1;
+  Alcotest.(check (float 1e-9)) "user 0 untracked" 0.0 (share t ~now:0.0 0);
+  Alcotest.(check (float 1e-9)) "user 1 holds all usage" 1.0
+    (share t ~now:0.0 1)
 
 (* --- User_stats --- *)
 
@@ -56,23 +62,27 @@ let test_user_stats () =
     ]
   in
   let stats = Metrics.User_stats.compute outcomes in
-  Alcotest.(check (list int)) "ordered by demand" [ 1; 2 ]
-    (Metrics.User_stats.users stats);
-  Alcotest.(check int) "job count" 2
-    (Metrics.User_stats.job_count stats ~user:1);
-  Alcotest.(check (float 1e-6)) "demand share" (72000.0 /. 75600.0)
-    (Metrics.User_stats.demand_share stats ~user:1);
-  Alcotest.(check (float 1e-6)) "avg wait" 5400.0
-    (Metrics.User_stats.avg_wait stats ~user:1);
-  Alcotest.(check (float 1e-6)) "avg slowdown user 2" 1.0
-    (Metrics.User_stats.avg_bounded_slowdown stats ~user:2);
+  (* read through the per-user table: header, one row per user by
+     descending demand, the Jain line *)
+  let rows = Helpers.pp_lines (Metrics.User_stats.pp_top ~n:5) stats in
+  Alcotest.(check int) "two user rows" 4 (List.length rows);
+  Alcotest.(check string) "user 1 first: jobs, demand share, avg wait"
+    (Printf.sprintf "%8d %6d %9.1f %10.2f" 1 2 (100.0 *. 72000.0 /. 75600.0)
+       1.5)
+    (String.sub (List.nth rows 1) 0 36);
+  Alcotest.(check string) "user 2 second, avg slowdown 1.0"
+    (Printf.sprintf "%8d %6d %9.1f %10.2f %10.1f" 2 1
+       (100.0 *. 3600.0 /. 75600.0) 0.0 1.0)
+    (List.nth rows 2);
   let jain = Metrics.User_stats.jain_index stats in
   Alcotest.(check bool) "jain in (0, 1]" true (jain > 0.0 && jain <= 1.0)
 
 let test_user_stats_ignores_anonymous () =
   let outcomes = [ outcome ~user:0 ~wait:0.0 ~nodes:1 ~runtime:60.0 0 ] in
-  Alcotest.(check (list int)) "anonymous dropped" []
-    (Metrics.User_stats.users (Metrics.User_stats.compute outcomes))
+  Alcotest.(check int) "anonymous dropped: header and Jain line only" 2
+    (List.length
+       (Helpers.pp_lines (Metrics.User_stats.pp_top ~n:5)
+          (Metrics.User_stats.compute outcomes)))
 
 let test_jain_extremes () =
   let even =
@@ -122,7 +132,7 @@ let test_fairshare_policy_name () =
       Core.Search_policy.fairshare = Some 2.0 }
   in
   Alcotest.(check string) "name suffix" "DDS/lxf/dynB(L=1K)+fair(2)"
-    (Core.Search_policy.name config)
+    (Helpers.search_policy_name config)
 
 let test_fairshare_flips_a_decision () =
   (* Two 8-node jobs on an 8-node machine, identical waits and

@@ -3,13 +3,6 @@
 
 let asprintf = Format.asprintf
 
-let test_job_pp () =
-  let j = Helpers.job ~id:3 ~nodes:16 ~runtime:7200.0 ~submit:60.0 () in
-  let s = asprintf "%a" Workload.Job.pp j in
-  Alcotest.(check bool) "id shown" true (Helpers.contains s "job#3");
-  Alcotest.(check bool) "nodes shown" true (Helpers.contains s "N=16");
-  Alcotest.(check bool) "runtime in hours" true (Helpers.contains s "2.00h")
-
 let test_aggregate_pp () =
   let a =
     Metrics.Aggregate.compute
@@ -42,7 +35,7 @@ let test_lds0_policy_name () =
       ~heuristic:Sched.Priority.lxf ~bound:Core.Bound.dynamic ~budget:2000 ()
   in
   Alcotest.(check string) "lds0 label" "LDS0/lxf/dynB(L=2K)"
-    (Core.Search_policy.name config)
+    (Helpers.search_policy_name config)
 
 let test_trace_concat_stats () =
   let t =
@@ -55,7 +48,6 @@ let test_trace_concat_stats () =
 
 let suite =
   [
-    Alcotest.test_case "job pp" `Quick test_job_pp;
     Alcotest.test_case "aggregate pp" `Quick test_aggregate_pp;
     Alcotest.test_case "month profile pp" `Quick test_month_profile_pp;
     Alcotest.test_case "negative duration" `Quick test_pp_duration_negative;

@@ -19,7 +19,7 @@ let test_jobs_chart_shapes () =
       outcome ~id:1 ~submit:0.0 ~start:50.0 ~finish:100.0 ();
     ]
   in
-  let out = render (Sim.Gantt.jobs_chart ~columns:20 ~max_jobs:40) outcomes in
+  let out = render (Sim.Gantt.jobs_chart) outcomes in
   Alcotest.(check bool) "mentions legend" true
     (Helpers.contains out "'#'=running");
   Alcotest.(check bool) "has waiting dots" true (Helpers.contains out ".");
@@ -34,27 +34,27 @@ let test_jobs_chart_shapes () =
 
 let test_jobs_chart_elision () =
   let outcomes =
-    List.init 10 (fun id ->
+    List.init 47 (fun id ->
         outcome ~id ~start:(float_of_int id) ~finish:(float_of_int id +. 1.0) ())
   in
-  let out = render (Sim.Gantt.jobs_chart ~columns:20 ~max_jobs:3) outcomes in
-  Alcotest.(check bool) "elision note" true
+  let out = render Sim.Gantt.jobs_chart outcomes in
+  Alcotest.(check bool) "elision note: 40 rows shown" true
     (Helpers.contains out "7 more jobs not shown")
 
 let test_jobs_chart_empty () =
   Alcotest.(check bool) "empty message" true
-    (Helpers.contains (render (Sim.Gantt.jobs_chart ~columns:20) []) "(no jobs)")
+    (Helpers.contains (render Sim.Gantt.jobs_chart []) "(no jobs)")
 
 let test_utilization_chart () =
   (* one 8-node job busy the whole window on a 16-node machine: every
      bucket should read ~50% = digit 5 *)
-  let outcomes = [ outcome ~nodes:8 ~start:0.0 ~finish:100.0 () ] in
+  let outcomes = [ outcome ~nodes:8 ~start:0.0 ~finish:72.0 () ] in
   let out =
-    render (Sim.Gantt.utilization_chart ~columns:10 ~capacity:16) outcomes
+    render (Sim.Gantt.utilization_chart ~capacity:16) outcomes
   in
   Alcotest.(check bool) "has a bar line" true (Helpers.contains out "|");
-  Alcotest.(check bool) "reads 5 everywhere" true
-    (Helpers.contains out "5555555555")
+  Alcotest.(check bool) "reads 5 in all 72 columns" true
+    (Helpers.contains out ("|" ^ String.make 72 '5' ^ "|"))
 
 let suite =
   [

@@ -75,14 +75,14 @@ let test_mix_calibration () =
     Array.map (fun v -> 100.0 *. v /. s) arr
   in
   let jobs_diff =
-    Mix_report.max_abs_diff mix.Mix_report.jobs8
+    Helpers.max_abs_diff mix.Mix_report.jobs8
       (norm profile.Month_profile.jobs8)
   in
   Alcotest.(check bool)
     (Printf.sprintf "job-mix within 5 points (got %.1f)" jobs_diff)
     true (jobs_diff < 5.0);
   let demand_diff =
-    Mix_report.max_abs_diff mix.Mix_report.demand8
+    Helpers.max_abs_diff mix.Mix_report.demand8
       (norm profile.Month_profile.demand8)
   in
   Alcotest.(check bool)
@@ -317,14 +317,14 @@ let test_all_months_calibrated () =
         Array.map (fun v -> 100.0 *. v /. s) arr
       in
       let jobs_diff =
-        Mix_report.max_abs_diff mix.Mix_report.jobs8
+        Helpers.max_abs_diff mix.Mix_report.jobs8
           (norm profile.Month_profile.jobs8)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s job mix off by %.1f pts" label jobs_diff)
         true (jobs_diff < 6.0);
       let short_diff =
-        Mix_report.max_abs_diff mix.Mix_report.short5
+        Helpers.max_abs_diff mix.Mix_report.short5
           profile.Month_profile.short5
       in
       Alcotest.(check bool)
@@ -375,7 +375,7 @@ let test_pinned_backfill_month () =
 
 let test_pinned_model () =
   check_fingerprint "Model seed 1, 3 days" "7da0d26437ac5faa"
-    (Model.generate ~seed:1 ~days:3. ())
+    (Model.generate ~seed:1 ~days:3.)
 
 let test_pinned_rng () =
   let stream seed =

@@ -113,13 +113,12 @@ let test_overhead_state_builder () =
     (result.Core.Search.nodes_visited <= 1000)
 
 let test_registry_complete () =
-  let ids = List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.paper in
-  List.iter
-    (fun expected ->
-      Alcotest.(check bool) (expected ^ " present") true
-        (List.mem expected ids))
-    [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8";
-      "table3+4"; "overhead" ];
+  (* the paper's experiments come first, in this order *)
+  let ids = List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.all in
+  Alcotest.(check (list string)) "paper experiments first"
+    [ "fig1"; "table3+4"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7";
+      "fig8"; "overhead" ]
+    (List.filteri (fun i _ -> i < 10) ids);
   Alcotest.(check bool) "find works" true
     (Experiments.Registry.find "fig4" <> None);
   Alcotest.(check bool) "unknown id" true

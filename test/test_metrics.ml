@@ -92,14 +92,13 @@ let test_class_matrix () =
       outcome ~id:2 ~runtime:(9.0 *. 3600.0) ~nodes:64 ~wait:0.0 ();
     ]
   in
-  let m = Class_matrix.compute outcomes in
-  (match Class_matrix.average_wait m ~runtime_class:1 ~node_class:0 with
-  | Some w -> Alcotest.(check (float 1e-9)) "avg of cell" 5400.0 w
-  | None -> Alcotest.fail "expected a populated cell");
-  Alcotest.(check (option (float 1e-9))) "wide long cell" (Some 0.0)
-    (Class_matrix.average_wait m ~runtime_class:4 ~node_class:4);
-  Alcotest.(check (option (float 1e-9))) "empty cell" None
-    (Class_matrix.average_wait m ~runtime_class:0 ~node_class:2)
+  (* cell [(r, c)] of the rendered table: an 8-column label, then
+     8-column cells in hours, "-" when empty *)
+  let rows = Helpers.pp_lines Class_matrix.pp (Class_matrix.compute outcomes) in
+  let cell r c = String.trim (String.sub (List.nth rows (r + 1)) (9 + (9 * c)) 8) in
+  Alcotest.(check string) "avg of cell: 5400 s" "1.5" (cell 1 0);
+  Alcotest.(check string) "wide long cell" "0.0" (cell 4 4);
+  Alcotest.(check string) "empty cell" "-" (cell 0 2)
 
 let prop_bounded_slowdown_at_least_one =
   QCheck.Test.make ~name:"bounded slowdown >= 1" ~count:300

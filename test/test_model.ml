@@ -3,8 +3,8 @@
 open Workload
 
 let test_deterministic () =
-  let a = Model.generate ~seed:4 ~days:3.0 () in
-  let b = Model.generate ~seed:4 ~days:3.0 () in
+  let a = Model.generate ~seed:4 ~days:3.0 in
+  let b = Model.generate ~seed:4 ~days:3.0 in
   Alcotest.(check int) "same size" (Trace.length a) (Trace.length b);
   Array.iteri
     (fun i (ja : Job.t) ->
@@ -14,22 +14,21 @@ let test_deterministic () =
     (Trace.jobs a)
 
 let test_job_validity () =
-  let params = Model.default in
-  let t = Model.generate ~seed:5 ~days:5.0 () in
+  let t = Model.generate ~seed:5 ~days:5.0 in
   Alcotest.(check bool) "non-empty" true (Trace.length t > 200);
   Array.iter
     (fun (j : Job.t) ->
       Alcotest.(check bool) "nodes within machine" true
-        (j.nodes >= 1 && j.nodes <= params.Model.capacity);
+        (j.nodes >= 1 && j.nodes <= Month_profile.capacity);
       Alcotest.(check bool) "runtime bounded" true
-        (j.runtime >= 10.0 && j.runtime <= params.Model.runtime_limit);
+        (j.runtime >= 10.0 && j.runtime <= Simcore.Units.hours 12.0);
       Alcotest.(check bool) "requested >= runtime" true
         (j.requested >= j.runtime);
       Alcotest.(check bool) "has a user" true (j.user >= 1))
     (Trace.jobs t)
 
 let test_serial_and_power2_fractions () =
-  let t = Model.generate ~seed:6 ~days:20.0 () in
+  let t = Model.generate ~seed:6 ~days:20.0 in
   let jobs = Trace.jobs t in
   let total = float_of_int (Array.length jobs) in
   let serial =
@@ -59,7 +58,7 @@ let test_serial_and_power2_fractions () =
     (pow2_frac > 0.65 && pow2_frac < 0.85)
 
 let test_measurement_window () =
-  let t = Model.generate ~seed:7 ~days:4.0 () in
+  let t = Model.generate ~seed:7 ~days:4.0 in
   Alcotest.(check (float 1.0)) "one-day warmup" Simcore.Units.day
     (Trace.measure_start t);
   Alcotest.(check (float 1.0)) "window span" (Simcore.Units.days 4.0)
@@ -68,10 +67,10 @@ let test_measurement_window () =
 let test_invalid_days () =
   Alcotest.check_raises "days <= 0"
     (Invalid_argument "Model.generate: days <= 0") (fun () ->
-      ignore (Model.generate ~seed:1 ~days:0.0 ()))
+      ignore (Model.generate ~seed:1 ~days:0.0))
 
 let test_simulatable () =
-  let t = Model.generate ~seed:8 ~days:2.0 () in
+  let t = Model.generate ~seed:8 ~days:2.0 in
   let run =
     Sim.Run.simulate ~r_star:Sim.Engine.Actual ~policy:Sched.Backfill.fcfs t
   in

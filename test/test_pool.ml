@@ -7,7 +7,7 @@ open Simcore
 exception Boom of int
 
 let test_map_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+  Helpers.with_pool ~jobs:4 (fun pool ->
       let xs = List.init 100 Fun.id in
       Alcotest.(check (list int))
         "results in input order"
@@ -15,7 +15,7 @@ let test_map_order () =
         (Pool.map pool ~f:(fun x -> x * x) xs))
 
 let test_map_exception () =
-  Pool.with_pool ~jobs:4 (fun pool ->
+  Helpers.with_pool ~jobs:4 (fun pool ->
       let raised =
         try
           ignore
@@ -33,22 +33,26 @@ let test_map_exception () =
         (Pool.map pool ~f:(fun x -> 2 * x) [ 1; 2 ]))
 
 let test_jobs1_degenerate () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check int) "no worker domain" 1 (Pool.jobs pool);
-      let order = ref [] in
-      Pool.iter pool ~f:(fun x -> order := x :: !order) [ 1; 2; 3; 4 ];
+  Helpers.with_pool ~jobs:1 (fun pool ->
+      let order = ref [] and caller = Domain.self () in
+      Pool.iter pool
+        ~f:(fun x ->
+          Alcotest.(check bool) "no worker domain" true
+            (Domain.self () = caller);
+          order := x :: !order)
+        [ 1; 2; 3; 4 ];
       (* sequential path: submission order, in the calling domain *)
       Alcotest.(check (list int)) "in-order execution" [ 1; 2; 3; 4 ]
         (List.rev !order))
 
 let test_reuse_across_batches () =
-  Pool.with_pool ~jobs:3 (fun pool ->
+  Helpers.with_pool ~jobs:3 (fun pool ->
       let a = Pool.map pool ~f:(fun x -> x + 1) (List.init 20 Fun.id) in
       let b = Pool.map pool ~f:(fun x -> x * 2) (List.init 30 Fun.id) in
       Alcotest.(check (list int)) "batch 1" (List.init 20 (fun i -> i + 1)) a;
       Alcotest.(check (list int)) "batch 2" (List.init 30 (fun i -> i * 2)) b);
   (* empty batches are fine too *)
-  Pool.with_pool ~jobs:2 (fun pool ->
+  Helpers.with_pool ~jobs:2 (fun pool ->
       Alcotest.(check (list int)) "empty batch" []
         (Pool.map pool ~f:Fun.id []))
 
@@ -70,7 +74,7 @@ let test_memo_compute_once_concurrent () =
         Unix.sleepf 0.02;
         key * 100)
   in
-  Pool.with_pool ~jobs:8 (fun pool ->
+  Helpers.with_pool ~jobs:8 (fun pool ->
       let requests = List.init 64 (fun i -> i mod 4) in
       let results = Pool.map pool ~f:compute requests in
       List.iter2
@@ -78,9 +82,9 @@ let test_memo_compute_once_concurrent () =
         requests results);
   Alcotest.(check int) "each key forced exactly once" 4
     (Atomic.get forcings);
-  Alcotest.(check int) "table size" 4 (Memo.length memo);
+  Alcotest.(check int) "table size" 4 (List.length (Memo.bindings memo));
   Memo.clear memo;
-  Alcotest.(check int) "cleared" 0 (Memo.length memo)
+  Alcotest.(check int) "cleared" 0 (List.length (Memo.bindings memo))
 
 let test_memo_failure_cached () =
   let memo : (string, int) Memo.t = Memo.create () in
@@ -129,7 +133,7 @@ let test_common_simulate_stress () =
   in
   let requests = List.init 64 (fun i -> i mod n_keys) in
   let runs =
-    Pool.with_pool ~jobs:8 (fun pool -> Pool.map pool ~f:request requests)
+    Helpers.with_pool ~jobs:8 (fun pool -> Pool.map pool ~f:request requests)
   in
   let once what counts =
     Array.iteri

@@ -48,12 +48,12 @@ let test_of_running_empty_release () =
 let test_earliest_start_immediate () =
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
   Alcotest.(check (float 1e-9)) "fits now" 0.0
-    (Profile.earliest_start p ~nodes:6 ~duration:1000.0)
+    (Helpers.placed p ~nodes:6 ~duration:1000.0)
 
 let test_earliest_start_waits_for_release () =
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
   Alcotest.(check (float 1e-9)) "must wait" 100.0
-    (Profile.earliest_start p ~nodes:8 ~duration:1000.0)
+    (Helpers.placed p ~nodes:8 ~duration:1000.0)
 
 let test_earliest_start_hole_too_short () =
   (* 6 nodes free until t=50 (then 4 until t=100): a 6-node 60s job
@@ -61,9 +61,9 @@ let test_earliest_start_hole_too_short () =
   let p = Profile.create ~now:0.0 ~capacity:10 in
   Profile.reserve p ~at:50.0 ~nodes:6 ~duration:50.0;
   Alcotest.(check (float 1e-9)) "skips short hole" 100.0
-    (Profile.earliest_start p ~nodes:6 ~duration:60.0);
+    (Helpers.placed p ~nodes:6 ~duration:60.0);
   Alcotest.(check (float 1e-9)) "short job uses hole" 0.0
-    (Profile.earliest_start p ~nodes:6 ~duration:50.0)
+    (Helpers.placed p ~nodes:6 ~duration:50.0)
 
 let test_reserve_splits_segments () =
   let p = Profile.create ~now:0.0 ~capacity:10 in
@@ -79,25 +79,33 @@ let test_reserve_insufficient () =
       Profile.reserve p ~at:0.0 ~nodes:6 ~duration:10.0)
 
 (* The floor of a profile with a dip: steps where the running minimum
-   falls, and the fit answers it gives. *)
+   falls, and the fit answers it gives.  A floor starts at its
+   profile's start, so each case builds the profile from that instant
+   (the same dips, 7 nodes over [200, 300) and 9 over [400, 410)). *)
 let test_floor () =
-  let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
-  Profile.reserve p ~at:200.0 ~nodes:7 ~duration:100.0;
-  Profile.reserve p ~at:400.0 ~nodes:9 ~duration:10.0;
+  let dipped ~now releases =
+    let p = Profile.of_running ~now ~capacity:10 releases in
+    Profile.reserve p ~at:(Float.max now 200.0) ~nodes:7
+      ~duration:(300.0 -. Float.max now 200.0);
+    Profile.reserve p ~at:400.0 ~nodes:9 ~duration:10.0;
+    p
+  in
   let times = Array.make 8 nan and free = Array.make 8 (-1) in
-  let floor ~at =
-    let n = Profile.floor p ~at times free in
+  let floor p =
+    let n = Profile.floor p times free in
     List.init n (fun k -> (times.(k), free.(k)))
   in
   let steps = Alcotest.(list (pair (float 0.0) int)) in
   Alcotest.(check steps) "from the start" [ (0.0, 6); (200.0, 3); (400.0, 1) ]
-    (floor ~at:0.0);
-  Alcotest.(check steps) "from inside a segment" [ (150.0, 10); (200.0, 3);
-    (400.0, 1) ] (floor ~at:150.0);
+    (floor (dipped ~now:0.0 [ (100.0, 4) ]));
+  Alcotest.(check steps) "from a start after a release"
+    [ (150.0, 10); (200.0, 3); (400.0, 1) ]
+    (floor (dipped ~now:150.0 [ (100.0, 4) ]));
   Alcotest.(check steps) "from the dip" [ (250.0, 3); (400.0, 1) ]
-    (floor ~at:250.0);
+    (floor (dipped ~now:250.0 []));
+  let p = dipped ~now:150.0 [] in
   Profile.reserve p ~at:150.0 ~nodes:10 ~duration:10.0;
-  Alcotest.(check steps) "stops at zero" [ (150.0, 0) ] (floor ~at:150.0);
+  Alcotest.(check steps) "stops at zero" [ (150.0, 0) ] (floor p);
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4) ] in
   Alcotest.(check bool) "fits" true
     (Helpers.fits_window p ~at:0.0 ~nodes:6 ~duration:1e6);
@@ -188,7 +196,7 @@ let test_place_earliest_matches_two_step () =
   let p = Profile.of_running ~now:0.0 ~capacity:10 [ (100.0, 4); (50.0, 2) ] in
   let q = Profile.copy p in
   let s = Profile.place_earliest p ~nodes:6 ~duration:75.0 in
-  let s' = Profile.earliest_start q ~nodes:6 ~duration:75.0 in
+  let s' = Helpers.earliest_start q ~nodes:6 ~duration:75.0 in
   Profile.reserve q ~at:s' ~nodes:6 ~duration:75.0;
   Alcotest.(check (float 1e-9)) "same start" s' s;
   check_segments "same segments" (Profile.segments q) p
@@ -203,46 +211,53 @@ let plan_gen =
 
 let plan_arbitrary = QCheck.make plan_gen
 
+(* Like [plan_gen], with durations on a 50 s grid, so windows often end
+   exactly where a later segment begins. *)
+let grid_plan_arbitrary =
+  QCheck.make
+    QCheck.Gen.(
+      list_size (1 -- 25)
+        (pair (1 -- 16) (map (fun d -> 50.0 *. float_of_int d) (1 -- 20))))
+
 let prop_invariant_under_reserves =
   QCheck.Test.make ~name:"profile invariant under random placements"
     ~count:300 plan_arbitrary (fun plan ->
       let p = Profile.create ~now:0.0 ~capacity:16 in
       List.iter
         (fun (nodes, duration) ->
-          let s = Profile.earliest_start p ~nodes ~duration in
-          Profile.reserve p ~at:s ~nodes ~duration)
+          ignore (Profile.place_earliest p ~nodes ~duration))
         plan;
       Profile.invariant p)
 
+(* The start [place_earliest] picks, checked on the segments it was
+   picked from by the naive window test. *)
 let prop_earliest_start_is_feasible =
   QCheck.Test.make ~name:"earliest_start fits at its own answer" ~count:300
-    plan_arbitrary (fun plan ->
+    grid_plan_arbitrary (fun plan ->
       let p = Profile.create ~now:0.0 ~capacity:16 in
       List.for_all
         (fun (nodes, duration) ->
-          let s = Profile.earliest_start p ~nodes ~duration in
-          let ok = Helpers.fits_window p ~at:s ~nodes ~duration in
-          Profile.reserve p ~at:s ~nodes ~duration;
-          ok)
+          let before = Profile.segments p in
+          let s = Profile.place_earliest p ~nodes ~duration in
+          Helpers.fits_segments before ~at:s ~nodes ~duration)
         plan)
 
 let prop_earliest_start_is_minimal =
-  (* No segment boundary strictly before the reported start admits the
-     job: the start really is earliest among candidate times. *)
+  (* No segment boundary strictly before the start [place_earliest]
+     picks admits the job: the start really is earliest among candidate
+     times. *)
   QCheck.Test.make ~name:"earliest_start minimal over boundaries" ~count:200
-    plan_arbitrary (fun plan ->
+    grid_plan_arbitrary (fun plan ->
       let p = Profile.create ~now:0.0 ~capacity:16 in
       List.for_all
         (fun (nodes, duration) ->
-          let s = Profile.earliest_start p ~nodes ~duration in
-          let earlier_fits =
-            List.exists
-              (fun (b, _) ->
-                b < s && Helpers.fits_window p ~at:b ~nodes ~duration)
-              (Profile.segments p)
-          in
-          Profile.reserve p ~at:s ~nodes ~duration;
-          not earlier_fits)
+          let before = Profile.segments p in
+          let s = Profile.place_earliest p ~nodes ~duration in
+          not
+            (List.exists
+               (fun (b, _) ->
+                 b < s && Helpers.fits_segments before ~at:b ~nodes ~duration)
+               before))
         plan)
 
 let prop_free_never_negative =
@@ -251,8 +266,7 @@ let prop_free_never_negative =
       let p = Profile.create ~now:0.0 ~capacity:16 in
       List.iter
         (fun (nodes, duration) ->
-          let s = Profile.earliest_start p ~nodes ~duration in
-          Profile.reserve p ~at:s ~nodes ~duration)
+          ignore (Profile.place_earliest p ~nodes ~duration))
         plan;
       List.for_all (fun (_, free) -> free >= 0 && free <= 16)
         (Profile.segments p))
@@ -304,23 +318,24 @@ let prop_trail_matches_copy_oracle =
           | `Push (nodes, duration) ->
               let oracle = Profile.copy p in
               let m = Profile.mark p in
-              let s = Profile.earliest_start p ~nodes ~duration in
-              Profile.reserve p ~at:s ~nodes ~duration;
+              ignore (Profile.place_earliest p ~nodes ~duration);
               stack := (m, oracle) :: !stack
           | `Pop -> pop ())
         ops;
       while !stack <> [] do pop () done;
       !ok)
 
+(* Against the naive scan of the segment list ([Helpers.earliest_start])
+   followed by [reserve]. *)
 let prop_place_earliest_equals_two_step =
   QCheck.Test.make ~name:"place_earliest = earliest_start; reserve"
-    ~count:300 plan_arbitrary (fun plan ->
+    ~count:300 grid_plan_arbitrary (fun plan ->
       let p = Profile.create ~now:0.0 ~capacity:16 in
       let q = Profile.create ~now:0.0 ~capacity:16 in
       List.for_all
         (fun (nodes, duration) ->
           let s = Profile.place_earliest p ~nodes ~duration in
-          let s' = Profile.earliest_start q ~nodes ~duration in
+          let s' = Helpers.earliest_start q ~nodes ~duration in
           Profile.reserve q ~at:s' ~nodes ~duration;
           s = s' && Profile.segments p = Profile.segments q)
         plan)
@@ -416,26 +431,21 @@ let test_shift_across_buffer_growth () =
   check_round_trip "growth at the end" p ~expected (fun () ->
       Profile.reserve p ~at:1000.0 ~nodes:1 ~duration:10.0)
 
-(* Allocation guard: the floor pass and the window scan behind
-   [earliest_start] are top-level functions over ints and [t], so with
-   constant float arguments [floor] allocates nothing and
-   [earliest_start] allocates only the box of its float result (an
-   out-of-line call boxes a float result; test builds are opaque, so
-   nothing inlines across modules).  A local closure capturing the
-   window end would cost words on every call. *)
+(* Allocation guard: the floor pass is a top-level function over ints
+   and [t], so it allocates nothing (test builds are opaque, so nothing
+   inlines across modules).  The window scan behind [place_earliest] is
+   checked by the placement round trip below. *)
 let test_window_scans_allocate_nothing () =
-  let p =
-    Profile.of_running ~now:0.0 ~capacity:128
-      [ (100.0, 64); (250.0, 32); (400.0, 16) ]
-  in
+  let releases = [ (100.0, 64); (250.0, 32); (400.0, 16) ] in
+  let p = Profile.of_running ~now:0.0 ~capacity:128 releases in
+  let q = Profile.of_running ~now:150.0 ~capacity:128 releases in
   Profile.reserve p ~at:500.0 ~nodes:100 ~duration:100.0;
+  Profile.reserve q ~at:500.0 ~nodes:100 ~duration:100.0;
   let times = Array.make 8 0.0 and free = Array.make 8 0 in
   Alcotest.(check int) "floor from the start: one step" 1
-    (Profile.floor p ~at:0.0 times free);
-  Alcotest.(check int) "floor from inside: the dip" 2
-    (Profile.floor p ~at:150.0 times free);
-  Alcotest.(check (float 0.0)) "after the reservation" 600.0
-    (Profile.earliest_start p ~nodes:120 ~duration:120.0);
+    (Profile.floor p times free);
+  Alcotest.(check int) "floor from a later start: the dip" 2
+    (Profile.floor q times free);
   let calls = 1000 in
   let words_of burn =
     burn ();
@@ -447,23 +457,12 @@ let test_window_scans_allocate_nothing () =
   let floor_words =
     words_of (fun () ->
         for _ = 1 to calls do
-          ignore (Profile.floor p ~at:0.0 times free);
-          ignore (Profile.floor p ~at:150.0 times free)
-        done)
-  in
-  let start_words =
-    words_of (fun () ->
-        for _ = 1 to calls do
-          ignore (Profile.earliest_start p ~nodes:120 ~duration:120.0)
+          ignore (Profile.floor p times free);
+          ignore (Profile.floor q times free)
         done)
   in
   Alcotest.(check (float 0.0)) "floor: 0 minor words per call" 0.0
     floor_words;
-  let boxed_float_words = 1 + (64 / Sys.word_size) in
-  Alcotest.(check (float 0.0))
-    "earliest_start: only its boxed result per call"
-    (float_of_int (calls * boxed_float_words))
-    start_words;
   (* The search's placement round trip (the staged [place_earliest],
      whose plain form only adds its boxed result) allocates nothing,
      whichever way its segments shift.  On a 40-segment staircase a

@@ -15,9 +15,9 @@ let mm1_trace ~seed ~n ~lambda ~mu =
   let jobs =
     List.init n (fun id ->
         clock :=
-          !clock +. Simcore.Dist.exponential arrivals ~mean:(1.0 /. lambda);
+          !clock +. Helpers.exponential arrivals ~mean:(1.0 /. lambda);
         let runtime =
-          Float.max 1e-3 (Simcore.Dist.exponential services ~mean:(1.0 /. mu))
+          Float.max 1e-3 (Helpers.exponential services ~mean:(1.0 /. mu))
         in
         Workload.Job.v ~id ~submit:!clock ~nodes:1 ~runtime
           ~requested:(runtime +. 1.0))

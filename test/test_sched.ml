@@ -26,20 +26,20 @@ let test_fcfs_priority () =
   let a = Helpers.job ~id:0 ~submit:10.0 () in
   let b = Helpers.job ~id:1 ~submit:5.0 () in
   Alcotest.(check bool) "earlier first" true
-    (Priority.compare Priority.fcfs ~now:20.0 ~r_star b a < 0)
+    (Oracle.compare_priority Priority.fcfs ~now:20.0 ~r_star b a < 0)
 
 let test_sjf_priority () =
   let short = Helpers.job ~id:0 ~runtime:60.0 () in
   let long = Helpers.job ~id:1 ~runtime:3600.0 () in
   Alcotest.(check bool) "short first" true
-    (Priority.compare Priority.sjf ~now:0.0 ~r_star short long < 0)
+    (Oracle.compare_priority Priority.sjf ~now:0.0 ~r_star short long < 0)
 
 let test_lxf_priority () =
   (* same wait, shorter job has larger expansion factor *)
   let short = Helpers.job ~id:0 ~submit:0.0 ~runtime:600.0 () in
   let long = Helpers.job ~id:1 ~submit:0.0 ~runtime:36000.0 () in
   Alcotest.(check bool) "larger xf first" true
-    (Priority.compare Priority.lxf ~now:3600.0 ~r_star short long < 0)
+    (Oracle.compare_priority Priority.lxf ~now:3600.0 ~r_star short long < 0)
 
 let test_expansion_factor () =
   let j = Helpers.job ~submit:0.0 ~runtime:3600.0 () in
@@ -56,9 +56,9 @@ let test_lxf_w_prefers_waiters () =
   let fresh = Helpers.job ~id:1 ~submit:35000.0 ~runtime:600.0 () in
   (* plain lxf prefers the fresh short job; a big wait weight flips it *)
   Alcotest.(check bool) "lxf prefers fresh short job" true
-    (Priority.compare Priority.lxf ~now:36000.0 ~r_star fresh waited < 0);
+    (Oracle.compare_priority Priority.lxf ~now:36000.0 ~r_star fresh waited < 0);
   Alcotest.(check bool) "lxf&w prefers the long waiter" true
-    (Priority.compare p ~now:36000.0 ~r_star waited fresh < 0)
+    (Oracle.compare_priority p ~now:36000.0 ~r_star waited fresh < 0)
 
 (* --- Backfill --- *)
 
@@ -223,7 +223,7 @@ let prop_sort_skip_matches_sort =
       in
       List.for_all
         (fun priority ->
-          let cmp = Priority.compare priority ~now ~r_star in
+          let cmp = Oracle.compare_priority priority ~now ~r_star in
           List.for_all
             (fun queue ->
               same
@@ -241,7 +241,7 @@ let prop_sort_skip_matches_sort =
 
 (* The keyed order against its comparator.  [Priority.order] computes
    each key once and merge-sorts an index permutation; the reference
-   stable-sorts with [Priority.compare], which recomputes both keys on
+   stable-sorts with [Oracle.compare_priority], which recomputes both keys on
    every comparison.  The queues force every tie the two must break
    alike: submits on a four-point grid whose last point is [now] (equal
    submits, jobs that have waited 0 s), estimates from a short list
@@ -269,6 +269,20 @@ let tie_queue_arbitrary =
         (List.mapi job)
         (list_size (0 -- 70) (triple (0 -- 3) (0 -- 5) (1 -- 2))))
 
+(* A key with few values, so most jobs tie on it: the negated index of
+   the first boundary at or above the estimated runtime (the shape of
+   the multi-queue order). *)
+let ranked boundaries =
+  let rank r =
+    let rec scan i = function
+      | [] -> i
+      | b :: rest -> if r <= b then i else scan (i + 1) rest
+    in
+    scan 0 boundaries
+  in
+  { Priority.name = "ranked";
+    key = Keyed (fun ~now:_ ~r_star j -> -.float_of_int (rank (r_star j))) }
+
 let prop_keyed_order_matches_compare =
   let now = 1800.0 in
   let r_stars =
@@ -279,18 +293,18 @@ let prop_keyed_order_matches_compare =
   in
   let priorities =
     [ Priority.fcfs; Priority.sjf; Priority.lxf;
-      Priority.lxf_w ~weight_per_hour:0.5; Multi_queue.priority ();
-      Multi_queue.priority ~boundaries:[ 30.0; 600.0 ] () ]
+      Priority.lxf_w ~weight_per_hour:0.5; ranked [ 3600.0; 18000.0 ];
+      ranked [ 30.0; 600.0 ] ]
   in
   let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
-  QCheck.Test.make ~name:"Priority.order = stable_sort Priority.compare"
+  QCheck.Test.make ~name:"Priority.order = stable_sort Oracle.compare_priority"
     ~count:300 tie_queue_arbitrary (fun jobs ->
       List.for_all
         (fun r_star ->
           List.for_all
             (fun p ->
               let sorted =
-                List.stable_sort (Priority.compare p ~now ~r_star) jobs
+                List.stable_sort (Oracle.compare_priority p ~now ~r_star) jobs
               in
               Priority.order p ~now ~r_star sorted == sorted
               && List.for_all
@@ -471,7 +485,8 @@ let test_wide_jobs_skip_r_star () =
 
 (* [Backfill.pass]'s contract with the start test done by a scan of
    the segment list ([Helpers.fits_window]) for every job, as the
-   removed [Profile.fits_at] did. *)
+   removed [Profile.fits_at] did, and each reservation placed at the
+   naive earliest start ([Helpers.earliest_start]). *)
 let scan_pass profile ~now ~r_star ~reserve jobs =
   let start_now = ref [] and reserved = ref [] in
   List.iter
@@ -481,31 +496,30 @@ let scan_pass profile ~now ~r_star ~reserve jobs =
         Cluster.Profile.reserve profile ~at:now ~nodes:j.nodes ~duration;
         start_now := j :: !start_now
       end
-      else if reserve j then
-        reserved :=
-          (j, Cluster.Profile.place_earliest profile ~nodes:j.nodes ~duration)
-          :: !reserved)
+      else if reserve j then begin
+        let at = Helpers.earliest_start profile ~nodes:j.nodes ~duration in
+        Cluster.Profile.reserve profile ~at ~nodes:j.nodes ~duration;
+        reserved := (j, at) :: !reserved
+      end)
     jobs;
   (List.rev !start_now, List.rev !reserved)
 
-(* A profile with several dips, every boundary on a 10 s grid from
-   [origin], and a decision instant 5 s past a grid point, so it lies
-   strictly inside a segment, usually not the first.  Runtimes are
-   either the distance from [now] to a boundary, so a window ends
-   exactly where a step begins, or multiples of 5 s, some below the
-   1 s floor.  Every sum is exact. *)
+(* A profile that begins at [now], as every policy's does, with several
+   dips, every boundary after [now] on a 10 s grid from it; some dips
+   begin at [now] itself.  Runtimes are either the distance from [now]
+   to a boundary, so a window ends exactly where a step begins, or
+   multiples of 5 s, some below the 1 s floor.  Every sum is exact. *)
 let random_floor_case rng =
-  let origin = 1000.0 in
+  let now = 1005.0 in
   let capacity = 4 + Simcore.Rng.int rng 29 in
-  let profile = Cluster.Profile.create ~now:origin ~capacity in
+  let profile = Cluster.Profile.create ~now ~capacity in
   for _ = 1 to 2 + Simcore.Rng.int rng 6 do
-    let at = origin +. (10.0 *. float_of_int (Simcore.Rng.int rng 40)) in
+    let at = now +. (10.0 *. float_of_int (Simcore.Rng.int rng 40)) in
     let duration = 10.0 *. float_of_int (1 + Simcore.Rng.int rng 20) in
     let nodes = 1 + Simcore.Rng.int rng capacity in
     if Helpers.fits_window profile ~at ~nodes ~duration then
       Cluster.Profile.reserve profile ~at ~nodes ~duration
   done;
-  let now = origin +. 5.0 +. (10.0 *. float_of_int (Simcore.Rng.int rng 40)) in
   let boundaries =
     Array.of_list
       (List.filter_map
@@ -558,8 +572,30 @@ let prop_pass_matches_window_scan =
           let held = List.map (fun ((j : Workload.Job.t), s) -> (j.id, s)) in
           ids plan.start_now = ids start_now
           && held plan.reserved = held reserved
+          && List.for_all (fun (_, s) -> s >= now) plan.reserved
           && Cluster.Profile.segments real = Cluster.Profile.segments naive)
         (floor_rules ~now ~seed))
+
+(* The pass reads the nodes free at [now] off the profile's first
+   segment, which holds them only if the profile begins at [now]. *)
+let test_pass_refuses_other_profiles () =
+  let job = Helpers.job ~id:1 ~nodes:2 ~runtime:60.0 () in
+  List.iter
+    (fun start ->
+      let profile = Cluster.Profile.create ~now:start ~capacity:8 in
+      Alcotest.check_raises
+        (Printf.sprintf "profile from %g, now 100" start)
+        (Invalid_argument "Profile.free_now: the profile does not begin at now")
+        (fun () ->
+          ignore
+            (Backfill.pass profile ~now:100.0 ~r_star ~reserve:(fun _ -> true)
+               [ job ])))
+    [ 0.0; 99.5; 100.5 ];
+  let profile = Cluster.Profile.create ~now:100.0 ~capacity:8 in
+  Alcotest.(check int) "from now: starts" 1
+    (List.length
+       (Backfill.pass profile ~now:100.0 ~r_star ~reserve:(fun _ -> true) [ job ])
+         .start_now)
 
 let suite =
   [
@@ -591,4 +627,6 @@ let suite =
     Alcotest.test_case "wide jobs skip estimated runtime" `Quick
       test_wide_jobs_skip_r_star;
     Helpers.qcheck prop_pass_matches_window_scan;
+    Alcotest.test_case "pass refuses a profile not from now" `Quick
+      test_pass_refuses_other_profiles;
   ]

@@ -96,7 +96,8 @@ let test_normal_moments () =
   let rng = Simcore.Rng.create ~seed:41 in
   let n = 20_000 in
   let samples =
-    Array.init n (fun _ -> Simcore.Dist.normal rng ~mean:10.0 ~stddev:2.0)
+    (* the Gaussian behind [lognormal] *)
+    Array.init n (fun _ -> log (Simcore.Dist.lognormal rng ~mu:10.0 ~sigma:2.0))
   in
   let mean = Simcore.Stats.mean samples in
   let stddev =

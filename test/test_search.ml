@@ -34,7 +34,7 @@ let brute_force_best state =
           if Objective.is_better ~candidate:obj ~incumbent then
             best := Some obj);
       Search_state.reset state)
-    (Tree_enum.all_paths Search.Dfs ~n);
+    (Oracle.all_paths Search.Dfs ~n);
   Option.get !best
 
 (* --- Search_state unit tests --- *)
@@ -245,7 +245,7 @@ let exhaustive_equals_bruteforce algo seed =
   in
   let result = Search.run algo ~budget:max_int (make ()) in
   let brute = brute_force_best (make ()) in
-  Objective.compare result.Search.best brute = 0 && result.Search.exhausted
+  Helpers.objective_equal result.Search.best brute && result.Search.exhausted
 
 let prop_dfs_optimal =
   QCheck.Test.make ~name:"exhaustive DFS = brute force" ~count:60
@@ -282,7 +282,7 @@ let prop_prune_preserves_best =
       let pruned =
         Search.run ~prune:true Search.Dds ~budget:max_int (make ())
       in
-      Objective.compare plain.Search.best pruned.Search.best = 0
+      Helpers.objective_equal plain.Search.best pruned.Search.best
       && pruned.Search.nodes_visited <= plain.Search.nodes_visited)
 
 (* --- trail vs snapshot replay --- *)
@@ -320,11 +320,11 @@ let trail_matches_snapshot_replay seed =
             let p = Cluster.Profile.copy base in
             for d = 0 to depth - 1 do
               let nodes, duration = shape path.(d) in
-              let at = Cluster.Profile.earliest_start p ~nodes ~duration in
+              let at = Helpers.earliest_start p ~nodes ~duration in
               Cluster.Profile.reserve p ~at ~nodes ~duration
             done;
             let nodes, duration = shape job in
-            if Cluster.Profile.earliest_start p ~nodes ~duration <> start then
+            if Helpers.earliest_start p ~nodes ~duration <> start then
               agreed := false
           in
           let state =
@@ -385,7 +385,7 @@ let visit_order_matches_spec seed =
         match algo with
         | Search.Dfs ->
             placements_of_paths [ heuristic_path ]
-            @ placements_of_paths (Tree_enum.all_paths Search.Dfs ~n)
+            @ placements_of_paths (Oracle.all_paths Search.Dfs ~n)
         | Search.Lds | Search.Lds_original | Search.Dds ->
             List.concat_map
               (fun iteration ->
@@ -434,8 +434,8 @@ let test_reset_after_budget_spent () =
     control.Search.leaves_evaluated r2.Search.leaves_evaluated;
   Alcotest.(check bool) "same best order as a fresh state" true
     (r2.Search.best_order = control.Search.best_order);
-  Alcotest.(check int) "same objective as a fresh state" 0
-    (Objective.compare r2.Search.best control.Search.best)
+  Alcotest.(check bool) "same objective as a fresh state" true
+    (Helpers.objective_equal r2.Search.best control.Search.best)
 
 let test_budget_enforced () =
   let rng = Simcore.Rng.create ~seed:3 in
@@ -486,8 +486,8 @@ let test_search_deterministic () =
     b.Search.leaves_evaluated;
   Alcotest.(check bool) "same best order" true
     (a.Search.best_order = b.Search.best_order);
-  Alcotest.(check int) "same objective" 0
-    (Objective.compare a.Search.best b.Search.best)
+  Alcotest.(check bool) "same objective" true
+    (Helpers.objective_equal a.Search.best b.Search.best)
 
 let test_empty_state_rejected () =
   let state = make_state ~heuristic:Sched.Priority.fcfs [] in
@@ -514,7 +514,7 @@ let test_dds_beats_lds_to_root_discrepancies () =
   let dds = Search.run Search.Dds ~budget:13 (state ()) in
   let lds = Search.run Search.Lds ~budget:13 (state ()) in
   Alcotest.(check bool) "DDS at least as good under tiny budget" true
-    (Objective.compare dds.Search.best lds.Search.best <= 0)
+    (Helpers.objective_no_worse dds.Search.best lds.Search.best)
 
 (* --- starts never fall just after the decision time --- *)
 

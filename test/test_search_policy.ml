@@ -12,24 +12,24 @@ let context ?(now = 0.0) ?(capacity = 16) ~waiting () =
 
 let test_names () =
   Alcotest.(check string) "headline policy name" "DDS/lxf/dynB(L=1K)"
-    (Search_policy.name (Search_policy.dds_lxf_dynb ~budget:1000));
+    (Helpers.search_policy_name (Search_policy.dds_lxf_dynb ~budget:1000));
   let lds =
     Search_policy.v ~algorithm:Search.Lds ~heuristic:Sched.Priority.fcfs
       ~bound:(Bound.fixed_hours 50.0) ~budget:2000 ()
   in
   Alcotest.(check string) "lds fixed-bound name" "LDS/fcfs/w=50h(L=2K)"
-    (Search_policy.name lds);
+    (Helpers.search_policy_name lds);
   let pruned = { (Search_policy.dds_lxf_dynb ~budget:500) with
                  Search_policy.prune = true }
   in
   Alcotest.(check string) "bnb suffix" "DDS/lxf/dynB(L=500)+bnb"
-    (Search_policy.name pruned);
+    (Helpers.search_policy_name pruned);
   let wait_goal =
     { (Search_policy.dds_lxf_dynb ~budget:1000) with
       Search_policy.goal = Objective.Avg_wait }
   in
   Alcotest.(check string) "goal suffix" "DDS/lxf/dynB(L=1K)@goal=avgW"
-    (Search_policy.name wait_goal)
+    (Helpers.search_policy_name wait_goal)
 
 let test_invalid_budget () =
   Alcotest.check_raises "budget >= 1"
@@ -111,7 +111,7 @@ let prop_local_search_never_worse =
       in
       let base = Search.run Search.Dds ~budget:(2 * n) state in
       let improved = Local_search.improve ~budget:1000 state base in
-      Objective.compare improved.Search.best base.Search.best <= 0
+      Helpers.objective_no_worse improved.Search.best base.Search.best
       && Array.length improved.Search.best_order = n
       && Search_state.first_unused state = 0
       && List.for_all

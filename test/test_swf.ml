@@ -14,7 +14,7 @@ let sample =
     ]
 
 let parse s =
-  match Swf.of_string s with
+  match Helpers.swf_of_string s with
   | Ok r -> r
   | Error e -> Alcotest.fail ("parse error: " ^ e)
 
@@ -50,7 +50,7 @@ let test_parse_skips_non_finite () =
   Alcotest.(check int) "no jobs" 0 (Trace.length r.Swf.trace)
 
 let test_parse_malformed () =
-  match Swf.of_string "1 2 3" with
+  match Helpers.swf_of_string "1 2 3" with
   | Ok _ -> Alcotest.fail "expected parse error"
   | Error msg ->
       Alcotest.(check bool) "mentions line" true
@@ -92,6 +92,10 @@ let test_roundtrip_file () =
                 j.Job.requested)
             (Trace.jobs r.Swf.trace))
 
+
+(* Sum of N x T over all jobs, node-seconds. *)
+let demand t = Array.fold_left (fun acc j -> acc +. Job.area j) 0.0 (Trace.jobs t)
+
 let test_generated_trace_roundtrip () =
   (* write a generated month as SWF and reparse: same job mix *)
   let profile = Month_profile.find "10/03" in
@@ -109,7 +113,7 @@ let test_generated_trace_roundtrip () =
             (Trace.length r.Swf.trace);
           Alcotest.(check (float 0.01)) "demand preserved (to rounding)"
             1.0
-            (Trace.total_demand r.Swf.trace /. Trace.total_demand t))
+            (demand r.Swf.trace /. demand t))
 
 let test_parse_crlf () =
   (* Windows-exported / HTTP-fetched traces end lines with \r\n; the
@@ -133,7 +137,7 @@ let test_numeric_error_has_line_number () =
         "2 x 10 3600 4 -1 -1 4 7200 -1 1 -1 -1 -1 -1 -1 -1 -1";
       ]
   in
-  match Swf.of_string bad with
+  match Helpers.swf_of_string bad with
   | Ok _ -> Alcotest.fail "expected parse error"
   | Error msg ->
       Alcotest.(check bool) "mentions the line" true
@@ -143,7 +147,7 @@ let test_numeric_error_has_line_number () =
 
 let test_malformed_corpus () =
   let error line =
-    match Swf.of_string line with Ok _ -> None | Error e -> Some e
+    match Helpers.swf_of_string line with Ok _ -> None | Error e -> Some e
   in
   (* truncated record: hard error with its line number *)
   (match error "1 2 3" with

@@ -1,5 +1,5 @@
 (* Search telemetry and the decision-trace export: the log2 histogram
-   geometry and percentile estimator of Simcore.Metrics, the search
+   geometry of Simcore.Metrics, read from its exposition, the search
    policy's probe agrees with Search.result (and with the policy's
    statistics and run metrics under local search), the search stays
    within its per-node allocation envelope, and trace export is
@@ -10,51 +10,64 @@ module M = Simcore.Metrics
 
 (* --- histogram bucket geometry --- *)
 
+(* The upper bound [le] of the one bucket a single observation of [v]
+   lands in, read from the exposition: bucket 0 holds values [<= 0],
+   bucket [b >= 1] holds [2^(b-1) .. 2^b - 1], the top one up to
+   [max_int]. *)
+let bucket_le v =
+  let reg = M.create () in
+  M.observe (M.histogram reg "h") v;
+  let prefix = "h_bucket{le=\"" in
+  let line =
+    List.find
+      (fun l -> String.starts_with ~prefix l && not (Helpers.contains l "+Inf"))
+      (Helpers.openmetrics_lines reg)
+  in
+  let n = String.length prefix in
+  int_of_string (String.sub line n (String.index_from line n '"' - n))
+
 let bucket_boundaries_qcheck =
   QCheck.Test.make ~count:1000 ~name:"histogram bucket_of within [lo, hi]"
     QCheck.int (fun v ->
-      let b = M.bucket_of v in
-      b >= 0 && b < M.buckets && M.bucket_lo b <= v && v <= M.bucket_hi b)
+      let hi = bucket_le v in
+      v <= hi
+      && (if v <= 0 then hi = 0 else hi lsr 1 < v)
+      && (hi = max_int || hi land (hi + 1) = 0))
 
 let test_bucket_edges () =
-  (* every bucket's own endpoints map back to it *)
-  for b = 0 to M.buckets - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "bucket_of (lo %d)" b)
-      b (M.bucket_of (M.bucket_lo b));
-    Alcotest.(check int)
-      (Printf.sprintf "bucket_of (hi %d)" b)
-      b (M.bucket_of (M.bucket_hi b))
+  (* every bucket's own endpoints land in it: 63 buckets, 0 .. 62 *)
+  Alcotest.(check int) "bucket 0 (lo)" 0 (bucket_le min_int);
+  Alcotest.(check int) "bucket 0 (hi)" 0 (bucket_le 0);
+  for b = 1 to 62 do
+    let hi = if b = 62 then max_int else (1 lsl b) - 1 in
+    Alcotest.(check int) (Printf.sprintf "bucket %d (lo)" b) hi
+      (bucket_le (1 lsl (b - 1)));
+    Alcotest.(check int) (Printf.sprintf "bucket %d (hi)" b) hi (bucket_le hi)
   done;
   (* the log2 spine: powers of two open a fresh bucket *)
-  Alcotest.(check int) "0" 0 (M.bucket_of 0);
-  Alcotest.(check int) "1" 1 (M.bucket_of 1);
-  Alcotest.(check int) "2" 2 (M.bucket_of 2);
-  Alcotest.(check int) "3" 2 (M.bucket_of 3);
-  Alcotest.(check int) "4" 3 (M.bucket_of 4);
-  Alcotest.(check int) "1024" 11 (M.bucket_of 1024);
-  Alcotest.(check int) "max_int" (M.buckets - 1) (M.bucket_of max_int);
-  Alcotest.(check int) "negative -> 0" 0 (M.bucket_of (-5))
+  Alcotest.(check int) "1" 1 (bucket_le 1);
+  Alcotest.(check int) "2" 3 (bucket_le 2);
+  Alcotest.(check int) "3" 3 (bucket_le 3);
+  Alcotest.(check int) "4" 7 (bucket_le 4);
+  Alcotest.(check int) "1024" 2047 (bucket_le 1024);
+  Alcotest.(check int) "negative -> 0" 0 (bucket_le (-5))
 
-let test_histogram_observe_percentile () =
+let test_histogram_observe () =
   let reg = M.create () in
   let h = M.histogram reg "latency" in
-  Alcotest.(check (float 0.0)) "empty percentile" 0.0
-    (M.histogram_percentile h 50.0);
+  Alcotest.(check bool) "empty: only +Inf" true
+    (List.mem "latency_bucket{le=\"+Inf\"} 0" (Helpers.openmetrics_lines reg));
   List.iter (M.observe h) [ 1; 2; 4; 8; 1000; 1000 ];
   let lines = Helpers.openmetrics_lines reg in
-  Alcotest.(check bool) "count" true (List.mem "latency_count 6" lines);
-  Alcotest.(check bool) "total" true (List.mem "latency_sum 2015" lines);
-  (* p100 lands in the top occupied bucket; interpolation keeps it
-     within that bucket's range *)
-  let p100 = M.histogram_percentile h 100.0 in
-  Alcotest.(check bool) "p100 in 1000's bucket" true
-    (M.bucket_of (int_of_float p100) = M.bucket_of 1000);
-  let p50 = M.histogram_percentile h 50.0 in
-  Alcotest.(check bool) "p50 below p100" true (p50 <= p100);
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Metrics.histogram_percentile: p out of [0, 100]")
-    (fun () -> ignore (M.histogram_percentile h 101.0))
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (List.mem line lines))
+    [ "latency_count 6"; "latency_sum 2015";
+      (* cumulative counts over the occupied buckets only *)
+      "latency_bucket{le=\"1\"} 1"; "latency_bucket{le=\"3\"} 2";
+      "latency_bucket{le=\"7\"} 3"; "latency_bucket{le=\"15\"} 4";
+      "latency_bucket{le=\"1023\"} 6"; "latency_bucket{le=\"+Inf\"} 6" ];
+  Alcotest.(check bool) "no empty bucket line" false
+    (List.mem "latency_bucket{le=\"31\"} 4" lines)
 
 (* --- the Search probe --- *)
 
@@ -341,8 +354,8 @@ let suite =
   [
     Helpers.qcheck bucket_boundaries_qcheck;
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
-    Alcotest.test_case "histogram observe/percentile estimate" `Quick
-      test_histogram_observe_percentile;
+    Alcotest.test_case "histogram observe: count, sum, cumulative buckets" `Quick
+      test_histogram_observe;
     Alcotest.test_case "probe agrees with Search.result" `Quick
       test_probe_matches_result;
     Alcotest.test_case "probe exhaustion + reuse + reset" `Quick

@@ -5,6 +5,17 @@ open Core
 
 let paths algo ~n ~iteration = Tree_enum.paths_in_iteration algo ~n ~iteration
 
+(* Discrepancies of a path, by definition: the positions where the
+   chosen job is not the smallest-index job still unused. *)
+let discrepancies path =
+  let rec go unused = function
+    | [] -> 0
+    | job :: rest ->
+        (if job = List.hd unused then 0 else 1)
+        + go (List.filter (fun j -> j <> job) unused) rest
+  in
+  go (List.sort compare path) path
+
 (* The paper labels jobs 1..4; our indices are 0-based. *)
 let labelled = List.map (List.map (fun i -> i + 1))
 
@@ -34,8 +45,7 @@ let test_lds_iteration2_count () =
     (List.length (paths Search.Lds ~n:4 ~iteration:2));
   List.iter
     (fun p ->
-      Alcotest.(check int) "exactly two discrepancies" 2
-        (Tree_enum.discrepancies p))
+      Alcotest.(check int) "exactly two discrepancies" 2 (discrepancies p))
     (paths Search.Lds ~n:4 ~iteration:2)
 
 let test_dds_iteration1 () =
@@ -65,7 +75,7 @@ let test_dds_biases_high_discrepancies_earlier () =
   (* Section 2.2's example: 0-4-3-1-2 is the 12th path explored under
      DDS but the 18th under LDS. *)
   let position algo =
-    let all = Tree_enum.all_paths algo ~n:4 in
+    let all = Oracle.all_paths algo ~n:4 in
     let rec index i = function
       | [] -> Alcotest.fail "path not visited"
       | p :: rest -> if p = [ 3; 2; 0; 1 ] then i else index (i + 1) rest
@@ -81,7 +91,7 @@ let test_partition_all_paths () =
     (fun algo ->
       List.iter
         (fun n ->
-          let visited = Tree_enum.all_paths algo ~n in
+          let visited = Oracle.all_paths algo ~n in
           let expected = int_of_float (Tree_enum.path_count ~n) in
           Alcotest.(check int)
             (Printf.sprintf "%s covers %d! paths" (Search.algorithm_name algo) n)
@@ -110,15 +120,20 @@ let test_lds_original_supersets () =
   done
 
 let test_discrepancy_counting () =
-  Alcotest.(check int) "heuristic path" 0 (Tree_enum.discrepancies [ 0; 1; 2; 3 ]);
-  Alcotest.(check int) "worst path" 3 (Tree_enum.discrepancies [ 3; 2; 1; 0 ]);
+  let in_iteration algo ~iteration path =
+    List.mem path (paths algo ~n:(List.length path) ~iteration)
+  in
+  Alcotest.(check bool) "heuristic path" true
+    (in_iteration Search.Lds ~iteration:0 [ 0; 1; 2; 3 ]);
+  Alcotest.(check bool) "worst path" true
+    (in_iteration Search.Lds ~iteration:3 [ 3; 2; 1; 0 ]);
   (* choosing the 3rd-ranked child still counts as ONE discrepancy *)
-  Alcotest.(check int) "deep branch = one discrepancy" 1
-    (Tree_enum.discrepancies [ 3; 0; 1; 2 ]);
-  Alcotest.(check (option int)) "no discrepancy" None
-    (Tree_enum.deepest_discrepancy [ 0; 1; 2 ]);
-  Alcotest.(check (option int)) "deepest at 1" (Some 1)
-    (Tree_enum.deepest_discrepancy [ 0; 2; 1 ])
+  Alcotest.(check bool) "deep branch = one discrepancy" true
+    (in_iteration Search.Lds ~iteration:1 [ 3; 0; 1; 2 ]);
+  Alcotest.(check bool) "no discrepancy" true
+    (in_iteration Search.Dds ~iteration:0 [ 0; 1; 2 ]);
+  Alcotest.(check bool) "deepest at 1" true
+    (in_iteration Search.Dds ~iteration:2 [ 0; 2; 1 ])
 
 let test_figure_1d_sizes () =
   (* Figure 1(d): #paths and #nodes for n = 1, 2, 3, 4, 10, 15. *)

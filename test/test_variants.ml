@@ -28,12 +28,24 @@ let ids = List.map (fun (j : Workload.Job.t) -> j.id)
 (* --- Multi-queue --- *)
 
 let test_queue_rank () =
-  let boundaries = [ 3600.0; 18000.0 ] in
-  Alcotest.(check int) "short" 0 (Multi_queue.queue_rank ~boundaries 60.0);
-  Alcotest.(check int) "boundary inclusive" 0
-    (Multi_queue.queue_rank ~boundaries 3600.0);
-  Alcotest.(check int) "medium" 1 (Multi_queue.queue_rank ~boundaries 7200.0);
-  Alcotest.(check int) "long" 2 (Multi_queue.queue_rank ~boundaries 86400.0)
+  (* an older job of runtime [old_r] and a newer one of [new_r] compete
+     for 8 free nodes: the older starts iff its queue is no later *)
+  let first old_r new_r =
+    let older = Helpers.job ~id:0 ~submit:0.0 ~nodes:8 ~runtime:old_r () in
+    let newer = Helpers.job ~id:1 ~submit:100.0 ~nodes:8 ~runtime:new_r () in
+    let ctx =
+      context ~now:200.0 ~waiting:[ older; newer ]
+        ~running:[ (99, 8, 0.0, 100000.0) ] ()
+    in
+    ids (Multi_queue.policy.Policy.decide ctx)
+  in
+  Alcotest.(check (list int)) "short: same queue, FCFS" [ 0 ] (first 600.0 60.0);
+  Alcotest.(check (list int)) "boundary inclusive" [ 0 ] (first 3600.0 60.0);
+  Alcotest.(check (list int)) "just past it: medium" [ 1 ] (first 3601.0 60.0);
+  Alcotest.(check (list int)) "medium before long" [ 1 ]
+    (first 86400.0 7200.0);
+  Alcotest.(check (list int)) "5 h is still medium" [ 0 ]
+    (first 18000.0 7200.0)
 
 let test_multi_queue_prefers_short_queue () =
   (* an old long job and a fresh short job compete for 8 free nodes:

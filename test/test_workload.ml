@@ -211,6 +211,16 @@ let test_estimate_round_up () =
   Alcotest.(check (float 1e-9)) "caps at limit" limit
     (Estimate.round_up ~limit (Simcore.Units.hours 50.0))
 
+(* The round request values below [limit], then [limit]: the grid
+   [Estimate.round_up] rounds onto, spelled out. *)
+let estimate_grid ~limit =
+  let open Simcore.Units in
+  List.map minutes [ 5.0; 10.0; 15.0; 30.0 ]
+  @ List.map hours
+      [ 1.0; 2.0; 3.0; 4.0; 6.0; 8.0; 10.0; 12.0; 16.0; 20.0; 24.0; 36.0; 48.0 ]
+  |> List.filter (fun v -> v < limit)
+  |> fun g -> Array.of_list (g @ [ limit ])
+
 (* [round_up] scans the static round values; it must agree with the
    first [grid] value >= r on, just below and just above every grid
    point, at and beyond the limit, for every month's limit. *)
@@ -218,7 +228,7 @@ let test_estimate_round_up_matches_grid () =
   Array.iter
     (fun m ->
       let limit = m.Month_profile.runtime_limit in
-      let grid = Estimate.grid ~limit in
+      let grid = estimate_grid ~limit in
       let reference r =
         Option.value (Array.find_opt (fun g -> g >= r) grid) ~default:limit
       in
@@ -326,10 +336,42 @@ let test_mix_report_basic () =
 
 let test_max_abs_diff () =
   Alcotest.(check (float 1e-9)) "diff" 3.0
-    (Mix_report.max_abs_diff [| 1.0; 5.0 |] [| 2.0; 2.0 |]);
+    (Helpers.max_abs_diff [| 1.0; 5.0 |] [| 2.0; 2.0 |]);
   Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Mix_report.max_abs_diff: length mismatch") (fun () ->
-      ignore (Mix_report.max_abs_diff [| 1.0 |] [| 1.0; 2.0 |]))
+    (Invalid_argument "Helpers.max_abs_diff: length mismatch") (fun () ->
+      ignore (Helpers.max_abs_diff [| 1.0 |] [| 1.0; 2.0 |]))
+
+(* [Estimate.draw] as it was written with [Float.min]/[Float.max]: the
+   typed compares that replaced them must give the same bits for every
+   positive, finite runtime and limit, from the same draws. *)
+let float_min_max_draw =
+  let small = Simcore.Dist.log_uniform ~lo:1.0 ~hi:2.0 in
+  let large = Simcore.Dist.log_uniform ~lo:2.0 ~hi:20.0 in
+  fun rng ~limit ~runtime ->
+    let u = Simcore.Rng.unit_float rng in
+    let factor =
+      if u < 0.2 then 1.0 else if u < 0.2 +. 0.25 then small rng else large rng
+    in
+    let raw = runtime *. factor in
+    let rounded = Estimate.round_up ~limit (Float.min raw limit) in
+    Float.max rounded (Float.min runtime limit) |> Float.max runtime
+
+let prop_draw_matches_float_min_max =
+  let limits =
+    Array.map (fun (m : Month_profile.t) -> m.runtime_limit) Month_profile.all
+  in
+  QCheck.Test.make ~name:"Estimate.draw = its Float.min/Float.max form"
+    ~count:500
+    QCheck.(triple int (float_range 1.0 2e5) (0 -- Array.length limits))
+    (fun (seed, runtime, k) ->
+      let limit = if k < Array.length limits then limits.(k) else runtime in
+      let a = Simcore.Rng.create ~seed and b = Simcore.Rng.create ~seed in
+      List.for_all
+        (fun _ ->
+          Int64.equal
+            (Int64.bits_of_float (Estimate.draw a ~limit ~runtime))
+            (Int64.bits_of_float (float_min_max_draw b ~limit ~runtime)))
+        (List.init 20 Fun.id))
 
 let suite =
   [
@@ -345,6 +387,7 @@ let suite =
     Alcotest.test_case "trace offered load" `Quick test_trace_offered_load;
     Alcotest.test_case "trace scale_load" `Quick test_trace_scale_load;
     Helpers.qcheck prop_trace_v_matches_reference;
+    Helpers.qcheck prop_draw_matches_float_min_max;
     Alcotest.test_case "scale_load re-sorts squeezed ties" `Quick
       test_scale_load_ties_resorted;
     Alcotest.test_case "estimate round_up" `Quick test_estimate_round_up;

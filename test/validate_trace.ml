@@ -92,9 +92,9 @@ let validate_jsonl file =
             fail "%s:%d: new run header but %d decisions still owed" file
               lineno !expect;
           let schema = field_raw ~file ~lineno line "schema" in
-          if schema <> Printf.sprintf "%S" Sim.Decision_log.schema then
+          if schema <> Printf.sprintf "%S" "decision_trace/1" then
             fail "%s:%d: schema %s, want %S" file lineno schema
-              Sim.Decision_log.schema;
+              "decision_trace/1";
           let recorded = field_int ~file ~lineno line "decisions" in
           let retained = field_int ~file ~lineno line "retained" in
           let dropped = field_int ~file ~lineno line "dropped" in
