@@ -233,7 +233,6 @@ let validate ?(machine = Cluster.Machine.titan) ?(expect = Generic)
                 Cluster.Running_set.add running
                   {
                     job = j;
-                    start = o.start;
                     finish = finish o;
                     est_finish = o.start +. r_star j;
                   };

@@ -1,6 +1,5 @@
 type entry = {
   job : Workload.Job.t;
-  start : float;
   finish : float;
   est_finish : float;
 }

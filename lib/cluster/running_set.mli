@@ -1,9 +1,9 @@
 (** The set of currently executing jobs.
 
-    Tracks, for every running job, its start time, its true completion
-    time (known to the simulator) and its *estimated* completion time
-    (known to the scheduler: start + R*, where R* is the runtime the
-    policy was configured to trust).  There is no job table: the set
+    Tracks, for every running job, its true completion time (known to
+    the simulator) and its *estimated* completion time (known to the
+    scheduler: start + R*, where R* is the runtime the policy was
+    configured to trust).  There is no job table: the set
     is two sorted arrays, kept ordered by one insertion step as jobs
     start.  The estimated releases give a scheduler's availability
     {!Profile} in one pass with no sort ({!profile}); the true
@@ -12,7 +12,6 @@
 
 type entry = {
   job : Workload.Job.t;
-  start : float;
   finish : float;  (** true end: start + T *)
   est_finish : float;  (** scheduler-visible end: start + R* *)
 }

@@ -9,11 +9,11 @@ type config = {
   goal : Objective.secondary;
 }
 
-let v ?(prune = false) ?(local_search = false) ?fairshare
-    ?(goal = Objective.Bounded_slowdown) ~algorithm ~heuristic ~bound ~budget
-    () =
+let v ?(prune = false) ?(local_search = false) ?fairshare ~algorithm ~heuristic
+    ~bound ~budget () =
   if budget < 1 then invalid_arg "Search_policy.v: budget must be >= 1";
-  { algorithm; heuristic; bound; budget; prune; local_search; fairshare; goal }
+  { algorithm; heuristic; bound; budget; prune; local_search; fairshare;
+    goal = Objective.Bounded_slowdown }
 
 let dds_lxf_dynb ~budget =
   v ~algorithm:Search.Dds ~heuristic:Sched.Priority.lxf ~bound:Bound.dynamic

@@ -26,14 +26,14 @@ type config = {
           [1 + penalty * user's decayed usage share] (Section 7
           future-work extension; [None] = paper behaviour) *)
   goal : Objective.secondary;
-      (** the declared second-level goal ([Bounded_slowdown] = paper) *)
+      (** the declared second-level goal; {!v} sets the paper's
+          [Bounded_slowdown], and a record update sets another *)
 }
 
 val v :
   ?prune:bool ->
   ?local_search:bool ->
   ?fairshare:float ->
-  ?goal:Objective.secondary ->
   algorithm:Search.algorithm ->
   heuristic:Sched.Priority.t ->
   bound:Bound.t ->

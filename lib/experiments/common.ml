@@ -17,35 +17,21 @@ let env_int name default =
   | None -> default
   | Some s -> Option.value (int_of_string_opt s) ~default
 
-(* Env knobs are read once and cached, but the cache is resettable so
-   harnesses (perf-json, determinism tests) can re-point REPRO_* and
-   rerun in-process.  Concurrent first reads race benignly: both
-   domains compute the same value from the same environment. *)
-let cached_env read =
-  let cell = ref None in
-  let get () =
-    match !cell with
-    | Some v -> v
-    | None ->
-        let v = read () in
-        cell := Some v;
-        v
-  in
-  let reset () = cell := None in
-  (get, reset)
+(* Env knobs are read on each call, one [Sys.getenv_opt] each, so a
+   harness (perf-json, determinism tests) that re-points REPRO_* runs
+   at the new value; it calls [reset_caches] so that no trace or run
+   built at the old one is reused. *)
+let scale () = env_float "REPRO_SCALE" 1.0
+let seed () = env_int "REPRO_SEED" 42
 
-let scale, reset_scale = cached_env (fun () -> env_float "REPRO_SCALE" 1.0)
-let seed, reset_seed = cached_env (fun () -> env_int "REPRO_SEED" 42)
-
-let months, reset_months =
-  cached_env (fun () ->
-      match Sys.getenv_opt "REPRO_MONTHS" with
-      | None | Some "" -> Array.to_list Workload.Month_profile.all
-      | Some csv ->
-          String.split_on_char ',' csv
-          |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-          |> List.map Workload.Month_profile.find)
+let months () =
+  match Sys.getenv_opt "REPRO_MONTHS" with
+  | None | Some "" -> Array.to_list Workload.Month_profile.all
+  | Some csv ->
+      String.split_on_char ',' csv
+      |> List.map String.trim
+      |> List.filter (fun s -> s <> "")
+      |> List.map Workload.Month_profile.find
 
 (* ------------------------------------------------------------------ *)
 (* Parallel execution: one process-wide domain pool                    *)
@@ -233,10 +219,7 @@ let chrome_trace_document () =
 
 let reset_caches () =
   Simcore.Memo.clear trace_cache;
-  Simcore.Memo.clear run_cache;
-  reset_scale ();
-  reset_seed ();
-  reset_months ()
+  Simcore.Memo.clear run_cache
 
 let prefetch_runs ~months policies =
   prefetch

@@ -1,6 +1,6 @@
 (** Shared plumbing for the paper-reproduction experiments.
 
-    Environment knobs (read once at first use):
+    Environment knobs (read on each use):
     - [REPRO_SCALE]  — workload scale factor (default 1.0; smaller
       values shrink both job counts and the time axis, preserving
       load, for CI-sized runs);
@@ -66,9 +66,10 @@ val prefetch_runs :
     (policy x month) grid of a figure panel. *)
 
 val reset_caches : unit -> unit
-(** Drop the trace/run caches and re-read the [REPRO_*] environment
-    knobs on next use.  For harnesses that rerun experiments in-process
-    (determinism tests, perf measurement); not needed in normal runs. *)
+(** Drop the trace and run caches, so that runs after a change to the
+    [REPRO_*] knobs rebuild their traces.  For harnesses that rerun
+    experiments in-process (determinism tests, perf measurement); not
+    needed in normal runs. *)
 
 (** {2 Decision tracing}
 

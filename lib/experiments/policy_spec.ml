@@ -75,7 +75,7 @@ let parse ~budget spec =
   | "lxf-bf" -> Ok Sched.Backfill.lxf
   | "sjf-bf" -> Ok Sched.Backfill.sjf
   | "lxfw-bf" ->
-      Ok (Sched.Backfill.policy (Sched.Priority.lxf_w ~weight_per_hour:0.01))
+      Ok (Sched.Backfill.policy Sched.Priority.lxf_w)
   | "conservative" -> Ok Sched.Conservative.policy
   | "selective" -> Ok (Sched.Selective.policy ())
   | "multi-queue" -> Ok Sched.Multi_queue.policy

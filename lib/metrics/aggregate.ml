@@ -4,7 +4,6 @@ type t = {
   max_wait : float;
   p98_wait : float;
   avg_bounded_slowdown : float;
-  max_bounded_slowdown : float;
   avg_queue_length : float;
 }
 
@@ -17,7 +16,6 @@ let compute ?(avg_queue_length = 0.0) outcomes =
       max_wait = 0.0;
       p98_wait = 0.0;
       avg_bounded_slowdown = 0.0;
-      max_bounded_slowdown = 0.0;
       avg_queue_length;
     }
   else begin
@@ -29,7 +27,6 @@ let compute ?(avg_queue_length = 0.0) outcomes =
       max_wait = Simcore.Stats.max waits;
       p98_wait = Simcore.Stats.percentile waits 98.0;
       avg_bounded_slowdown = Simcore.Stats.mean slowdowns;
-      max_bounded_slowdown = Simcore.Stats.max slowdowns;
       avg_queue_length;
     }
   end

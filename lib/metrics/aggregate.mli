@@ -11,7 +11,6 @@ type t = {
   max_wait : float;  (** seconds; 0 when no jobs *)
   p98_wait : float;  (** 98th-percentile wait, seconds; 0 when no jobs *)
   avg_bounded_slowdown : float;
-  max_bounded_slowdown : float;
   avg_queue_length : float;
 }
 

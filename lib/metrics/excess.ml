@@ -1,4 +1,4 @@
-type t = { threshold : float; total : float; count : int; average : float }
+type t = { total : float; count : int; average : float }
 
 let compute ~threshold outcomes =
   let total, count =
@@ -9,7 +9,7 @@ let compute ~threshold outcomes =
       (0.0, 0) outcomes
   in
   let average = if count = 0 then 0.0 else total /. float_of_int count in
-  { threshold; total; count; average }
+  { total; count; average }
 
 let total_hours t = Simcore.Units.to_hours t.total
 let average_hours t = Simcore.Units.to_hours t.average

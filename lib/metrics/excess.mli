@@ -7,13 +7,13 @@
     By construction FCFS-backfill has zero total E^max in any month. *)
 
 type t = {
-  threshold : float;  (** seconds *)
   total : float;  (** sum of per-job excess, seconds *)
   count : int;  (** number of jobs with a positive excess *)
   average : float;  (** mean excess over jobs with positive excess, s *)
 }
 
 val compute : threshold:float -> Outcome.t list -> t
+(** The excess of each job's wait over [threshold] seconds. *)
 
 val total_hours : t -> float
 val average_hours : t -> float

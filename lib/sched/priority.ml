@@ -22,14 +22,14 @@ let expansion_factor ~now ~r_star (j : Workload.Job.t) =
 
 let lxf = { name = "lxf"; key = Keyed expansion_factor }
 
-let lxf_w ~weight_per_hour =
+let lxf_w =
   {
-    name = Printf.sprintf "lxf&w(%.3g)" weight_per_hour;
+    name = "lxf&w(0.01)";
     key =
       Keyed
         (fun ~now ~r_star j ->
           let wait_hours = Simcore.Units.to_hours (waited ~now j) in
-          expansion_factor ~now ~r_star j +. (weight_per_hour *. wait_hours));
+          expansion_factor ~now ~r_star j +. (0.01 *. wait_hours));
   }
 
 (* Whether [prev] goes before [j] in submit order.  Plain float

@@ -43,9 +43,9 @@ val lxf : t
     estimated runtime — the bounded
     slowdown it would have if started now. *)
 
-val lxf_w : weight_per_hour:float -> t
-(** LXF plus a small additive weight for each hour of waiting time
-    (the paper's LXF&W). *)
+val lxf_w : t
+(** LXF plus 0.01 for each hour of waiting time (the paper's LXF&W),
+    named ["lxf&w(0.01)"]. *)
 
 val expansion_factor :
   now:float -> r_star:(Workload.Job.t -> float) -> Workload.Job.t -> float

@@ -37,9 +37,8 @@ type t = {
   mutable recorded : int;
 }
 
-let create ?(capacity = 1 lsl 16) ~policy () =
-  let capacity = max capacity 1 in
-  { policy; ring = Array.make capacity empty_decision; recorded = 0 }
+let create ~policy () =
+  { policy; ring = Array.make (1 lsl 16) empty_decision; recorded = 0 }
 
 let recorded t = t.recorded
 let dropped t = max 0 (t.recorded - Array.length t.ring)

@@ -41,9 +41,8 @@ type decision = {
 
 type t
 
-val create : ?capacity:int -> policy:string -> unit -> t
-(** Ring of at most [capacity] decisions (default 65536, clamped to
-    >= 1). *)
+val create : policy:string -> unit -> t
+(** Ring of the latest 65,536 decisions. *)
 
 val observe : t -> Engine.decision -> unit
 (** The engine observer: append one decision event — its time, the

@@ -80,7 +80,7 @@ let run ?(machine = Cluster.Machine.titan) ?observe ~r_star ~policy trace =
     let o = Metrics.Outcome.v ~job:j ~start:now in
     let finish = Metrics.Outcome.finish o in
     Cluster.Running_set.add running
-      { job = j; start = now; finish; est_finish = now +. estimator j };
+      { job = j; finish; est_finish = now +. estimator j };
     waiting := rest;
     decr n_waiting;
     outcomes := o :: !outcomes

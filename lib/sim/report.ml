@@ -30,7 +30,6 @@ let fnum v =
 (* --- signal descriptors --- *)
 
 type signal = {
-  key : string;  (* Series.summary label *)
   title : string;
   unit_ : string;
   scale : float;  (* display = raw * scale *)
@@ -45,42 +44,36 @@ let ints (b : int Series.band) : float Series.band =
 let signals =
   [
     {
-      key = "busy_nodes";
       title = "Busy nodes";
       unit_ = "nodes";
       scale = 1.0;
       band = (fun s -> ints s.busy);
     };
     {
-      key = "queue_jobs";
       title = "Waiting jobs";
       unit_ = "jobs";
       scale = 1.0;
       band = (fun s -> ints s.queue);
     };
     {
-      key = "backlog_nodes";
       title = "Backlog (nodes demanded by waiting jobs)";
       unit_ = "nodes";
       scale = 1.0;
       band = (fun s -> ints s.demand);
     };
     {
-      key = "running_jobs";
       title = "Running jobs";
       unit_ = "jobs";
       scale = 1.0;
       band = (fun s -> ints s.running);
     };
     {
-      key = "max_wait_s";
       title = "Longest current wait";
       unit_ = "hours";
       scale = hours;
       band = (fun s -> s.max_wait);
     };
     {
-      key = "excess_s";
       title = "Cumulative excessive wait";
       unit_ = "hours";
       scale = hours;

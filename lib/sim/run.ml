@@ -1,6 +1,5 @@
 type t = {
   policy_name : string;
-  r_star : Engine.r_star;
   measured : Metrics.Outcome.t list;
   aggregate : Metrics.Aggregate.t;
   class_matrix : Metrics.Class_matrix.t;
@@ -63,7 +62,6 @@ let simulate ?(machine = Cluster.Machine.titan) ?observe ?validate ~r_star
   in
   {
     policy_name = policy.Sched.Policy.name;
-    r_star;
     measured;
     aggregate = Metrics.Aggregate.compute ~avg_queue_length measured;
     class_matrix = Metrics.Class_matrix.compute measured;

@@ -8,7 +8,6 @@
 
 type t = {
   policy_name : string;
-  r_star : Engine.r_star;
   measured : Metrics.Outcome.t list;  (** outcomes of in-window jobs *)
   aggregate : Metrics.Aggregate.t;  (** over [measured]; queue length
                                         averaged over the window *)

@@ -51,12 +51,11 @@ let dummy =
     excess = 0.0;
   }
 
-let create ?(capacity = 4096) ?(threshold = 0.0) ~policy () =
-  let capacity = max 2 (capacity land lnot 1) in
+let create ?(threshold = 0.0) ~policy () =
   {
     policy;
     threshold;
-    points = Array.make capacity dummy;
+    points = Array.make 4096 dummy;
     n = 0;
     stride = 1;
     observed = 0;

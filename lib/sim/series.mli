@@ -10,7 +10,7 @@
     Figures 2-8 — queue and backlog trajectories, utilization, and
     excess-wait accumulation over the month.
 
-    Memory is fixed: the series holds at most [capacity] samples.
+    Memory is fixed: the series holds at most 4,096 samples.
     When full it deterministically halves its resolution — adjacent
     samples merge pairwise ({!merge}: the later sample's instantaneous
     values and the min/max envelope of both) and from then on one
@@ -50,10 +50,8 @@ val merge : sample -> sample -> sample
 
 type t
 
-val create :
-  ?capacity:int -> ?threshold:float -> policy:string -> unit -> t
-(** Series of at most [capacity] samples (default 4096; rounded down
-    to an even number, clamped to >= 2).  [threshold] is the per-job
+val create : ?threshold:float -> policy:string -> unit -> t
+(** Series of at most 4,096 samples.  [threshold] is the per-job
     wait (seconds) beyond which wait counts as excessive (default 0.0:
     all wait accumulates — policy-independent, unlike the paper's
     FCFS-derived E^max/E^98% thresholds, so trajectories of different
@@ -66,7 +64,7 @@ val stride : t -> int
 (** Observations summarized per sample (doubles at each halving). *)
 
 val length : t -> int
-(** Committed samples ([<= capacity]).  The at most [stride - 1]
+(** Committed samples (at most 4,096).  The at most [stride - 1]
     newest observations still accumulating toward the next sample are
     not yet visible in {!samples}. *)
 

@@ -37,6 +37,7 @@ let categorical ~weights =
     while !i < n - 1 && not (target < cumulative.(!i)) do incr i done;
     !i
 
-let bernoulli rng ~p =
-  let p = Float.max 0.0 (Float.min 1.0 p) in
-  Rng.unit_float rng < p
+(* No clamp of [p] to [0, 1]: the draw is in [0, 1), so [p] and its
+   clamp give the same answer, and a clamp by [Float.min]/[Float.max]
+   costs a [caml_signbit] call where it is inlined. *)
+let bernoulli rng ~p = Rng.unit_float rng < p

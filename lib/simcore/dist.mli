@@ -22,4 +22,4 @@ val categorical : weights:float array -> Rng.t -> int
     ["...: all weights zero"] (also for no weights). *)
 
 val bernoulli : Rng.t -> p:float -> bool
-(** True with probability [p] (clamped to [\[0,1\]]). *)
+(** True with probability [p] (0 for [p <= 0], 1 for [p >= 1]). *)

@@ -102,8 +102,9 @@ let arrival_times rng ~origin ~span ~count =
     let lo = cumulative.(!i) in
     let slack = cumulative.(!i + 1) -. lo in
     let frac = if slack <= 0.0 then 0.0 else (target -. lo) /. slack in
-    times.(k) <-
-      origin +. Float.min (span -. 1.0) ((float_of_int !i +. frac) *. bin)
+    (* [Float.min (span -. 1.0) t]: [t] is finite and never -0.0 *)
+    let t = (float_of_int !i +. frac) *. bin and last = span -. 1.0 in
+    times.(k) <- origin +. (if t > last then last else t)
   done;
   times
 
@@ -207,8 +208,11 @@ let calibrate ~profile ~total_target p =
       if achieved.(r) > 0.0 then begin
         let factor = factors.(r) in
         let b = p.bucket.(i) in
-        p.runtime.(i) <-
-          Float.max lows.(b) (Float.min highs.(b) (p.runtime.(i) *. factor))
+        (* [Float.max lows.(b) (Float.min highs.(b) t)]: the operands
+           are finite and never -0.0 *)
+        let t = p.runtime.(i) *. factor in
+        let t = if t > highs.(b) then highs.(b) else t in
+        p.runtime.(i) <- (if t > lows.(b) then t else lows.(b))
       end
     done
   done

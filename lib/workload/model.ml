@@ -34,8 +34,11 @@ let draw_runtime rng =
     if Dist.bernoulli rng ~p:short_fraction then (short_mu, short_sigma)
     else (long_mu, long_sigma)
   in
+  (* [Float.max 10.0 (Float.min runtime_limit t)]: [t] is positive and
+     finite *)
   let t = Dist.lognormal rng ~mu ~sigma in
-  Float.max 10.0 (Float.min runtime_limit t)
+  let t = if t > runtime_limit then runtime_limit else t in
+  if t > 10.0 then t else 10.0
 
 let generate ~seed ~days =
   if days <= 0.0 then invalid_arg "Model.generate: days <= 0";

@@ -87,15 +87,23 @@ let jobs5 m =
     m.jobs8.(6) +. m.jobs8.(7);
   |]
 
+(* [Float.max 0.0 (Float.min 1.0 p)]: the counts are finite and
+   non-negative, so [p] is never -0.0 *)
 let conditional numer denom =
-  if denom <= 0.0 then 0.0 else Float.max 0.0 (Float.min 1.0 (numer /. denom))
+  if denom <= 0.0 then 0.0
+  else
+    let p = numer /. denom in
+    let p = if p > 1.0 then 1.0 else p in
+    if p > 0.0 then p else 0.0
 
 let short_given_class m c = conditional m.short5.(c) (jobs5 m).(c)
 
 let long_given_class m c =
   let short = short_given_class m c in
   let long = conditional m.long5.(c) (jobs5 m).(c) in
-  Float.min long (1.0 -. short)
+  (* [Float.min long (1.0 -. short)], both in [0, 1] *)
+  let rest = 1.0 -. short in
+  if rest > long then long else rest
 
 let class_tables m =
   (Array.init 5 (short_given_class m), Array.init 5 (long_given_class m))

@@ -52,10 +52,12 @@ let parse_line ~line_number ~id line =
         if (not finite) || runtime <= 0.0 || nodes <= 0 || submit < 0.0 then
           Ok None
         else
+          (* [Float.max requested runtime]: both are positive and finite *)
+          let requested = if runtime > requested then runtime else requested in
           Ok
             (Some
-               (Job.make ~id ~submit ~nodes ~runtime
-                  ~requested:(Float.max requested runtime) ~user:(max user 0)))
+               (Job.make ~id ~submit ~nodes ~runtime ~requested
+                  ~user:(max user 0)))
     | _ ->
         Error
           (Printf.sprintf "line %d: expected >= 9 fields, got %d" line_number
@@ -99,16 +101,17 @@ let of_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
 
-let job_line ~wait (j : Job.t) =
-  (* 18 fields; unknown ones carry the SWF "-1" convention. *)
-  Printf.sprintf "%d %.0f %.0f %.0f %d -1 -1 %d %.0f -1 1 %d -1 -1 -1 -1 -1 -1"
-    (j.id + 1) j.submit wait j.runtime j.nodes j.nodes j.requested
+let job_line (j : Job.t) =
+  (* 18 fields; unknown ones carry the SWF "-1" convention, and the wait
+     field is 0. *)
+  Printf.sprintf "%d %.0f 0 %.0f %d -1 -1 %d %.0f -1 1 %d -1 -1 -1 -1 -1 -1"
+    (j.id + 1) j.submit j.runtime j.nodes j.nodes j.requested
     (if j.user > 0 then j.user else -1)
 
-let to_file ?(comments = []) ?(wait = fun (_ : Job.t) -> 0.0) path trace =
+let to_file ?(comments = []) path trace =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       List.iter (fun c -> output_string oc (c ^ "\n")) comments;
       Array.iter
-        (fun j -> output_string oc (job_line ~wait:(wait j) j ^ "\n"))
+        (fun j -> output_string oc (job_line j ^ "\n"))
         (Trace.jobs trace))

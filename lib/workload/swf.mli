@@ -29,9 +29,7 @@ type parse_result = {
 
 val of_file : string -> (parse_result, string) result
 
-val to_file :
-  ?comments:string list -> ?wait:(Job.t -> float) -> string -> Trace.t -> unit
-(** Write a trace as an SWF file with optional header comments.
-    [wait], when given, fills each job's wait-time field (e.g. from
-    simulated outcomes, so an exported schedule round-trips its
-    measured waits); it defaults to 0 everywhere. *)
+val to_file : ?comments:string list -> string -> Trace.t -> unit
+(** Write a trace as an SWF file with optional header comments.  Every
+    job's wait-time field is 0: the file describes a workload, not a
+    schedule. *)

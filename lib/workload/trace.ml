@@ -45,8 +45,7 @@ let of_array ?measure_start ?measure_end arr =
     measure_end = Option.value measure_end ~default:default_end;
   }
 
-let v ?measure_start ?measure_end jobs =
-  of_array ?measure_start ?measure_end (Array.of_list jobs)
+let v jobs = of_array (Array.of_list jobs)
 
 let jobs t = t.jobs
 let length t = Array.length t.jobs

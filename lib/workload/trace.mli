@@ -7,8 +7,9 @@
 
 type t
 
-val v : ?measure_start:float -> ?measure_end:float -> Job.t list -> t
-(** [v jobs] builds a trace: [of_array] over [Array.of_list jobs]. *)
+val v : Job.t list -> t
+(** [v jobs] builds a trace: [of_array] over [Array.of_list jobs], with
+    the default measurement window. *)
 
 val of_array : ?measure_start:float -> ?measure_end:float -> Job.t array -> t
 (** [of_array jobs] builds a trace and takes ownership of [jobs]: the

@@ -14,7 +14,10 @@ let test_counts () =
       Helpers.job ~id:2 ~submit:(days 5.0 +. hours 10.0) ();
     ]
   in
-  let t = Trace.v jobs ~measure_start:0.0 ~measure_end:(days 7.0) in
+  let t =
+    Trace.of_array ~measure_start:0.0 ~measure_end:(days 7.0)
+      (Array.of_list jobs)
+  in
   let stats = Arrival_stats.of_trace t in
   Alcotest.(check int) "total" 3 stats.Arrival_stats.total;
   Alcotest.(check int) "01h bin" 1 stats.Arrival_stats.hourly.(1);
@@ -44,7 +47,8 @@ let test_generator_is_diurnal () =
 
 let test_pp_smoke () =
   let t =
-    Trace.v [ Helpers.job () ] ~measure_start:0.0 ~measure_end:86400.0
+    Trace.of_array ~measure_start:0.0 ~measure_end:86400.0
+      [| Helpers.job () |]
   in
   let out =
     Format.asprintf "%a" Arrival_stats.pp (Arrival_stats.of_trace t)

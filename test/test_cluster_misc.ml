@@ -7,7 +7,6 @@ let entry ?(id = 0) ?(nodes = 4) ?(start = 0.0) ?(runtime = 100.0) ?est ()
   let job = Helpers.job ~id ~nodes ~runtime () in
   {
     Running_set.job;
-    start;
     finish = start +. runtime;
     est_finish = start +. Option.value est ~default:runtime;
   }

@@ -12,7 +12,7 @@ let all_policies () =
     Sched.Backfill.fcfs;
     Sched.Backfill.lxf;
     Sched.Backfill.sjf;
-    Sched.Backfill.policy (Sched.Priority.lxf_w ~weight_per_hour:0.02);
+    Sched.Backfill.policy Sched.Priority.lxf_w;
     Sched.Conservative.policy;
     Sched.Selective.policy ();
     Sched.Multi_queue.policy;

@@ -133,8 +133,8 @@ let test_run_wrapper_windows () =
   let trace = Helpers.mini_trace ~seed:6 ~n:40 ~horizon:7200.0 () in
   let jobs = Workload.Trace.jobs trace in
   let windowed =
-    Workload.Trace.v (Array.to_list jobs) ~measure_start:1000.0
-      ~measure_end:5000.0
+    Workload.Trace.of_array ~measure_start:1000.0 ~measure_end:5000.0
+      (Array.copy jobs)
   in
   let run =
     Sim.Run.simulate ~machine:machine16 ~r_star:Sim.Engine.Actual
@@ -167,7 +167,7 @@ let test_utilization_exact () =
      utilization = 8*50 / (16*100) = 0.25 *)
   let job = Helpers.job ~id:0 ~nodes:8 ~runtime:50.0 () in
   let trace =
-    Workload.Trace.v [ job ] ~measure_start:0.0 ~measure_end:100.0
+    Workload.Trace.of_array ~measure_start:0.0 ~measure_end:100.0 [| job |]
   in
   let run =
     Sim.Run.simulate ~machine:machine16 ~r_star:Sim.Engine.Actual
@@ -433,9 +433,8 @@ let test_queue_average_is_waiting_count () =
   let trace = Helpers.mini_trace ~seed:11 ~n:60 () in
   let from_ = 1000.0 and upto = 5000.0 in
   let windowed =
-    Workload.Trace.v
-      (Array.to_list (Workload.Trace.jobs trace))
-      ~measure_start:from_ ~measure_end:upto
+    Workload.Trace.of_array ~measure_start:from_ ~measure_end:upto
+      (Array.copy (Workload.Trace.jobs trace))
   in
   List.iter
     (fun make ->

@@ -39,8 +39,8 @@ let test_lds0_policy_name () =
 
 let test_trace_concat_stats () =
   let t =
-    Workload.Trace.v [ Helpers.job () ] ~measure_start:0.0
-      ~measure_end:86400.0
+    Workload.Trace.of_array ~measure_start:0.0 ~measure_end:86400.0
+      [| Helpers.job () |]
   in
   let s = Workload.Trace.concat_stats t in
   Alcotest.(check bool) "job counts" true (Helpers.contains s "1 jobs");

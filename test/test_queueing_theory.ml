@@ -59,9 +59,8 @@ let test_mm1_utilization () =
     (Workload.Trace.jobs trace).(n - 1).Workload.Job.submit
   in
   let windowed =
-    Workload.Trace.v
-      (Array.to_list (Workload.Trace.jobs trace))
-      ~measure_start:first ~measure_end:last
+    Workload.Trace.of_array ~measure_start:first ~measure_end:last
+      (Array.copy (Workload.Trace.jobs trace))
   in
   let run =
     Sim.Run.simulate

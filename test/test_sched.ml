@@ -13,7 +13,6 @@ let context ?(now = 0.0) ?(capacity = 16) ~waiting ~running () =
       Cluster.Running_set.add rs
         {
           Cluster.Running_set.job;
-          start;
           finish = start +. runtime;
           est_finish = start +. runtime;
         })
@@ -51,10 +50,11 @@ let test_expansion_factor () =
     (Priority.expansion_factor ~now:3600.0 ~r_star tiny)
 
 let test_lxf_w_prefers_waiters () =
-  let p = Priority.lxf_w ~weight_per_hour:100.0 in
+  let p = Priority.lxf_w in
   let waited = Helpers.job ~id:0 ~submit:0.0 ~runtime:36000.0 () in
-  let fresh = Helpers.job ~id:1 ~submit:35000.0 ~runtime:600.0 () in
-  (* plain lxf prefers the fresh short job; a big wait weight flips it *)
+  let fresh = Helpers.job ~id:1 ~submit:35370.0 ~runtime:600.0 () in
+  (* at 10 h, plain lxf prefers the fresh short job (xf 2.05 > 2.0);
+     0.01 per hour waited flips it (2.1 > 2.05175) *)
   Alcotest.(check bool) "lxf prefers fresh short job" true
     (Oracle.compare_priority Priority.lxf ~now:36000.0 ~r_star fresh waited < 0);
   Alcotest.(check bool) "lxf&w prefers the long waiter" true
@@ -236,7 +236,7 @@ let prop_sort_skip_matches_sort =
           Priority.fcfs;
           Priority.lxf;
           Priority.sjf;
-          Priority.lxf_w ~weight_per_hour:0.5;
+          Priority.lxf_w;
         ])
 
 (* The keyed order against its comparator.  [Priority.order] computes
@@ -293,7 +293,7 @@ let prop_keyed_order_matches_compare =
   in
   let priorities =
     [ Priority.fcfs; Priority.sjf; Priority.lxf;
-      Priority.lxf_w ~weight_per_hour:0.5; ranked [ 3600.0; 18000.0 ];
+      Priority.lxf_w; ranked [ 3600.0; 18000.0 ];
       ranked [ 30.0; 600.0 ] ]
   in
   let ids = List.map (fun (j : Workload.Job.t) -> j.id) in
@@ -334,7 +334,6 @@ let random_decision_context rng =
       Cluster.Running_set.add rs
         {
           Cluster.Running_set.job;
-          start;
           finish = now +. 60.0 +. Simcore.Rng.float rng 7200.0;
           est_finish =
             Float.max start (now -. 3600.0 +. Simcore.Rng.float rng 10800.0);

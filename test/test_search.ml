@@ -139,7 +139,6 @@ let test_start_now_set_exact () =
   Cluster.Running_set.add running
     {
       Cluster.Running_set.job = Helpers.job ~id:9 ~nodes:4 ~runtime:560.0 ();
-      start = 0.0;
       finish = now +. 60.0;
       est_finish = now -. 100.0;
     };
@@ -177,6 +176,22 @@ let random_jobs rng n =
 let random_releases rng =
   List.init (Simcore.Rng.int rng 3) (fun _ ->
       (1200.0 +. Simcore.Rng.float rng 5000.0, 1 + Simcore.Rng.int rng 3))
+
+(* Like [random_jobs] and [random_releases], with runtimes and release
+   times on the 50 s grid that [now] = 1100 is on, so windows often end
+   exactly where a later segment begins. *)
+let grid_jobs rng n =
+  List.init n (fun id ->
+      Helpers.job ~id
+        ~submit:(Simcore.Rng.float rng 1000.0)
+        ~nodes:(1 + Simcore.Rng.int rng 8)
+        ~runtime:(50.0 *. float_of_int (1 + Simcore.Rng.int rng 200))
+        ())
+
+let grid_releases rng =
+  List.init (Simcore.Rng.int rng 3) (fun _ ->
+      ( 1200.0 +. (50.0 *. float_of_int (Simcore.Rng.int rng 100)),
+        1 + Simcore.Rng.int rng 3 ))
 
 (* [create] takes the profile it is given and [Search.run] hands it back
    as it was, aborted or exhausted. *)
@@ -292,12 +307,12 @@ let prop_prune_preserves_best =
    fresh copy of the base profile, with the current path prefix
    replayed by [earliest_start] + [reserve], says the job can start.
    Covers every algorithm and branching heuristic, exhaustive (n <= 5)
-   or budget-truncated. *)
+   or budget-truncated, with windows ending on later boundaries. *)
 let trail_matches_snapshot_replay seed =
   let rng = Simcore.Rng.create ~seed in
   let n = 1 + Simcore.Rng.int rng 12 in
-  let jobs = random_jobs rng n in
-  let releases = random_releases rng in
+  let jobs = grid_jobs rng n in
+  let releases = grid_releases rng in
   let budget =
     if n <= 5 then max_int else 200 + Simcore.Rng.int rng 1800
   in
@@ -546,7 +561,6 @@ let starts_clear_of_now seed =
         {
           Cluster.Running_set.job =
             Helpers.job ~id:(100 + id) ~nodes ~submit:start ~runtime:5000.0 ();
-          start;
           finish = now +. 1.0;
           est_finish;
         }

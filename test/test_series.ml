@@ -162,8 +162,11 @@ let decision ?(started = []) ~now ~busy ~queue ~demand ~running ~max_wait ()
     probe = None;
   }
 
-let feed ?(capacity = 8) obs_list =
-  let s = Sim.Series.create ~capacity ~policy:"t" () in
+(* [Series.create]'s sample capacity *)
+let capacity = 4096
+
+let feed obs_list =
+  let s = Sim.Series.create ~policy:"t" () in
   List.iter
     (fun o ->
       Sim.Series.observe s
@@ -194,8 +197,7 @@ let check_series_against_model obs_list s =
   let stride = Sim.Series.stride s in
   let ok = ref true in
   let check b = if not b then ok := false in
-  (* [feed]'s capacity, 8 *)
-  check (List.length samples <= 8);
+  check (List.length samples <= capacity);
   check (Sim.Series.observed s = Array.length obs);
   let committed = List.fold_left (fun a p -> a + p.Sim.Series.span) 0 samples in
   check (committed <= Array.length obs);
@@ -231,23 +233,27 @@ let check_series_against_model obs_list s =
   !ok
 
 let downsampling_qcheck =
-  QCheck.Test.make ~count:300
+  QCheck.Test.make ~count:30
     ~name:"series halving preserves per-slice envelopes"
-    QCheck.(list_of_size (Gen.int_range 0 200)
+    QCheck.(list_of_size (Gen.int_range 0 (3 * capacity))
               (quad small_nat small_nat small_nat small_nat))
     (fun ints ->
       let obs = obs_of_ints ints in
       check_series_against_model obs (feed obs))
 
 let test_series_halving_exact () =
-  (* 40 observations into capacity 8: stride reaches 8, 5 samples *)
+  (* 5 x capacity observations: three halvings (after 1, 2 and 4 x
+     capacity) take the stride to 8 and leave capacity / 2 samples; the
+     last capacity observations commit capacity / 8 more *)
+  let n = 5 * capacity in
   let obs =
-    obs_of_ints (List.init 40 (fun i -> (i, 2 * i, 3 * i, i mod 7)))
+    obs_of_ints (List.init n (fun i -> (i, 2 * i, 3 * i, i mod 7)))
   in
   let s = feed obs in
-  Alcotest.(check int) "observed" 40 (Sim.Series.observed s);
+  Alcotest.(check int) "observed" n (Sim.Series.observed s);
   Alcotest.(check int) "stride" 8 (Sim.Series.stride s);
-  Alcotest.(check int) "samples" 5 (Sim.Series.length s);
+  Alcotest.(check int) "samples" ((capacity / 2) + (capacity / 8))
+    (Sim.Series.length s);
   Alcotest.(check bool) "model invariants" true
     (check_series_against_model obs s)
 

@@ -169,35 +169,6 @@ let test_malformed_corpus () =
   Alcotest.(check (pair int int)) "zero nodes skipped" (1, 0)
     (skipped "1 0 10 3600 0 -1 -1 0 7200 -1 1 -1 -1 -1 -1 -1 -1 -1")
 
-let test_to_file_waits () =
-  (* exported traces carry per-job waits through the wait field *)
-  let jobs =
-    [
-      Job.v ~id:0 ~submit:0.0 ~nodes:4 ~runtime:3600.0 ~requested:7200.0;
-      Job.v ~id:1 ~submit:500.0 ~nodes:2 ~runtime:60.0 ~requested:60.0;
-    ]
-  in
-  let t = Trace.v jobs in
-  let wait (j : Job.t) = if j.Job.id = 0 then 0.0 else 1234.0 in
-  let path = Filename.temp_file "swf_wait" ".swf" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Swf.to_file ~wait path t;
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let wait_field line =
-            match String.split_on_char ' ' line with
-            | _ :: _ :: w :: _ -> w
-            | _ -> Alcotest.fail "short line"
-          in
-          Alcotest.(check string) "job 0 wait" "0"
-            (wait_field (input_line ic));
-          Alcotest.(check string) "job 1 wait" "1234"
-            (wait_field (input_line ic))))
-
 let prop_roundtrip =
   (* of_file (to_file t) = t modulo the writer's whole-second rounding
      and id renumbering *)
@@ -263,6 +234,5 @@ let suite =
     Alcotest.test_case "numeric error line number" `Quick
       test_numeric_error_has_line_number;
     Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
-    Alcotest.test_case "to_file waits" `Quick test_to_file_waits;
     Helpers.qcheck prop_roundtrip;
   ]

@@ -270,18 +270,22 @@ let decision ~now ~seen ~probe : Sim.Engine.decision =
   }
 
 let test_decision_log_ring () =
-  let log = Sim.Decision_log.create ~capacity:4 ~policy:"p" () in
+  (* the ring holds the latest 65,536 decisions; feed two more *)
+  let capacity = 1 lsl 16 in
+  let log = Sim.Decision_log.create ~policy:"p" () in
   let probe = T.Probe.create () in
-  for i = 0 to 5 do
+  for i = 0 to capacity + 1 do
     probe.T.Probe.nodes <- 100 * i;
     probe.T.Probe.budget <- 1000;
     Sim.Decision_log.observe log
       (decision ~now:(float_of_int i) ~seen:i ~probe:(Some probe))
   done;
-  Alcotest.(check int) "recorded" 6 (Sim.Decision_log.recorded log);
+  Alcotest.(check int) "recorded" (capacity + 2)
+    (Sim.Decision_log.recorded log);
   Alcotest.(check int) "dropped" 2 (Sim.Decision_log.dropped log);
   let ds = Sim.Decision_log.decisions log in
-  Alcotest.(check (list int)) "oldest dropped, order kept" [ 2; 3; 4; 5 ]
+  Alcotest.(check (list int)) "oldest dropped, order kept"
+    (List.init capacity (fun i -> i + 2))
     (List.map (fun d -> d.Sim.Decision_log.seq) ds);
   Alcotest.(check int) "probe snapshotted, not aliased" 200
     (List.hd ds).Sim.Decision_log.nodes;

@@ -16,7 +16,6 @@ let context ?(now = 0.0) ?(capacity = 16) ~waiting ~running () =
       Cluster.Running_set.add rs
         {
           Cluster.Running_set.job;
-          start;
           finish = start +. runtime;
           est_finish = start +. runtime;
         })

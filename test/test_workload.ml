@@ -104,15 +104,17 @@ let test_trace_measured_window () =
     [ job ~id:0 ~submit:1.0 (); job ~id:1 ~submit:5.0 ();
       job ~id:2 ~submit:9.0 () ]
   in
-  let t = Trace.v jobs ~measure_start:4.0 ~measure_end:9.0 in
+  let t =
+    Trace.of_array ~measure_start:4.0 ~measure_end:9.0 (Array.of_list jobs)
+  in
   Alcotest.(check (list int)) "only in-window jobs" [ 1 ]
     (List.map (fun (j : Job.t) -> j.id) (Trace.measured t))
 
 let test_trace_offered_load () =
   (* one 4-node 100s job in a 100s window on a 4-node machine = load 1 *)
   let t =
-    Trace.v [ job ~nodes:4 ~runtime:100.0 () ] ~measure_start:0.0
-      ~measure_end:100.0
+    Trace.of_array ~measure_start:0.0 ~measure_end:100.0
+      [| job ~nodes:4 ~runtime:100.0 () |]
   in
   Alcotest.(check (float 1e-9)) "load" 1.0
     (Mix_report.of_trace t ~capacity:4).Mix_report.load
@@ -121,7 +123,9 @@ let test_trace_scale_load () =
   let jobs =
     List.init 10 (fun i -> job ~id:i ~submit:(float_of_int i *. 10.0) ())
   in
-  let t = Trace.v jobs ~measure_start:0.0 ~measure_end:100.0 in
+  let t =
+    Trace.of_array ~measure_start:0.0 ~measure_end:100.0 (Array.of_list jobs)
+  in
   let load t = (Mix_report.of_trace t ~capacity:16).Mix_report.load in
   let load0 = load t in
   let scaled = Trace.scale_load t ~capacity:16 ~target:(2.0 *. load0) in
@@ -326,7 +330,9 @@ let test_mix_report_basic () =
     [ job ~id:0 ~nodes:1 ~runtime:1800.0 ();
       job ~id:1 ~submit:1.0 ~nodes:64 ~runtime:(Simcore.Units.hours 6.0) () ]
   in
-  let t = Trace.v jobs ~measure_start:0.0 ~measure_end:100.0 in
+  let t =
+    Trace.of_array ~measure_start:0.0 ~measure_end:100.0 (Array.of_list jobs)
+  in
   let mix = Mix_report.of_trace ~capacity:128 t in
   Alcotest.(check int) "n_jobs" 2 mix.Mix_report.n_jobs;
   Alcotest.(check (float 1e-6)) "jobs8 range 0" 50.0 mix.Mix_report.jobs8.(0);
